@@ -40,24 +40,44 @@ __all__ = [
 _M_TABLE = {"limit": 0, "best": None}
 
 
+def _totient_table(limit: int) -> np.ndarray:
+    """phi(m) for 0 <= m <= limit, as int32 while limit fits."""
+    dtype = np.int32 if limit < 2 ** 31 else np.int64
+    root = math.isqrt(limit)
+    sieve = np.ones(root + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    # Only primes up to sqrt(limit) are looped over.  Dividing their
+    # powers out of a cofactor leaves, for each m, either 1 or the one
+    # prime factor of m above sqrt(limit), applied in a single masked step.
+    phi = np.arange(limit + 1, dtype=dtype)
+    cof = phi.copy()
+    for p in np.flatnonzero(sieve).tolist():
+        phi[p::p] -= phi[p::p] // p
+        pk = p
+        while pk <= limit:
+            cof[pk::pk] //= p
+            pk *= p
+    phi -= np.floor_divide(phi, cof, out=np.zeros_like(phi), where=cof > 1)
+    return phi
+
+
 def _grow_m_table(t: int) -> None:
     # phi(m) >= sqrt(m/2), so m > 2 t^2 forces phi(m) > t; a table of
-    # size 4 t^2 is therefore exhaustive for threshold t.
+    # size 4 t^2 is therefore exhaustive for threshold t.  best[t] is the
+    # largest m <= limit with phi(m) <= t; the array is shared by every
+    # caller, so it is read-only.
     need = max(256, 4 * t * t)
     if _M_TABLE["limit"] >= need:
         return
     limit = 1 << (need - 1).bit_length()
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in np.flatnonzero(sieve):
-        phi[p::p] -= phi[p::p] // p
-    best = np.zeros(limit + 2, dtype=np.int64)
-    np.maximum.at(best, phi[1:], np.arange(1, limit + 1, dtype=np.int64))
+    phi = _totient_table(limit)
+    best = np.zeros(limit + 2, dtype=phi.dtype)
+    np.maximum.at(best, phi[1:], np.arange(1, limit + 1, dtype=phi.dtype))
     np.maximum.accumulate(best, out=best)
+    best.flags.writeable = False
     _M_TABLE["limit"] = limit
     _M_TABLE["best"] = best
 

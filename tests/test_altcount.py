@@ -8,9 +8,10 @@ from itertools import combinations
 import pytest
 
 from galorb.altcount import (
-    count_partitions_exact, enumerate_distinct_odd_partitions,
-    frobenius_rank, frobenius_records, partition_record, partitions_exact,
-    prop8_construct, prop8_lower_bound, prop8_parameters,
+    _counts_by_parts_mod4, count_partitions_exact,
+    enumerate_distinct_odd_partitions, frobenius_rank, frobenius_records,
+    partition_record, partitions_exact, prop8_construct, prop8_lower_bound,
+    prop8_parameters,
 )
 from galorb.classtheory import analyze
 from galorb.errors import InputError, ResourceLimitError
@@ -60,6 +61,25 @@ def test_rank_one_set_up_to_40():
     assert rank1 == [5, 6, 10, 11, 13, 16, 17, 21, 25]
 
 
+@pytest.mark.parametrize("n", range(2, 101))
+def test_rank_matches_enumeration(n):
+    assert frobenius_rank(n) == sum(r.contributes for r in frobenius_records(n))
+
+
+@pytest.mark.parametrize("n", range(0, 61))
+def test_parts_mod4_counts_match_enumeration(n):
+    counts = [0, 0, 0, 0]
+    for parts in enumerate_distinct_odd_partitions(n):
+        counts[len(parts) % 4] += 1
+    assert _counts_by_parts_mod4(n) == tuple(counts)
+
+
+def test_rank_pinned_beyond_cheap_enumeration():
+    # both values were confirmed by full enumeration (minutes at n = 300)
+    assert frobenius_rank(200) == 171988
+    assert frobenius_rank(300) == 6521918
+
+
 def test_rank_agrees_with_class_structures():
     for n in range(5, 14):
         assert frobenius_rank(n) == analyze(alternating_class_structure(n)).rank, n
@@ -82,12 +102,16 @@ def test_injection_parameters_at_anchors():
 
 
 def test_bound_below_rank_across_range():
-    for n in range(26, 121):
+    for n in range(26, 251):
         b = prop8_lower_bound(n)
         r = frobenius_rank(n)
         assert b.count <= r, (n, b.count, r)
         if n % 4 == 2:
             assert b.feasible and b.count == 1, (n, b)
+        elif n % 4 == 3 and b.p > 100:
+            # sqrt(p)/10 > 1 puts k = 3 nearer than k = -1, first at n = 195;
+            # m then splits into exactly two parts in m // 2 ways
+            assert b.feasible and b.k == 3 and b.count == b.m // 2, (n, b)
         else:
             assert not b.feasible, (n, b)
         if n <= 60:

@@ -81,6 +81,18 @@ def test_an_rank_bad_inputs(capsys):
     assert code == 4
 
 
+def test_an_rank_at_the_limit(capsys):
+    code, out, _ = run(capsys, "an-rank", "400..400")
+    assert code == 0
+    assert out.splitlines()[1].split()[:2] == ["400", "172468858"]
+
+
+def test_an_rank_past_the_limit_exits_4(capsys):
+    code, out, err = run(capsys, "an-rank", "401")
+    assert code == 4 and out == ""
+    assert "n <= 400" in err and "n = 401" in err
+
+
 def test_screen_family(capsys):
     code, out, _ = run(capsys, "screen", "POmegaMinus", "--format", "json")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from galorb import screening
 from galorb.errors import InputError
 from galorb.numutil import prime_powers_upto, totient
 from galorb.screening import (
@@ -62,6 +63,55 @@ def test_max_totient_table_anchors():
         m_star = max_m_with_totient_at_most(t)
         assert totient(m_star) <= t
         assert all(totient(m) > t for m in range(m_star + 1, 4 * t * t + 1))
+
+
+def _per_prime_totients(limit):
+    """Reference phi table: the former M-table loop, one strided update
+    for every prime up to limit."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(sieve):
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def test_totient_table_matches_per_prime_loop(monkeypatch):
+    limit = 1 << 16
+    phi = _per_prime_totients(limit)
+    assert np.array_equal(screening._totient_table(limit), phi)
+    best = np.zeros(limit + 2, dtype=np.int64)
+    np.maximum.at(best, phi[1:], np.arange(1, limit + 1, dtype=np.int64))
+    np.maximum.accumulate(best, out=best)
+    monkeypatch.setattr(screening, "_M_TABLE", {"limit": 0, "best": None})
+    max_m_with_totient_at_most(128)
+    assert screening._M_TABLE["limit"] == limit
+    assert np.array_equal(screening._M_TABLE["best"], best)
+
+
+def test_max_totient_across_regrow_boundaries(monkeypatch):
+    # each pair straddles a power-of-two table size; start from an empty
+    # cache so that every size is actually built
+    monkeypatch.setattr(screening, "_M_TABLE", {"limit": 0, "best": None})
+    ts = (8, 9, 64, 65, 90, 91, 362, 363)
+    phi = _per_prime_totients(4 * max(ts) ** 2)
+    limits = []
+    for t in ts:
+        brute = int(np.flatnonzero(phi[1:4 * t * t + 1] <= t).max()) + 1
+        assert max_m_with_totient_at_most(t) == brute, t
+        limits.append(screening._M_TABLE["limit"])
+    assert limits == [2 ** 8, 2 ** 9, 2 ** 14, 2 ** 15, 2 ** 15, 2 ** 16,
+                      2 ** 19, 2 ** 20]
+
+
+def test_cached_m_table_is_read_only():
+    m_star = max_m_with_totient_at_most(10)
+    with pytest.raises(ValueError):
+        screening._M_TABLE["best"][10] = 0
+    assert max_m_with_totient_at_most(10) == m_star
 
 
 def test_tail_inequality_totient_vs_sqrt():
