@@ -20,7 +20,6 @@ from galorb.permgroup import conjugacy_classes
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q-max", type=int, default=31)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     print("    q     order  classes  n_Q  n_R  rank    f")
@@ -28,7 +27,7 @@ def main() -> None:
         if q < 4:
             continue  # PSL(2, 2) and PSL(2, 3) are not simple
         spec = projective_line_action(q)
-        cs = conjugacy_classes(spec, seed=args.seed)
+        cs = conjugacy_classes(spec)
         rep = analyze(cs)
         print(f"{q:5d} {rep.group_order:9d} {rep.num_classes:8d} "
               f"{rep.n_Q:4d} {rep.n_R:4d} {rep.rank:5d} {rep.f:4d}")

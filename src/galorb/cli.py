@@ -52,7 +52,7 @@ def _json(obj) -> str:
 def _cmd_analyze_perm(args) -> tuple[str, int]:
     spec = parse_generators(_read(args.file))
     _note(f"degree {spec.degree}, {len(spec.generators)} generators")
-    kwargs = {"seed": args.seed}
+    kwargs = {}
     if args.max_order is not None:
         kwargs["max_order"] = args.max_order
     cs = conjugacy_classes(spec, **kwargs)
@@ -86,7 +86,7 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
     cross = None
     if args.gens:
         spec = parse_generators(_read(args.gens))
-        kwargs = {"seed": args.seed}
+        kwargs = {}
         if args.max_order is not None:
             kwargs["max_order"] = args.max_order
         _note("computing conjugacy classes for the cross-check")
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="FILE", help="write output here")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0,
+                        help="random search seed (used by 'charpoly file')")
     common.add_argument("--max-order", type=int, default=None,
                         help="resource guard override")
     sub = parser.add_subparsers(dest="command", required=True)

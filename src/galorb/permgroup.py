@@ -8,18 +8,24 @@ inverse permutation on classes, and for each class the map recording
 where coprime power maps send it, keyed by residues modulo the element
 order.
 
-Orders come from a stabilizer chain, classes from explicit element
-enumeration when the group is small enough and from a seeded random
-search otherwise.  Alternating and cyclic groups also get direct
-combinatorial constructions that bypass element lists entirely.
+Orders come from a stabilizer chain.  Classes come from one path: every
+element is enumerated as a row of bytes, the rows are kept sorted,
+conjugation by each generator becomes a permutation of row indices, and
+the classes are the orbits of those permutations.  There is no random
+search and no seed; groups whose order times degree exceeds 10^8 are
+refused before any element is stored.  Alternating and cyclic groups
+also get direct combinatorial constructions that bypass element lists
+entirely.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .numutil import units_mod
@@ -35,7 +41,7 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 def pmul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Composition: apply q, then p."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def pinv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -190,7 +196,8 @@ class _Chain:
     strong generators live in one list; the level-i generating set is
     the subset fixing base[:i] pointwise.  Levels are completed deepest
     first, so a residue added below never invalidates a level already
-    verified above it.
+    verified above it.  Each transversal element is stored with its
+    inverse, so sifting never inverts a permutation.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -200,6 +207,7 @@ class _Chain:
         self.base: list[int] = []
         self.sgens: list[tuple[int, ...]] = []
         self.transversal: list[dict[int, tuple[int, ...]]] = []
+        self.transversal_inv: list[dict[int, tuple[int, ...]]] = []
 
     def order(self) -> int:
         o = 1
@@ -215,10 +223,10 @@ class _Chain:
         """Reduce g through levels start..; returns (residue, level reached)."""
         for i in range(start, len(self.base)):
             x = g[self.base[i]]
-            u = self.transversal[i].get(x)
-            if u is None:
+            u_inv = self.transversal_inv[i].get(x)
+            if u_inv is None:
                 return g, i
-            g = pmul(pinv(u), g)
+            g = pmul(u_inv, g)
         return g, len(self.base)
 
     def contains(self, g: tuple[int, ...]) -> bool:
@@ -240,29 +248,34 @@ class _Chain:
             b = min(x for x in range(self.degree) if res[x] != x)
             self.base.append(b)
             self.transversal.append({b: self.identity})
+            self.transversal_inv.append({b: self.identity})
         self.sgens.append(res)
 
     def _complete_level(self, i: int):
         gens = self._strong_at(i)
+        gens_inv = [pinv(g) for g in gens]
         b = self.base[i]
         t = {b: self.identity}
+        t_inv = {b: self.identity}
         queue = [b]
         while queue:
             x = queue.pop()
             ux = t[x]
-            for g in gens:
+            for g, g_inv in zip(gens, gens_inv):
                 y = g[x]
                 if y not in t:
                     t[y] = pmul(g, ux)
+                    t_inv[y] = pmul(t_inv[x], g_inv)
                     queue.append(y)
         self.transversal[i] = t
+        self.transversal_inv[i] = t_inv
         if self.order() > self.max_order:
             raise ResourceLimitError(
                 f"group order exceeds the limit {self.max_order}")
         for x in list(t):
             ux = t[x]
             for g in gens:
-                s = pmul(pinv(t[g[x]]), pmul(g, ux))
+                s = pmul(t_inv[g[x]], pmul(g, ux))
                 if s == self.identity:
                     continue
                 res, j = self.sift(s, i + 1)
@@ -307,6 +320,11 @@ class ClassStructure:
     fusion: tuple[dict[int, int], ...]
     labels: tuple[str, ...]
     reps: tuple = ()
+
+    def __post_init__(self):
+        # cached structures are shared between callers: freeze the maps
+        object.__setattr__(self, "fusion", tuple(
+            MappingProxyType(dict(fus)) for fus in self.fusion))
 
     @property
     def num_classes(self) -> int:
@@ -366,25 +384,31 @@ def _labels_for(keys: list, lower: bool = False) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _structure_from_classes(order, class_sets, elem_class, reps):
-    """Assemble a ClassStructure from explicit class element sets."""
+def _structure_from_classes(order, reps, sizes, lookup):
+    """Assemble a ClassStructure from class representatives and sizes.
+
+    lookup takes a list of group elements and returns the index (into
+    reps) of the class of each; it is called once, on the inverses and
+    coprime powers of every representative.
+    """
     perm_sort = sorted(range(len(reps)),
-                       key=lambda c: (perm_order(reps[c]), len(class_sets[c]), reps[c]))
+                       key=lambda c: (perm_order(reps[c]), sizes[c], reps[c]))
     newpos = {old: new for new, old in enumerate(perm_sort)}
     reps = [reps[c] for c in perm_sort]
-    sizes = tuple(len(class_sets[c]) for c in perm_sort)
+    sizes = tuple(sizes[c] for c in perm_sort)
     orders = tuple(perm_order(r) for r in reps)
     exponent = 1
     for o in orders:
         exponent = math.lcm(exponent, o)
-    inverse_map = tuple(newpos[elem_class[pinv(r)]] for r in reps)
+    images = [pinv(r) for r in reps]
+    for r, m in zip(reps, orders):
+        if m > 1:
+            images.extend(ppow(r, k) for k in units_mod(m))
+    found = iter([newpos[c] for c in lookup(images)])
+    inverse_map = tuple(next(found) for _ in reps)
     fusion = []
-    for c, r in enumerate(reps):
-        m = orders[c]
-        fus = {}
-        for k in units_mod(m):
-            fus[k] = newpos[elem_class[ppow(r, k)]] if m > 1 else c
-        fusion.append(fus)
+    for c, m in enumerate(orders):
+        fusion.append({k: next(found) if m > 1 else c for k in units_mod(m)})
     cs = ClassStructure(
         group_order=order,
         exponent=exponent,
@@ -398,91 +422,96 @@ def _structure_from_classes(order, class_sets, elem_class, reps):
     return cs.validate()
 
 
-def _enumerate_elements(spec: GroupSpec, order: int) -> list[tuple[int, ...]]:
-    e = identity_perm(spec.degree)
-    seen = {e}
-    queue = [e]
-    while queue:
-        x = queue.pop()
-        for g in spec.generators:
-            y = pmul(g, x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != order:
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte string per uint8 row.  Keys compare by memcmp,
+    which on bytes is the tuple order of the rows."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _element_keys(spec: GroupSpec, order: int) -> np.ndarray:
+    """Sorted keys of every element, grown by breadth-first frontiers."""
+    d = spec.degree
+    gens = np.array(spec.generators, dtype=np.intp).ravel()
+    frontier = np.arange(d, dtype=np.uint8)[None, :]
+    keys = _row_keys(frontier)
+    while len(frontier):
+        # row (f, j) of the gather is frontier[f] * generator j: a column
+        # permutation, much cheaper than mapping every entry
+        cand = np.sort(_row_keys(np.take(frontier, gens, axis=1).reshape(-1, d)),
+                       kind="stable")
+        fresh = (np.searchsorted(keys, cand)
+                 == np.searchsorted(keys, cand, side="right"))
+        fresh[1:] &= cand[1:] != cand[:-1]
+        frontier = cand[fresh]
+        # two sorted runs: the stable sort merges them in linear time
+        keys = np.sort(np.concatenate((keys, frontier)), kind="stable")
+        frontier = frontier.view(np.uint8).reshape(-1, d)
+    if len(keys) != order:
         raise AssertionError("enumeration disagrees with the stabilizer chain")
-    return sorted(seen)
+    return keys
 
 
-def _class_of(x, gens):
-    cls = {x}
-    queue = [x]
-    while queue:
-        y = queue.pop()
-        for g in gens:
-            z = pmul(pmul(g, y), pinv(g))
-            if z not in cls:
-                cls.add(z)
-                queue.append(z)
-    return cls
+def _class_labels(spec: GroupSpec, elems: np.ndarray) -> np.ndarray:
+    """For each element, the index of the least element of its class.
+
+    Conjugation by a generator g permutes the sorted elements.  The
+    conjugated rows are the elements again, so their argsort is an index
+    permutation directly: it sends j to the i with g x_i g^-1 = x_j,
+    which is conjugation by g^-1.  Classes are the orbits of these
+    permutations, found by lowering every label to the least label
+    among its images and then jumping pointers.
+    """
+    conj = []
+    for g in spec.generators:
+        # (g x g^-1)[i] = g[x[g^-1[i]]]
+        rows = np.array(g, dtype=np.uint8)[np.take(elems, pinv(g), axis=1)]
+        conj.append(np.argsort(_row_keys(rows), kind="stable"))
+    lab = np.arange(len(elems))
+    while True:
+        new = lab
+        for c in conj:
+            new = np.minimum(new, new[c])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
 @lru_cache(maxsize=32)
-def _conjugacy_classes_cached(spec: GroupSpec, max_order: int, enum_limit: int,
-                              seed: int) -> ClassStructure:
+def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure:
     order = group_order(spec, max_order)
-    if order * spec.degree > 100_000_000:
+    points = order * spec.degree
+    if points > 100_000_000:
         raise ResourceLimitError(
-            f"class computation for order {order} on {spec.degree} points "
-            "would exhaust memory")
-    gens = spec.generators
-    class_sets = []
-    reps = []
-    elem_class: dict[tuple[int, ...], int] = {}
+            f"class computation needs order x degree = {order} x {spec.degree} "
+            f"= {points} element-points, above the limit 10^8")
+    keys = _element_keys(spec, order)
+    elems = keys.view(np.uint8).reshape(order, spec.degree)
+    lab = _class_labels(spec, elems)
+    rep_idx = np.flatnonzero(lab == np.arange(order))
+    sizes = np.bincount(lab)[rep_idx].tolist()
+    reps = [tuple(r) for r in elems[rep_idx].tolist()]
 
-    if order <= enum_limit:
-        for x in _enumerate_elements(spec, order):
-            if x in elem_class:
-                continue
-            # x is minimal among unassigned elements, hence in its class
-            cls = _class_of(x, gens)
-            idx = len(class_sets)
-            class_sets.append(cls)
-            reps.append(x)
-            for y in cls:
-                elem_class[y] = idx
-    else:
-        rng = random.Random(seed)
-        covered = 0
-        cur = identity_perm(spec.degree)
-        while covered < order:
-            if cur not in elem_class:
-                cls = _class_of(cur, gens)
-                if order % len(cls):
-                    raise AssertionError("class size does not divide the group order")
-                idx = len(class_sets)
-                class_sets.append(cls)
-                reps.append(min(cls))
-                for y in cls:
-                    elem_class[y] = idx
-                covered += len(cls)
-            for _ in range(rng.randrange(1, 4)):
-                cur = pmul(rng.choice(gens), cur)
+    def lookup(images):
+        at = np.searchsorted(keys, _row_keys(np.array(images, dtype=np.uint8)))
+        return np.searchsorted(rep_idx, lab[at]).tolist()
 
-    return _structure_from_classes(order, class_sets, elem_class, reps)
+    return _structure_from_classes(order, reps, sizes, lookup)
 
 
-def conjugacy_classes(spec: GroupSpec, *, max_order: int = 200_000_000,
-                      enum_limit: int = 1_000_000, seed: int = 0) -> ClassStructure:
+def conjugacy_classes(spec: GroupSpec, *,
+                      max_order: int = 200_000_000) -> ClassStructure:
     """Conjugacy class data of the group generated by spec.
 
-    Groups of order at most enum_limit are enumerated outright; larger
-    ones are covered class by class from a seeded random walk, stopping
-    when the class sizes account for the whole order.  Either way the
-    result is deterministic: classes are sorted by (element order, size,
-    least element) and representatives are the least elements.
+    Every element is enumerated, as sorted byte rows, and the classes are
+    the orbits of conjugation by the generators; groups whose order times
+    degree exceeds 10^8 are refused before anything is allocated.  Classes
+    are sorted by (element order, size, least element) and
+    representatives are the least elements, so the result is
+    deterministic.  Results are cached and shared; their fusion maps are
+    read-only.
     """
-    return _conjugacy_classes_cached(spec, max_order, enum_limit, seed)
+    return _conjugacy_classes_cached(spec, max_order)
 
 
 # -- direct constructions -----------------------------------------------

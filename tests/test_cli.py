@@ -3,12 +3,15 @@ import pathlib
 
 import pytest
 
+import galorb.permgroup
 from galorb.chartab import fixture_table, serialize_table
 from galorb.cli import main
+from galorb.permgroup import format_generators, symmetric_group_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 TABLES = ROOT / "src" / "galorb" / "tables"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -144,6 +147,30 @@ def test_resource_guard_exits_4(capsys):
     code, _, err = run(capsys, "analyze-perm", str(DATA / "a5.gens"),
                        "--max-order", "10")
     assert code == 4 and "resource" in err
+
+
+def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("elements enumerated past the guard")
+
+    monkeypatch.setattr(galorb.permgroup, "_element_keys", never)
+    gens = tmp_path / "s11.gens"
+    gens.write_text(format_generators(symmetric_group_spec(11)))
+    code, out, err = run(capsys, "analyze-perm", str(gens))
+    assert code == 4 and out == ""
+    assert "39916800 x 11 = 439084800 element-points" in err
+    assert "limit 10^8" in err
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.json"),
+    (("analyze-table", TABLES / "a5.json", "--gens", DATA / "a5.gens"),
+     "analyze-table_a5.json"),
+], ids=["analyze-perm", "analyze-table"])
+def test_readme_examples_json_bytes(capsys, argv, golden):
+    code, out, _ = run(capsys, *map(str, argv), "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

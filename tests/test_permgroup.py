@@ -1,18 +1,95 @@
 import math
+import random
 
 import pytest
+import sympy.combinatorics as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
+from galorb.numutil import units_mod
 from galorb.permgroup import (
-    GroupSpec, alternating_class_structure, alternating_group_spec,
-    conjugacy_classes, cyclic_class_structure, cyclic_group_spec,
-    format_generators, group_order, parse_generators, perm_order, pinv, pmul,
-    symmetric_group_spec,
+    ClassStructure, GroupSpec, _labels_for, alternating_class_structure,
+    alternating_group_spec, conjugacy_classes, cyclic_class_structure,
+    cyclic_group_spec, format_generators, group_order, parse_generators,
+    perm_order, pinv, pmul, ppow, symmetric_group_spec,
 )
 
+# -- reference: the tuple-at-a-time class path ----------------------------
+
+
+def _reference_elements(spec):
+    e = tuple(range(spec.degree))
+    seen = {e}
+    queue = [e]
+    while queue:
+        x = queue.pop()
+        for g in spec.generators:
+            y = pmul(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return sorted(seen)
+
+
+def _reference_class_of(x, gens):
+    cls = {x}
+    queue = [x]
+    while queue:
+        y = queue.pop()
+        for g in gens:
+            z = pmul(pmul(g, y), pinv(g))
+            if z not in cls:
+                cls.add(z)
+                queue.append(z)
+    return cls
+
+
+def reference_classes(spec):
+    """Class data by explicit tuple enumeration, one element at a time."""
+    class_sets, reps, elem_class = [], [], {}
+    for x in _reference_elements(spec):
+        if x in elem_class:
+            continue
+        # x is minimal among unassigned elements, hence in its class
+        cls = _reference_class_of(x, spec.generators)
+        for y in cls:
+            elem_class[y] = len(class_sets)
+        class_sets.append(cls)
+        reps.append(x)
+    perm_sort = sorted(range(len(reps)),
+                       key=lambda c: (perm_order(reps[c]), len(class_sets[c]), reps[c]))
+    newpos = {old: new for new, old in enumerate(perm_sort)}
+    reps = [reps[c] for c in perm_sort]
+    orders = tuple(perm_order(r) for r in reps)
+    fusion = []
+    for c, r in enumerate(reps):
+        m = orders[c]
+        fusion.append({k: newpos[elem_class[ppow(r, k)]] if m > 1 else c
+                       for k in units_mod(m)})
+    return ClassStructure(
+        group_order=len(elem_class),
+        exponent=math.lcm(*orders),
+        sizes=tuple(len(class_sets[c]) for c in perm_sort),
+        orders=orders,
+        inverse_map=tuple(newpos[elem_class[pinv(r)]] for r in reps),
+        fusion=tuple(fusion),
+        labels=_labels_for(list(orders)),
+        reps=tuple(reps),
+    ).validate()
+
+
+def relabeled(spec, seed):
+    """spec conjugated by a seeded random relabeling of its points."""
+    sigma = list(range(spec.degree))
+    random.Random(seed).shuffle(sigma)
+    sigma = tuple(sigma)
+    return GroupSpec(spec.degree, tuple(pmul(pmul(sigma, g), pinv(sigma))
+                                        for g in spec.generators))
+
+
+Q8_SPEC = GroupSpec(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
 
 def test_group_orders():
     assert group_order(symmetric_group_spec(6)) == 720
@@ -134,3 +211,70 @@ def test_class_order_guard_matches_perm_basics():
     for c, rep in enumerate(cs.reps):
         assert perm_order(rep) == cs.orders[c]
         assert pmul(rep, pinv(rep)) == tuple(range(spec.degree))
+
+
+# -- the numpy class path against the reference and against sympy -------
+
+POINTS_256 = GroupSpec(256, (
+    (255,) + tuple(range(1, 255)) + (0,),  # the transposition (1,256)
+    tuple(range(253)) + (254, 255, 253),  # the 3-cycle (254,255,256)
+))
+
+
+@pytest.mark.parametrize("spec", [
+    *(relabeled(projective_line_action(q), q) for q in (5, 7, 8, 9, 11)),
+    alternating_group_spec(6),
+    symmetric_group_spec(5),
+    Q8_SPEC,
+    cyclic_group_spec(30),
+    GroupSpec(1, ((0,),)),
+    GroupSpec(4, ((0, 1, 2, 3),)),
+    POINTS_256,
+], ids=["psl2_5", "psl2_7", "psl2_8", "psl2_9", "psl2_11", "a6", "s5", "q8",
+        "c30", "trivial_1", "trivial_4", "s4_on_256"])
+def test_classes_match_reference(spec):
+    assert conjugacy_classes(spec) == reference_classes(spec)
+
+
+def test_cached_fusion_maps_are_read_only():
+    first = conjugacy_classes(alternating_group_spec(5))
+    with pytest.raises(TypeError):
+        first.fusion[3][4] = 4
+    with pytest.raises(TypeError):
+        del first.fusion[0][0]
+    again = conjugacy_classes(alternating_group_spec(5))
+    assert again == first
+    again.validate()
+    assert again.fusion[3][4] == 3
+
+
+def test_fusion_maps_are_copied_from_the_input():
+    fus = [{0: 0}, {1: 1}]
+    cs = ClassStructure(group_order=2, exponent=2, sizes=(1, 1), orders=(1, 2),
+                        inverse_map=(0, 1), fusion=tuple(fus), labels=("1A", "2A"))
+    fus[1][1] = 0
+    assert cs.fusion[1][1] == 1
+    assert cs.fusion == ({0: 0}, {1: 1})
+
+
+@st.composite
+def small_generating_sets(draw):
+    degree = draw(st.integers(1, 7))
+    perm = st.permutations(range(degree)).map(tuple)
+    return GroupSpec(degree, tuple(draw(st.lists(perm, min_size=1, max_size=3))))
+
+
+@given(small_generating_sets())
+@settings(max_examples=40, deadline=None)
+def test_order_and_class_sizes_match_sympy(spec):
+    group = sc.PermutationGroup([sc.Permutation(list(g)) for g in spec.generators])
+    assert group_order(spec) == group.order()
+    cs = conjugacy_classes(spec)
+    assert sorted(cs.sizes) == sorted(len(c) for c in group.conjugacy_classes())
+
+
+def test_chain_orders_of_relabeled_large_groups():
+    for spec, order in [(relabeled(symmetric_group_spec(18), 18), math.factorial(18)),
+                        (relabeled(alternating_group_spec(17), 17), math.factorial(17) // 2)]:
+        assert group_order(spec, max_order=order) == order
+
