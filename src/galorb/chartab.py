@@ -12,6 +12,13 @@ from row data (real rows, conjugate pairs, Galois orbits of rows) and
 the longest Galois family of columns.  When a ClassStructure for the
 same group is available, the Brauer permutation lemma ties the two sides
 together check by check.
+
+Every analysis reads one GaloisAction per table, built once: each
+distinct value gets an integer id and each unit k modulo the table
+exponent an id map, so rows, columns and fields are compared as id
+tuples and galois_apply runs once per distinct value and unit, not per
+cell and query.  Orthogonality is checked on integer lifts of the
+values at the lcm of their conductors.
 """
 
 from __future__ import annotations
@@ -19,23 +26,55 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
-from .classtheory import analyze, q_classes
+from .classtheory import _merge, _partition, analyze, q_classes
 from .cyclotomic import (
     CyclotomicNumber,
     FieldClass,
-    conjugate,
-    field_class,
     galois_apply,
+    integer_lift,
+    reduce_integers,
     value_from_obj,
     value_to_obj,
 )
 from .errors import DegenerateTableError, InputError
-from .numutil import units_mod
+from .numutil import totient, units_mod
 from .permgroup import ClassStructure
 
 Row = tuple[CyclotomicNumber, ...]
+Ids = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class GaloisAction:
+    """The Galois group of Q(zeta_e), e the table exponent, acting on the
+    values of one table.
+
+    cells holds the value ids row by row; ids number the distinct cell
+    values from 0.  images[u][v] is the id of the image of value v under
+    zeta -> zeta^k for k = units[u]; an image that is no cell value gets
+    an id past the cell values.  Ids and values correspond one to one,
+    so equal id tuples are equal rows or columns.
+    """
+
+    exponent: int
+    units: tuple[int, ...]
+    cells: tuple[Ids, ...]
+    images: tuple[Ids, ...]
+
+    def unit(self, k: int) -> int:
+        """The member of units acting as zeta -> zeta^k; k coprime to e."""
+        return k % self.exponent if self.exponent > 1 else 1
+
+    def image(self, k: int) -> Ids:
+        return self.images[self.units.index(self.unit(k))]
+
+
+def _apply(ids: Ids, image: Ids) -> Ids:
+    return tuple(map(image.__getitem__, ids))
 
 
 @dataclass(frozen=True)
@@ -52,6 +91,25 @@ class CharacterTable:
     @property
     def num_classes(self) -> int:
         return len(self.class_sizes)
+
+    @cached_property
+    def _values(self) -> tuple[tuple[CyclotomicNumber, ...], tuple[Ids, ...]]:
+        """The distinct cell values in first-seen order, and the cells as
+        indices into them."""
+        ids: dict[CyclotomicNumber, int] = {}
+        cells = tuple(tuple(ids.setdefault(z, len(ids)) for z in row) for row in self.irr)
+        return tuple(ids), cells
+
+    @cached_property
+    def galois_action(self) -> GaloisAction:
+        """Built on first use: one galois_apply per distinct value and unit."""
+        values, cells = self._values
+        ids = {z: i for i, z in enumerate(values)}
+        e = table_exponent(self)
+        units = _exponent_units(e)
+        images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
+                       for k in units)
+        return GaloisAction(e, units, cells, images)
 
     def validate(self) -> "CharacterTable":
         n = self.num_classes
@@ -90,17 +148,38 @@ class CharacterTable:
                     raise InputError(
                         f"table {self.name!r}: row {i} has a value of conductor "
                         f"{z.order}, not dividing the exponent {e}")
-        for i in range(len(self.irr)):
-            for j in range(i, len(self.irr)):
-                total = CyclotomicNumber.rational(0)
-                for s, a, b in zip(self.class_sizes, self.irr[i], self.irr[j]):
-                    total = total + s * (a * conjugate(b))
-                want = self.group_order if i == j else 0
-                if total != want:
+        self._check_orthogonality()
+        return self
+
+    def _check_orthogonality(self) -> None:
+        """sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on integers.
+
+        Every value lifts once to integer terms of D * value at zeta_n,
+        D the common denominator and n the lcm of the conductors (a
+        divisor of the exponent); conjugation negates exponents.  A row
+        pair's sum is then a cyclic convolution over exponents mod n,
+        reduced once to the power basis and compared with (|G| D^2, 0, ...).
+        """
+        values, cells = self._values
+        n, scale, lifts = integer_lift(values)
+        conj = [tuple((-x % n, c) for x, c in terms) for terms in lifts]
+        zero = [0] * totient(n)
+        norm = [self.group_order * scale * scale] + zero[1:]
+        for i, row in enumerate(cells):
+            for j in range(i, len(cells)):
+                acc = [0] * n
+                for s, a, b in zip(self.class_sizes, row, cells[j]):
+                    for x, ca in lifts[a]:
+                        sca = s * ca
+                        for y, cb in conj[b]:
+                            acc[(x + y) % n] += sca * cb
+                if reduce_integers(n, acc) != (norm if i == j else zero):
+                    total = CyclotomicNumber.make(n, {
+                        k: Fraction(c, scale * scale) for k, c in enumerate(acc) if c})
+                    want = self.group_order if i == j else 0
                     raise InputError(
                         f"table {self.name!r}: rows {i} and {j} violate "
                         f"orthogonality (got {total!r}, want {want})")
-        return self
 
 
 def table_exponent(t: CharacterTable) -> int:
@@ -200,31 +279,21 @@ def fixture_table(name: str) -> CharacterTable:
 # -- row-side analysis --------------------------------------------------
 
 
-def _row_key(row: Row):
-    return tuple(z.sort_key() for z in row)
-
-
-def _apply_row(row: Row, k: int) -> Row:
-    return tuple(galois_apply(z, k) for z in row)
-
-
 def _exponent_units(e: int) -> tuple[int, ...]:
     return (1,) if e == 1 else units_mod(e)
 
 
 def real_row_count(t: CharacterTable) -> int:
     """Rows fixed entrywise by complex conjugation."""
-    return sum(1 for row in t.irr if _apply_row(row, -1) == row)
+    act = t.galois_action
+    conj = act.image(-1)
+    return sum(1 for row in act.cells if _apply(row, conj) == row)
 
 
-def _row_orbit_keys(t: CharacterTable) -> list:
+def _row_orbit_keys(t: CharacterTable) -> list[Ids]:
     """Canonical key per row: least image over the whole Galois action."""
-    e = table_exponent(t)
-    keys = []
-    for row in t.irr:
-        best = min(_row_key(_apply_row(row, k)) for k in _exponent_units(e))
-        keys.append(best)
-    return keys
+    act = t.galois_action
+    return [min(_apply(row, image) for image in act.images) for row in act.cells]
 
 
 def rank_of_central_units(t: CharacterTable) -> int:
@@ -241,58 +310,39 @@ def rank_of_central_units(t: CharacterTable) -> int:
 # -- column-side analysis -----------------------------------------------
 
 
-def _column(t: CharacterTable, c: int) -> Row:
-    return tuple(row[c] for row in t.irr)
-
-
-def _column_maps(t: CharacterTable) -> dict[int, tuple[int, ...]]:
+def _column_maps(t: CharacterTable) -> dict[int, Ids]:
     """For each unit k mod the exponent, the permutation of columns
     induced by applying the Galois map entrywise."""
-    n = t.num_classes
-    cols = [_column(t, c) for c in range(n)]
+    act = t.galois_action
+    cols = [tuple(row[c] for row in act.cells) for c in range(t.num_classes)]
     index = {}
     for c, col in enumerate(cols):
-        key = _row_key(col)
-        if key in index:
+        if col in index:
             raise DegenerateTableError(
-                f"table {t.name!r}: degenerate table, columns {index[key]} "
+                f"table {t.name!r}: degenerate table, columns {index[col]} "
                 f"and {c} are identical")
-        index[key] = c
-    e = table_exponent(t)
+        index[col] = c
     maps = {}
-    for k in _exponent_units(e):
-        images = []
+    for k, image in zip(act.units, act.images):
+        targets = []
         for c, col in enumerate(cols):
-            key = _row_key(tuple(galois_apply(z, k) for z in col))
-            if key not in index:
+            d = index.get(_apply(col, image))
+            if d is None:
                 raise InputError(
                     f"table {t.name!r}: image of column {c} under the Galois "
                     f"map k = {k} matches no column")
-            images.append(index[key])
-        maps[k] = tuple(images)
+            targets.append(d)
+        maps[k] = tuple(targets)
     return maps
 
 
 def column_families(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """Partition of columns into Galois families, ordered by least member."""
-    n = t.num_classes
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for images in _column_maps(t).values():
-        for c, d in enumerate(images):
-            rc, rd = find(c), find(d)
-            if rc != rd:
-                parent[max(rc, rd)] = min(rc, rd)
-    groups: dict[int, list[int]] = {}
-    for c in range(n):
-        groups.setdefault(find(c), []).append(c)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    parent = list(range(t.num_classes))
+    for targets in _column_maps(t).values():
+        for c, d in enumerate(targets):
+            _merge(parent, c, d)
+    return _partition(parent)
 
 
 def max_galois_orbit_length(t: CharacterTable) -> int:
@@ -303,20 +353,31 @@ def max_galois_orbit_length(t: CharacterTable) -> int:
 # -- field-side analysis ------------------------------------------------
 
 
+def _row_field_classes(t: CharacterTable) -> list[FieldClass]:
+    """Class of the field each row generates: its degree is the index
+    of the row's stabiliser among the units mod the exponent."""
+    act = t.galois_action
+    conj = act.image(-1)
+    out = []
+    for row in act.cells:
+        fixed = sum(1 for image in act.images if _apply(row, image) == row)
+        out.append(FieldClass.of(len(act.units) // fixed, _apply(row, conj) == row))
+    return out
+
+
+_FLAT = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
+
+
 def b_set_quantities(t: CharacterTable) -> tuple[tuple[int, ...], int, int]:
     """Rows whose value field is neither rational nor imaginary
     quadratic, with conjugation-orbit and Galois-orbit counts inside
     that set; the rank identities are asserted."""
-    keep = []
-    for i, row in enumerate(t.irr):
-        if field_class(row) not in (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC):
-            keep.append(i)
+    keep = [i for i, fc in enumerate(_row_field_classes(t)) if fc not in _FLAT]
     orbit_keys = _row_orbit_keys(t)
     b2 = len({orbit_keys[i] for i in keep})
-    conj_keys = {}
-    for i in keep:
-        conj_keys[i] = min(_row_key(t.irr[i]), _row_key(_apply_row(t.irr[i], -1)))
-    b1 = len(set(conj_keys.values()))
+    act = t.galois_action
+    conj = act.image(-1)
+    b1 = len({min(act.cells[i], _apply(act.cells[i], conj)) for i in keep})
     rank = rank_of_central_units(t)
     if rank != b1 - b2:
         raise AssertionError(f"table {t.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
@@ -328,9 +389,7 @@ def b_set_quantities(t: CharacterTable) -> tuple[tuple[int, ...], int, int]:
 def cut_by_character_fields(t: CharacterTable) -> bool:
     """True when every row generates a rational or imaginary quadratic
     field; asserted equivalent to central-unit rank zero."""
-    flat = all(
-        field_class(row) in (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
-        for row in t.irr)
+    flat = all(fc in _FLAT for fc in _row_field_classes(t))
     if flat != (rank_of_central_units(t) == 0):
         raise AssertionError(
             f"table {t.name!r}: field criterion disagrees with the rank")
@@ -409,10 +468,12 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
 
     checks = []
     units = _exponent_units(e)
+    act = t.galois_action
 
     bad = []
     for k in units:
-        fixed_rows = sum(1 for row in t.irr if _apply_row(row, k) == row)
+        image = act.image(k)
+        fixed_rows = sum(1 for row in act.cells if _apply(row, image) == row)
         fixed_cols = sum(
             1 for c in range(cs.num_classes)
             if cs.fusion[c][k % cs.orders[c]] == c)
@@ -423,7 +484,8 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
         "; ".join(bad) if bad else f"all {len(units)} Galois maps agree"))
 
     n_g = len(set(_row_orbit_keys(t)))
-    fams, n_q = q_classes(cs)
+    fams = q_classes(cs)
+    n_q = len(fams)
     checks.append(CheckResult(
         "orbit_counts", n_g == n_q,
         f"{n_g} row orbits vs {n_q} class families"))
@@ -432,7 +494,7 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     bad = []
     for k in units:
         fusion_map = tuple(cs.fusion[c][k % cs.orders[c]] for c in range(cs.num_classes))
-        table_map = col_maps.get(k)
+        table_map = col_maps[act.unit(k)]
         if table_map != fusion_map:
             diffs = [c for c in range(cs.num_classes) if table_map[c] != fusion_map[c]]
             bad.append(f"k={k}: columns {diffs} map to {[table_map[c] for c in diffs]} "

@@ -38,24 +38,21 @@ def _partition(parent: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
 
 
-def q_classes(cs: ClassStructure) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Orbits of the coprime power maps on classes, ordered by least member,
-    together with their count."""
+def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the coprime power maps on classes, ordered by least member."""
     parent = list(range(cs.num_classes))
     for c, fus in enumerate(cs.fusion):
         for d in fus.values():
             _merge(parent, c, d)
-    fams = _partition(parent)
-    return fams, len(fams)
+    return _partition(parent)
 
 
-def r_classes(cs: ClassStructure) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Orbits of class inversion (singletons and mirror pairs), with count."""
+def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
+    """Orbits of class inversion (singletons and mirror pairs)."""
     parent = list(range(cs.num_classes))
     for c, d in enumerate(cs.inverse_map):
         _merge(parent, c, d)
-    pairs = _partition(parent)
-    return pairs, len(pairs)
+    return _partition(parent)
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,9 @@ class GaloisReport:
 
 
 def analyze(cs: ClassStructure) -> GaloisReport:
-    families, n_q = q_classes(cs)
-    pairs, n_r = r_classes(cs)
+    families = q_classes(cs)
+    n_q = len(families)
+    n_r = len(r_classes(cs))
     contributions = []
     a1 = a2 = 0
     for fam in families:

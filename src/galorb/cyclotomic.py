@@ -7,6 +7,17 @@ cyclotomic polynomial, and N itself is lowered to the conductor: the least
 N' such that the value lies in Q(zeta_N').  Canonical forms are unique, so
 equality is structural and values are hashable.
 
+The conductor is found by prime descent, with no Galois action and no
+linear solve: a value is rational when its coordinates past the first
+vanish; otherwise N drops one prime p at a time while the value stays in
+Q(zeta_{N/p}).  For p^2 | N that is a test on the coordinates off the
+multiples of p; for p || N the value is split along zeta_N = zeta_p^u
+zeta_{N/p}^w and read off over Q(zeta_{N/p}) (see _descend_coprime).
+
+integer_lift and reduce_integers put a batch of values on integer vectors
+at the lcm of their conductors, for sums that need no canonical form until
+the end.
+
 No floating point is used anywhere in the arithmetic; approx() exists only
 as a complex-embedding debug aid.
 """
@@ -21,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .numutil import divisors, totient, units_mod
+from .numutil import divisors, factorize, totient, units_mod
 
 _ZERO = Fraction(0)
 
@@ -76,15 +87,18 @@ def _power_reductions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(n: int, terms) -> list[Fraction]:
-    """Fold an exponent -> coefficient map into the power basis of Q(zeta_n)."""
+def _reduce(n: int, terms, zero=_ZERO) -> list:
+    """Fold an exponent -> coefficient map into the power basis of Q(zeta_n).
+
+    Coefficients are Fractions by default; with zero = 0 integer
+    coefficients stay integers."""
     if n == 1:
-        total = _ZERO
+        total = zero
         for c in terms.values():
             total += c
         return [total]
     phi = totient(n)
-    vec = [_ZERO] * phi
+    vec = [zero] * phi
     red = None
     for e, c in terms.items():
         if not c:
@@ -106,56 +120,70 @@ def _apply_unit(n: int, vec: list[Fraction], k: int) -> list[Fraction]:
     return _reduce(n, {(k * i) % n: c for i, c in enumerate(vec) if c})
 
 
-def _solve_exact(cols: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve sum x_j cols[j] = rhs over Q; the system is known consistent."""
-    rows = len(rhs)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    x = [_ZERO] * ncols
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][-1]
-    for i in range(r, rows):
-        if aug[i][-1]:
-            raise ArithmeticError("inconsistent rewrite system")
-    return x
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(sorted(factorize(n)))
+
+
+@lru_cache(maxsize=None)
+def _coprime_split(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """For p || n and m = n/p: zeta_n = zeta_p^u zeta_m^w with
+    u m + w p = 1 (mod n), so basis index i goes to the pair
+    (u i mod p, w i mod m).  One pair per index i < phi(n)."""
+    m = n // p
+    u = pow(m, -1, p)
+    w = pow(p, -1, m) if m > 1 else 0
+    return tuple((u * i % p, w * i % m) for i in range(totient(n)))
+
+
+def _descend_coprime(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | None:
+    """Coordinates in Q(zeta_{n/p}) of a value of Q(zeta_n), p || n, or
+    None when the value does not lie there.
+
+    Grouping by the zeta_p factor writes the value as sum_a zeta_p^a y_a
+    with y_a in Q(zeta_{n/p}).  Over that field 1, zeta_p, ...,
+    zeta_p^(p-2) is a basis and zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)),
+    so the value lies in Q(zeta_{n/p}) exactly when y_1 = ... = y_(p-1),
+    and is then y_0 - y_(p-1).  For p = 2 that is always the case."""
+    m = n // p
+    parts: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    for (a, e), c in zip(_coprime_split(n, p), vec):
+        if c:
+            parts[a][e] = c
+    last = _reduce(m, parts[-1])
+    for part in parts[1:-1]:
+        if _reduce(m, part) != last:
+            return None
+    return [a - b for a, b in zip(_reduce(m, parts[0]), last)]
 
 
 def _canonical(n: int, terms) -> tuple[int, tuple[Fraction, ...]]:
+    """Conductor and power-basis coordinates there, by prime descent.
+
+    The value is rational exactly when its coordinates 1.. vanish.
+    Otherwise n is lowered one prime p at a time while the value stays
+    in the smaller field: for p^2 | n the power basis of Q(zeta_n) is
+    zeta_{n/p}^a zeta_n^r (r < p), so the value lies in Q(zeta_{n/p})
+    exactly when its coordinates off the multiples of p vanish, and
+    vec[::p] is its vector there; for p || n see _descend_coprime.  The
+    fields Q(zeta_d) holding the value are those with conductor | d, so
+    the descent ends at the conductor whatever the order of the primes."""
     vec = _reduce(n, terms)
-    if n == 1:
+    if not any(vec[1:]):
         return 1, (vec[0],)
-    if not any(vec):
-        return 1, (_ZERO,)
-    units = units_mod(n)
-    stab = {1}
-    for k in units:
-        if k != 1 and _apply_unit(n, vec, k) == vec:
-            stab.add(k)
-    if len(stab) == len(units):  # fixed by the whole Galois group: rational
-        return 1, (vec[0],)
-    for d in divisors(n)[1:-1]:
-        # value lies in Q(zeta_d) iff fixed by every k = 1 (mod d)
-        if all(k in stab for k in units if k % d == 1):
-            step = n // d
-            cols = [_reduce(n, {(j * step) % n: Fraction(1)}) for j in range(totient(d))]
-            return d, tuple(_solve_exact(cols, vec))
+    for p in _prime_divisors(n):
+        while n % p == 0:
+            m = n // p
+            if m % p == 0:
+                if any(any(vec[r::p]) for r in range(1, p)):
+                    break
+                vec = vec[::p]
+            else:
+                sub = _descend_coprime(n, p, vec)
+                if sub is None:
+                    break
+                vec = sub
+            n = m
     return n, tuple(vec)
 
 
@@ -166,6 +194,18 @@ class FieldClass(enum.Enum):
     IMAGINARY_QUADRATIC = "ImaginaryQuadratic"
     REAL_NONRATIONAL = "RealNonRational"
     OTHER_COMPLEX = "OtherComplex"
+
+    @classmethod
+    def of(cls, degree: int, real: bool) -> "FieldClass":
+        """Class of a subfield of a cyclotomic field from its degree over
+        Q and whether it is fixed by complex conjugation."""
+        if degree == 1:
+            return cls.RATIONAL
+        if real:
+            return cls.REAL_NONRATIONAL
+        if degree == 2:
+            return cls.IMAGINARY_QUADRATIC
+        return cls.OTHER_COMPLEX
 
 
 class CyclotomicNumber:
@@ -362,15 +402,31 @@ def field_class(values) -> FieldClass:
         return FieldClass.RATIONAL
     units = units_mod(n)
     stab = sum(1 for k in units if all(galois_apply(v, k) == v for v in vals))
-    degree = len(units) // stab
-    real = all(conjugate(v) == v for v in vals)
-    if degree == 1:
-        return FieldClass.RATIONAL
-    if real:
-        return FieldClass.REAL_NONRATIONAL
-    if degree == 2:
-        return FieldClass.IMAGINARY_QUADRATIC
-    return FieldClass.OTHER_COMPLEX
+    return FieldClass.of(len(units) // stab, all(conjugate(v) == v for v in vals))
+
+
+# -- integer lifts --------------------------------------------------------
+
+def integer_lift(values) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """Put values on integers at n, the lcm of their conductors: returns
+    n, the common denominator D of their coefficients, and for each value
+    the terms (k, c) of D * value = sum c zeta_n^k, all c integers."""
+    n = scale = 1
+    for z in values:
+        n = math.lcm(n, z.order)
+        for c in z._vec:
+            scale = math.lcm(scale, c.denominator)
+    lifts = tuple(
+        tuple((i * (n // z.order), c.numerator * (scale // c.denominator))
+              for i, c in enumerate(z._vec) if c)
+        for z in values)
+    return n, scale, lifts
+
+
+def reduce_integers(n: int, coeffs) -> list[int]:
+    """Power-basis coordinates in Q(zeta_n) of sum_k coeffs[k] zeta_n^k
+    for integer coeffs; two sums are equal exactly when these are."""
+    return _reduce(n, dict(enumerate(coeffs)), 0)
 
 
 # -- text encoding ------------------------------------------------------

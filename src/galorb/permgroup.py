@@ -326,6 +326,12 @@ class ClassStructure:
         object.__setattr__(self, "fusion", tuple(
             MappingProxyType(dict(fus)) for fus in self.fusion))
 
+    def __hash__(self):
+        # the fields of __eq__, each read-only fusion map as its sorted items
+        return hash((self.group_order, self.exponent, self.sizes, self.orders,
+                     self.inverse_map, tuple(tuple(sorted(fus.items())) for fus in self.fusion),
+                     self.labels, self.reps))
+
     @property
     def num_classes(self) -> int:
         return len(self.sizes)

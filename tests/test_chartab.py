@@ -1,14 +1,17 @@
 import json
+import math
+import random
 
 import pytest
 
 from galorb.chartab import (
-    CharacterTable, b_set_quantities, brauer_crosscheck, char_report,
+    CharacterTable, _column_maps, _exponent_units, _row_field_classes,
+    _row_orbit_keys, b_set_quantities, brauer_crosscheck, char_report,
     column_families, cut_by_character_fields, fixture_names, fixture_table,
     max_galois_orbit_length, parse_table, rank_of_central_units,
     real_row_count, serialize_table, table_exponent,
 )
-from galorb.cyclotomic import CyclotomicNumber, zeta
+from galorb.cyclotomic import CyclotomicNumber, FieldClass, field_class, galois_apply, zeta
 from galorb.errors import DegenerateTableError, InputError
 from galorb.permgroup import (
     GroupSpec, alternating_class_structure, alternating_group_spec,
@@ -184,6 +187,15 @@ def test_validate_rejects_bad_shapes():
         parse_table(json.dumps(obj))
 
 
+def test_orthogonality_works_at_the_conductors():
+    # 27720 is the exponent of S_12, whose table is rational: the check
+    # runs at conductor 1 and never reduces modulo Phi_27720
+    obj = _fixture_obj("c2")
+    obj["class_orders"] = [1, 27720]
+    t = parse_table(json.dumps(obj))
+    assert table_exponent(t) == 27720
+
+
 def test_validate_rejects_foreign_conductor():
     t = fixture_table("c5")
     rows = [list(r) for r in t.irr]
@@ -202,3 +214,120 @@ def test_parse_error_reporting():
             "irr": [[1, {"broken": 1}], [1, -1]]}))
     with pytest.raises(InputError, match="missing"):
         parse_table(json.dumps({"order": 2}))
+
+
+# -- reference: the per-cell row and column functions ---------------------
+
+
+def _row_key(row):
+    return tuple(z.sort_key() for z in row)
+
+
+def _apply_row(row, k):
+    return tuple(galois_apply(z, k) for z in row)
+
+
+def reference_orbit_count(t):
+    units = _exponent_units(table_exponent(t))
+    return len({min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr})
+
+
+def reference_column_maps(t):
+    cols = [tuple(row[c] for row in t.irr) for c in range(t.num_classes)]
+    index = {_row_key(col): c for c, col in enumerate(cols)}
+    return {k: tuple(index[_row_key(_apply_row(col, k))] for col in cols)
+            for k in _exponent_units(table_exponent(t))}
+
+
+def reference_families(t):
+    parent = list(range(t.num_classes))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for images in reference_column_maps(t).values():
+        for c, d in enumerate(images):
+            rc, rd = find(c), find(d)
+            parent[max(rc, rd)] = min(rc, rd)
+    groups = {}
+    for c in range(t.num_classes):
+        groups.setdefault(find(c), []).append(c)
+    return tuple(tuple(g) for g in sorted(groups.values()))
+
+
+def reference_b_sets(t):
+    flat = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
+    keep = [i for i, row in enumerate(t.irr) if field_class(row) not in flat]
+    units = _exponent_units(table_exponent(t))
+    orbit_keys = [min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr]
+    conj_keys = {min(_row_key(t.irr[i]), _row_key(_apply_row(t.irr[i], -1))) for i in keep}
+    return tuple(keep), len(conj_keys), len({orbit_keys[i] for i in keep})
+
+
+def cyclic_table(m, rng):
+    """Table of C_m with the rows shuffled, columns in exponent order."""
+    rows = [tuple(zeta(m, j * k) for k in range(m)) for j in range(m)]
+    rng.shuffle(rows)
+    orders = tuple(m // math.gcd(m, k) for k in range(m))
+    return CharacterTable(f"c{m}", m, (1,) * m, orders, tuple(rows)).validate()
+
+
+ORACLE_TABLES = [(name, lambda name=name: fixture_table(name)) for name in sorted(REPORT_ANCHORS)]
+ORACLE_TABLES += [(f"c{m}", lambda m=m: cyclic_table(m, random.Random(m)))
+                  for m in range(1, 25)]
+
+
+@pytest.mark.parametrize("name,make", ORACLE_TABLES, ids=[n for n, _ in ORACLE_TABLES])
+def test_galois_action_matches_per_cell_reference(name, make):
+    t = make()
+    act = t.galois_action
+    assert real_row_count(t) == sum(1 for row in t.irr if _apply_row(row, -1) == row)
+    for k in act.units:
+        image = act.image(k)
+        fixed = [tuple(image[v] for v in ids) == ids for ids in act.cells]
+        assert fixed == [_apply_row(row, k) == row for row in t.irr], k
+    assert len(set(_row_orbit_keys(t))) == reference_orbit_count(t)
+    assert _column_maps(t) == reference_column_maps(t)
+    assert column_families(t) == reference_families(t)
+    assert _row_field_classes(t) == [field_class(row) for row in t.irr]
+    assert b_set_quantities(t) == reference_b_sets(t)
+
+
+def test_galois_action_is_read_only_and_computed_once():
+    t = fixture_table("a5")
+    act = t.galois_action
+    assert t.galois_action is act
+    with pytest.raises(TypeError):
+        act.images[0] = act.images[1]
+    with pytest.raises(AttributeError):
+        act.exponent = 7
+    assert hash(act) == hash(fixture_table("a5").galois_action)
+
+
+def test_crosscheck_without_class_orders():
+    # the table exponent falls to 1, a proper divisor of the group exponent 6
+    t = fixture_table("s3")
+    bare = CharacterTable(t.name, t.group_order, t.class_sizes, None, t.irr).validate()
+    rep = brauer_crosscheck(bare, conjugacy_classes(symmetric_group_spec(3)))
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("name, cell, value, message", [
+    ("s3", (1, 1), 1,
+     "table 's3': rows 0 and 1 violate orthogonality (got Cyc(6), want 0)"),
+    ("a5", (3, 3), {"n": 5, "coeffs": {"1": "1", "2": "1/2"}},
+     "table 'a5': rows 0 and 3 violate orthogonality "
+     "(got Cyc(n=5, {1: -12, 2: -12, 3: -6}), want 0)"),
+    ("psl2_7", (0, 4), {"n": 7, "coeffs": {"1": "1/3"}},
+     "table 'psl2_7': rows 0 and 0 violate orthogonality (got Cyc(440/3), want 168)"),
+    ("q8", (2, 1), "1/3",
+     "table 'q8': rows 0 and 2 violate orthogonality (got Cyc(-2/3), want 0)"),
+], ids=["s3", "a5", "psl2_7", "q8"])
+def test_orthogonality_message_bytes(name, cell, value, message):
+    obj = _fixture_obj(name)
+    obj["irr"][cell[0]][cell[1]] = value
+    with pytest.raises(InputError) as info:
+        parse_table(json.dumps(obj))
+    assert str(info.value) == message

@@ -1,12 +1,17 @@
 import json
+import math
 import pathlib
+import random
 
 import pytest
 
 import galorb.permgroup
-from galorb.chartab import fixture_table, serialize_table
+from galorb.chartab import fixture_names, fixture_table, serialize_table
 from galorb.cli import main
-from galorb.permgroup import format_generators, symmetric_group_spec
+from galorb.matgroup import projective_line_action
+from galorb.permgroup import (
+    alternating_group_spec, cyclic_group_spec, format_generators, symmetric_group_spec,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -171,6 +176,53 @@ def test_readme_examples_json_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *map(str, argv), "--format", "json")
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# Generators the acceptance gate pairs with a fixture, columns aligned.
+GATE_SPECS = {
+    "c3": cyclic_group_spec(3),
+    "c5": cyclic_group_spec(5),
+    "s3": symmetric_group_spec(3),
+    "a4": alternating_group_spec(4),
+    "a5": alternating_group_spec(5),
+    "psl2_7": projective_line_action(7),
+}
+
+
+def cyclic_table_obj(m: int) -> dict:
+    """Table of C_m, columns in the class order of the m-cycle (element
+    order, then exponent) and rows in a fixed shuffle."""
+    ks = sorted(range(m), key=lambda k: (m // math.gcd(m, k), k))
+    rows = [[1 if j * k % m == 0 else {"n": m, "coeffs": {str(j * k % m): "1"}}
+             for k in ks] for j in range(m)]
+    random.Random(m).shuffle(rows)
+    return {"name": f"c{m}", "order": m, "class_sizes": [1] * m,
+            "class_orders": [m // math.gcd(m, k) for k in ks], "irr": rows}
+
+
+def _table_argv(tmp_path, name):
+    if name in fixture_names():
+        argv = ["analyze-table", str(TABLES / f"{name}.json")]
+        spec = GATE_SPECS.get(name)
+    else:
+        m = int(name[1:])
+        table = tmp_path / f"{name}.json"
+        table.write_text(json.dumps(cyclic_table_obj(m)))
+        argv = ["analyze-table", str(table)]
+        spec = cyclic_group_spec(m)
+    if spec is not None:
+        gens = tmp_path / f"{name}.gens"
+        gens.write_text(format_generators(spec))
+        argv += ["--gens", str(gens)]
+    return argv + ["--format", "json"]
+
+
+@pytest.mark.parametrize("name", [
+    "a4", "a5", "c2", "c3", "c4", "c5", "psl2_7", "q8", "s3", "c12", "c15", "c16", "c20"])
+def test_analyze_table_json_bytes(capsys, tmp_path, name):
+    code, out, err = run(capsys, *_table_argv(tmp_path, name))
+    assert code == 0, err
+    assert out == (GOLDEN / f"analyze-table_{name}.json").read_text(encoding="utf-8")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -8,12 +8,124 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galorb.cyclotomic import (
-    CyclotomicNumber, FieldClass, conjugate, cyclotomic_polynomial,
-    field_class, galois_apply, make, value_from_obj, value_from_text,
-    value_to_obj, value_to_text, zeta,
+    CyclotomicNumber, FieldClass, _apply_unit, _canonical, _reduce,
+    conjugate, cyclotomic_polynomial, field_class, galois_apply, make,
+    value_from_obj, value_from_text, value_to_obj, value_to_text, zeta,
 )
 from galorb.errors import InputError
-from galorb.numutil import totient, units_mod
+from galorb.numutil import divisors, totient, units_mod
+
+_ZERO = Fraction(0)
+
+
+# -- the stabiliser scan, kept as the reference for _canonical -----------
+
+
+def _solve_exact(cols, rhs):
+    """Solve sum x_j cols[j] = rhs over Q; the system is known consistent."""
+    rows = len(rhs)
+    ncols = len(cols)
+    aug = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, rows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    x = [_ZERO] * ncols
+    for i, c in enumerate(piv_cols):
+        x[c] = aug[i][-1]
+    for i in range(r, rows):
+        if aug[i][-1]:
+            raise ArithmeticError("inconsistent rewrite system")
+    return x
+
+
+def reference_canonical(n, terms):
+    """Conductor from the stabiliser of the value in (Z/n)^*: the least
+    divisor d whose kernel k = 1 (mod d) fixes it; coordinates there by
+    exact elimination."""
+    vec = _reduce(n, terms)
+    if n == 1:
+        return 1, (vec[0],)
+    if not any(vec):
+        return 1, (_ZERO,)
+    units = units_mod(n)
+    stab = {1}
+    for k in units:
+        if k != 1 and _apply_unit(n, vec, k) == vec:
+            stab.add(k)
+    if len(stab) == len(units):
+        return 1, (vec[0],)
+    for d in divisors(n)[1:-1]:
+        if all(k in stab for k in units if k % d == 1):
+            step = n // d
+            cols = [_reduce(n, {(j * step) % n: Fraction(1)}) for j in range(totient(d))]
+            return d, tuple(_solve_exact(cols, vec))
+    return n, tuple(vec)
+
+
+@st.composite
+def canonical_inputs(draw):
+    """(n, terms) with n <= 150; some inputs summed over a subgroup of
+    (Z/n)^* so that they fall to a proper subfield."""
+    n = draw(st.one_of(
+        st.integers(1, 150),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 97, 139, 149]),  # prime: p || n, n/p = 1
+        st.integers(1, 37).map(lambda j: 4 * j - 2),         # n = 2 mod 4
+    ))
+    size = draw(st.integers(0, 4))
+    terms = {draw(st.integers(0, 2 * n)): Fraction(draw(st.integers(-3, 3)),
+                                                    draw(st.integers(1, 4)))
+             for _ in range(size)}
+    if n > 1 and draw(st.booleans()):
+        units = units_mod(n)
+        k = draw(st.sampled_from(units))
+        orbit = [1]
+        while (orbit[-1] * k) % n != 1:
+            orbit.append(orbit[-1] * k % n)
+        summed: dict[int, Fraction] = {}
+        for g in orbit:
+            for e, c in terms.items():
+                summed[e * g % n] = summed.get(e * g % n, _ZERO) + c
+        terms = summed
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(divisors(n)))
+        terms = {e * (n // d): c for e, c in terms.items()}
+    return n, terms
+
+
+@given(canonical_inputs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_matches_stabiliser_scan(case):
+    n, terms = case
+    assert _canonical(n, terms) == reference_canonical(n, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 31])
+def test_canonical_at_prime_n(n):
+    for k in range(n):
+        terms = {k: Fraction(1), 0: Fraction(2)}
+        assert _canonical(n, terms) == reference_canonical(n, terms)
+    ring = {k: Fraction(1) for k in range(1, n)}  # -1 in disguise
+    assert _canonical(n, ring) == reference_canonical(n, ring) == (1, (Fraction(-1),))
+
+
+def test_canonical_of_every_root_of_unity_up_to_40():
+    for n in range(1, 41):
+        for k in range(n):
+            assert _canonical(n, {k: Fraction(1)}) == reference_canonical(n, {k: Fraction(1)})
 
 
 def test_roots_of_unity_basics():

@@ -257,6 +257,21 @@ def test_fusion_maps_are_copied_from_the_input():
     assert cs.fusion == ({0: 0}, {1: 1})
 
 
+def test_equal_structures_hash_equal():
+    spec = alternating_group_spec(5)
+    cached = conjugacy_classes(spec)
+    rebuilt = reference_classes(spec)
+    assert rebuilt == cached and rebuilt is not cached
+    assert hash(rebuilt) == hash(cached)
+    # fusion maps built in another key order are still the same maps
+    shuffled = ClassStructure(
+        cached.group_order, cached.exponent, cached.sizes, cached.orders,
+        cached.inverse_map, tuple(dict(reversed(fus.items())) for fus in cached.fusion),
+        cached.labels, cached.reps)
+    assert shuffled == cached and hash(shuffled) == hash(cached)
+    assert len({cached, rebuilt, shuffled, cyclic_class_structure(5)}) == 2
+
+
 @st.composite
 def small_generating_sets(draw):
     degree = draw(st.integers(1, 7))
