@@ -229,14 +229,22 @@ def parse_table(text: str, name: str | None = None) -> CharacterTable:
         raise InputError("'class_orders' must be a list of integers")
     if not isinstance(irr, list) or not all(isinstance(r, list) for r in irr):
         raise InputError("'irr' must be a list of rows")
+    # each distinct cell is canonicalised once; repr of a JSON value spells
+    # its type (true, 1, 1.0 and "1" all differ), and a cell enters the
+    # cache only after it parses, so a bad cell reports where it first occurs
+    parsed = {}
     rows = []
     for i, r in enumerate(irr):
         row = []
         for j, v in enumerate(r):
-            try:
-                row.append(value_from_obj(v))
-            except InputError as exc:
-                raise InputError(f"row {i}, column {j}: {exc}") from None
+            key = repr(v)
+            z = parsed.get(key)
+            if z is None:
+                try:
+                    z = parsed[key] = value_from_obj(v)
+                except InputError as exc:
+                    raise InputError(f"row {i}, column {j}: {exc}") from None
+            row.append(z)
         rows.append(tuple(row))
     table = CharacterTable(
         name=tname,

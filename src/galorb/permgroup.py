@@ -8,7 +8,11 @@ inverse permutation on classes, and for each class the map recording
 where coprime power maps send it, keyed by residues modulo the element
 order.
 
-Orders come from a stabilizer chain.  Classes come from one path: every
+Orders come from a stabilizer chain built by incremental Schreier-Sims:
+levels grow in place as strong generators join them, and each Schreier
+generator is formed once, in uint8 batches that are sifted through each
+deeper level with one gather.  The chain refuses, exactly, once the
+order it has found passes max_order.  Classes come from one path: every
 element is enumerated as a row of bytes, the rows are kept sorted,
 conjugation by each generator becomes a permutation of row indices, and
 the classes are the orbits of those permutations.  There is no random
@@ -190,101 +194,160 @@ def format_generators(spec: GroupSpec) -> str:
 # -- stabilizer chain ---------------------------------------------------
 
 
-class _Chain:
-    """Stabilizer chain maintained with deterministic Schreier-Sims.
+class _Level:
+    """One level of a stabilizer chain.
 
-    strong generators live in one list; the level-i generating set is
-    the subset fixing base[:i] pointwise.  Levels are completed deepest
-    first, so a residue added below never invalidates a level already
-    verified above it.  Each transversal element is stored with its
-    inverse, so sifting never inverts a permutation.
+    gens holds the strong generators of this level as uint8 rows, with
+    their inverses in gens_inv.  The orbit of the base point under them
+    grows in place; u[x] is a transversal element sending the base point
+    to x and uinv[x] its inverse (rows of points outside the orbit are
+    unused).  done[r, k] records that the Schreier generator of orbit
+    point orbit[r] and generator k has been formed.
+    """
+
+    def __init__(self, base: int, degree: int):
+        identity = np.arange(degree, dtype=np.uint8)
+        self.base = base
+        self.gens = np.empty((0, degree), dtype=np.uint8)
+        self.gens_inv = np.empty((0, degree), dtype=np.uint8)
+        self.orbit = np.array([base], dtype=np.intp)
+        self.in_orbit = np.zeros(degree, dtype=bool)
+        self.in_orbit[base] = True
+        self.u = np.zeros((degree, degree), dtype=np.uint8)
+        self.uinv = np.zeros((degree, degree), dtype=np.uint8)
+        self.u[base] = self.uinv[base] = identity
+        self.done = np.zeros((degree, 0), dtype=bool)
+
+    def add(self, g: np.ndarray, g_inv: np.ndarray):
+        """Add a strong generator and extend the orbit and transversal:
+        the new generator acts on the old points, then every generator
+        acts on the new points."""
+        self.gens = np.vstack((self.gens, g))
+        self.gens_inv = np.vstack((self.gens_inv, g_inv))
+        self.done = np.hstack((self.done, np.zeros((len(self.done), 1), dtype=bool)))
+        gens = self.gens.tolist()
+        orbit = self.orbit.tolist()
+        seen = set(orbit)
+        edges = []  # (y, x, k) with y = gens[k][x] new to the orbit
+        last = gens[-1]
+        for x in orbit:
+            y = last[x]
+            if y not in seen:
+                seen.add(y)
+                edges.append((y, x, len(gens) - 1))
+        for y, _, _ in edges:  # also visits the points appended below
+            for k, s in enumerate(gens):
+                z = s[y]
+                if z not in seen:
+                    seen.add(z)
+                    edges.append((z, y, k))
+        for y, x, k in edges:
+            # u_y = s u_x and u_y^-1 = u_x^-1 s^-1 for y = s(x)
+            self.u[y] = self.gens[k][self.u[x]]
+            self.uinv[y] = self.uinv[x][self.gens_inv[k]]
+        if edges:
+            pts = [y for y, _, _ in edges]
+            self.in_orbit[pts] = True
+            self.orbit = np.concatenate((self.orbit, pts))
+
+
+class _Chain:
+    """Stabilizer chain built by deterministic, incremental Schreier-Sims.
+
+    Levels are extended, never rebuilt: a new strong generator grows the
+    orbits and transversals of the levels it joins, and each (orbit point,
+    strong generator) pair of a level is formed into its Schreier
+    generator u_y^-1 g u_x exactly once; schreier_generators counts them.
+    A level's untested pairs are formed as one uint8 batch and sifted
+    through the deeper levels with one gather per level.  The first
+    residue that is not the identity, in orbit-then-generator pair order,
+    becomes a strong generator of the levels from the next one down to
+    where it stopped (a new level's base point is the least point it
+    moves); those levels are completed, and the other residues of the
+    batch are sifted on through the grown chain.  Every Schreier
+    generator is sifted, so the order is exact.  The product of the orbit
+    lengths never exceeds the group order, so the max_order refusal is
+    exact.
     """
 
     def __init__(self, degree: int, max_order: int):
         self.degree = degree
         self.max_order = max_order
-        self.identity = identity_perm(degree)
-        self.base: list[int] = []
-        self.sgens: list[tuple[int, ...]] = []
-        self.transversal: list[dict[int, tuple[int, ...]]] = []
-        self.transversal_inv: list[dict[int, tuple[int, ...]]] = []
+        self.identity = np.arange(degree, dtype=np.uint8)
+        self.levels: list[_Level] = []
+        self.schreier_generators = 0
 
     def order(self) -> int:
         o = 1
-        for t in self.transversal:
-            o *= len(t)
+        for lev in self.levels:
+            o *= len(lev.orbit)
         return o
 
-    def _strong_at(self, level: int) -> list[tuple[int, ...]]:
-        prefix = self.base[:level]
-        return [g for g in self.sgens if all(g[b] == b for b in prefix)]
+    def _sift(self, h: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sift each row of h through levels start..; returns the residues
+        and, per row, the level where its base image left the orbit
+        (len(levels) if it passed them all).  A residue fixes the base
+        points above its level, so sifting it again from start is exact."""
+        stop = np.full(len(h), len(self.levels))
+        rows = np.arange(len(h))
+        cur = h
+        for l in range(start, len(self.levels)):
+            lev = self.levels[l]
+            x = cur[:, lev.base]
+            inside = lev.in_orbit[x]
+            if not inside.all():
+                out = ~inside
+                stop[rows[out]] = l
+                h[rows[out]] = cur[out]
+                rows, cur, x = rows[inside], cur[inside], x[inside]
+            cur = lev.uinv[x[:, None], cur]
+        h[rows] = cur
+        return h, stop
 
-    def sift(self, g: tuple[int, ...], start: int = 0):
-        """Reduce g through levels start..; returns (residue, level reached)."""
-        for i in range(start, len(self.base)):
-            x = g[self.base[i]]
-            u_inv = self.transversal_inv[i].get(x)
-            if u_inv is None:
-                return g, i
-            g = pmul(u_inv, g)
-        return g, len(self.base)
+    def _moved(self, h: np.ndarray) -> np.ndarray:
+        return np.flatnonzero((h != self.identity).any(axis=1))
 
-    def contains(self, g: tuple[int, ...]) -> bool:
-        res, _ = self.sift(g)
-        return res == self.identity
+    def insert(self, g: tuple[int, ...]):
+        h, stop = self._sift(np.array([g], dtype=np.uint8), 0)
+        if len(self._moved(h)):
+            self._add_strong(h[0], 0, int(stop[0]))
 
-    def insert(self, g: tuple[int, ...]) -> bool:
-        res, level = self.sift(g)
-        if res == self.identity:
-            return False
-        self._add_residue(res, level)
-        for i in range(level, -1, -1):
-            self._complete_level(i)
-        return True
-
-    def _add_residue(self, res: tuple[int, ...], level: int):
-        # res fixes base[:level]; give it a base point if none is moved yet
-        if level == len(self.base):
-            b = min(x for x in range(self.degree) if res[x] != x)
-            self.base.append(b)
-            self.transversal.append({b: self.identity})
-            self.transversal_inv.append({b: self.identity})
-        self.sgens.append(res)
-
-    def _complete_level(self, i: int):
-        gens = self._strong_at(i)
-        gens_inv = [pinv(g) for g in gens]
-        b = self.base[i]
-        t = {b: self.identity}
-        t_inv = {b: self.identity}
-        queue = [b]
-        while queue:
-            x = queue.pop()
-            ux = t[x]
-            for g, g_inv in zip(gens, gens_inv):
-                y = g[x]
-                if y not in t:
-                    t[y] = pmul(g, ux)
-                    t_inv[y] = pmul(t_inv[x], g_inv)
-                    queue.append(y)
-        self.transversal[i] = t
-        self.transversal_inv[i] = t_inv
-        if self.order() > self.max_order:
+    def _add_strong(self, g: np.ndarray, top: int, bottom: int):
+        """Make g, which fixes the base points above level bottom, a strong
+        generator of levels top..bottom, then complete them deepest first."""
+        if bottom == len(self.levels):
+            self.levels.append(_Level(int(np.flatnonzero(g != self.identity)[0]),
+                                      self.degree))
+        g_inv = np.argsort(g).astype(np.uint8)
+        for l in range(top, bottom + 1):
+            self.levels[l].add(g, g_inv)
+        reached = self.order()
+        if reached > self.max_order:
             raise ResourceLimitError(
-                f"group order exceeds the limit {self.max_order}")
-        for x in list(t):
-            ux = t[x]
-            for g in gens:
-                s = pmul(t_inv[g[x]], pmul(g, ux))
-                if s == self.identity:
-                    continue
-                res, j = self.sift(s, i + 1)
-                if res == self.identity:
-                    continue
-                self._add_residue(res, j)
-                stop = min(j, len(self.base) - 1)
-                for l in range(stop, i, -1):
-                    self._complete_level(l)
+                f"group order is at least {reached}, above the limit "
+                f"{self.max_order}; raise it with --max-order")
+        for l in range(bottom, top - 1, -1):
+            self._complete(l)
+
+    def _complete(self, i: int):
+        """Sift every untested Schreier generator of level i."""
+        lev = self.levels[i]
+        r, k = np.nonzero(~lev.done[:len(lev.orbit)])
+        if not len(r):
+            return
+        lev.done[r, k] = True
+        self.schreier_generators += len(r)
+        x = lev.orbit[r]
+        y = lev.gens[k, x]
+        h = lev.uinv[y[:, None], lev.gens[k[:, None], lev.u[x]]]
+        while True:
+            h, stop = self._sift(h, i + 1)
+            moved = self._moved(h)
+            if not len(moved):
+                return
+            first = moved[0]
+            self._add_strong(h[first], i + 1, int(stop[first]))
+            h = h[moved[1:]]
 
 
 def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:

@@ -11,7 +11,9 @@ from galorb.chartab import (
     max_galois_orbit_length, parse_table, rank_of_central_units,
     real_row_count, serialize_table, table_exponent,
 )
-from galorb.cyclotomic import CyclotomicNumber, FieldClass, field_class, galois_apply, zeta
+from galorb.cyclotomic import (
+    CyclotomicNumber, FieldClass, field_class, galois_apply, value_from_obj, zeta,
+)
 from galorb.errors import DegenerateTableError, InputError
 from galorb.permgroup import (
     GroupSpec, alternating_class_structure, alternating_group_spec,
@@ -214,6 +216,47 @@ def test_parse_error_reporting():
             "irr": [[1, {"broken": 1}], [1, -1]]}))
     with pytest.raises(InputError, match="missing"):
         parse_table(json.dumps({"order": 2}))
+
+
+def _c2_text(irr):
+    return json.dumps({"name": "c2", "order": 2, "class_sizes": [1, 1], "irr": irr})
+
+
+def test_parse_canonicalises_each_distinct_cell_once(monkeypatch):
+    import galorb.chartab
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return value_from_obj(v)
+
+    monkeypatch.setattr(galorb.chartab, "value_from_obj", counting)
+    table = cyclic_table(12, random.Random(12))
+    text = serialize_table(table)
+    cells = [v for r in json.loads(text)["irr"] for v in r]
+    assert parse_table(text) == table
+    assert len(cells) == 144
+    assert sorted(map(repr, calls)) == sorted(set(map(repr, cells)))
+    assert len(calls) == 12
+    # 1 and "1" are distinct cells with one value
+    c2 = fixture_table("c2")
+    calls.clear()
+    assert parse_table(_c2_text([[1, "1"], ["1", -1]])).irr == c2.irr
+    assert calls == [1, "1", -1]
+
+
+@pytest.mark.parametrize("irr, message", [
+    ([[1, 1], [1, True]], "row 1, column 1: boolean is not a cyclotomic value"),
+    ([[1, 1.0], [1, -1]], "row 0, column 1: cannot parse cyclotomic value from float"),
+    ([[1, "1/0"], [1, "1/0"]],
+     "row 0, column 1: bad rational literal '1/0': Fraction(1, 0)"),
+    ([[1, 1], [{"n": 2}, {"n": 2}]],
+     "row 1, column 0: bad cyclotomic object {'n': 2}: 'coeffs'"),
+], ids=["true_after_1", "float_after_1", "bad_twice", "bad_object_twice"])
+def test_parse_cache_reports_the_first_bad_cell(irr, message):
+    with pytest.raises(InputError) as exc:
+        parse_table(_c2_text(irr))
+    assert str(exc.value) == message
 
 
 # -- reference: the per-cell row and column functions ---------------------

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -149,9 +150,14 @@ def test_missing_file_exits_2(capsys):
 
 
 def test_resource_guard_exits_4(capsys):
-    code, _, err = run(capsys, "analyze-perm", str(DATA / "a5.gens"),
-                       "--max-order", "10")
-    assert code == 4 and "resource" in err
+    code, out, err = run(capsys, "analyze-perm", str(DATA / "a5.gens"),
+                         "--max-order", "10")
+    assert code == 4 and "resource" in err and out == ""
+    # the refusal names the limit, the order reached (a lower bound on 60)
+    # and the flag that raises the limit
+    reached = re.search(r"group order is at least (\d+), above the limit 10\b", err)
+    assert reached and 10 < int(reached.group(1)) <= 60
+    assert "--max-order" in err
 
 
 def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatch):

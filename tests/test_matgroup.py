@@ -207,7 +207,8 @@ def test_random_search_and_determinism():
 
 
 @pytest.mark.parametrize("q,order", [(2, 6), (3, 12), (4, 60), (5, 60),
-                                     (7, 168), (8, 504), (9, 360)])
+                                     (7, 168), (8, 504), (9, 360), (16, 4080),
+                                     (49, 58800), (64, 262080)])
 def test_projective_line_orders(q, order):
     assert group_order(projective_line_action(q)) == order
 

@@ -10,7 +10,7 @@ from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import units_mod
 from galorb.permgroup import (
-    ClassStructure, GroupSpec, _labels_for, alternating_class_structure,
+    ClassStructure, GroupSpec, _build_chain, _labels_for, alternating_class_structure,
     alternating_group_spec, conjugacy_classes, cyclic_class_structure,
     cyclic_group_spec, format_generators, group_order, parse_generators,
     perm_order, pinv, pmul, ppow, symmetric_group_spec,
@@ -80,6 +80,84 @@ def reference_classes(spec):
     ).validate()
 
 
+# -- reference: Schreier-Sims that rebuilds each level it completes -------
+
+
+class _ReferenceChain:
+    """Deterministic Schreier-Sims on tuples.  Each completion of a level
+    recomputes its orbit and re-sifts all of its Schreier generators."""
+
+    def __init__(self, degree):
+        self.degree = degree
+        self.identity = tuple(range(degree))
+        self.base, self.sgens, self.transversal, self.transversal_inv = [], [], [], []
+
+    def order(self):
+        return math.prod(len(t) for t in self.transversal)
+
+    def _strong_at(self, level):
+        prefix = self.base[:level]
+        return [g for g in self.sgens if all(g[b] == b for b in prefix)]
+
+    def sift(self, g, start=0):
+        for i in range(start, len(self.base)):
+            u_inv = self.transversal_inv[i].get(g[self.base[i]])
+            if u_inv is None:
+                return g, i
+            g = pmul(u_inv, g)
+        return g, len(self.base)
+
+    def insert(self, g):
+        res, level = self.sift(g)
+        if res != self.identity:
+            self._add_residue(res, level)
+            for i in range(level, -1, -1):
+                self._complete_level(i)
+
+    def _add_residue(self, res, level):
+        if level == len(self.base):
+            b = min(x for x in range(self.degree) if res[x] != x)
+            self.base.append(b)
+            self.transversal.append({b: self.identity})
+            self.transversal_inv.append({b: self.identity})
+        self.sgens.append(res)
+
+    def _complete_level(self, i):
+        gens = self._strong_at(i)
+        gens_inv = [pinv(g) for g in gens]
+        b = self.base[i]
+        t, t_inv = {b: self.identity}, {b: self.identity}
+        queue = [b]
+        while queue:
+            x = queue.pop()
+            for g, g_inv in zip(gens, gens_inv):
+                y = g[x]
+                if y not in t:
+                    t[y] = pmul(g, t[x])
+                    t_inv[y] = pmul(t_inv[x], g_inv)
+                    queue.append(y)
+        self.transversal[i], self.transversal_inv[i] = t, t_inv
+        for x in list(t):
+            for g in gens:
+                s = pmul(t_inv[g[x]], pmul(g, t[x]))
+                if s == self.identity:
+                    continue
+                res, j = self.sift(s, i + 1)
+                if res == self.identity:
+                    continue
+                self._add_residue(res, j)
+                for l in range(min(j, len(self.base) - 1), i, -1):
+                    self._complete_level(l)
+
+
+def reference_order(spec):
+    """Group order from the rebuilding tuple chain."""
+    chain = _ReferenceChain(spec.degree)
+    for g in spec.generators:
+        chain.insert(g)
+    return chain.order()
+
+
 def relabeled(spec, seed):
     """spec conjugated by a seeded random relabeling of its points."""
     sigma = list(range(spec.degree))
@@ -97,6 +175,7 @@ def test_group_orders():
     assert group_order(cyclic_group_spec(12)) == 12
     assert group_order(projective_line_action(7)) == 168
     assert group_order(projective_line_action(9)) == 360
+    assert group_order(POINTS_256) == 24  # S4 on the points 1, 254, 255, 256
 
 
 def test_a5_class_structure():
@@ -289,7 +368,54 @@ def test_order_and_class_sizes_match_sympy(spec):
 
 
 def test_chain_orders_of_relabeled_large_groups():
-    for spec, order in [(relabeled(symmetric_group_spec(18), 18), math.factorial(18)),
-                        (relabeled(alternating_group_spec(17), 17), math.factorial(17) // 2)]:
-        assert group_order(spec, max_order=order) == order
+    for n in range(16, 25):
+        for spec, order in [(relabeled(symmetric_group_spec(n), n), math.factorial(n)),
+                            (relabeled(alternating_group_spec(n), n), math.factorial(n) // 2)]:
+            assert group_order(spec, max_order=order) == order
+    assert group_order(relabeled(symmetric_group_spec(30), 30),
+                       max_order=math.factorial(30)) == math.factorial(30)
+
+
+# -- the incremental chain against the rebuilding reference and sympy ----
+
+
+@st.composite
+def generating_sets_up_to_12(draw):
+    degree = draw(st.integers(1, 12))
+    perm = st.permutations(range(degree)).map(tuple)
+    return GroupSpec(degree, tuple(draw(st.lists(perm, min_size=1, max_size=3))))
+
+
+@given(generating_sets_up_to_12())
+@settings(max_examples=60, deadline=None)
+def test_order_matches_reference_and_sympy(spec):
+    group = sc.PermutationGroup([sc.Permutation(list(g)) for g in spec.generators])
+    order = group_order(spec, max_order=math.factorial(12))
+    assert order == reference_order(spec) == group.order()
+
+
+@pytest.mark.parametrize("spec, order", [
+    (relabeled(f(n), 100 + n), order)
+    for n in (16, 17, 18)
+    for f, order in ((symmetric_group_spec, math.factorial(n)),
+                     (alternating_group_spec, math.factorial(n) // 2))
+], ids=[f"{name}{n}" for n in (16, 17, 18) for name in ("s", "a")])
+def test_order_guard_boundary(spec, order):
+    assert group_order(spec, max_order=order) == order
+    with pytest.raises(ResourceLimitError, match=f"above the limit {order - 1};"):
+        group_order(spec, max_order=order - 1)
+
+
+@pytest.mark.parametrize("spec", [
+    relabeled(symmetric_group_spec(18), 7),
+    relabeled(alternating_group_spec(17), 7),
+    projective_line_action(49),
+    POINTS_256,
+    Q8_SPEC,
+    GroupSpec(4, ((0, 1, 2, 3),)),
+], ids=["s18", "a17", "psl2_49", "s4_on_256", "q8", "trivial_4"])
+def test_each_schreier_generator_is_formed_once(spec):
+    chain = _build_chain(spec, max_order=math.factorial(18))
+    assert chain.schreier_generators == sum(
+        len(level.orbit) * len(level.gens) for level in chain.levels)
 
