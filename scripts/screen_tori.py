@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Run the classical-family screens and the tabulated-torus screen.
+"""Apply the torus-totient screen to tabulated torus records.
 
-The first half prints each family's exception set with its
-completeness certificate; the second half applies the same totient
-test to the torus records in data/sample_tori.jsonl.
+Each record in the file (data/sample_tori.jsonl by default) is kept or
+excluded by the same totient test the family screens use; the family
+screens themselves are `galorb screen`.  Run from the repository root.
 """
 
 import argparse
@@ -11,27 +11,14 @@ import sys
 
 sys.path.insert(0, "src")
 
-from galorb.screening import (
-    FAMILIES, exception_set, exceptional_screen, parse_torus_records,
-)
+from galorb.screening import exceptional_screen, parse_torus_records
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-max", type=int, default=40)
-    ap.add_argument("--q-max", type=int, default=64)
     ap.add_argument("--tori", default="data/sample_tori.jsonl")
     args = ap.parse_args()
 
-    for tag in FAMILIES:
-        res = exception_set(tag, n_max=args.n_max, q_max=args.q_max)
-        flag = "certified" if res.certified else "NOT CERTIFIED"
-        print(f"{tag}: {len(res.exceptions)} exceptions, "
-              f"{len(res.excluded)} excluded, {flag}")
-        for n, q in sorted(res.exceptions):
-            print(f"  (n, q) = ({n}, {q})")
-
-    print()
     with open(args.tori, "r", encoding="utf-8") as fh:
         records = parse_torus_records(fh.read())
     for v in exceptional_screen(records):

@@ -106,47 +106,6 @@ def analyze(cs: ClassStructure) -> GaloisReport:
     )
 
 
-def rank_central_units(cs: ClassStructure) -> int:
-    """Rank of the central unit group of the integral group ring: the
-    number of inversion orbits minus the number of power-map orbits."""
-    return analyze(cs).rank
-
-
-def max_orbit_length(cs: ClassStructure) -> int:
-    """Length of the longest power-map orbit on classes."""
-    return analyze(cs).f
-
-
-def a_set_quantities(cs: ClassStructure) -> tuple[tuple[int, ...], int, int]:
-    """Classes whose power-map family strictly exceeds their inversion
-    orbit, with the family and pair counts (a1, a2) inside that set.
-
-    The difference a1 - a2 recounts the rank; both identities from the
-    report are asserted before returning.
-    """
-    rep = analyze(cs)
-    a_set = []
-    for fam, contrib in zip(rep.families, rep.family_contributions):
-        if contrib > 0:
-            a_set.extend(fam)
-    a_set = tuple(sorted(a_set))
-    if rep.a1 - rep.a2 != rep.rank:
-        raise AssertionError("a1 - a2 disagrees with the rank")
-    if 2 * rep.a2 > rep.a1:
-        raise AssertionError("2*a2 exceeds a1")
-    return a_set, rep.a1, rep.a2
-
-
-def is_cut(cs: ClassStructure) -> bool:
-    """True when every class generates its own power-map family up to
-    inversion, i.e. the central units of the group ring are trivial."""
-    a_set, _a1, _a2 = a_set_quantities(cs)
-    empty = not a_set
-    if empty != (analyze(cs).rank == 0):
-        raise AssertionError("empty restricted set disagrees with rank 0")
-    return empty
-
-
 def check_identities(cs: ClassStructure) -> GaloisReport:
     """Recompute the rank several independent ways and insist they agree.
 
@@ -158,6 +117,10 @@ def check_identities(cs: ClassStructure) -> GaloisReport:
         raise AssertionError(f"rank {rep.rank} != n_R - n_Q = {rep.n_R - rep.n_Q}")
     if rep.rank != sum(rep.family_contributions):
         raise AssertionError("rank disagrees with the per-family contribution sum")
+    # with no negative term, the families of positive contribution (the
+    # a-set) are empty exactly when the rank is 0
+    if min(rep.family_contributions) < 0:
+        raise AssertionError("a family contributes a negative rank")
     if rep.rank != rep.a1 - rep.a2:
         raise AssertionError(f"rank {rep.rank} != a1 - a2 = {rep.a1 - rep.a2}")
     if 2 * rep.a2 > rep.a1:

@@ -1,11 +1,11 @@
 """Matrix groups over small finite fields, exactly.
 
 Field elements are integers 0..q-1 encoding coefficient vectors over
-the prime field in base p, with multiplication through discrete
-exp/log tables built from a canonical primitive polynomial (the one
-with the smallest encoded value; primitivity is tested directly and,
-when it holds, the quotient ring is forced to be a field, so no
-separate irreducibility check is needed).
+the prime field in base p, with exp/log tables for multiplication and
+a q x q table for addition (see FiniteField).  One set of polynomial
+helpers over GF(q) (`_fpoly_*`) and one primitive-polynomial search
+(`_primitive_poly`, least encoded value) serve both the extension
+fields GF(p^k) and the Singer elements.
 
 On top of that: characteristic polynomials via Hessenberg reduction,
 multiplicative orders through the factor-degree structure of the
@@ -21,6 +21,8 @@ import math
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InputError, ResourceLimitError
 from .numutil import factorize, is_prime, units_mod
 from .permgroup import GroupSpec
@@ -29,115 +31,61 @@ MAX_FIELD = 512
 MAX_DIM = 12    # keeps every q^d - 1 we must factor within easy reach
 
 
-# -- polynomial helpers over the prime field (tuples of ints mod p) -----
-
-
-def _ppoly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _ppoly_mulmod(a, b, f, p):
-    k = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce by the monic f
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * f[j]) % p
-    return _ppoly_trim(tuple(out[:k]))
-
-
-def _ppoly_powmod(base, e, f, p):
-    result = (1,)
-    while e:
-        if e & 1:
-            result = _ppoly_mulmod(result, base, f, p)
-        base = _ppoly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _is_primitive_mod(f, p, q):
-    """Does x generate the units of GF(p)[x]/(f)?  True forces the
-    quotient to be a field of size q: the q - 1 distinct powers of x
-    plus zero exhaust it, leaving no room for zero divisors."""
-    x = (0, 1)
-    if _ppoly_powmod(x, q - 1, f, p) != (1,):
-        return False
-    for r in factorize(q - 1):
-        if _ppoly_powmod(x, (q - 1) // r, f, p) == (1,):
-            return False
-    return True
-
-
 class FiniteField:
-    """GF(p^k) on integer-encoded elements with exp/log tables."""
+    """GF(p^k) on integer-encoded elements.
 
-    __slots__ = ("p", "k", "q", "poly", "exp", "log", "_neg")
+    Element v encodes the coefficient vector of its base-p digits.  The
+    generator of GF(p) is its largest primitive root (the root of x + c
+    for the least c); for k >= 2 it is x modulo the least-encoded
+    primitive polynomial of degree k over GF(p).  Multiplication goes
+    through exp/log tables of the generator's powers; addition and
+    negation through a q x q table built once from the digits.
+    """
+
+    __slots__ = ("p", "k", "q", "poly", "exp", "log", "_add", "_neg")
 
     def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
         self.q = q = p ** k
-        self.poly = self._find_poly()
-        exp = [0] * (q - 1)
+        if k == 1:
+            gen = next(g for g in range(p - 1, 0, -1)
+                       if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1)))
+            self.poly = (p - gen,)    # x + c with root gen, as files quote it
+            powers = [pow(gen, i, p) for i in range(p - 1)]
+        else:
+            Fp = finite_field(p)
+            self.poly = _primitive_poly(k, p)
+            f = self.poly + (1,)
+            powers = []
+            cur = (1,)
+            for _ in range(q - 1):
+                powers.append(sum(c * p ** j for j, c in enumerate(cur)))
+                cur = _fpoly_mulmod(Fp, cur, (0, 1), f)
+            assert cur == (1,), "generator order is not q - 1"
         log = [0] * q
-        cur = (1,)
-        gen = (0, 1) if k > 1 else ((self.poly[0] and p - self.poly[0]) % p,)
-        # degree 1: the defining polynomial is x - g for a generator g
-        for i in range(q - 1):
-            val = sum(c * p ** j for j, c in enumerate(cur))
-            exp[i] = val
-            log[val] = i
-            cur = _ppoly_mulmod(cur, gen, self.poly + (1,), p)
-        assert cur == (1,), "generator order is not q - 1"
-        self.exp = tuple(exp)
+        for i, v in enumerate(powers):
+            log[v] = i
+        self.exp = tuple(powers)
         self.log = tuple(log)
-        self._neg = tuple(
-            sum(((p - d) % p) * p ** j for j, d in enumerate(self._digits(v)))
-            for v in range(q))
-
-    def _digits(self, v: int):
-        out = []
-        for _ in range(self.k):
-            out.append(v % self.p)
-            v //= self.p
-        return out
-
-    def _find_poly(self) -> tuple[int, ...]:
-        p, k, q = self.p, self.k, self.q
-        for enc in range(1, q):
-            coeffs = tuple(self._digits(enc))
-            if coeffs[0] == 0:
-                continue
-            if _is_primitive_mod(coeffs + (1,), p, q):
-                return coeffs
-        raise AssertionError(f"no primitive polynomial found for GF({q})")
+        # addition is digit-wise mod p: each higher digit splits the
+        # table into p x p blocks, each a copy of the table below it
+        digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
+        table = np.zeros((1, 1), dtype=np.int64)
+        for j in range(k):
+            n = p ** j
+            table = (digit_sum[:, None, :, None] * n
+                     + table[None, :, None, :]).reshape(n * p, n * p)
+        # cells share one int object per element (tolist makes one per
+        # cell above 256): GF(512) keeps 2 MB of table instead of 6 MB
+        elems = tuple(range(q))
+        self._add = tuple(tuple(map(elems.__getitem__, row)) for row in table.tolist())
+        self._neg = tuple(row.index(0) for row in self._add)
 
     # element operations (integers 0..q-1)
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        total = 0
-        mult = 1
-        for _ in range(self.k):
-            total += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return total
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -305,7 +253,7 @@ def char_poly(M: Matrix) -> tuple[int, ...]:
     return polys[n]
 
 
-# -- polynomial helpers over the field (for order computations) ---------
+# -- polynomial helpers over the field (field tables, orders, searches) --
 
 
 def _fpoly_divmod(F: FiniteField, a, b):
@@ -384,7 +332,9 @@ def element_order(M: Matrix, bound: int = 10_000_000) -> int:
         xq = _fpoly_powmod(F, (0, 1), F.q ** d, rem)
         diff = list(xq) + [0] * (2 - len(xq))
         diff[1] = F.sub(diff[1], 1)
-        g = _fpoly_gcd(F, rem, _ppoly_trim(tuple(diff)))
+        while diff and diff[-1] == 0:
+            diff.pop()
+        g = _fpoly_gcd(F, rem, tuple(diff))
         if len(g) - 1 > 0:
             degrees.append(d)
             while True:
@@ -417,9 +367,15 @@ def element_order(M: Matrix, bound: int = 10_000_000) -> int:
 
 
 @lru_cache(maxsize=64)
-def _singer_poly(n: int, q: int) -> tuple[int, ...]:
+def _primitive_poly(n: int, q: int) -> tuple[int, ...]:
     """Primitive degree-n polynomial over GF(q), least encoded value,
-    ascending coefficients without the leading 1."""
+    ascending coefficients without the leading 1.
+
+    The one search for both field extensions and Singer elements.  It
+    tests that x has order q^n - 1 modulo f; when it does, the quotient
+    ring is a field (the q^n - 1 distinct powers of x and zero exhaust
+    it, leaving no room for zero divisors), so no separate
+    irreducibility test is needed."""
     F = finite_field(q)
     target = q ** n - 1
     prime_factors = tuple(factorize(target))
@@ -446,7 +402,7 @@ def singer_element(n: int, q: int) -> Matrix:
     if n < 1 or n > MAX_DIM:
         raise InputError(f"dimension must be in 1..{MAX_DIM}, got {n}")
     F = finite_field(q)
-    coeffs = _singer_poly(n, q)
+    coeffs = _primitive_poly(n, q)
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = 1

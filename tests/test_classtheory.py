@@ -5,8 +5,7 @@ small simple groups."""
 import pytest
 
 from galorb.classtheory import (
-    a_set_quantities, analyze, check_identities, is_cut, max_orbit_length,
-    q_classes, r_classes, rank_central_units, report_to_obj,
+    analyze, check_identities, q_classes, r_classes, report_to_obj,
 )
 from galorb.matgroup import projective_line_action
 from galorb.numutil import divisors, totient
@@ -14,6 +13,12 @@ from galorb.permgroup import (
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, symmetric_group_spec,
 )
+
+
+def a_set(rep):
+    """Classes whose family strictly exceeds their inversion orbit."""
+    return sorted(c for fam, contrib in zip(rep.families, rep.family_contributions)
+                  if contrib > 0 for c in fam)
 
 
 def test_c5_quantities():
@@ -30,15 +35,17 @@ def test_a5_quantities():
     cs = conjugacy_classes(alternating_group_spec(5))
     assert len(q_classes(cs)) == 4
     assert len(r_classes(cs)) == 5
-    assert rank_central_units(cs) == 1
-    assert max_orbit_length(cs) == 2
+    rep = analyze(cs)
+    assert rep.rank == 1
+    assert rep.f == 2
 
 
 def test_s3_is_rational():
     cs = conjugacy_classes(symmetric_group_spec(3))
     assert len(q_classes(cs)) == 3
-    assert rank_central_units(cs) == 0
-    assert is_cut(cs)
+    rep = analyze(cs)
+    assert rep.rank == 0
+    assert rep.is_cut and not a_set(rep)
 
 
 @pytest.mark.parametrize("m", list(range(1, 201)))
@@ -77,10 +84,10 @@ def test_identity_suite_on_battery():
 
 def test_a_set_contents():
     cs = cyclic_class_structure(5)
-    a_set, a1, a2 = a_set_quantities(cs)
+    rep = analyze(cs)
     # the four nontrivial classes are neither rational nor quadratic
-    assert len(a_set) == 4
-    assert (a1, a2) == (2, 1)
+    assert len(a_set(rep)) == 4
+    assert (rep.a1, rep.a2) == (2, 1)
 
 
 def test_report_serialization():

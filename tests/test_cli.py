@@ -177,7 +177,16 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
     (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.json"),
     (("analyze-table", TABLES / "a5.json", "--gens", DATA / "a5.gens"),
      "analyze-table_a5.json"),
-], ids=["analyze-perm", "analyze-table"])
+    (("an-rank", "26..40"), "an-rank_26-40.json"),
+    (("screen", "all"), "screen_all.json"),
+    (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.json"),
+    (("charpoly", "file", DATA / "gl2_3.json", "--target", "8"),
+     "charpoly_file_gl2_3.json"),
+    # odd p with k >= 2, beyond the README
+    (("charpoly", "singer", "3", "9"), "charpoly_singer_3_9.json"),
+    (("charpoly", "singer", "2", "27"), "charpoly_singer_2_27.json"),
+], ids=["analyze-perm", "analyze-table", "an-rank", "screen", "charpoly-singer",
+        "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27"])
 def test_readme_examples_json_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *map(str, argv), "--format", "json")
     assert code == 0

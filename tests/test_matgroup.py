@@ -1,16 +1,20 @@
+import functools
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import (
-    Matrix, char_poly, class_lower_bound, coprime_power_charpoly_count,
-    element_order, finite_field, parse_matrix_group_file,
-    projective_line_action, random_element_search, singer_element,
+    FiniteField, Matrix, char_poly, class_lower_bound,
+    coprime_power_charpoly_count, element_order, finite_field,
+    parse_matrix_group_file, projective_line_action, random_element_search,
+    singer_element,
 )
-from galorb.numutil import units_mod
+from galorb.numutil import factorize, prime_powers_upto, units_mod
 from galorb.permgroup import (
     alternating_group_spec, conjugacy_classes, group_order,
 )
@@ -37,6 +41,151 @@ def test_canonical_polynomials():
     assert finite_field(8).poly == (1, 1, 0)
     assert finite_field(9).poly == (2, 1)
     assert finite_field(16).poly == (1, 1, 0, 0)
+
+
+# The field construction before GF(p^k) was built on the `_fpoly_*`
+# helpers: its own polynomial arithmetic over GF(p), a search over
+# base-p encodings, and an addition with one branch per field shape.
+# Kept as the reference the one-toolkit field is compared against.
+
+
+def _ppoly_trim(a):
+    i = len(a)
+    while i > 0 and a[i - 1] == 0:
+        i -= 1
+    return a[:i]
+
+
+def _ppoly_mulmod(a, b, f, p):
+    k = len(f) - 1
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    for i in range(len(out) - 1, k - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(k):
+                out[i - k + j] = (out[i - k + j] - c * f[j]) % p
+    return _ppoly_trim(tuple(out[:k]))
+
+
+def _ppoly_powmod(base, e, f, p):
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _ppoly_mulmod(result, base, f, p)
+        base = _ppoly_mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def _is_primitive_mod(f, p, q):
+    x = (0, 1)
+    if _ppoly_powmod(x, q - 1, f, p) != (1,):
+        return False
+    return all(_ppoly_powmod(x, (q - 1) // r, f, p) != (1,) for r in factorize(q - 1))
+
+
+class _ReferenceField(FiniteField):
+    __slots__ = ()
+
+    def __init__(self, p, k):
+        self.p = p
+        self.k = k
+        self.q = q = p ** k
+        self.poly = self._find_poly()
+        exp = [0] * (q - 1)
+        log = [0] * q
+        cur = (1,)
+        gen = (0, 1) if k > 1 else ((self.poly[0] and p - self.poly[0]) % p,)
+        for i in range(q - 1):
+            val = sum(c * p ** j for j, c in enumerate(cur))
+            exp[i] = val
+            log[val] = i
+            cur = _ppoly_mulmod(cur, gen, self.poly + (1,), p)
+        assert cur == (1,)
+        self.exp = tuple(exp)
+        self.log = tuple(log)
+        self._neg = tuple(
+            sum(((p - d) % p) * p ** j for j, d in enumerate(self._digits(v)))
+            for v in range(q))
+
+    def _digits(self, v):
+        out = []
+        for _ in range(self.k):
+            out.append(v % self.p)
+            v //= self.p
+        return out
+
+    def _find_poly(self):
+        for enc in range(1, self.q):
+            coeffs = tuple(self._digits(enc))
+            if coeffs[0] and _is_primitive_mod(coeffs + (1,), self.p, self.q):
+                return coeffs
+        raise AssertionError(f"no primitive polynomial found for GF({self.q})")
+
+    def add(self, a, b):
+        if self.k == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        total = 0
+        mult = 1
+        for _ in range(self.k):
+            total += ((a + b) % self.p) * mult
+            a //= self.p
+            b //= self.p
+            mult *= self.p
+        return total
+
+
+@functools.lru_cache(maxsize=None)
+def reference_field(q):
+    (p, k), = factorize(q).items()
+    return _ReferenceField(p, k)
+
+
+@pytest.mark.parametrize("q", prime_powers_upto(512))
+def test_field_matches_reference(q):
+    F, R = finite_field(q), reference_field(q)
+    assert (F.poly, F.exp, F.log, F.generator) == (R.poly, R.exp, R.log, R.generator)
+    assert [F.neg(a) for a in range(q)] == [R.neg(a) for a in range(q)]
+    if q <= 128:
+        pairs = itertools.product(range(q), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(5000)]
+    for a, b in pairs:
+        assert F.add(a, b) == R.add(a, b), (q, a, b)
+
+
+def _outcome(fn, M):
+    try:
+        return fn(M)
+    except (InputError, ResourceLimitError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def matrices_over_both_fields(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25, 27]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return Matrix(finite_field(q), rows), Matrix(reference_field(q), rows)
+
+
+@given(matrices_over_both_fields())
+@settings(max_examples=150, deadline=None)
+def test_matrix_invariants_match_reference_field(pair):
+    M, R = pair
+    assert char_poly(M) == char_poly(R)
+    assert _outcome(element_order, M) == _outcome(element_order, R)
+    count = functools.partial(coprime_power_charpoly_count, max_order=400)
+    assert _outcome(count, M) == _outcome(count, R)
 
 
 def test_field_guards():
