@@ -1,8 +1,9 @@
 """Exact number-theory helpers shared across the package.
 
 Everything here is integer arithmetic: factorization by trial division with
-a Pollard rho fallback, deterministic Miller-Rabin for 64-bit inputs, unit
-groups mod m, divisor lists.  No floats.
+a Pollard rho fallback, Miller-Rabin that is exact below psi_13 (about
+3.3 * 10**24) and refuses larger inputs, unit groups mod m, divisor lists.
+No floats.
 """
 
 from __future__ import annotations
@@ -10,14 +11,23 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import ResourceLimitError
+
+# Miller-Rabin witnesses: the first 13 primes decide every n below the
+# least strong pseudoprime to all of them, psi_13 (Sorenson and Webster,
+# Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality for n < 3317044064679887385961981; larger n are refused."""
+    if n >= _MR_LIMIT:
+        raise ResourceLimitError(
+            f"is_prime({n}): Miller-Rabin with bases 2..41 is exact only below {_MR_LIMIT}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -131,12 +141,3 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
 def prime_powers_upto(limit: int) -> list[int]:
     """All prime powers q with 2 <= q <= limit, ascending."""
     return [q for q in range(2, limit + 1) if is_prime_power(q)]
-
-
-def primes_upto(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i, b in enumerate(sieve) if b]

@@ -18,8 +18,8 @@ conjugation by each generator becomes a permutation of row indices, and
 the classes are the orbits of those permutations.  There is no random
 search and no seed; groups whose order times degree exceeds 10^8 are
 refused before any element is stored.  Alternating and cyclic groups
-also get direct combinatorial constructions that bypass element lists
-entirely.
+also get direct combinatorial constructions that build no permutation:
+cycle types and the Jacobi symbol for A_n, residues for cyclic groups.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .numutil import units_mod
+from .numutil import factorize, units_mod
 
 MAX_DEGREE = 256
 
@@ -91,11 +91,6 @@ def perm_order(p: tuple[int, ...]) -> int:
     for c in cycles(p):
         o = math.lcm(o, len(c))
     return o
-
-
-def parity(p: tuple[int, ...]) -> int:
-    """0 for even, 1 for odd."""
-    return sum(len(c) - 1 for c in cycles(p)) % 2
 
 
 # -- group input --------------------------------------------------------
@@ -654,42 +649,16 @@ def _even_partitions(n: int):
     return out
 
 
-def _partition_perm(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    perm = list(range(n))
-    start = 0
-    for p in parts:
-        for i in range(p):
-            perm[start + i] = start + (i + 1) % p
-        start += p
-    return tuple(perm)
-
-
-def _conjugator_parity(g, h, parts, n) -> int:
-    """Parity of some c with c g c^(-1) = h, for distinct odd cycle type.
-
-    The centralizer of g is generated by its own cycles, all of odd
-    length, so the parity does not depend on the choice of c.
-    """
-    by_len_h = {len(c): c for c in cycles(h)}
-    c = list(range(n))
-    for gc in cycles(g):
-        hc = by_len_h[len(gc)]
-        for i, x in enumerate(gc):
-            c[x] = hc[i]
-    cp = tuple(c)
-    if sorted(cp) != list(range(n)) or pmul(pmul(cp, g), pinv(cp)) != h:
-        raise AssertionError("cycle matching failed to produce a conjugator")
-    return parity(cp)
-
-
 def alternating_class_structure(n: int) -> ClassStructure:
     """Class data of the alternating group on n points, 5 <= n <= 40,
     built from cycle types without touching group elements.
 
     A class is a partition of n with evenly many even parts; it splits
-    into a pair exactly when the parts are odd and distinct.  Power-map
-    fusion inside a split pair is decided by the parity of a conjugating
-    permutation between a representative and its power.
+    into a pair exactly when the parts are odd and distinct.  For such
+    parts with product P, the k-th power of a class lies in the other
+    half of its pair exactly when the Jacobi symbol (k / P) is -1: on a
+    p-cycle, i -> ki mod p conjugates the cycle to its k-th power, and
+    its sign is (k / p) by Zolotarev's lemma (Frobenius's form for odd p).
     """
     if not 5 <= n <= 40:
         raise InputError(f"alternating class data supports 5 <= n <= 40, got {n}")
@@ -714,13 +683,11 @@ def alternating_class_structure(n: int) -> ClassStructure:
             continue
         if size % 2:
             raise AssertionError("split class size must be even")
-        g = _partition_perm(parts, n)
-        swap = {}
-        for k in units_mod(order) if order > 1 else (0,):
-            if order == 1:
-                swap[0] = 0
-                continue
-            swap[k] = _conjugator_parity(g, ppow(g, k), parts, n)
+        # (k / P) is the product of Euler's criterion over the primes
+        # dividing P to an odd power, all of them prime to the unit k
+        odd = [ell for ell, e in factorize(math.prod(parts)).items() if e % 2]
+        swap = {k: sum(pow(k, (ell - 1) // 2, ell) != 1 for ell in odd) % 2
+                for k in units_mod(order)}
         records.append((order, size // 2, parts, 0, swap))
         records.append((order, size // 2, parts, 1, swap))
 
@@ -737,15 +704,11 @@ def alternating_class_structure(n: int) -> ClassStructure:
             inverse_map.append(pos[(parts, 0)])
         else:
             fus = {k: pos[(parts, half ^ s)] for k, s in swap.items()}
-            inv_k = order - 1 if order > 1 else 0
-            inverse_map.append(fus[inv_k])
+            inverse_map.append(fus[order - 1])
         fusion.append(fus)
-    exponent = 1
-    for o in orders:
-        exponent = math.lcm(exponent, o)
     cs = ClassStructure(
         group_order=nfact // 2,
-        exponent=exponent,
+        exponent=math.lcm(*orders),
         sizes=sizes,
         orders=orders,
         inverse_map=tuple(inverse_map),

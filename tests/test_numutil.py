@@ -1,0 +1,33 @@
+"""Primality and factorization at the edge of deterministic Miller-Rabin."""
+
+import pytest
+import sympy
+
+from galorb.errors import ResourceLimitError
+from galorb.numutil import factorize, is_prime, totient
+
+# least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_psi_12_is_composite():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+
+
+def test_psi_12_factorization_and_totient_match_sympy():
+    assert factorize(PSI_12) == sympy.factorint(PSI_12)
+    assert totient(PSI_12) == sympy.totient(PSI_12) == 318665857832833655296800
+
+
+@pytest.mark.parametrize("n", [PSI_13, PSI_13 + 1, 2 * PSI_13, 10**30])
+def test_is_prime_refuses_from_psi_13(n):
+    with pytest.raises(ResourceLimitError, match=str(PSI_13)):
+        is_prime(n)
+
+
+def test_is_prime_matches_sympy_near_the_bases():
+    assert [n for n in range(2000) if is_prime(n)] == list(sympy.primerange(2000))
+    for n in (PSI_13 - 1, PSI_13 - 2, 2**61 - 1, 2**64 + 13, 10**24 + 7):
+        assert is_prime(n) == sympy.isprime(n), n

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+import sympy
 import sympy.combinatorics as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,11 @@ from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import units_mod
 from galorb.permgroup import (
-    ClassStructure, GroupSpec, _build_chain, _labels_for, alternating_class_structure,
-    alternating_group_spec, conjugacy_classes, cyclic_class_structure,
-    cyclic_group_spec, format_generators, group_order, parse_generators,
-    perm_order, pinv, pmul, ppow, symmetric_group_spec,
+    ClassStructure, GroupSpec, _build_chain, _even_partitions, _labels_for,
+    alternating_class_structure, alternating_group_spec, conjugacy_classes,
+    cyclic_class_structure, cyclic_group_spec, cycles, format_generators,
+    group_order, parse_generators, perm_order, pinv, pmul, ppow,
+    symmetric_group_spec,
 )
 
 # -- reference: the tuple-at-a-time class path ----------------------------
@@ -158,6 +160,90 @@ def reference_order(spec):
     return chain.order()
 
 
+# -- reference: A_n split-class fusion by explicit conjugators -------------
+
+
+def _partition_perm(parts, n):
+    perm = list(range(n))
+    start = 0
+    for p in parts:
+        for i in range(p):
+            perm[start + i] = start + (i + 1) % p
+        start += p
+    return tuple(perm)
+
+
+def _conjugator_parity(g, h, parts, n):
+    """Parity of some c with c g c^(-1) = h, for distinct odd cycle type.
+
+    The centralizer of g is generated by its own cycles, all of odd
+    length, so the parity does not depend on the choice of c.
+    """
+    by_len_h = {len(c): c for c in cycles(h)}
+    c = list(range(n))
+    for gc in cycles(g):
+        hc = by_len_h[len(gc)]
+        for i, x in enumerate(gc):
+            c[x] = hc[i]
+    cp = tuple(c)
+    assert sorted(cp) == list(range(n)) and pmul(pmul(cp, g), pinv(cp)) == h
+    return sum(len(cyc) - 1 for cyc in cycles(cp)) % 2
+
+
+def reference_alternating_class_structure(n):
+    """A_n class data with each split class's power map decided by
+    building the class's permutation, its k-th power and a conjugator
+    between them, one unit k at a time."""
+    nfact = math.factorial(n)
+    records = []  # (order, size, parts, half, fusion_swap or None)
+    for parts in _even_partitions(n):
+        z = 1
+        run = None
+        mult = 0
+        for p in parts + (0,):
+            if p == run:
+                mult += 1
+            else:
+                if run is not None:
+                    z *= run ** mult * math.factorial(mult)
+                run, mult = p, 1
+        size = nfact // z
+        order = math.lcm(*parts)
+        split = all(p % 2 for p in parts) and len(set(parts)) == len(parts)
+        if not split:
+            records.append((order, size, parts, 0, None))
+            continue
+        g = _partition_perm(parts, n)
+        swap = {k: _conjugator_parity(g, ppow(g, k), parts, n) for k in units_mod(order)}
+        records.append((order, size // 2, parts, 0, swap))
+        records.append((order, size // 2, parts, 1, swap))
+
+    records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    pos = {(r[2], r[3]): c for c, r in enumerate(records)}
+    orders = tuple(r[0] for r in records)
+    fusion = []
+    inverse_map = []
+    for order, _size, parts, half, swap in records:
+        if swap is None:
+            fus = ({k: pos[(parts, 0)] for k in units_mod(order)} if order > 1
+                   else {0: pos[(parts, 0)]})
+            inverse_map.append(pos[(parts, 0)])
+        else:
+            fus = {k: pos[(parts, half ^ s)] for k, s in swap.items()}
+            inverse_map.append(fus[order - 1])
+        fusion.append(fus)
+    return ClassStructure(
+        group_order=nfact // 2,
+        exponent=math.lcm(*orders),
+        sizes=tuple(r[1] for r in records),
+        orders=orders,
+        inverse_map=tuple(inverse_map),
+        fusion=tuple(fusion),
+        labels=_labels_for(list(orders), lower=True),
+        reps=tuple((r[2], r[3]) for r in records),
+    ).validate()
+
+
 def relabeled(spec, seed):
     """spec conjugated by a seeded random relabeling of its points."""
     sigma = list(range(spec.degree))
@@ -210,6 +296,31 @@ def test_alternating_formula_matches_enumeration(n):
     assert generic.orders == formula.orders
     assert generic.inverse_map == formula.inverse_map
     assert generic.fusion == formula.fusion
+
+
+@pytest.mark.parametrize("n", range(5, 25))
+def test_alternating_structure_matches_conjugator_reference(n):
+    assert alternating_class_structure(n) == reference_alternating_class_structure(n)
+
+
+def test_alternating_split_fusion_is_the_jacobi_symbol():
+    # g^k leaves its half of a split pair exactly when (k / prod(parts)) = -1
+    pairs = 0
+    for n in range(5, 35):
+        cs = alternating_class_structure(n)
+        swaps = {}  # both halves of a pair share their symbols
+        for c, (parts, half) in enumerate(cs.reps):
+            if not all(p % 2 for p in parts) or len(set(parts)) < len(parts):
+                continue
+            if parts not in swaps:
+                big_p = math.prod(parts)
+                swaps[parts] = {k: sympy.jacobi_symbol(k, big_p) == -1
+                                for k in units_mod(cs.orders[c])}
+            assert cs.fusion[c].keys() == swaps[parts].keys()
+            for k, d in cs.fusion[c].items():
+                assert cs.reps[d] == (parts, half ^ swaps[parts][k])
+                pairs += 1
+    assert pairs > 21_766  # the pairs for n <= 31 alone
 
 
 def test_chain_order_matches_enumeration():
