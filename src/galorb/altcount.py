@@ -30,6 +30,9 @@ from functools import lru_cache
 from .errors import InputError, ResourceLimitError
 from .numutil import is_prime
 
+# largest n for the rank count and for explicit enumeration
+MAX_N = 400
+
 
 @dataclass(frozen=True)
 class PartitionRecord:
@@ -93,14 +96,14 @@ def partition_record(parts: tuple[int, ...]) -> PartitionRecord:
     )
 
 
-def enumerate_distinct_odd_partitions(n: int, limit: int = 400):
+def enumerate_distinct_odd_partitions(n: int):
     """All partitions of n into distinct odd parts, decreasing within
     each partition and in decreasing lexicographic order overall."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    if n > limit:
+    if n > MAX_N:
         raise ResourceLimitError(
-            f"partition enumeration capped at n = {limit}, got {n}")
+            f"partition enumeration capped at n = {MAX_N}, got {n}")
 
     def rec(remaining: int, cap: int):
         if remaining == 0:
@@ -157,7 +160,7 @@ def _square_product_count(n: int) -> int:
             + states.get((n - 1, (n - 1) & 3, 0), 0))
 
 
-def frobenius_rank(n: int, limit: int = 400) -> int:
+def frobenius_rank(n: int) -> int:
     """Central-unit rank for the alternating group on n points, n >= 2,
     as an exact partition count.
 
@@ -170,16 +173,16 @@ def frobenius_rank(n: int, limit: int = 400) -> int:
     """
     if n < 2:
         raise InputError("alternating rank needs n >= 2")
-    if n > limit:
+    if n > MAX_N:
         raise ResourceLimitError(
-            f"alternating rank is limited to n <= {limit}; n = {n} requested")
+            f"alternating rank is limited to n <= {MAX_N}; n = {n} requested")
     return _counts_by_parts_mod4(n)[n & 3] - _square_product_count(n)
 
 
-def frobenius_records(n: int, limit: int = 400) -> tuple[PartitionRecord, ...]:
+def frobenius_records(n: int) -> tuple[PartitionRecord, ...]:
     """Every distinct-odd partition of n with its contribution flags."""
     return tuple(partition_record(parts)
-                 for parts in enumerate_distinct_odd_partitions(n, limit))
+                 for parts in enumerate_distinct_odd_partitions(n))
 
 
 # -- exact partition counts for the injection ---------------------------

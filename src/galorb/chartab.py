@@ -7,30 +7,32 @@ orthogonality is the validation oracle: every shipped or ingested table
 must satisfy it exactly, which pins down the matrix up to row and column
 permutations.
 
-Two analyses mirror the class-side computations: the central-unit rank
-from row data (real rows, conjugate pairs, Galois orbits of rows) and
-the longest Galois family of columns.  When a ClassStructure for the
-same group is available, the Brauer permutation lemma ties the two sides
-together check by check.
+char_report mirrors the class-side report: the central-unit rank from
+row data (real rows, conjugate pairs, Galois orbits of rows), the b-set
+recount of it, and the Galois families of columns; it asserts the
+row-side rank identities.  When a ClassStructure for the same group is
+available, brauer_crosscheck ties the two reports together check by
+check, by the Brauer permutation lemma.
 
 Every analysis reads one GaloisAction per table, built once: each
 distinct value gets an integer id and each unit k modulo the table
 exponent an id map, so rows, columns and fields are compared as id
 tuples and galois_apply runs once per distinct value and unit, not per
-cell and query.  Orthogonality is checked on integer lifts of the
-values at the lcm of their conductors.
+cell and query.  The per-row facts (one pass over the rows) and the
+column maps are likewise built once per table.  Orthogonality is
+checked on integer lifts of the values at the lcm of their conductors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 
-from .classtheory import _merge, _partition, analyze, q_classes
+from .classtheory import _merge, _partition, analyze
 from .cyclotomic import (
     CyclotomicNumber,
     FieldClass,
@@ -69,12 +71,24 @@ class GaloisAction:
         """The member of units acting as zeta -> zeta^k; k coprime to e."""
         return k % self.exponent if self.exponent > 1 else 1
 
-    def image(self, k: int) -> Ids:
-        return self.images[self.units.index(self.unit(k))]
-
 
 def _apply(ids: Ids, image: Ids) -> Ids:
     return tuple(map(image.__getitem__, ids))
+
+
+@dataclass(frozen=True)
+class _RowData:
+    """What one pass over a table's rows learns.  Per row: whether it is
+    real, its orbit key (least image under the whole Galois action), its
+    conjugation key (least of the row and its complex conjugate) and the
+    class of the field it generates.  fixed maps each unit k of the
+    action to the number of rows that k fixes."""
+
+    real: tuple[bool, ...]
+    orbit_keys: tuple[Ids, ...]
+    conj_keys: tuple[Ids, ...]
+    field_classes: tuple[FieldClass, ...]
+    fixed: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,52 @@ class CharacterTable:
         images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
                        for k in units)
         return GaloisAction(e, units, cells, images)
+
+    @cached_property
+    def _rows(self) -> _RowData:
+        """Built on first use, in one pass: every row's images under the
+        whole action are formed once."""
+        act = self.galois_action
+        conj = act.units.index(act.unit(-1))
+        fixed = [0] * len(act.units)
+        real, orbit_keys, conj_keys, field_classes = [], [], [], []
+        for row in act.cells:
+            images = [_apply(row, image) for image in act.images]
+            stabiliser = [u for u, im in enumerate(images) if im == row]
+            for u in stabiliser:
+                fixed[u] += 1
+            real.append(images[conj] == row)
+            orbit_keys.append(min(images))
+            conj_keys.append(min(row, images[conj]))
+            field_classes.append(FieldClass.of(len(images) // len(stabiliser), real[-1]))
+        return _RowData(tuple(real), tuple(orbit_keys), tuple(conj_keys),
+                       tuple(field_classes), dict(zip(act.units, fixed)))
+
+    @cached_property
+    def _column_maps(self) -> dict[int, Ids]:
+        """For each unit k mod the exponent, the permutation of columns
+        induced by applying the Galois map entrywise; built on first use."""
+        act = self.galois_action
+        cols = [tuple(row[c] for row in act.cells) for c in range(self.num_classes)]
+        index = {}
+        for c, col in enumerate(cols):
+            if col in index:
+                raise DegenerateTableError(
+                    f"table {self.name!r}: degenerate table, columns {index[col]} "
+                    f"and {c} are identical")
+            index[col] = c
+        maps = {}
+        for k, image in zip(act.units, act.images):
+            targets = []
+            for c, col in enumerate(cols):
+                d = index.get(_apply(col, image))
+                if d is None:
+                    raise InputError(
+                        f"table {self.name!r}: image of column {c} under the Galois "
+                        f"map k = {k} matches no column")
+                targets.append(d)
+            maps[k] = tuple(targets)
+        return maps
 
     def validate(self) -> "CharacterTable":
         n = self.num_classes
@@ -291,122 +351,29 @@ def _exponent_units(e: int) -> tuple[int, ...]:
     return (1,) if e == 1 else units_mod(e)
 
 
-def real_row_count(t: CharacterTable) -> int:
-    """Rows fixed entrywise by complex conjugation."""
-    act = t.galois_action
-    conj = act.image(-1)
-    return sum(1 for row in act.cells if _apply(row, conj) == row)
-
-
-def _row_orbit_keys(t: CharacterTable) -> list[Ids]:
-    """Canonical key per row: least image over the whole Galois action."""
-    act = t.galois_action
-    return [min(_apply(row, image) for image in act.images) for row in act.cells]
-
-
-def rank_of_central_units(t: CharacterTable) -> int:
-    """Central-unit rank from row data: real rows count once, conjugate
-    pairs count half, minus one per Galois orbit of rows."""
-    n = len(t.irr)
-    h_r = real_row_count(t)
-    if (n - h_r) % 2:
-        raise InputError(f"table {t.name!r}: non-real rows do not pair up")
-    n_orbits = len(set(_row_orbit_keys(t)))
-    return h_r + (n - h_r) // 2 - n_orbits
-
-
-# -- column-side analysis -----------------------------------------------
-
-
-def _column_maps(t: CharacterTable) -> dict[int, Ids]:
-    """For each unit k mod the exponent, the permutation of columns
-    induced by applying the Galois map entrywise."""
-    act = t.galois_action
-    cols = [tuple(row[c] for row in act.cells) for c in range(t.num_classes)]
-    index = {}
-    for c, col in enumerate(cols):
-        if col in index:
-            raise DegenerateTableError(
-                f"table {t.name!r}: degenerate table, columns {index[col]} "
-                f"and {c} are identical")
-        index[col] = c
-    maps = {}
-    for k, image in zip(act.units, act.images):
-        targets = []
-        for c, col in enumerate(cols):
-            d = index.get(_apply(col, image))
-            if d is None:
-                raise InputError(
-                    f"table {t.name!r}: image of column {c} under the Galois "
-                    f"map k = {k} matches no column")
-            targets.append(d)
-        maps[k] = tuple(targets)
-    return maps
-
-
 def column_families(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """Partition of columns into Galois families, ordered by least member."""
     parent = list(range(t.num_classes))
-    for targets in _column_maps(t).values():
+    for targets in t._column_maps.values():
         for c, d in enumerate(targets):
             _merge(parent, c, d)
     return _partition(parent)
 
 
-def max_galois_orbit_length(t: CharacterTable) -> int:
-    """Size of the largest Galois family of columns; 1 on rational tables."""
-    return max(len(fam) for fam in column_families(t))
-
-
-# -- field-side analysis ------------------------------------------------
-
-
-def _row_field_classes(t: CharacterTable) -> list[FieldClass]:
-    """Class of the field each row generates: its degree is the index
-    of the row's stabiliser among the units mod the exponent."""
-    act = t.galois_action
-    conj = act.image(-1)
-    out = []
-    for row in act.cells:
-        fixed = sum(1 for image in act.images if _apply(row, image) == row)
-        out.append(FieldClass.of(len(act.units) // fixed, _apply(row, conj) == row))
-    return out
-
-
 _FLAT = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
-
-
-def b_set_quantities(t: CharacterTable) -> tuple[tuple[int, ...], int, int]:
-    """Rows whose value field is neither rational nor imaginary
-    quadratic, with conjugation-orbit and Galois-orbit counts inside
-    that set; the rank identities are asserted."""
-    keep = [i for i, fc in enumerate(_row_field_classes(t)) if fc not in _FLAT]
-    orbit_keys = _row_orbit_keys(t)
-    b2 = len({orbit_keys[i] for i in keep})
-    act = t.galois_action
-    conj = act.image(-1)
-    b1 = len({min(act.cells[i], _apply(act.cells[i], conj)) for i in keep})
-    rank = rank_of_central_units(t)
-    if rank != b1 - b2:
-        raise AssertionError(f"table {t.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
-    if 2 * b2 > b1:
-        raise AssertionError(f"table {t.name!r}: 2*b2 = {2 * b2} exceeds b1 = {b1}")
-    return tuple(keep), b1, b2
-
-
-def cut_by_character_fields(t: CharacterTable) -> bool:
-    """True when every row generates a rational or imaginary quadratic
-    field; asserted equivalent to central-unit rank zero."""
-    flat = all(fc in _FLAT for fc in _row_field_classes(t))
-    if flat != (rank_of_central_units(t) == 0):
-        raise AssertionError(
-            f"table {t.name!r}: field criterion disagrees with the rank")
-    return flat
 
 
 @dataclass(frozen=True)
 class CharReport:
-    """Row-side summary of one table."""
+    """Row-side summary of one table.
+
+    rank_eq1 counts real rows once and conjugate pairs half, minus one
+    per Galois orbit of rows (n_orbits).  The b-set is the rows whose
+    field is neither rational nor imaginary quadratic; b1 and b2 count
+    its conjugation orbits and Galois orbits.  families are the Galois
+    families of columns; as column indices they depend on the column
+    order, so they take no part in equality.
+    """
 
     h_R: int
     rank_eq1: int
@@ -414,19 +381,40 @@ class CharReport:
     b1: int
     b2: int
     cut_by_fields: bool
+    n_orbits: int
+    families: tuple[tuple[int, ...], ...] = field(compare=False)
 
 
 def char_report(t: CharacterTable) -> CharReport:
-    h_r = real_row_count(t)
-    rank = rank_of_central_units(t)
-    _b, b1, b2 = b_set_quantities(t)
+    """The report of one table, from one pass over its rows; the
+    row-side rank identities are asserted here."""
+    rows = t._rows
+    n = len(rows.real)
+    h_r = sum(rows.real)
+    if (n - h_r) % 2:
+        raise InputError(f"table {t.name!r}: non-real rows do not pair up")
+    n_orbits = len(set(rows.orbit_keys))
+    rank = h_r + (n - h_r) // 2 - n_orbits
+    keep = [i for i, fc in enumerate(rows.field_classes) if fc not in _FLAT]
+    b1 = len({rows.conj_keys[i] for i in keep})
+    b2 = len({rows.orbit_keys[i] for i in keep})
+    if rank != b1 - b2:
+        raise AssertionError(f"table {t.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
+    if 2 * b2 > b1:
+        raise AssertionError(f"table {t.name!r}: 2*b2 = {2 * b2} exceeds b1 = {b1}")
+    if (not keep) != (rank == 0):
+        raise AssertionError(
+            f"table {t.name!r}: field criterion disagrees with the rank")
+    families = column_families(t)
     return CharReport(
         h_R=h_r,
         rank_eq1=rank,
-        f_table=max_galois_orbit_length(t),
+        f_table=max(len(fam) for fam in families),
         b1=b1,
         b2=b2,
-        cut_by_fields=cut_by_character_fields(t),
+        cut_by_fields=not keep,
+        n_orbits=n_orbits,
+        families=families,
     )
 
 
@@ -469,19 +457,19 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     if t.class_orders is not None and t.class_orders != cs.orders:
         raise InputError("columnwise element orders disagree; columns misaligned")
     e = cs.exponent
-    te = table_exponent(t)
-    if e % te:
+    act = t.galois_action
+    if e % act.exponent:
         raise InputError(
-            f"table exponent {te} does not divide the group exponent {e}")
+            f"table exponent {act.exponent} does not divide the group exponent {e}")
 
+    rep_t = char_report(t)
+    rep_c = analyze(cs)
     checks = []
     units = _exponent_units(e)
-    act = t.galois_action
 
     bad = []
     for k in units:
-        image = act.image(k)
-        fixed_rows = sum(1 for row in act.cells if _apply(row, image) == row)
+        fixed_rows = t._rows.fixed[act.unit(k)]
         fixed_cols = sum(
             1 for c in range(cs.num_classes)
             if cs.fusion[c][k % cs.orders[c]] == c)
@@ -491,34 +479,27 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
         "fixed_counts", not bad,
         "; ".join(bad) if bad else f"all {len(units)} Galois maps agree"))
 
-    n_g = len(set(_row_orbit_keys(t)))
-    fams = q_classes(cs)
-    n_q = len(fams)
     checks.append(CheckResult(
-        "orbit_counts", n_g == n_q,
-        f"{n_g} row orbits vs {n_q} class families"))
+        "orbit_counts", rep_t.n_orbits == rep_c.n_Q,
+        f"{rep_t.n_orbits} row orbits vs {rep_c.n_Q} class families"))
 
-    col_maps = _column_maps(t)
     bad = []
     for k in units:
         fusion_map = tuple(cs.fusion[c][k % cs.orders[c]] for c in range(cs.num_classes))
-        table_map = col_maps[act.unit(k)]
+        table_map = t._column_maps[act.unit(k)]
         if table_map != fusion_map:
             diffs = [c for c in range(cs.num_classes) if table_map[c] != fusion_map[c]]
             bad.append(f"k={k}: columns {diffs} map to {[table_map[c] for c in diffs]} "
                        f"in the table but classes fuse to {[fusion_map[c] for c in diffs]}")
-    fam_equal = set(column_families(t)) == set(fams)
-    if not fam_equal and not bad:
+    if set(rep_t.families) != set(rep_c.families) and not bad:
         bad.append("family partitions differ")
     checks.append(CheckResult(
         "column_families", not bad,
         "; ".join(bad) if bad else "column maps match fusion maps for every k"))
 
-    rank_t = rank_of_central_units(t)
-    rank_c = analyze(cs).rank
     checks.append(CheckResult(
-        "rank", rank_t == rank_c,
-        f"table rank {rank_t} vs class-side rank {rank_c}"))
+        "rank", rep_t.rank_eq1 == rep_c.rank,
+        f"table rank {rep_t.rank_eq1} vs class-side rank {rep_c.rank}"))
 
     return CrosscheckReport(
         table_name=t.name,

@@ -4,15 +4,13 @@ Two coarsenings of the set of conjugacy classes drive everything here:
 classes fused by all power maps g -> g^k with k coprime to the element
 order (called families below), and classes fused only with their
 inverses.  The difference of the two counts is the rank of the group of
-central units in the integral group ring, and several independent
-recounts of that number are exposed so they can be checked against each
-other.
+central units in the integral group ring; analyze recounts that number
+independently and asserts that the counts agree, in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .permgroup import ClassStructure
 
@@ -78,6 +76,10 @@ class GaloisReport:
 
 
 def analyze(cs: ClassStructure) -> GaloisReport:
+    """The report of one class structure.  The rank n_R - n_Q is recounted
+    from the families and from the inversion pairs, and every identity
+    between the counts is asserted: AssertionError names the first that
+    fails."""
     families = q_classes(cs)
     n_q = len(families)
     n_r = len(r_classes(cs))
@@ -91,50 +93,37 @@ def analyze(cs: ClassStructure) -> GaloisReport:
             a2 += 1
             a1 += r_count
     rank = n_r - n_q
+    f = max(len(fam) for fam in families)
+    if rank != sum(contributions):
+        raise AssertionError("rank disagrees with the per-family contribution sum")
+    # with no negative term, the families of positive contribution (the
+    # a-set) are empty exactly when the rank is 0
+    if min(contributions) < 0:
+        raise AssertionError("a family contributes a negative rank")
+    if rank != a1 - a2:
+        raise AssertionError(f"rank {rank} != a1 - a2 = {a1 - a2}")
+    if 2 * a2 > a1:
+        raise AssertionError(f"2*a2 = {2 * a2} exceeds a1 = {a1}")
+    if 2 * rank < f - 2:
+        raise AssertionError(f"rank {rank} below f/2 - 1 with f = {f}")
+    half_pairs = sum(1 for c, ci in enumerate(cs.inverse_map) if ci != c)
+    if half_pairs % 2:
+        raise AssertionError("inversion pairs do not match up")
+    if n_r != cs.num_classes - half_pairs // 2:
+        raise AssertionError("n_R disagrees with the direct pair count")
     return GaloisReport(
         group_order=cs.group_order,
         num_classes=cs.num_classes,
         n_Q=n_q,
         n_R=n_r,
         rank=rank,
-        f=max(len(fam) for fam in families),
+        f=f,
         families=families,
         family_contributions=tuple(contributions),
         a1=a1,
         a2=a2,
         is_cut=rank == 0,
     )
-
-
-def check_identities(cs: ClassStructure) -> GaloisReport:
-    """Recompute the rank several independent ways and insist they agree.
-
-    Raises AssertionError naming the first identity that fails; returns
-    the report otherwise.
-    """
-    rep = analyze(cs)
-    if rep.rank != rep.n_R - rep.n_Q:
-        raise AssertionError(f"rank {rep.rank} != n_R - n_Q = {rep.n_R - rep.n_Q}")
-    if rep.rank != sum(rep.family_contributions):
-        raise AssertionError("rank disagrees with the per-family contribution sum")
-    # with no negative term, the families of positive contribution (the
-    # a-set) are empty exactly when the rank is 0
-    if min(rep.family_contributions) < 0:
-        raise AssertionError("a family contributes a negative rank")
-    if rep.rank != rep.a1 - rep.a2:
-        raise AssertionError(f"rank {rep.rank} != a1 - a2 = {rep.a1 - rep.a2}")
-    if 2 * rep.a2 > rep.a1:
-        raise AssertionError(f"2*a2 = {2 * rep.a2} exceeds a1 = {rep.a1}")
-    if Fraction(rep.rank) < Fraction(rep.f, 2) - 1:
-        raise AssertionError(f"rank {rep.rank} below f/2 - 1 with f = {rep.f}")
-    if rep.is_cut != (rep.rank == 0):
-        raise AssertionError("cut flag disagrees with rank")
-    half_pairs = sum(1 for c in range(cs.num_classes) if cs.inverse_map[c] != c)
-    if half_pairs % 2:
-        raise AssertionError("inversion pairs do not match up")
-    if rep.n_R != cs.num_classes - half_pairs // 2:
-        raise AssertionError("n_R disagrees with the direct pair count")
-    return rep
 
 
 def report_to_obj(rep: GaloisReport, labels=None) -> dict:

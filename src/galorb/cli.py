@@ -247,15 +247,9 @@ def _cmd_screen(args) -> tuple[str, int]:
 # -- charpoly -----------------------------------------------------------
 
 
-def _charpoly_report(g, args) -> tuple[str, int]:
-    kwargs = {}
-    if args.max_order is not None:
-        kwargs["bound"] = args.max_order
-    order = element_order(g, **kwargs)
-    count_kwargs = {}
-    if args.max_order is not None:
-        count_kwargs["max_order"] = args.max_order
-    count = coprime_power_charpoly_count(g, **count_kwargs)
+def _charpoly_report(g, args, max_order: int) -> tuple[str, int]:
+    order = element_order(g, bound=max_order)
+    count = coprime_power_charpoly_count(g, max_order=max_order)
     bound, verdict = class_lower_bound(count, args.center)
     obj = {
         "dimension": g.n,
@@ -279,23 +273,29 @@ def _charpoly_report(g, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+# the one element-order bound of charpoly when --max-order is not given
+_CHARPOLY_MAX_ORDER = 100_000
+
+
 def _cmd_charpoly(args) -> tuple[str, int]:
+    max_order = _CHARPOLY_MAX_ORDER if args.max_order is None else args.max_order
     if args.action == "singer":
         g = singer_element(args.n, args.q)
-        return _charpoly_report(g, args)
+        return _charpoly_report(g, args, max_order)
     if args.action == "file":
         if args.target is None:
             raise InputError("charpoly file needs --target ORDER")
+        if args.target > max_order:
+            raise ResourceLimitError(
+                f"target order {args.target} exceeds the bound {max_order}; "
+                "raise it with --max-order")
         _, gens = parse_matrix_group_file(_read(args.file))
-        search_kwargs = {"seed": args.seed}
-        if args.max_order is not None:
-            search_kwargs["bound"] = args.max_order
-        g = random_element_search(gens, args.target, **search_kwargs)
+        g = random_element_search(gens, args.target, seed=args.seed, bound=max_order)
         if g is None:
             raise UncertifiedError(
                 f"no element of order {args.target} found "
                 f"(seed {args.seed}); try another seed or more attempts")
-        return _charpoly_report(g, args)
+        return _charpoly_report(g, args, max_order)
     # action == "bound"
     bound, verdict = class_lower_bound(args.count, args.center)
     obj = {"count": args.count, "center": args.center,
@@ -357,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan box, default 40,64")
     p.set_defaults(fn=_cmd_screen)
 
-    p = sub.add_parser("charpoly", parents=[common],
-                       help="characteristic polynomial class bounds")
+    # charpoly's options belong to its actions, after the action name
+    p = sub.add_parser("charpoly", help="characteristic polynomial class bounds")
     psub = p.add_subparsers(dest="action", required=True)
     ps = psub.add_parser("singer", parents=[common],
                          help="Singer element of GL(n, q)")

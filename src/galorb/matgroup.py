@@ -359,7 +359,8 @@ def element_order(M: Matrix, bound: int = 10_000_000) -> int:
             order //= r
     assert M.pow(order).is_identity
     if order > bound:
-        raise ResourceLimitError(f"order {order} exceeds the bound {bound}")
+        raise ResourceLimitError(
+            f"order {order} exceeds the bound {bound}; raise it with --max-order")
     return order
 
 

@@ -3,10 +3,10 @@
 Permutations on n points are tuples p of length n with p[i] the image of
 i; composition pmul(p, q) applies q first.  Group input is a finite
 generating set wrapped in a GroupSpec.  The class data consumed by the
-rest of the package is a ClassStructure: sizes, element orders, the
-inverse permutation on classes, and for each class the map recording
-where coprime power maps send it, keyed by residues modulo the element
-order.
+rest of the package is a ClassStructure: sizes, element orders, and for
+each class the map recording where coprime power maps send it, keyed by
+residues modulo the element order.  Each fact is stored once: the
+exponent and the inverse permutation on classes are derived from these.
 
 Orders come from a stabilizer chain built by incremental Schreier-Sims:
 levels grow in place as strong generators join them, and each Schreier
@@ -20,13 +20,17 @@ search and no seed; groups whose order times degree exceeds 10^8 are
 refused before any element is stored.  Alternating and cyclic groups
 also get direct combinatorial constructions that build no permutation:
 cycle types and the Jacobi symbol for A_n, residues for cyclic groups.
+All three builders share one assembly step: each lists its classes and
+supplies one class's power images at a time, and the classes are
+numbered, labelled and validated in one place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
@@ -367,14 +371,14 @@ class ClassStructure:
     Classes are indexed 0..n-1 with the identity class at index 0.
     fusion[c] maps each unit residue k modulo orders[c] to the index of
     the class of k-th powers of class c; the trivial class uses the
-    single key 0.  labels are human-facing and carry no semantics.
+    single key 0.  The exponent and the inverse map are derived from
+    orders and fusion, not stored.  labels are human-facing and carry no
+    semantics.
     """
 
     group_order: int
-    exponent: int
     sizes: tuple[int, ...]
     orders: tuple[int, ...]
-    inverse_map: tuple[int, ...]
     fusion: tuple[dict[int, int], ...]
     labels: tuple[str, ...]
     reps: tuple = ()
@@ -386,34 +390,34 @@ class ClassStructure:
 
     def __hash__(self):
         # the fields of __eq__, each read-only fusion map as its sorted items
-        return hash((self.group_order, self.exponent, self.sizes, self.orders,
-                     self.inverse_map, tuple(tuple(sorted(fus.items())) for fus in self.fusion),
+        return hash((self.group_order, self.sizes, self.orders,
+                     tuple(tuple(sorted(fus.items())) for fus in self.fusion),
                      self.labels, self.reps))
 
     @property
     def num_classes(self) -> int:
         return len(self.sizes)
 
+    @cached_property
+    def exponent(self) -> int:
+        """lcm of the element orders."""
+        return math.lcm(*self.orders)
+
+    @cached_property
+    def inverse_map(self) -> tuple[int, ...]:
+        """Class of the inverses of each class: the fusion image at
+        k = -1 mod the order (k = 0 for the trivial class)."""
+        return tuple(fus[m - 1] for m, fus in zip(self.orders, self.fusion))
+
     def validate(self):
         n = self.num_classes
-        if not (len(self.orders) == len(self.inverse_map) == len(self.fusion)
-                == len(self.labels) == n):
+        if not len(self.orders) == len(self.fusion) == len(self.labels) == n:
             raise InputError("class structure fields disagree in length")
         if sum(self.sizes) != self.group_order:
             raise InputError("class sizes do not sum to the group order")
         if self.orders[0] != 1 or self.sizes[0] != 1:
             raise InputError("class 0 must be the trivial class")
-        exp = 1
-        for o in self.orders:
-            exp = math.lcm(exp, o)
-        if exp != self.exponent:
-            raise InputError("exponent is not the lcm of element orders")
         for c in range(n):
-            ci = self.inverse_map[c]
-            if not 0 <= ci < n or self.inverse_map[ci] != c:
-                raise InputError(f"inverse map is not an involution at class {c}")
-            if self.orders[ci] != self.orders[c] or self.sizes[ci] != self.sizes[c]:
-                raise InputError(f"inverse class of {c} has different invariants")
             m = self.orders[c]
             fus = self.fusion[c]
             if tuple(sorted(fus)) != units_mod(m):
@@ -421,12 +425,15 @@ class ClassStructure:
             one = 0 if m == 1 else 1 % m
             if fus[one] != c:
                 raise InputError(f"fusion of class {c} does not fix k = 1")
-            for k, d in fus.items():
+            for d in fus.values():
+                if not 0 <= d < n:
+                    raise InputError(f"fusion image {d} of class {c} is not a class")
                 if self.orders[d] != m or self.sizes[d] != self.sizes[c]:
                     raise InputError(
                         f"fusion image {d} of class {c} has different invariants")
-            if m > 2 and fus[m - 1] != ci:
-                raise InputError(f"fusion at -1 disagrees with inversion at class {c}")
+        for c, ci in enumerate(self.inverse_map):
+            if self.inverse_map[ci] != c:
+                raise InputError(f"inverse map is not an involution at class {c}")
         return self
 
 
@@ -448,42 +455,32 @@ def _labels_for(keys: list, lower: bool = False) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _structure_from_classes(order, reps, sizes, lookup):
-    """Assemble a ClassStructure from class representatives and sizes.
+def _assemble(group_order: int, classes: list, powers,
+              lower: bool = False) -> ClassStructure:
+    """The assembly step every class builder shares.
 
-    lookup takes a list of group elements and returns the index (into
-    reps) of the class of each; it is called once, on the inverses and
-    coprime powers of every representative.
+    classes lists (order, size, key) per class in the builder's own
+    numbering, keys distinct; the classes are renumbered by that triple.
+    powers(c) gives, for a builder class c of order m, the builder index
+    of the class of c^k for each k in units_mod(m), in that order (for
+    the trivial class, k = 0 and the class itself).  The keys become the
+    reps, labels are added, and the result is validated.
     """
-    perm_sort = sorted(range(len(reps)),
-                       key=lambda c: (perm_order(reps[c]), sizes[c], reps[c]))
-    newpos = {old: new for new, old in enumerate(perm_sort)}
-    reps = [reps[c] for c in perm_sort]
-    sizes = tuple(sizes[c] for c in perm_sort)
-    orders = tuple(perm_order(r) for r in reps)
-    exponent = 1
-    for o in orders:
-        exponent = math.lcm(exponent, o)
-    images = [pinv(r) for r in reps]
-    for r, m in zip(reps, orders):
-        if m > 1:
-            images.extend(ppow(r, k) for k in units_mod(m))
-    found = iter([newpos[c] for c in lookup(images)])
-    inverse_map = tuple(next(found) for _ in reps)
-    fusion = []
-    for c, m in enumerate(orders):
-        fusion.append({k: next(found) if m > 1 else c for k in units_mod(m)})
-    cs = ClassStructure(
-        group_order=order,
-        exponent=exponent,
-        sizes=sizes,
+    perm = sorted(range(len(classes)), key=classes.__getitem__)
+    newpos = [0] * len(perm)
+    for new, old in enumerate(perm):
+        newpos[old] = new
+    orders = tuple(classes[c][0] for c in perm)
+    fusion = tuple(dict(zip(units_mod(m), map(newpos.__getitem__, powers(old))))
+                   for old, m in zip(perm, orders))
+    return ClassStructure(
+        group_order=group_order,
+        sizes=tuple(classes[c][1] for c in perm),
         orders=orders,
-        inverse_map=inverse_map,
-        fusion=tuple(fusion),
-        labels=_labels_for(list(orders)),
-        reps=tuple(reps),
-    )
-    return cs.validate()
+        fusion=fusion,
+        labels=_labels_for(orders, lower),
+        reps=tuple(classes[c][2] for c in perm),
+    ).validate()
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -555,12 +552,17 @@ def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure
     rep_idx = np.flatnonzero(lab == np.arange(order))
     sizes = np.bincount(lab)[rep_idx].tolist()
     reps = [tuple(r) for r in elems[rep_idx].tolist()]
+    orders = [perm_order(r) for r in reps]
+    # every coprime power of every representative, in one batched lookup
+    images = [ppow(r, k) for r, m in zip(reps, orders) for k in units_mod(m)]
+    at = np.searchsorted(keys, _row_keys(np.array(images, dtype=np.uint8)))
+    found = np.searchsorted(rep_idx, lab[at]).tolist()
+    starts = list(accumulate((len(units_mod(m)) for m in orders), initial=0))
 
-    def lookup(images):
-        at = np.searchsorted(keys, _row_keys(np.array(images, dtype=np.uint8)))
-        return np.searchsorted(rep_idx, lab[at]).tolist()
+    def powers(c):
+        return found[starts[c]:starts[c + 1]]
 
-    return _structure_from_classes(order, reps, sizes, lookup)
+    return _assemble(order, list(zip(orders, sizes, reps)), powers)
 
 
 def conjugacy_classes(spec: GroupSpec, *,
@@ -608,27 +610,12 @@ def alternating_group_spec(n: int) -> GroupSpec:
 
 
 def cyclic_class_structure(m: int) -> ClassStructure:
-    """Class data of the cyclic group of order m, no permutations involved."""
+    """Class data of the cyclic group of order m, no permutations involved:
+    class j is the residue j, and its k-th powers are the class jk mod m."""
     if m < 1:
         raise InputError("cyclic order must be positive")
-    elems = sorted(range(m), key=lambda j: (m // math.gcd(m, j), j))
-    pos = {j: c for c, j in enumerate(elems)}
-    orders = tuple(m // math.gcd(m, j) for j in elems)
-    fusion = []
-    for c, j in enumerate(elems):
-        d = orders[c]
-        fusion.append({k: pos[j * k % m] for k in units_mod(d)} if d > 1 else {0: c})
-    cs = ClassStructure(
-        group_order=m,
-        exponent=m,
-        sizes=(1,) * m,
-        orders=orders,
-        inverse_map=tuple(pos[-j % m] for j in elems),
-        fusion=tuple(fusion),
-        labels=_labels_for(list(orders)),
-        reps=tuple(elems),
-    )
-    return cs.validate()
+    classes = [(m // math.gcd(m, j), 1, j) for j in range(m)]
+    return _assemble(m, classes, lambda j: [j * k % m for k in units_mod(classes[j][0])])
 
 
 def _even_partitions(n: int):
@@ -663,7 +650,8 @@ def alternating_class_structure(n: int) -> ClassStructure:
     if not 5 <= n <= 40:
         raise InputError(f"alternating class data supports 5 <= n <= 40, got {n}")
     nfact = math.factorial(n)
-    records = []  # (order, size, parts, half, fusion_swap or None)
+    classes = []  # (order, size, (parts, half))
+    swaps = []  # per class: None when unsplit, else per unit 1 if powers change half
     for parts in _even_partitions(n):
         z = 1
         run = None
@@ -679,41 +667,24 @@ def alternating_class_structure(n: int) -> ClassStructure:
         order = math.lcm(*parts)
         split = all(p % 2 for p in parts) and len(set(parts)) == len(parts)
         if not split:
-            records.append((order, size, parts, 0, None))
+            classes.append((order, size, (parts, 0)))
+            swaps.append(None)
             continue
         if size % 2:
             raise AssertionError("split class size must be even")
         # (k / P) is the product of Euler's criterion over the primes
         # dividing P to an odd power, all of them prime to the unit k
         odd = [ell for ell, e in factorize(math.prod(parts)).items() if e % 2]
-        swap = {k: sum(pow(k, (ell - 1) // 2, ell) != 1 for ell in odd) % 2
-                for k in units_mod(order)}
-        records.append((order, size // 2, parts, 0, swap))
-        records.append((order, size // 2, parts, 1, swap))
+        swap = [sum(pow(k, (ell - 1) // 2, ell) != 1 for ell in odd) % 2
+                for k in units_mod(order)]
+        classes += [(order, size // 2, (parts, 0)), (order, size // 2, (parts, 1))]
+        swaps += [swap, swap]
 
-    records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    pos = {(r[2], r[3]): c for c, r in enumerate(records)}
-    orders = tuple(r[0] for r in records)
-    sizes = tuple(r[1] for r in records)
-    fusion = []
-    inverse_map = []
-    for order, _size, parts, half, swap in records:
-        if swap is None:
-            fus = ({k: pos[(parts, 0)] for k in units_mod(order)} if order > 1
-                   else {0: pos[(parts, 0)]})
-            inverse_map.append(pos[(parts, 0)])
-        else:
-            fus = {k: pos[(parts, half ^ s)] for k, s in swap.items()}
-            inverse_map.append(fus[order - 1])
-        fusion.append(fus)
-    cs = ClassStructure(
-        group_order=nfact // 2,
-        exponent=math.lcm(*orders),
-        sizes=sizes,
-        orders=orders,
-        inverse_map=tuple(inverse_map),
-        fusion=tuple(fusion),
-        labels=_labels_for(list(orders), lower=True),
-        reps=tuple((r[2], r[3]) for r in records),
-    )
-    return cs.validate()
+    def powers(c):
+        if swaps[c] is None:
+            return [c] * len(units_mod(classes[c][0]))
+        # a split pair is builder classes i (half 0) and i + 1 (half 1)
+        step = 1 - 2 * classes[c][2][1]
+        return [c + step * s for s in swaps[c]]
+
+    return _assemble(nfact // 2, classes, powers, lower=True)

@@ -297,6 +297,11 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
         raise InputError(f"box too small for family {tag}: "
                          f"n_max {n_max}, q_max {q_max}")
 
+    # one M-table build per call: thresholds grow with n, so grow the
+    # table once to the largest one the scan and the certificate will ask
+    max_m_with_totient_at_most(max(
+        rec.threshold(n) for n in range(rec.n_min, 2 * n_max + 1) if rec.in_domain(n)))
+
     rows = []
     exceptions = set()
     excluded = []

@@ -9,11 +9,8 @@ from galorb.altcount import (
     frobenius_rank, partition_record, partitions_exact, prop8_construct,
     prop8_lower_bound,
 )
-from galorb.chartab import (
-    brauer_crosscheck, char_report, column_families, cut_by_character_fields,
-    fixture_table, rank_of_central_units,
-)
-from galorb.classtheory import analyze, check_identities, q_classes
+from galorb.chartab import brauer_crosscheck, char_report, column_families, fixture_table
+from galorb.classtheory import analyze, q_classes
 from galorb.cli import main
 from galorb.matgroup import (
     class_lower_bound, coprime_power_charpoly_count, element_order,
@@ -88,7 +85,7 @@ def test_c3_table_rank_equals_class_rank():
     for name, cs in pairs:
         t = fixture_table(name)
         rep = _analyze(cs)
-        assert rank_of_central_units(t) == rep.rank, name
+        assert char_report(t).rank_eq1 == rep.rank, name
         table_fams = {frozenset(f) for f in column_families(t)}
         class_fams = {frozenset(f) for f in q_classes(cs)}
         assert table_fams == class_fams, name
@@ -104,7 +101,7 @@ def test_c4_identity_suite():
             ANALYZED.append(conjugacy_classes(spec))
     seen = 0
     for cs in ANALYZED:
-        rep = check_identities(cs)
+        rep = analyze(cs)
         assert 2 * rep.a2 <= rep.a1
         assert 2 * rep.rank >= rep.f - 2
         assert rep.is_cut == (rep.rank == 0)
@@ -112,7 +109,8 @@ def test_c4_identity_suite():
     # where a table exists, the character-field criterion must agree
     for name in ("c2", "c3", "c4", "c5", "s3", "a4", "q8", "a5", "psl2_7"):
         t = fixture_table(name)
-        assert cut_by_character_fields(t) == (char_report(t).rank_eq1 == 0)
+        rep = char_report(t)
+        assert rep.cut_by_fields == (rep.rank_eq1 == 0)
     _accept("C4", f"identity suite on {seen} analyzed groups plus 9 tables")
 
 

@@ -5,11 +5,9 @@ import random
 import pytest
 
 from galorb.chartab import (
-    CharacterTable, _column_maps, _exponent_units, _row_field_classes,
-    _row_orbit_keys, b_set_quantities, brauer_crosscheck, char_report,
-    column_families, cut_by_character_fields, fixture_names, fixture_table,
-    max_galois_orbit_length, parse_table, rank_of_central_units,
-    real_row_count, serialize_table, table_exponent,
+    CharacterTable, _exponent_units, brauer_crosscheck, char_report,
+    column_families, fixture_names, fixture_table, parse_table,
+    serialize_table, table_exponent,
 )
 from galorb.cyclotomic import (
     CyclotomicNumber, FieldClass, field_class, galois_apply, value_from_obj, zeta,
@@ -28,6 +26,15 @@ REPORT_ANCHORS = {
 }
 
 Q8_SPEC = GroupSpec(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
+
+
+def b_set(t):
+    """Rows whose field is neither rational nor imaginary quadratic,
+    with the report's b1 and b2."""
+    flat = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
+    rep = char_report(t)
+    keep = tuple(i for i, fc in enumerate(t._rows.field_classes) if fc not in flat)
+    return keep, rep.b1, rep.b2
 
 
 def test_fixture_inventory():
@@ -52,27 +59,27 @@ def test_rank_consistency_between_rows_and_quantities():
     for name in fixture_names():
         t = fixture_table(name)
         rep = char_report(t)
-        assert rep.rank_eq1 == rank_of_central_units(t)
+        assert rep.rank_eq1 == rep.h_R + (len(t.irr) - rep.h_R) // 2 - rep.n_orbits
         assert rep.b1 - rep.b2 == rep.rank_eq1
         assert 2 * rep.b2 <= rep.b1
-        assert rep.f_table == max_galois_orbit_length(t)
+        assert rep.f_table == max(len(fam) for fam in column_families(t))
 
 
 def test_b_sets():
-    assert b_set_quantities(fixture_table("c3")) == ((), 0, 0)
-    b, b1, b2 = b_set_quantities(fixture_table("c5"))
+    assert b_set(fixture_table("c3")) == ((), 0, 0)
+    b, b1, b2 = b_set(fixture_table("c5"))
     assert (len(b), b1, b2) == (4, 2, 1)
-    b, b1, b2 = b_set_quantities(fixture_table("a5"))
+    b, b1, b2 = b_set(fixture_table("a5"))
     assert (len(b), b1, b2) == (2, 2, 1)
-    assert b_set_quantities(fixture_table("psl2_7")) == ((), 0, 0)
+    assert b_set(fixture_table("psl2_7")) == ((), 0, 0)
 
 
 def test_cut_detection_by_fields():
-    assert cut_by_character_fields(fixture_table("q8"))
-    assert cut_by_character_fields(fixture_table("s3"))
-    assert cut_by_character_fields(fixture_table("a4"))
-    assert not cut_by_character_fields(fixture_table("c5"))
-    assert not cut_by_character_fields(fixture_table("a5"))
+    assert char_report(fixture_table("q8")).cut_by_fields
+    assert char_report(fixture_table("s3")).cut_by_fields
+    assert char_report(fixture_table("a4")).cut_by_fields
+    assert not char_report(fixture_table("c5")).cut_by_fields
+    assert not char_report(fixture_table("a5")).cut_by_fields
 
 
 CROSSCHECK_PAIRS = [
@@ -152,8 +159,8 @@ def test_exponent_fallback_uses_conductors():
     t = fixture_table("a5")
     noorders = CharacterTable(t.name, t.group_order, t.class_sizes, None, t.irr)
     assert table_exponent(noorders) == 5
-    assert rank_of_central_units(noorders) == 1
-    assert real_row_count(noorders) == 5
+    assert char_report(noorders).rank_eq1 == 1
+    assert char_report(noorders).h_R == 5
 
 
 def _fixture_obj(name):
@@ -326,16 +333,17 @@ ORACLE_TABLES += [(f"c{m}", lambda m=m: cyclic_table(m, random.Random(m)))
 def test_galois_action_matches_per_cell_reference(name, make):
     t = make()
     act = t.galois_action
-    assert real_row_count(t) == sum(1 for row in t.irr if _apply_row(row, -1) == row)
-    for k in act.units:
-        image = act.image(k)
+    rows = t._rows
+    assert list(rows.real) == [_apply_row(row, -1) == row for row in t.irr]
+    for k, image in zip(act.units, act.images):
         fixed = [tuple(image[v] for v in ids) == ids for ids in act.cells]
         assert fixed == [_apply_row(row, k) == row for row in t.irr], k
-    assert len(set(_row_orbit_keys(t))) == reference_orbit_count(t)
-    assert _column_maps(t) == reference_column_maps(t)
+        assert rows.fixed[k] == sum(fixed), k
+    assert len(set(rows.orbit_keys)) == reference_orbit_count(t)
+    assert t._column_maps == reference_column_maps(t)
     assert column_families(t) == reference_families(t)
-    assert _row_field_classes(t) == [field_class(row) for row in t.irr]
-    assert b_set_quantities(t) == reference_b_sets(t)
+    assert list(rows.field_classes) == [field_class(row) for row in t.irr]
+    assert b_set(t) == reference_b_sets(t)
 
 
 def test_galois_action_is_read_only_and_computed_once():

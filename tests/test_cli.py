@@ -144,6 +144,29 @@ def test_charpoly_bound(capsys):
     assert obj["class_bound"] == 5 and obj["at_least_five"]
 
 
+def test_charpoly_options_follow_the_action(capsys):
+    code, out, _ = run(capsys, "charpoly", "singer", "4", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["order"] == 15
+    code, out, err = run(capsys, "charpoly", "singer", "4", "2", "--max-order", "5")
+    assert code == 4 and out == ""
+    assert "order 15 exceeds the bound 5; raise it with --max-order" in err
+    # declared on the actions only: before the action they are a usage error
+    for flag in (("--format", "json"), ("--max-order", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly", *flag, "singer", "4", "2"])
+        assert exc.value.code == 2, flag
+
+
+def test_charpoly_has_one_order_bound(capsys):
+    code, out, err = run(capsys, "charpoly", "singer", "2", "512")
+    assert code == 4 and out == ""
+    assert "order 262143 exceeds the bound 100000; raise it with --max-order" in err
+    code, out, err = run(capsys, "charpoly", "file", str(DATA / "gl2_3.json"),
+                         "--target", "8", "--max-order", "7")
+    assert code == 4 and out == ""
+    assert "target order 8 exceeds the bound 7; raise it with --max-order" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze-perm", str(DATA / "nope.gens"))
     assert code == 2 and "cannot read" in err
@@ -238,6 +261,28 @@ def test_analyze_table_json_bytes(capsys, tmp_path, name):
     code, out, err = run(capsys, *_table_argv(tmp_path, name))
     assert code == 0, err
     assert out == (GOLDEN / f"analyze-table_{name}.json").read_text(encoding="utf-8")
+
+
+def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
+    import galorb.classtheory
+    from galorb.chartab import CharacterTable
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_rows", "_column_maps"):
+        prop = vars(CharacterTable)[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    monkeypatch.setattr(galorb.classtheory, "q_classes",
+                        counting("q_classes", galorb.classtheory.q_classes))
+    code, out, _ = run(capsys, "analyze-table", str(TABLES / "a5.json"),
+                       "--gens", str(DATA / "a5.gens"), "--format", "json")
+    assert code == 0 and json.loads(out)["crosscheck"]["passed"]
+    assert sorted(calls) == ["_column_maps", "_rows", "q_classes"]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -72,10 +72,8 @@ def reference_classes(spec):
                        for k in units_mod(m)})
     return ClassStructure(
         group_order=len(elem_class),
-        exponent=math.lcm(*orders),
         sizes=tuple(len(class_sets[c]) for c in perm_sort),
         orders=orders,
-        inverse_map=tuple(newpos[elem_class[pinv(r)]] for r in reps),
         fusion=tuple(fusion),
         labels=_labels_for(list(orders)),
         reps=tuple(reps),
@@ -234,10 +232,8 @@ def reference_alternating_class_structure(n):
         fusion.append(fus)
     return ClassStructure(
         group_order=nfact // 2,
-        exponent=math.lcm(*orders),
         sizes=tuple(r[1] for r in records),
         orders=orders,
-        inverse_map=tuple(inverse_map),
         fusion=tuple(fusion),
         labels=_labels_for(list(orders), lower=True),
         reps=tuple((r[2], r[3]) for r in records),
@@ -440,8 +436,8 @@ def test_cached_fusion_maps_are_read_only():
 
 def test_fusion_maps_are_copied_from_the_input():
     fus = [{0: 0}, {1: 1}]
-    cs = ClassStructure(group_order=2, exponent=2, sizes=(1, 1), orders=(1, 2),
-                        inverse_map=(0, 1), fusion=tuple(fus), labels=("1A", "2A"))
+    cs = ClassStructure(group_order=2, sizes=(1, 1), orders=(1, 2),
+                        fusion=tuple(fus), labels=("1A", "2A"))
     fus[1][1] = 0
     assert cs.fusion[1][1] == 1
     assert cs.fusion == ({0: 0}, {1: 1})
@@ -455,8 +451,8 @@ def test_equal_structures_hash_equal():
     assert hash(rebuilt) == hash(cached)
     # fusion maps built in another key order are still the same maps
     shuffled = ClassStructure(
-        cached.group_order, cached.exponent, cached.sizes, cached.orders,
-        cached.inverse_map, tuple(dict(reversed(fus.items())) for fus in cached.fusion),
+        cached.group_order, cached.sizes, cached.orders,
+        tuple(dict(reversed(fus.items())) for fus in cached.fusion),
         cached.labels, cached.reps)
     assert shuffled == cached and hash(shuffled) == hash(cached)
     assert len({cached, rebuilt, shuffled, cyclic_class_structure(5)}) == 2

@@ -107,6 +107,20 @@ def test_max_totient_across_regrow_boundaries(monkeypatch):
                       2 ** 19, 2 ** 20]
 
 
+def test_m_table_is_built_once_per_call(monkeypatch):
+    # thresholds grow with n, so the table is grown once, up front, to the
+    # largest one that the scan and its certificate ask for
+    built = []
+    totients = screening._totient_table
+    monkeypatch.setattr(screening, "_totient_table",
+                        lambda limit: built.append(limit) or totients(limit))
+    monkeypatch.setattr(screening, "_M_TABLE", {"limit": 0, "best": None})
+    res = exception_set("POmega_odd")
+    assert res.certified and res.exceptions == EXPECTED["POmega_odd"]
+    assert built == [2 ** 21]
+    assert not screening._M_TABLE["best"].flags.writeable
+
+
 def test_cached_m_table_is_read_only():
     m_star = max_m_with_totient_at_most(10)
     with pytest.raises(ValueError):
