@@ -18,8 +18,8 @@ Every analysis reads one GaloisAction per table, built once: each
 distinct value gets an integer id and each unit k modulo the table
 exponent an id map, so rows, columns and fields are compared as id
 tuples and galois_apply runs once per distinct value and unit, not per
-cell and query.  The per-row facts (one pass over the rows) and the
-column maps are likewise built once per table.  Orthogonality is
+cell and query.  The per-row facts (one pass over the rows), the
+column maps and the report are likewise built once per table.  Orthogonality is
 checked on integer lifts of the values at the lcm of their conductors.
 """
 
@@ -170,6 +170,38 @@ class CharacterTable:
                 targets.append(d)
             maps[k] = tuple(targets)
         return maps
+
+    @cached_property
+    def _report(self) -> CharReport:
+        """char_report's value, built on first use."""
+        rows = self._rows
+        n = len(rows.real)
+        h_r = sum(rows.real)
+        if (n - h_r) % 2:
+            raise InputError(f"table {self.name!r}: non-real rows do not pair up")
+        n_orbits = len(set(rows.orbit_keys))
+        rank = h_r + (n - h_r) // 2 - n_orbits
+        keep = [i for i, fc in enumerate(rows.field_classes) if fc not in _FLAT]
+        b1 = len({rows.conj_keys[i] for i in keep})
+        b2 = len({rows.orbit_keys[i] for i in keep})
+        if rank != b1 - b2:
+            raise AssertionError(f"table {self.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
+        if 2 * b2 > b1:
+            raise AssertionError(f"table {self.name!r}: 2*b2 = {2 * b2} exceeds b1 = {b1}")
+        if (not keep) != (rank == 0):
+            raise AssertionError(
+                f"table {self.name!r}: field criterion disagrees with the rank")
+        families = column_families(self)
+        return CharReport(
+            h_R=h_r,
+            rank_eq1=rank,
+            f_table=max(len(fam) for fam in families),
+            b1=b1,
+            b2=b2,
+            cut_by_fields=not keep,
+            n_orbits=n_orbits,
+            families=families,
+        )
 
     def validate(self) -> "CharacterTable":
         n = self.num_classes
@@ -386,36 +418,9 @@ class CharReport:
 
 
 def char_report(t: CharacterTable) -> CharReport:
-    """The report of one table, from one pass over its rows; the
-    row-side rank identities are asserted here."""
-    rows = t._rows
-    n = len(rows.real)
-    h_r = sum(rows.real)
-    if (n - h_r) % 2:
-        raise InputError(f"table {t.name!r}: non-real rows do not pair up")
-    n_orbits = len(set(rows.orbit_keys))
-    rank = h_r + (n - h_r) // 2 - n_orbits
-    keep = [i for i, fc in enumerate(rows.field_classes) if fc not in _FLAT]
-    b1 = len({rows.conj_keys[i] for i in keep})
-    b2 = len({rows.orbit_keys[i] for i in keep})
-    if rank != b1 - b2:
-        raise AssertionError(f"table {t.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
-    if 2 * b2 > b1:
-        raise AssertionError(f"table {t.name!r}: 2*b2 = {2 * b2} exceeds b1 = {b1}")
-    if (not keep) != (rank == 0):
-        raise AssertionError(
-            f"table {t.name!r}: field criterion disagrees with the rank")
-    families = column_families(t)
-    return CharReport(
-        h_R=h_r,
-        rank_eq1=rank,
-        f_table=max(len(fam) for fam in families),
-        b1=b1,
-        b2=b2,
-        cut_by_fields=not keep,
-        n_orbits=n_orbits,
-        families=families,
-    )
+    """The report of one table, from one pass over its rows; built once
+    per table, when the row-side rank identities are asserted."""
+    return t._report
 
 
 # -- Brauer cross-checks ------------------------------------------------
@@ -442,7 +447,8 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     Four checks: per-map fixed rows equal fixed classes; row orbits
     equal class families in number; the induced column permutation of
     every Galois map equals the class fusion permutation (and therefore
-    the partitions agree); and both rank computations agree.  Alignment
+    the family partitions agree, both being the components of those
+    maps); and both rank computations agree.  Alignment
     failures (sizes, orders, group order) are input errors; check
     failures are reported, not raised.
     """
@@ -491,8 +497,6 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
             diffs = [c for c in range(cs.num_classes) if table_map[c] != fusion_map[c]]
             bad.append(f"k={k}: columns {diffs} map to {[table_map[c] for c in diffs]} "
                        f"in the table but classes fuse to {[fusion_map[c] for c in diffs]}")
-    if set(rep_t.families) != set(rep_c.families) and not bad:
-        bad.append("family partitions differ")
     checks.append(CheckResult(
         "column_families", not bad,
         "; ".join(bad) if bad else "column maps match fusion maps for every k"))

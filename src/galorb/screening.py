@@ -7,12 +7,14 @@ order exceeds a linear threshold in n, the group supports long Galois
 orbits and leaves every candidate list here; the finitely many (n, q)
 below threshold are the exceptions this module computes.
 
-A finite (n, q) box never proves a list complete on its own, so each
-scan carries a certificate: exact boundary checks one step beyond the
-box in q and up to twice the box in n (both against the exact maximum
-m with phi(m) <= t), a cruder phi(m) >= sqrt(m/2) bound for a long n
-tail, and a closed-form exponential-versus-cubic comparison beyond
-that.  Every check uses integer arithmetic only.
+The exact maximum M(t) of m with phi(m) <= t comes from a search over
+the m with small phi (a prime p dividing m has p - 1 dividing phi(m)),
+not from a totient table.  A finite (n, q) box never proves a list
+complete on its own, so each scan carries a certificate: exact boundary
+checks against M one step beyond the box in q and up to twice the box
+in n, the cruder phi(m) >= sqrt(m/2) for a long n tail, and a
+closed-form exponential-versus-cubic comparison beyond that.  Every
+check uses integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
-import numpy as np
-
 from .errors import InputError
-from .numutil import is_prime_power, prime_powers_upto, totient
+from .numutil import is_prime, is_prime_power, prime_powers_upto, totient
 
 __all__ = [
     "totient", "max_m_with_totient_at_most", "FamilyRecord", "FAMILIES",
@@ -37,57 +38,42 @@ __all__ = [
 
 # -- exact M(t) = max { m : phi(m) <= t } -------------------------------
 
-_M_TABLE = {"limit": 0, "best": None}
 
+@lru_cache(maxsize=None)
+def _m_table(limit: int) -> tuple[int, ...]:
+    """M(t) for 0 <= t <= limit (M(0) reads 0).
 
-def _totient_table(limit: int) -> np.ndarray:
-    """phi(m) for 0 <= m <= limit, as int32 while limit fits."""
-    dtype = np.int32 if limit < 2 ** 31 else np.int64
-    root = math.isqrt(limit)
-    sieve = np.ones(root + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    # Only primes up to sqrt(limit) are looped over.  Dividing their
-    # powers out of a cofactor leaves, for each m, either 1 or the one
-    # prime factor of m above sqrt(limit), applied in a single masked step.
-    phi = np.arange(limit + 1, dtype=dtype)
-    cof = phi.copy()
-    for p in np.flatnonzero(sieve).tolist():
-        phi[p::p] -= phi[p::p] // p
-        pk = p
-        while pk <= limit:
-            cof[pk::pk] //= p
-            pk *= p
-    phi -= np.floor_divide(phi, cof, out=np.zeros_like(phi), where=cof > 1)
-    return phi
+    Every prime p dividing m has p - 1 dividing phi(m), so phi(m) <= limit
+    forces p <= limit + 1.  A depth-first search over powers of those
+    primes, in increasing order, lists each m with phi(m) <= limit once
+    (about 2 limit of them); a running maximum over phi then gives M.
+    """
+    primes = [p for p in range(2, limit + 2) if is_prime(p)]
+    best = [0] * (limit + 1)
 
+    def extend(start: int, m: int, phi: int) -> None:
+        best[phi] = max(best[phi], m)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            phi_pk = phi * (p - 1)
+            if phi_pk > limit:
+                break
+            pk = p
+            while phi_pk <= limit:
+                extend(i + 1, m * pk, phi_pk)
+                pk *= p
+                phi_pk *= p
 
-def _grow_m_table(t: int) -> None:
-    # phi(m) >= sqrt(m/2), so m > 2 t^2 forces phi(m) > t; a table of
-    # size 4 t^2 is therefore exhaustive for threshold t.  best[t] is the
-    # largest m <= limit with phi(m) <= t; the array is shared by every
-    # caller, so it is read-only.
-    need = max(256, 4 * t * t)
-    if _M_TABLE["limit"] >= need:
-        return
-    limit = 1 << (need - 1).bit_length()
-    phi = _totient_table(limit)
-    best = np.zeros(limit + 2, dtype=phi.dtype)
-    np.maximum.at(best, phi[1:], np.arange(1, limit + 1, dtype=phi.dtype))
-    np.maximum.accumulate(best, out=best)
-    best.flags.writeable = False
-    _M_TABLE["limit"] = limit
-    _M_TABLE["best"] = best
+    extend(0, 1, 1)
+    return tuple(accumulate(best, max))
 
 
 def max_m_with_totient_at_most(t: int) -> int:
     """Largest m with phi(m) <= t, exactly."""
     if t < 1:
         raise InputError("threshold must be at least 1")
-    _grow_m_table(t)
-    return int(_M_TABLE["best"][t])
+    # one table per power of two, so a scan over growing t builds few
+    return _m_table(1 << (t - 1).bit_length())[t]
 
 
 # -- the seven families -------------------------------------------------
@@ -95,7 +81,13 @@ def max_m_with_totient_at_most(t: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyRecord:
-    """One classical family: torus order, threshold, and known outliers."""
+    """One classical family: torus order, threshold, and known outliers.
+
+    torus(n, q) = (N, c, a, b) states the distinguished torus once: its
+    order is N / (gcd(a, b) c), exactly, with gcd(a, b) the cofactor
+    that entered the denominator, and N // (a c) is the lower bound the
+    certificate uses.  gcd(a, b) <= a makes the bound at most the order.
+    """
 
     tag: str
     summary: str
@@ -104,8 +96,7 @@ class FamilyRecord:
     n_residue: int
     q_odd_only: bool
     threshold: Callable[[int], int]
-    order_fn: Callable[[int, int], tuple[int, int]]
-    order_lb_fn: Callable[[int, int], int]
+    torus: Callable[[int, int], tuple[int, int, int, int]]
     exclusions: dict[tuple[int, int], str]
 
     def in_domain(self, n: int) -> bool:
@@ -118,52 +109,25 @@ class FamilyRecord:
         q = ", odd q" if self.q_odd_only else ""
         return f"{shape} >= {self.n_min}{q}"
 
+    def order_fn(self, n: int, q: int) -> tuple[int, int]:
+        """Torus order at (n, q) and its gcd cofactor."""
+        big, c, a, b = self.torus(n, q)
+        d = math.gcd(a, b)
+        order, rem = divmod(big, d * c)
+        assert rem == 0, (self.tag, n, q)
+        return order, d
 
-def _exact(num: int, den: int) -> int:
-    assert num % den == 0, (num, den)
-    return num // den
-
-
-def _psl_order(n, q):
-    d = math.gcd(n, q - 1)
-    return _exact(q ** n - 1, d * (q - 1)), d
-
-
-def _psp_order(n, q):
-    d = math.gcd(2, q - 1)
-    return _exact(q ** (n // 2) + 1, d), d
-
-
-def _psu2_order(n, q):
-    d = math.gcd(n // 2, q + 1)
-    return _exact(q ** (n // 2) + 1, d * (q + 1)), d
-
-
-def _pom_order(n, q):
-    d = math.gcd(2, q + 1)
-    return _exact(q ** (n // 2) + 1, d), d
-
-
-def _psu4_order(n, q):
-    d = math.gcd(n // 2, q + 1)
-    return _exact(q ** (n // 2 - 1) + 1, d), d
-
-
-def _poo_order(n, q):
-    return _exact(q ** ((n - 1) // 2) + 1, 2), 2
-
-
-def _pop_order(n, q):
-    d = math.gcd(2, q + 1)
-    return _exact(q ** ((n - 2) // 2) + 1, d), d
+    def order_lb_fn(self, n: int, q: int) -> int:
+        """Lower bound on the torus order, monotone in q."""
+        big, c, a, _ = self.torus(n, q)
+        return big // (a * c)
 
 
 FAMILIES: dict[str, FamilyRecord] = {
     "PSL": FamilyRecord(
         "PSL", "projective special linear, full Singer torus",
         2, 1, 0, False, lambda n: 4 * n,
-        _psl_order,
-        lambda n, q: (q ** n - 1) // (n * (q - 1)),
+        lambda n, q: (q ** n - 1, q - 1, n, q - 1),
         {
             (2, 2): "not simple (solvable of order 6)",
             (2, 3): "not simple (solvable of order 12)",
@@ -175,49 +139,48 @@ FAMILIES: dict[str, FamilyRecord] = {
     "PSp": FamilyRecord(
         "PSp", "projective symplectic, torus of order (q^(n/2)+1)/(2,q-1)",
         4, 2, 0, False, lambda n: 4 * n,
-        _psp_order,
-        lambda n, q: (q ** (n // 2) + 1) // 2,
+        lambda n, q: (q ** (n // 2) + 1, 1, 2, q - 1),
         {(4, 2): "not simple (isomorphic to the symmetric group on 6 letters)"}),
     "PSU_odd": FamilyRecord(
         "PSU_odd", "projective special unitary with n/2 odd",
         6, 4, 2, False, lambda n: 2 * n,
-        _psu2_order,
-        lambda n, q: (q ** (n // 2) + 1) // ((n // 2) * (q + 1)),
+        lambda n, q: (q ** (n // 2) + 1, q + 1, n // 2, q + 1),
         {(6, 2): "not simple (solvable of order 72)"}),
     "POmegaMinus": FamilyRecord(
         "POmegaMinus", "minus-type orthogonal in even dimension",
         8, 2, 0, False, lambda n: 4 * n,
-        _pom_order,
-        lambda n, q: (q ** (n // 2) + 1) // 2,
+        lambda n, q: (q ** (n // 2) + 1, 1, 2, q + 1),
         {}),
     "PSU_div4": FamilyRecord(
         "PSU_div4", "projective special unitary with n/2 even",
         8, 4, 0, False, lambda n: 4 * n,
-        _psu4_order,
-        lambda n, q: (q ** (n // 2 - 1) + 1) // (n // 2),
+        lambda n, q: (q ** (n // 2 - 1) + 1, 1, n // 2, q + 1),
         {}),
     "POmega_odd": FamilyRecord(
         "POmega_odd", "odd-dimensional orthogonal, odd q",
         7, 2, 1, True, lambda n: 8 * n,
-        _poo_order,
-        lambda n, q: (q ** ((n - 1) // 2) + 1) // 2,
+        lambda n, q: (q ** ((n - 1) // 2) + 1, 1, 2, q - 1),
         {}),
     "POmegaPlus": FamilyRecord(
         "POmegaPlus", "plus-type orthogonal in even dimension",
         8, 2, 0, False, lambda n: 8 * (n - 2),
-        _pop_order,
-        lambda n, q: (q ** ((n - 2) // 2) + 1) // 2,
+        lambda n, q: (q ** ((n - 2) // 2) + 1, 1, 2, q + 1),
         {}),
 }
+
+
+def _family(tag: str) -> FamilyRecord:
+    rec = FAMILIES.get(tag)
+    if rec is None:
+        raise InputError(
+            f"unknown family {tag!r}; choose from {', '.join(sorted(FAMILIES))}")
+    return rec
 
 
 def singer_order(tag: str, n: int, q: int) -> tuple[int, int]:
     """Order of the family's distinguished cyclic torus at (n, q), with
     the gcd cofactor that entered the denominator."""
-    rec = FAMILIES.get(tag)
-    if rec is None:
-        raise InputError(
-            f"unknown family {tag!r}; choose from {', '.join(sorted(FAMILIES))}")
+    rec = _family(tag)
     if not is_prime_power(q):
         raise InputError(f"q = {q} is not a prime power")
     if rec.q_odd_only and q % 2 == 0:
@@ -235,10 +198,8 @@ class ScreenRow:
     n: int
     q: int
     order: int
-    cofactor: int
     phi: int | None          # None: order alone already proves phi > threshold
     threshold: int
-    verdict: str             # "exception", "screened", or "excluded"
 
 
 @dataclass(frozen=True)
@@ -279,59 +240,39 @@ class ScreenResult:
 _N_TAIL_END = 4096
 
 
-def _family_qs(rec: FamilyRecord, q_max: int) -> tuple[int, ...]:
-    qs = prime_powers_upto(q_max)
-    if rec.q_odd_only:
-        qs = tuple(q for q in qs if q % 2)
-    return qs
-
-
 def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     """Scan the (n, q) box for sub-threshold torus totients and certify
     that nothing outside the box was missed."""
-    rec = FAMILIES.get(tag)
-    if rec is None:
-        raise InputError(
-            f"unknown family {tag!r}; choose from {', '.join(sorted(FAMILIES))}")
+    rec = _family(tag)
     if n_max < rec.n_min or q_max < 2:
         raise InputError(f"box too small for family {tag}: "
                          f"n_max {n_max}, q_max {q_max}")
 
-    # one M-table build per call: thresholds grow with n, so grow the
-    # table once to the largest one the scan and the certificate will ask
-    max_m_with_totient_at_most(max(
-        rec.threshold(n) for n in range(rec.n_min, 2 * n_max + 1) if rec.in_domain(n)))
-
     rows = []
     exceptions = set()
     excluded = []
-    ns = [n for n in range(rec.n_min, n_max + 1) if rec.in_domain(n)]
-    for n in ns:
+    q_rows = []
+    qs = [q for q in prime_powers_upto(q_max) if q % 2 or not rec.q_odd_only]
+    for n in range(rec.n_min, n_max + 1):
+        if not rec.in_domain(n):
+            continue
         thr = rec.threshold(n)
         # Torus orders grow exponentially while phi is only needed when
         # it might undercut thr, which forces order <= M(thr).  Larger
         # orders are screened by size alone; factoring them (hundreds of
         # digits, Cunningham-hard) is never attempted.
         cap = max_m_with_totient_at_most(thr)
-        for q in _family_qs(rec, q_max):
-            order, cof = rec.order_fn(n, q)
+        for q in qs:
+            order, _ = rec.order_fn(n, q)
             phi = totient(order) if order <= cap else None
             if (n, q) in rec.exclusions:
-                verdict = "excluded"
                 excluded.append((n, q, rec.exclusions[(n, q)]))
             elif phi is not None and phi <= thr:
-                verdict = "exception"
                 exceptions.add((n, q))
-            else:
-                verdict = "screened"
-            rows.append(ScreenRow(n, q, order, cof, phi, thr, verdict))
-
-    # Completeness, part 1: for every in-box n, the torus order lower
-    # bound one q past the box already tops every m with small phi.
-    # The lower bound is monotone in q, so one evaluation covers the ray.
-    q_rows = []
-    for n in ns:
-        cap = max_m_with_totient_at_most(rec.threshold(n))
+            rows.append(ScreenRow(n, q, order, phi, thr))
+        # Completeness, part 1: the torus order lower bound one q past
+        # the box already tops every m with small phi.  The lower bound
+        # is monotone in q, so one evaluation covers the ray.
         lb = rec.order_lb_fn(n, q_max + 1)
         q_rows.append(BoundaryRow(n, q_max + 1, lb, cap, lb > cap))
 
@@ -345,8 +286,8 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
         lb = rec.order_lb_fn(n, q_min)
         n_rows.append(BoundaryRow(n, q_min, lb, cap, lb > cap))
 
-    # Part 3: a long tail via phi(m) >= sqrt(m/2): order > 2 thr^2
-    # suffices, checked with margin.
+    # Part 3: a long tail via phi(m) >= sqrt(m/2), the one place that
+    # bound still serves: order > 2 thr^2 suffices, checked with margin.
     tail_lo, tail_hi = 2 * n_max + 1, _N_TAIL_END
     n_tail_ok = all(
         rec.order_lb_fn(n, q_min) > 4 * rec.threshold(n) ** 2

@@ -202,13 +202,16 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
      "analyze-table_a5.json"),
     (("an-rank", "26..40"), "an-rank_26-40.json"),
     (("screen", "all"), "screen_all.json"),
+    # thresholds up to 1280, past the 1024 table boundary
+    (("screen", "all", "--box", "80,128"), "screen_all_80-128.json"),
     (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.json"),
     (("charpoly", "file", DATA / "gl2_3.json", "--target", "8"),
      "charpoly_file_gl2_3.json"),
     # odd p with k >= 2, beyond the README
     (("charpoly", "singer", "3", "9"), "charpoly_singer_3_9.json"),
     (("charpoly", "singer", "2", "27"), "charpoly_singer_2_27.json"),
-], ids=["analyze-perm", "analyze-table", "an-rank", "screen", "charpoly-singer",
+], ids=["analyze-perm", "analyze-table", "an-rank", "screen", "screen-80-128",
+        "charpoly-singer",
         "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27"])
 def test_readme_examples_json_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *map(str, argv), "--format", "json")
@@ -279,10 +282,12 @@ def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
         monkeypatch.setattr(prop, "func", counting(name, prop.func))
     monkeypatch.setattr(galorb.classtheory, "q_classes",
                         counting("q_classes", galorb.classtheory.q_classes))
+    monkeypatch.setattr(galorb.chartab, "column_families",
+                        counting("column_families", galorb.chartab.column_families))
     code, out, _ = run(capsys, "analyze-table", str(TABLES / "a5.json"),
                        "--gens", str(DATA / "a5.gens"), "--format", "json")
     assert code == 0 and json.loads(out)["crosscheck"]["passed"]
-    assert sorted(calls) == ["_column_maps", "_rows", "q_classes"]
+    assert sorted(calls) == ["_column_maps", "_rows", "column_families", "q_classes"]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

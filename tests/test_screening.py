@@ -66,8 +66,8 @@ def test_max_totient_table_anchors():
 
 
 def _per_prime_totients(limit):
-    """Reference phi table: the former M-table loop, one strided update
-    for every prime up to limit."""
+    """Reference phi table: one strided update for every prime up to
+    limit."""
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -79,53 +79,38 @@ def _per_prime_totients(limit):
     return phi
 
 
-def test_totient_table_matches_per_prime_loop(monkeypatch):
-    limit = 1 << 16
+def test_max_totient_matches_per_prime_brute_force():
+    # every t <= 363 (the former table's regrow boundaries 8, 9, 64, 65,
+    # 90, 91, 362, 363 among them), from an empty cache so that every
+    # power-of-two table is actually built; phi(m) >= sqrt(m/2) makes a
+    # phi table to 4 t^2 exhaustive for threshold t
+    screening._m_table.cache_clear()
+    t_max = 363
+    limit = 4 * t_max * t_max
     phi = _per_prime_totients(limit)
-    assert np.array_equal(screening._totient_table(limit), phi)
     best = np.zeros(limit + 2, dtype=np.int64)
     np.maximum.at(best, phi[1:], np.arange(1, limit + 1, dtype=np.int64))
     np.maximum.accumulate(best, out=best)
-    monkeypatch.setattr(screening, "_M_TABLE", {"limit": 0, "best": None})
-    max_m_with_totient_at_most(128)
-    assert screening._M_TABLE["limit"] == limit
-    assert np.array_equal(screening._M_TABLE["best"], best)
+    for t in range(1, t_max + 1):
+        assert max_m_with_totient_at_most(t) == best[t], t
 
 
-def test_max_totient_across_regrow_boundaries(monkeypatch):
-    # each pair straddles a power-of-two table size; start from an empty
-    # cache so that every size is actually built
-    monkeypatch.setattr(screening, "_M_TABLE", {"limit": 0, "best": None})
-    ts = (8, 9, 64, 65, 90, 91, 362, 363)
-    phi = _per_prime_totients(4 * max(ts) ** 2)
-    limits = []
-    for t in ts:
-        brute = int(np.flatnonzero(phi[1:4 * t * t + 1] <= t).max()) + 1
-        assert max_m_with_totient_at_most(t) == brute, t
-        limits.append(screening._M_TABLE["limit"])
-    assert limits == [2 ** 8, 2 ** 9, 2 ** 14, 2 ** 15, 2 ** 15, 2 ** 16,
-                      2 ** 19, 2 ** 20]
-
-
-def test_m_table_is_built_once_per_call(monkeypatch):
-    # thresholds grow with n, so the table is grown once, up front, to the
-    # largest one that the scan and its certificate ask for
-    built = []
-    totients = screening._totient_table
-    monkeypatch.setattr(screening, "_totient_table",
-                        lambda limit: built.append(limit) or totients(limit))
-    monkeypatch.setattr(screening, "_M_TABLE", {"limit": 0, "best": None})
+def test_screen_builds_m_tables_up_to_its_largest_threshold():
+    # thresholds 8n for odd 7 <= n <= 80 run from 56 to 632: one table
+    # per power of two from 64 to 1024, the largest of 1025 entries
+    screening._m_table.cache_clear()
     res = exception_set("POmega_odd")
     assert res.certified and res.exceptions == EXPECTED["POmega_odd"]
-    assert built == [2 ** 21]
-    assert not screening._M_TABLE["best"].flags.writeable
+    assert screening._m_table.cache_info().misses == 5
+    assert len(screening._m_table(1024)) == 1025
+    assert screening._m_table.cache_info().misses == 5
 
 
-def test_cached_m_table_is_read_only():
+def test_cached_m_table_is_a_tuple():
     m_star = max_m_with_totient_at_most(10)
-    with pytest.raises(ValueError):
-        screening._M_TABLE["best"][10] = 0
-    assert max_m_with_totient_at_most(10) == m_star
+    table = screening._m_table(16)
+    assert isinstance(table, tuple) and table is screening._m_table(16)
+    assert table[10] == m_star == max_m_with_totient_at_most(10)
 
 
 def test_tail_inequality_totient_vs_sqrt():
@@ -172,6 +157,74 @@ def test_torus_orders_monotone_in_q(tag):
         assert lbs == sorted(lbs), (tag, n)
         for q in qs:
             assert rec.order_lb_fn(n, q) <= rec.order_fn(n, q)[0], (tag, n, q)
+
+
+# Reference torus formulas: each family's order and certificate bound
+# written as two independent expressions, against FamilyRecord's one
+# torus tuple.
+def _exact(num, den):
+    assert num % den == 0, (num, den)
+    return num // den
+
+
+def _psl_order(n, q):
+    d = math.gcd(n, q - 1)
+    return _exact(q ** n - 1, d * (q - 1)), d
+
+
+def _psp_order(n, q):
+    d = math.gcd(2, q - 1)
+    return _exact(q ** (n // 2) + 1, d), d
+
+
+def _psu2_order(n, q):
+    d = math.gcd(n // 2, q + 1)
+    return _exact(q ** (n // 2) + 1, d * (q + 1)), d
+
+
+def _pom_order(n, q):
+    d = math.gcd(2, q + 1)
+    return _exact(q ** (n // 2) + 1, d), d
+
+
+def _psu4_order(n, q):
+    d = math.gcd(n // 2, q + 1)
+    return _exact(q ** (n // 2 - 1) + 1, d), d
+
+
+def _poo_order(n, q):
+    return _exact(q ** ((n - 1) // 2) + 1, 2), 2
+
+
+def _pop_order(n, q):
+    d = math.gcd(2, q + 1)
+    return _exact(q ** ((n - 2) // 2) + 1, d), d
+
+
+REFERENCE_TORI = {
+    "PSL": (_psl_order, lambda n, q: (q ** n - 1) // (n * (q - 1))),
+    "PSp": (_psp_order, lambda n, q: (q ** (n // 2) + 1) // 2),
+    "PSU_odd": (_psu2_order,
+                lambda n, q: (q ** (n // 2) + 1) // ((n // 2) * (q + 1))),
+    "POmegaMinus": (_pom_order, lambda n, q: (q ** (n // 2) + 1) // 2),
+    "PSU_div4": (_psu4_order, lambda n, q: (q ** (n // 2 - 1) + 1) // (n // 2)),
+    "POmega_odd": (_poo_order, lambda n, q: (q ** ((n - 1) // 2) + 1) // 2),
+    "POmegaPlus": (_pop_order, lambda n, q: (q ** ((n - 2) // 2) + 1) // 2),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_torus_tuple_matches_reference_formulas(tag):
+    rec = FAMILIES[tag]
+    order_ref, lb_ref = REFERENCE_TORI[tag]
+    for n in range(rec.n_min, 200):
+        if not rec.in_domain(n):
+            continue
+        for q in prime_powers_upto(199):
+            if rec.q_odd_only and q % 2 == 0:
+                continue
+            assert rec.order_fn(n, q) == order_ref(n, q), (n, q)
+            assert rec.order_lb_fn(n, q) == lb_ref(n, q), (n, q)
 
 
 def test_lemma_bounds_anchors():
