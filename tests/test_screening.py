@@ -79,20 +79,33 @@ def _per_prime_totients(limit):
     return phi
 
 
-def test_max_totient_matches_per_prime_brute_force():
-    # every t <= 363 (the former table's regrow boundaries 8, 9, 64, 65,
-    # 90, 91, 362, 363 among them), from an empty cache so that every
-    # power-of-two table is actually built; phi(m) >= sqrt(m/2) makes a
-    # phi table to 4 t^2 exhaustive for threshold t
-    screening._m_table.cache_clear()
-    t_max = 363
+def test_totient_table_matches_per_prime_loop():
+    # the whole M table against a running maximum over a per-prime phi
+    # table; phi(m) >= sqrt(m/2) makes a phi table to 4 t^2 exhaustive
+    # for every threshold t <= 256
+    t_max = 256
     limit = 4 * t_max * t_max
     phi = _per_prime_totients(limit)
     best = np.zeros(limit + 2, dtype=np.int64)
     np.maximum.at(best, phi[1:], np.arange(1, limit + 1, dtype=np.int64))
     np.maximum.accumulate(best, out=best)
-    for t in range(1, t_max + 1):
-        assert max_m_with_totient_at_most(t) == best[t], t
+    screening._m_table.cache_clear()
+    assert list(screening._m_table(t_max)[1:]) == best[1:t_max + 1].tolist()
+
+
+def test_max_totient_across_regrow_boundaries():
+    # each pair straddles a power-of-two table size; start from an empty
+    # cache so that every size is actually built
+    screening._m_table.cache_clear()
+    ts = (8, 9, 64, 65, 90, 91, 362, 363)
+    phi = _per_prime_totients(4 * max(ts) ** 2)
+    sizes = []
+    for t in ts:
+        brute = int(np.flatnonzero(phi[1:4 * t * t + 1] <= t).max()) + 1
+        assert max_m_with_totient_at_most(t) == brute, t
+        sizes.append(screening._m_table.cache_info().currsize)
+    # tables of 8, 16, 64, 128 and 512 thresholds, each built once
+    assert sizes == [1, 2, 3, 4, 4, 4, 5, 5]
 
 
 def test_screen_builds_m_tables_up_to_its_largest_threshold():
