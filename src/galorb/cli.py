@@ -181,16 +181,18 @@ def _cmd_an_rank(args) -> tuple[str, int]:
 
 
 def _screen_obj(res) -> dict:
-    by_pair = {(r.n, r.q): r for r in res.rows}
+    # an exception row has its phi computed; most rows do not
+    exc_rows = sorted((r for r in res.rows
+                       if r.phi is not None and (r.n, r.q) in res.exceptions),
+                      key=lambda r: (r.n, r.q))
     return {
         "family": res.tag,
         "n_max": res.n_max,
         "q_max": res.q_max,
         "exceptions": [
-            {"n": n, "q": q, "order": by_pair[(n, q)].order,
-             "phi": by_pair[(n, q)].phi,
-             "threshold": by_pair[(n, q)].threshold}
-            for n, q in sorted(res.exceptions)],
+            {"n": r.n, "q": r.q, "order": r.order, "phi": r.phi,
+             "threshold": r.threshold}
+            for r in exc_rows],
         "excluded": [{"n": n, "q": q, "reason": why}
                      for n, q, why in res.excluded],
         "certificate": {

@@ -11,7 +11,13 @@ On top of that: characteristic polynomials via Hessenberg reduction,
 multiplicative orders through the factor-degree structure of the
 characteristic polynomial, Singer elements as companion matrices, and
 the count of characteristic polynomials among power-coprime elements
-that drives class-count lower bounds.
+that drives class-count lower bounds.  That count needs no matrix
+product: cp(g^k) = cp(C_f^k) for f = cp(g) and C_f its companion
+matrix, whose power columns x^k, ..., x^(k+n-1) mod f come from one
+walk over x^j mod f.  cp(g^k) depends only on k modulo the p'-part m'
+of the order, and is fixed by k -> qk, so one charpoly per <q>-coset of
+units mod m' suffices; the walk takes fewer than m' + n steps, m' at
+most the element-order bound (`--max-order`).
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .numutil import factorize, is_prime, units_mod
+from .numutil import factorize, is_prime
 from .permgroup import GroupSpec
 
 MAX_FIELD = 512
@@ -312,8 +319,19 @@ def element_order(M: Matrix, bound: int = 10_000_000) -> int:
     """Exact multiplicative order via the factor degrees of the
     characteristic polynomial: the order divides
     p^ceil(log_p n) * lcm(q^d - 1) over the irreducible factor degrees
-    d, and trial stripping of that multiple pins it down."""
-    F = M.field
+    d, and trial stripping of that multiple pins it down.  The exact
+    order is cached per matrix; the bound is checked on every call."""
+    order = _exact_order(M, M.field)
+    if order > bound:
+        raise ResourceLimitError(
+            f"order {order} exceeds the bound {bound}; raise it with --max-order")
+    return order
+
+
+@lru_cache(maxsize=256)
+def _exact_order(M: Matrix, F: FiniteField) -> int:
+    # keyed on the field object too: matrices over two constructions of
+    # GF(q) compare equal
     n = M.n
     if n > MAX_DIM:
         raise ResourceLimitError(
@@ -358,9 +376,6 @@ def element_order(M: Matrix, bound: int = 10_000_000) -> int:
         while order % r == 0 and M.pow(order // r).is_identity:
             order //= r
     assert M.pow(order).is_identity
-    if order > bound:
-        raise ResourceLimitError(
-            f"order {order} exceeds the bound {bound}; raise it with --max-order")
     return order
 
 
@@ -412,20 +427,59 @@ def singer_element(n: int, q: int) -> Matrix:
     return Matrix(F, rows)
 
 
+def _companion_power_columns(F: FiniteField, f):
+    """Yield, for k = 0, 1, 2, ..., the columns x^k, ..., x^(k+n-1)
+    mod f of C_f^k, C_f the companion matrix of the monic f of degree n.
+
+    One walk over x^j mod f, a shift and one scaled subtraction of f per
+    step, keeping a window of the last n columns: the yielded deque is
+    the window itself and changes on the next step."""
+    n = len(f) - 1
+    neg_f = [F.neg(c) for c in f[:n]]
+    window = deque(maxlen=n)
+    col = [1] + [0] * (n - 1)
+    while True:
+        window.append(col)
+        if len(window) == n:
+            yield window
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [F.add(c, F.mul(top, a)) for c, a in zip(col, neg_f)]
+
+
 def coprime_power_charpoly_count(g: Matrix, max_order: int = 100_000) -> int:
     """Number of distinct characteristic polynomials among g^k with k
-    coprime to the order of g."""
+    coprime to the order m of g; refused past max_order like
+    `element_order`.
+
+    With f = cp(g) and C_f its companion matrix, cp(g^k) = cp(C_f^k):
+    both are the product of (X - a^k) over the eigenvalues a of g with
+    multiplicity, so f is never factored and no matrix is multiplied.
+    The eigenvalues have order dividing the p'-part m' of m, and
+    cp(g^(qk)) = cp(g^k), so cp(g^k) is constant on each <q>-coset of
+    the units mod m' (onto which the units mod m reduce), and only the
+    least unit of each coset is evaluated, on the columns of C_f^k that
+    `_companion_power_columns` walks to.  Work: fewer than m' + n walk
+    steps and one charpoly per coset (phi(q^n - 1) / n for a Singer
+    element)."""
     m = element_order(g, bound=max_order)
+    F = g.field
+    while m % F.p == 0:    # from here on m is the p'-part m'
+        m //= F.p
     if m == 1:
         return 1
-    units = set(units_mod(m))
+    seen = bytearray(m)
     polys = set()
-    cur = g
-    for k in range(1, m):
-        if k > 1:
-            cur = cur * g
-        if k in units:
-            polys.add(char_poly(cur))
+    for k, cols in enumerate(_companion_power_columns(F, char_poly(g))):
+        if k == m:
+            break
+        if k and not seen[k] and math.gcd(k, m) == 1:
+            polys.add(char_poly(Matrix(F, zip(*cols))))
+            j = k
+            while not seen[j]:
+                seen[j] = 1
+                j = j * F.q % m
     return len(polys)
 
 

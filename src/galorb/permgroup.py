@@ -619,21 +619,30 @@ def cyclic_class_structure(m: int) -> ClassStructure:
 
 
 def _even_partitions(n: int):
-    """Partitions of n with an even number of even parts, parts decreasing."""
-    out = []
-
-    def rec(remaining, maxpart, acc, evens):
-        if remaining == 0:
-            if evens % 2 == 0:
-                out.append(tuple(acc))
+    """Partitions of n with an even number of even parts, parts
+    decreasing, in reverse-lexicographic order.  Each step pops the
+    trailing 1s, lowers the last part x to x - 1 and refills the freed
+    sum with parts x - 1 and one remainder."""
+    parts = [n]
+    evens = 1 - n % 2
+    while True:
+        if evens % 2 == 0:
+            yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for part in range(min(maxpart, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc, evens + (1 - part % 2))
-            acc.pop()
-
-    rec(n, n, [], 0)
-    return out
+        x = parts.pop()
+        evens -= 1 - x % 2
+        x -= 1
+        fill, rest = divmod(ones + x + 1, x)
+        parts += [x] * fill
+        evens += fill * (1 - x % 2)
+        if rest:
+            parts.append(rest)
+            evens += 1 - rest % 2
 
 
 def alternating_class_structure(n: int) -> ClassStructure:

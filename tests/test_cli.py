@@ -9,7 +9,7 @@ import pytest
 import galorb.permgroup
 from galorb.chartab import fixture_names, fixture_table, serialize_table
 from galorb.cli import main
-from galorb.matgroup import projective_line_action
+from galorb.matgroup import _exact_order, projective_line_action
 from galorb.permgroup import (
     alternating_group_spec, cyclic_group_spec, format_generators, symmetric_group_spec,
 )
@@ -157,6 +157,15 @@ def test_charpoly_options_follow_the_action(capsys):
         assert exc.value.code == 2, flag
 
 
+def test_charpoly_report_computes_the_order_once(capsys):
+    # the report and the count both ask for the order; the second is a hit
+    _exact_order.cache_clear()
+    code, _, _ = run(capsys, "charpoly", "singer", "4", "2")
+    assert code == 0
+    info = _exact_order.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_charpoly_has_one_order_bound(capsys):
     code, out, err = run(capsys, "charpoly", "singer", "2", "512")
     assert code == 4 and out == ""
@@ -210,9 +219,14 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
     # odd p with k >= 2, beyond the README
     (("charpoly", "singer", "3", "9"), "charpoly_singer_3_9.json"),
     (("charpoly", "singer", "2", "27"), "charpoly_singer_2_27.json"),
+    # the benchmark's heavy Singer items
+    (("charpoly", "singer", "6", "4"), "charpoly_singer_6_4.json"),
+    (("charpoly", "singer", "4", "9"), "charpoly_singer_4_9.json"),
+    (("charpoly", "singer", "3", "16"), "charpoly_singer_3_16.json"),
 ], ids=["analyze-perm", "analyze-table", "an-rank", "screen", "screen-80-128",
         "charpoly-singer",
-        "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27"])
+        "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27",
+        "charpoly-singer-6-4", "charpoly-singer-4-9", "charpoly-singer-3-16"])
 def test_readme_examples_json_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *map(str, argv), "--format", "json")
     assert code == 0

@@ -2,19 +2,22 @@ import functools
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galorb import matgroup
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import (
-    FiniteField, Matrix, char_poly, class_lower_bound,
-    coprime_power_charpoly_count, element_order, finite_field,
-    parse_matrix_group_file, projective_line_action, random_element_search,
-    singer_element,
+    MAX_DIM, MAX_FIELD, FiniteField, Matrix, _companion_power_columns,
+    char_poly, class_lower_bound, coprime_power_charpoly_count, element_order,
+    finite_field, parse_matrix_group_file, projective_line_action,
+    random_element_search, singer_element,
 )
-from galorb.numutil import factorize, prime_powers_upto, units_mod
+from galorb.numutil import factorize, prime_powers_upto, totient, units_mod
 from galorb.permgroup import (
     alternating_group_spec, conjugacy_classes, group_order,
 )
@@ -318,6 +321,144 @@ def test_singer_count_gl42_against_unit_orbit_oracle():
             k = (k * 2) % 15
     assert orbits == 2
     assert coprime_power_charpoly_count(g) == 2
+
+
+# -- the coprime-power count ------------------------------------------------
+# The count before the companion walk: multiply by g up to m - 1 times
+# and take the charpoly of every power coprime to m.  Kept as the
+# reference the walk is compared against.
+
+
+def reference_charpoly_count(g, max_order=100_000):
+    m = element_order(g, bound=max_order)
+    if m == 1:
+        return 1
+    units = set(units_mod(m))
+    polys = set()
+    cur = g
+    for k in range(1, m):
+        if k > 1:
+            cur = cur * g
+        if k in units:
+            polys.add(char_poly(cur))
+    return len(polys)
+
+
+@st.composite
+def count_matrices(draw):
+    """Random matrices with n <= 4 and q <= 9; about half of them get a
+    Jordan block J_b(1), b >= 2, in the top-left corner with zeros below
+    it, so that p divides the order (b = n: g is unipotent)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        b = draw(st.integers(2, n))
+        for i in range(n):
+            for j in range(b):
+                rows[i][j] = int(i < b and j in (i, i + 1))
+    return Matrix(finite_field(q), rows)
+
+
+@given(count_matrices())
+@settings(max_examples=300, deadline=None)
+def test_count_matches_reference_walk(g):
+    count = functools.partial(coprime_power_charpoly_count, max_order=400)
+    reference = functools.partial(reference_charpoly_count, max_order=400)
+    assert _outcome(count, g) == _outcome(reference, g)
+
+
+def _companion(F, f):
+    n = len(f) - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = F.neg(f[i])
+    return Matrix(F, rows)
+
+
+@given(count_matrices(), st.integers(0, 60))
+@settings(max_examples=150, deadline=None)
+def test_walk_window_is_the_companion_power(g, k):
+    # any k, coprime to the order or not, and singular g too
+    F = g.field
+    f = char_poly(g)
+    cols = next(itertools.islice(_companion_power_columns(F, f), k, None))
+    power = Matrix(F, zip(*cols))
+    assert power == _companion(F, f).pow(k)
+    assert char_poly(power) == char_poly(g.pow(k))
+
+
+def test_unipotent_and_scalar_counts():
+    F = finite_field(9)
+    jordan = Matrix(F, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert element_order(jordan) == 3
+    assert coprime_power_charpoly_count(jordan) == 1
+    # a scalar a of order 8: the unit k gives (X - a^k)^2, and 9 = 1
+    # mod 8 leaves each unit its own coset
+    a = F.generator
+    scalar = Matrix(F, [[a, 0], [0, a]])
+    assert coprime_power_charpoly_count(scalar) == 4 == reference_charpoly_count(scalar)
+
+
+def test_count_takes_one_charpoly_per_coset(monkeypatch):
+    F = finite_field(3)
+    singer = singer_element(2, 3)
+    # J_2(1) beside a Singer block of GF(3)^2: order 3 * 8, p'-part 8,
+    # and the units mod 8 fall into the <3>-cosets {1, 3} and {5, 7}
+    mixed = Matrix(F, [[1, 1, 0, 0], [0, 1, 0, 0],
+                       [0, 0, *singer.rows[0]], [0, 0, *singer.rows[1]]])
+    assert element_order(mixed) == 24
+    calls = []
+    monkeypatch.setattr(matgroup, "char_poly",
+                        lambda M: calls.append(M) or char_poly(M))
+    assert coprime_power_charpoly_count(mixed) == 2
+    assert len(calls) == 1 + 2    # cp(g), then one per coset
+
+
+SINGER_PAIRS = [(n, q) for q in prime_powers_upto(MAX_FIELD)
+                for n in range(1, MAX_DIM + 1) if q ** n - 1 <= 10_000]
+
+
+def test_singer_count_is_the_closed_form():
+    # the charpolys of coprime powers of a primitive element are the
+    # minimal polynomials of the primitive elements, n roots each
+    assert len(SINGER_PAIRS) == 186
+    for n, q in SINGER_PAIRS:
+        count = coprime_power_charpoly_count(singer_element(n, q))
+        assert count == totient(q ** n - 1) // n, (n, q)
+
+
+def test_count_memory_stays_below_a_table_of_powers():
+    g = singer_element(2, 256)
+    m = element_order(g)
+    assert m == 65535
+    # a table of all m powers: one 2-tuple and one list slot per power
+    table = m * (sys.getsizeof((0, 0)) + 8)
+    tracemalloc.start()
+    try:
+        count = coprime_power_charpoly_count(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == totient(m) // 2
+    # the window holds 2 columns; the peak is the result set of 16384
+    # charpolys and one byte per residue mod m
+    assert peak < table / 2, (peak, table)
+
+
+def test_cached_order_still_meets_each_bound():
+    g = singer_element(2, 5)
+    with pytest.raises(ResourceLimitError,
+                       match="order 24 exceeds the bound 3; raise it with --max-order"):
+        element_order(g, bound=3)
+    assert element_order(g) == 24
+    with pytest.raises(ResourceLimitError,
+                       match="order 24 exceeds the bound 23; raise it with --max-order"):
+        element_order(g, bound=23)
+    assert element_order(g, bound=24) == 24
 
 
 def test_element_order_edges():

@@ -188,6 +188,30 @@ def _conjugator_parity(g, h, parts, n):
     return sum(len(cyc) - 1 for cyc in cycles(cp)) % 2
 
 
+def reference_even_partitions(n):
+    """The recursion `_even_partitions` replaced: partitions of n with an
+    even number of even parts, parts decreasing, as a list."""
+    out = []
+
+    def rec(remaining, maxpart, acc, evens):
+        if remaining == 0:
+            if evens % 2 == 0:
+                out.append(tuple(acc))
+            return
+        for part in range(min(maxpart, remaining), 0, -1):
+            acc.append(part)
+            rec(remaining - part, part, acc, evens + (1 - part % 2))
+            acc.pop()
+
+    rec(n, n, [], 0)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_even_partitions_match_recursive_reference(n):
+    assert list(_even_partitions(n)) == reference_even_partitions(n)
+
+
 def reference_alternating_class_structure(n):
     """A_n class data with each split class's power map decided by
     building the class's permutation, its k-th power and a conjugator
