@@ -39,7 +39,7 @@ from .permgroup import (
     cyclic_class_structure,
     group_order,
 )
-from .screening import exception_set, exceptional_screen, singer_order
+from .screening import exception_set, singer_order
 
 __all__ = [
     "CyclotomicNumber",
@@ -65,7 +65,6 @@ __all__ = [
     "frobenius_rank",
     "prop8_lower_bound",
     "exception_set",
-    "exceptional_screen",
     "singer_order",
     "singer_element",
     "element_order",

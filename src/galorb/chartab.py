@@ -100,7 +100,6 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
     class_orders: tuple[int, ...] | None
     irr: tuple[Row, ...]
-    classes: ClassStructure | None = None
 
     @property
     def num_classes(self) -> int:

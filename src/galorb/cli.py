@@ -46,16 +46,20 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _classes(spec, args):
+    """Class data of spec, under the --max-order guard when one is given."""
+    if args.max_order is None:
+        return conjugacy_classes(spec)
+    return conjugacy_classes(spec, max_order=args.max_order)
+
+
 # -- analyze-perm -------------------------------------------------------
 
 
 def _cmd_analyze_perm(args) -> tuple[str, int]:
     spec = parse_generators(_read(args.file))
     _note(f"degree {spec.degree}, {len(spec.generators)} generators")
-    kwargs = {}
-    if args.max_order is not None:
-        kwargs["max_order"] = args.max_order
-    cs = conjugacy_classes(spec, **kwargs)
+    cs = _classes(spec, args)
     rep = analyze(cs)
     if args.format == "json":
         return _json(report_to_obj(rep, labels=cs.labels)), 0
@@ -86,11 +90,8 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
     cross = None
     if args.gens:
         spec = parse_generators(_read(args.gens))
-        kwargs = {}
-        if args.max_order is not None:
-            kwargs["max_order"] = args.max_order
         _note("computing conjugacy classes for the cross-check")
-        cs = conjugacy_classes(spec, **kwargs)
+        cs = _classes(spec, args)
         cross = brauer_crosscheck(table, cs)
         if not cross.passed:
             code = 2
@@ -216,31 +217,30 @@ def _cmd_screen(args) -> tuple[str, int]:
             f"unknown family {args.family!r}; choose from "
             f"{', '.join(sorted(FAMILIES))} or 'all'")
     n_max, q_max = args.box
-    results = []
+    objs = []
     for tag in tags:
         _note(f"screening {tag} over n <= {n_max}, q <= {q_max}")
-        results.append(exception_set(tag, n_max=n_max, q_max=q_max))
-    all_certified = all(r.certified for r in results)
+        objs.append(_screen_obj(exception_set(tag, n_max=n_max, q_max=q_max)))
+    all_certified = all(o["certified"] for o in objs)
     code = 0 if all_certified else 3
     if args.format == "json":
-        return _json({"results": [_screen_obj(r) for r in results],
-                      "certified": all_certified}), code
+        return _json({"results": objs, "certified": all_certified}), code
     lines = []
-    for res in results:
-        lines.append(f"family {res.tag} (n <= {res.n_max}, q <= {res.q_max})")
-        for item in _screen_obj(res)["exceptions"]:
+    for o in objs:
+        lines.append(f"family {o['family']} (n <= {o['n_max']}, q <= {o['q_max']})")
+        for e in o["exceptions"]:
             lines.append(
-                f"  exception (n, q) = ({item['n']}, {item['q']}): torus order "
-                f"{item['order']}, phi {item['phi']} <= {item['threshold']}")
-        for n, q, why in res.excluded:
-            lines.append(f"  excluded  (n, q) = ({n}, {q}): {why}")
-        c = res.certificate
+                f"  exception (n, q) = ({e['n']}, {e['q']}): torus order "
+                f"{e['order']}, phi {e['phi']} <= {e['threshold']}")
+        for e in o["excluded"]:
+            lines.append(f"  excluded  (n, q) = ({e['n']}, {e['q']}): {e['reason']}")
+        c = o["certificate"]
         lines.append(
-            f"  certificate: q-boundary {'ok' if all(r.ok for r in c.q_rows) else 'FAIL'}, "
-            f"n-near {'ok' if all(r.ok for r in c.n_rows) else 'FAIL'}, "
-            f"n-tail to {c.n_tail_range[1]} {'ok' if c.n_tail_ok else 'FAIL'}, "
-            f"beyond {'ok' if c.asymptotic_ok else 'FAIL'}")
-        lines.append(f"  certified: {'yes' if res.certified else 'NO'}")
+            f"  certificate: q-boundary {'ok' if c['q_boundary_ok'] else 'FAIL'}, "
+            f"n-near {'ok' if c['n_near_ok'] else 'FAIL'}, "
+            f"n-tail to {c['n_tail_range'][1]} {'ok' if c['n_tail_ok'] else 'FAIL'}, "
+            f"beyond {'ok' if c['asymptotic_ok'] else 'FAIL'}")
+        lines.append(f"  certified: {'yes' if o['certified'] else 'NO'}")
     if not all_certified:
         lines.append("result is NOT certified complete; enlarge the box")
     return "\n".join(lines) + "\n", code

@@ -18,13 +18,11 @@ integer_lift and reduce_integers put a batch of values on integer vectors
 at the lcm of their conductors, for sums that need no canonical form until
 the end.
 
-No floating point is used anywhere in the arithmetic; approx() exists only
-as a complex-embedding debug aid.
+No floating point is used anywhere in the arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import json
 import math
@@ -350,13 +348,6 @@ class CyclotomicNumber:
             return f"Cyc({self._vec[0]})"
         inner = ", ".join(f"{i}: {c}" for i, c in self.coeffs.items())
         return f"Cyc(n={self.order}, {{{inner}}})"
-
-    def approx(self) -> complex:
-        """Complex embedding zeta_N = exp(2 pi i / N); debugging only."""
-        z = 0j
-        for i, c in enumerate(self._vec):
-            z += float(c) * cmath.exp(2j * cmath.pi * i / self.order)
-        return z
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:

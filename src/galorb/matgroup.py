@@ -110,13 +110,6 @@ class FiniteField:
             raise ZeroDivisionError("zero has no inverse")
         return self.exp[-self.log[a] % (self.q - 1)]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("zero has no inverse")
-            return 1 if e == 0 else 0
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
     @property
     def generator(self) -> int:
         return self.exp[1 % (self.q - 1)]

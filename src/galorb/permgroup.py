@@ -12,10 +12,12 @@ Orders come from a stabilizer chain built by incremental Schreier-Sims:
 levels grow in place as strong generators join them, and each Schreier
 generator is formed once, in uint8 batches that are sifted through each
 deeper level with one gather.  The chain refuses, exactly, once the
-order it has found passes max_order.  Classes come from one path: every
-element is enumerated as a row of bytes, the rows are kept sorted,
-conjugation by each generator becomes a permutation of row indices, and
-the classes are the orbits of those permutations.  There is no random
+order it has found passes max_order.  Classes come from one path, on the
+input generators that grew the chain (at most log2 of the order, however
+many were given): every element is enumerated as a row of bytes, the
+rows are kept sorted, conjugation by each of those generators becomes a
+permutation of row indices, and the classes are the orbits of those
+permutations.  There is no random
 search and no seed; groups whose order times degree exceeds 10^8 are
 refused before any element is stored.  Alternating and cyclic groups
 also get direct combinatorial constructions that build no permutation:
@@ -266,7 +268,9 @@ class _Chain:
     batch are sifted on through the grown chain.  Every Schreier
     generator is sifted, so the order is exact.  The product of the orbit
     lengths never exceeds the group order, so the max_order refusal is
-    exact.
+    exact.  generators records the inserted elements that grew the
+    chain; each at least doubles the order, so there are at most
+    log2 of it, and they generate the same group as all inserted ones.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -274,6 +278,7 @@ class _Chain:
         self.max_order = max_order
         self.identity = np.arange(degree, dtype=np.uint8)
         self.levels: list[_Level] = []
+        self.generators: list[tuple[int, ...]] = []
         self.schreier_generators = 0
 
     def order(self) -> int:
@@ -309,6 +314,7 @@ class _Chain:
     def insert(self, g: tuple[int, ...]):
         h, stop = self._sift(np.array([g], dtype=np.uint8), 0)
         if len(self._moved(h)):
+            self.generators.append(g)
             self._add_strong(h[0], 0, int(stop[0]))
 
     def _add_strong(self, g: np.ndarray, top: int, bottom: int):
@@ -349,6 +355,9 @@ class _Chain:
             h = h[moved[1:]]
 
 
+# group_order keeps its last chain, whose recorded generators the class
+# enumeration that follows it reads; chains are not changed once built
+@lru_cache(maxsize=1)
 def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
     chain = _Chain(spec.degree, max_order)
     for g in spec.generators:
@@ -489,10 +498,10 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
-def _element_keys(spec: GroupSpec, order: int) -> np.ndarray:
+def _element_keys(gens: list, order: int) -> np.ndarray:
     """Sorted keys of every element, grown by breadth-first frontiers."""
-    d = spec.degree
-    gens = np.array(spec.generators, dtype=np.intp).ravel()
+    d = len(gens[0])
+    gens = np.array(gens, dtype=np.intp).ravel()
     frontier = np.arange(d, dtype=np.uint8)[None, :]
     keys = _row_keys(frontier)
     while len(frontier):
@@ -512,7 +521,7 @@ def _element_keys(spec: GroupSpec, order: int) -> np.ndarray:
     return keys
 
 
-def _class_labels(spec: GroupSpec, elems: np.ndarray) -> np.ndarray:
+def _class_labels(gens: list, elems: np.ndarray) -> np.ndarray:
     """For each element, the index of the least element of its class.
 
     Conjugation by a generator g permutes the sorted elements.  The
@@ -523,7 +532,7 @@ def _class_labels(spec: GroupSpec, elems: np.ndarray) -> np.ndarray:
     among its images and then jumping pointers.
     """
     conj = []
-    for g in spec.generators:
+    for g in gens:
         # (g x g^-1)[i] = g[x[g^-1[i]]]
         rows = np.array(g, dtype=np.uint8)[np.take(elems, pinv(g), axis=1)]
         conj.append(np.argsort(_row_keys(rows), kind="stable"))
@@ -546,9 +555,11 @@ def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure
         raise ResourceLimitError(
             f"class computation needs order x degree = {order} x {spec.degree} "
             f"= {points} element-points, above the limit 10^8")
-    keys = _element_keys(spec, order)
+    # the generators that grew group_order's chain; the trivial group has none
+    gens = _build_chain(spec, max_order).generators or list(spec.generators[:1])
+    keys = _element_keys(gens, order)
     elems = keys.view(np.uint8).reshape(order, spec.degree)
-    lab = _class_labels(spec, elems)
+    lab = _class_labels(gens, elems)
     rep_idx = np.flatnonzero(lab == np.arange(order))
     sizes = np.bincount(lab)[rep_idx].tolist()
     reps = [tuple(r) for r in elems[rep_idx].tolist()]
@@ -570,12 +581,12 @@ def conjugacy_classes(spec: GroupSpec, *,
     """Conjugacy class data of the group generated by spec.
 
     Every element is enumerated, as sorted byte rows, and the classes are
-    the orbits of conjugation by the generators; groups whose order times
-    degree exceeds 10^8 are refused before anything is allocated.  Classes
-    are sorted by (element order, size, least element) and
-    representatives are the least elements, so the result is
-    deterministic.  Results are cached and shared; their fusion maps are
-    read-only.
+    the orbits of conjugation by the generators that grew the stabilizer
+    chain; groups whose order times degree exceeds 10^8 are refused
+    before anything is allocated.  Classes are sorted by (element order,
+    size, least element) and representatives are the least elements, so
+    the result does not depend on the generating set.  Results are cached
+    and shared; their fusion maps are read-only.
     """
     return _conjugacy_classes_cached(spec, max_order)
 

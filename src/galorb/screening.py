@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
@@ -30,9 +29,8 @@ from .errors import InputError
 from .numutil import is_prime, is_prime_power, prime_powers_upto, totient
 
 __all__ = [
-    "totient", "max_m_with_totient_at_most", "FamilyRecord", "FAMILIES",
-    "singer_order", "exception_set", "ScreenResult", "lemma_bounds",
-    "TorusRecord", "parse_torus_records", "exceptional_screen",
+    "max_m_with_totient_at_most", "FamilyRecord", "FAMILIES",
+    "singer_order", "exception_set", "ScreenResult",
 ]
 
 
@@ -314,86 +312,3 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
         certificate=cert,
         certified=cert.ok,
     )
-
-
-# -- per-group torus bounds ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class LemmaBounds:
-    """Orbit-length and rank bounds from one cyclic subgroup of order m
-    whose normalizer-induced class count is at most nbound."""
-
-    m: int
-    nbound: int
-    f_lb: int
-    r_lb: Fraction
-    f_exceeds_4: bool
-
-
-def lemma_bounds(m: int, nbound: int) -> LemmaBounds:
-    if m < 1 or nbound < 1:
-        raise InputError("need m >= 1 and nbound >= 1")
-    phi = totient(m)
-    return LemmaBounds(
-        m=m, nbound=nbound,
-        f_lb=-(-phi // nbound),
-        r_lb=Fraction(phi, 2 * nbound) - 1,
-        f_exceeds_4=phi > 4 * nbound,
-    )
-
-
-@dataclass(frozen=True)
-class TorusRecord:
-    group: str
-    torus_order: int
-    index_bound: int
-
-
-def parse_torus_records(text: str) -> tuple[TorusRecord, ...]:
-    """One JSON object per line: group label, cyclic torus order, and a
-    bound on the number of classes meeting the torus.  Index bounds
-    above 30 are outside the supported data and rejected."""
-    import json
-
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"line {lineno}: {exc.msg}") from None
-        try:
-            group = str(obj["group"])
-            order = obj["torus_order"]
-            index = obj["index_bound"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"line {lineno}: missing field {exc}") from None
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise InputError(f"line {lineno}: torus_order must be a positive integer")
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-            raise InputError(f"line {lineno}: index_bound must be a positive integer")
-        if index > 30:
-            raise InputError(
-                f"line {lineno}: index_bound {index} exceeds the supported "
-                "maximum of 30")
-        records.append(TorusRecord(group, order, index))
-    return tuple(records)
-
-
-@dataclass(frozen=True)
-class TorusVerdict:
-    record: TorusRecord
-    phi: int
-    excluded: bool        # orbit bound beats 4: cannot have tiny orbits
-
-
-def exceptional_screen(records) -> tuple[TorusVerdict, ...]:
-    """Apply the f > 4 exclusion test to tabulated torus data."""
-    out = []
-    for rec in records:
-        phi = totient(rec.torus_order)
-        out.append(TorusVerdict(rec, phi, phi > 4 * rec.index_bound))
-    return tuple(out)

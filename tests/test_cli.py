@@ -233,6 +233,16 @@ def test_readme_examples_json_bytes(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv, golden, want", [
+    (("screen", "all"), "screen_all.txt", 0),
+    (("screen", "PSL", "--box", "2,8"), "screen_psl_2-8.txt", 3),
+], ids=["screen", "screen-psl-2-8"])
+def test_screen_text_bytes(capsys, argv, golden, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == want
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 # Generators the acceptance gate pairs with a fixture, columns aligned.
 GATE_SPECS = {
     "c3": cyclic_group_spec(3),

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -7,6 +9,7 @@ import sympy.combinatorics as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galorb.permgroup
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import units_mod
@@ -444,6 +447,33 @@ POINTS_256 = GroupSpec(256, (
         "c30", "trivial_1", "trivial_4", "s4_on_256"])
 def test_classes_match_reference(spec):
     assert conjugacy_classes(spec) == reference_classes(spec)
+
+
+def _three_cycle_spec(n):
+    """A_n given by all 2 C(n, 3) of its 3-cycles."""
+    gens = []
+    for a, b, c in itertools.combinations(range(n), 3):
+        for x, y, z in ((a, b, c), (a, c, b)):
+            g = list(range(n))
+            g[x], g[y], g[z] = y, z, x
+            gens.append(tuple(g))
+    return GroupSpec(n, tuple(gens))
+
+
+def test_classes_enumerate_from_the_generators_that_grew_the_chain():
+    # at most log2 20160 < 15 of the 112 generators enter the element
+    # and conjugation gathers; one gather per generator peaked at 34 MB
+    spec = _three_cycle_spec(8)
+    assert len(spec.generators) == 112
+    galorb.permgroup._conjugacy_classes_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        cs = conjugacy_classes(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs == conjugacy_classes(alternating_group_spec(8))
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_cached_fusion_maps_are_read_only():

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +8,7 @@ from galorb import screening
 from galorb.errors import InputError
 from galorb.numutil import prime_powers_upto, totient
 from galorb.screening import (
-    FAMILIES, exception_set, exceptional_screen, lemma_bounds,
-    max_m_with_totient_at_most, parse_torus_records, singer_order,
+    FAMILIES, exception_set, max_m_with_totient_at_most, singer_order,
 )
 
 # frozen exception sets for the default box n <= 40, q <= 64
@@ -238,41 +236,3 @@ def test_torus_tuple_matches_reference_formulas(tag):
                 continue
             assert rec.order_fn(n, q) == order_ref(n, q), (n, q)
             assert rec.order_lb_fn(n, q) == lb_ref(n, q), (n, q)
-
-
-def test_lemma_bounds_anchors():
-    b = lemma_bounds(5, 2)
-    assert (b.f_lb, b.r_lb, b.f_exceeds_4) == (2, Fraction(0), False)
-    b = lemma_bounds(13, 3)
-    assert (b.f_lb, b.r_lb, b.f_exceeds_4) == (4, Fraction(1), False)
-    b = lemma_bounds(257, 4)
-    assert b.f_lb == 64 and b.f_exceeds_4
-
-
-def test_torus_record_screen():
-    recs = parse_torus_records(
-        '{"group": "X1", "torus_order": 57, "index_bound": 8}\n'
-        "# comment line\n"
-        '{"group": "X2", "torus_order": 91, "index_bound": 30}\n')
-    v = exceptional_screen(recs)
-    assert v[0].phi == 36 and v[0].excluded
-    assert v[1].phi == 72 and not v[1].excluded
-
-
-def test_torus_record_parsing_guards():
-    with pytest.raises(InputError, match="30"):
-        parse_torus_records('{"group": "x", "torus_order": 5, "index_bound": 31}')
-    with pytest.raises(InputError, match="line 2"):
-        parse_torus_records('{"group": "x", "torus_order": 5, "index_bound": 3}\n{oops')
-    with pytest.raises(InputError, match="positive"):
-        parse_torus_records('{"group": "x", "torus_order": 0, "index_bound": 3}')
-    with pytest.raises(InputError, match="missing"):
-        parse_torus_records('{"group": "x", "torus_order": 5}')
-
-
-def test_shipped_torus_data_parses():
-    import pathlib
-    path = pathlib.Path(__file__).resolve().parent.parent / "data" / "sample_tori.jsonl"
-    verdicts = exceptional_screen(parse_torus_records(path.read_text()))
-    by_name = {v.record.group: v for v in verdicts}
-    assert by_name["X1"].excluded and not by_name["X2"].excluded
