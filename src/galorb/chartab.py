@@ -57,9 +57,9 @@ class GaloisAction:
 
     cells holds the value ids row by row; ids number the distinct cell
     values from 0.  images[u][v] is the id of the image of value v under
-    zeta -> zeta^k for k = units[u]; an image that is no cell value gets
-    an id past the cell values.  Ids and values correspond one to one,
-    so equal id tuples are equal rows or columns.
+    zeta -> zeta^k for k = units[u], units = units_mod(e); an image that
+    is no cell value gets an id past the cell values.  Ids and values
+    correspond one to one, so equal id tuples are equal rows or columns.
     """
 
     exponent: int
@@ -69,7 +69,7 @@ class GaloisAction:
 
     def unit(self, k: int) -> int:
         """The member of units acting as zeta -> zeta^k; k coprime to e."""
-        return k % self.exponent if self.exponent > 1 else 1
+        return k % self.exponent
 
 
 def _apply(ids: Ids, image: Ids) -> Ids:
@@ -119,7 +119,7 @@ class CharacterTable:
         values, cells = self._values
         ids = {z: i for i, z in enumerate(values)}
         e = table_exponent(self)
-        units = _exponent_units(e)
+        units = units_mod(e)
         images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
                        for k in units)
         return GaloisAction(e, units, cells, images)
@@ -378,10 +378,6 @@ def fixture_table(name: str) -> CharacterTable:
 # -- row-side analysis --------------------------------------------------
 
 
-def _exponent_units(e: int) -> tuple[int, ...]:
-    return (1,) if e == 1 else units_mod(e)
-
-
 def column_families(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """Partition of columns into Galois families, ordered by least member."""
     parent = list(range(t.num_classes))
@@ -470,14 +466,12 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     rep_t = char_report(t)
     rep_c = analyze(cs)
     checks = []
-    units = _exponent_units(e)
+    units = units_mod(e)
 
     bad = []
     for k in units:
         fixed_rows = t._rows.fixed[act.unit(k)]
-        fixed_cols = sum(
-            1 for c in range(cs.num_classes)
-            if cs.fusion[c][k % cs.orders[c]] == c)
+        fixed_cols = sum(1 for c, d in enumerate(cs.power_map(k)) if d == c)
         if fixed_rows != fixed_cols:
             bad.append(f"k={k}: {fixed_rows} fixed rows vs {fixed_cols} fixed classes")
     checks.append(CheckResult(
@@ -490,7 +484,7 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
 
     bad = []
     for k in units:
-        fusion_map = tuple(cs.fusion[c][k % cs.orders[c]] for c in range(cs.num_classes))
+        fusion_map = cs.power_map(k)
         table_map = t._column_maps[act.unit(k)]
         if table_map != fusion_map:
             diffs = [c for c in range(cs.num_classes) if table_map[c] != fusion_map[c]]

@@ -40,7 +40,7 @@ def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
     """Orbits of the coprime power maps on classes, ordered by least member."""
     parent = list(range(cs.num_classes))
     for c, fus in enumerate(cs.fusion):
-        for d in fus.values():
+        for d in fus:
             _merge(parent, c, d)
     return _partition(parent)
 

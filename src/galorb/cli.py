@@ -26,7 +26,7 @@ from .matgroup import (
     class_lower_bound, coprime_power_charpoly_count, element_order,
     parse_matrix_group_file, random_element_search, singer_element,
 )
-from .permgroup import conjugacy_classes, parse_generators
+from .permgroup import MAX_GROUP_ORDER, conjugacy_classes, parse_generators
 from .screening import FAMILIES, exception_set
 
 
@@ -46,20 +46,13 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _classes(spec, args):
-    """Class data of spec, under the --max-order guard when one is given."""
-    if args.max_order is None:
-        return conjugacy_classes(spec)
-    return conjugacy_classes(spec, max_order=args.max_order)
-
-
 # -- analyze-perm -------------------------------------------------------
 
 
 def _cmd_analyze_perm(args) -> tuple[str, int]:
     spec = parse_generators(_read(args.file))
     _note(f"degree {spec.degree}, {len(spec.generators)} generators")
-    cs = _classes(spec, args)
+    cs = conjugacy_classes(spec, max_order=args.max_order)
     rep = analyze(cs)
     if args.format == "json":
         return _json(report_to_obj(rep, labels=cs.labels)), 0
@@ -91,7 +84,7 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
     if args.gens:
         spec = parse_generators(_read(args.gens))
         _note("computing conjugacy classes for the cross-check")
-        cs = _classes(spec, args)
+        cs = conjugacy_classes(spec, max_order=args.max_order)
         cross = brauer_crosscheck(table, cs)
         if not cross.passed:
             code = 2
@@ -197,8 +190,8 @@ def _screen_obj(res) -> dict:
         "excluded": [{"n": n, "q": q, "reason": why}
                      for n, q, why in res.excluded],
         "certificate": {
-            "q_boundary_ok": all(r.ok for r in res.certificate.q_rows),
-            "n_near_ok": all(r.ok for r in res.certificate.n_rows),
+            "q_boundary_ok": res.certificate.q_boundary_ok,
+            "n_near_ok": res.certificate.n_near_ok,
             "n_tail_ok": res.certificate.n_tail_ok,
             "n_tail_range": list(res.certificate.n_tail_range),
             "asymptotic_ok": res.certificate.asymptotic_ok,
@@ -249,9 +242,9 @@ def _cmd_screen(args) -> tuple[str, int]:
 # -- charpoly -----------------------------------------------------------
 
 
-def _charpoly_report(g, args, max_order: int) -> tuple[str, int]:
-    order = element_order(g, bound=max_order)
-    count = coprime_power_charpoly_count(g, max_order=max_order)
+def _charpoly_report(g, args) -> tuple[str, int]:
+    order = element_order(g, bound=args.max_order)
+    count = coprime_power_charpoly_count(g, max_order=args.max_order)
     bound, verdict = class_lower_bound(count, args.center)
     obj = {
         "dimension": g.n,
@@ -275,29 +268,24 @@ def _charpoly_report(g, args, max_order: int) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-# the one element-order bound of charpoly when --max-order is not given
-_CHARPOLY_MAX_ORDER = 100_000
-
-
 def _cmd_charpoly(args) -> tuple[str, int]:
-    max_order = _CHARPOLY_MAX_ORDER if args.max_order is None else args.max_order
     if args.action == "singer":
         g = singer_element(args.n, args.q)
-        return _charpoly_report(g, args, max_order)
+        return _charpoly_report(g, args)
     if args.action == "file":
         if args.target is None:
             raise InputError("charpoly file needs --target ORDER")
-        if args.target > max_order:
+        if args.target > args.max_order:
             raise ResourceLimitError(
-                f"target order {args.target} exceeds the bound {max_order}; "
+                f"target order {args.target} exceeds the bound {args.max_order}; "
                 "raise it with --max-order")
         _, gens = parse_matrix_group_file(_read(args.file))
-        g = random_element_search(gens, args.target, seed=args.seed, bound=max_order)
+        g = random_element_search(gens, args.target, seed=args.seed, bound=args.max_order)
         if g is None:
             raise UncertifiedError(
                 f"no element of order {args.target} found "
                 f"(seed {args.seed}); try another seed or more attempts")
-        return _charpoly_report(g, args, max_order)
+        return _charpoly_report(g, args)
     # action == "bound"
     bound, verdict = class_lower_bound(args.count, args.center)
     obj = {"count": args.count, "center": args.center,
@@ -321,6 +309,15 @@ def _box(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("expected integers N,Q") from None
 
 
+# charpoly's default bound on element orders
+_CHARPOLY_MAX_ORDER = 100_000
+
+
+def _max_order_option(p, default: int, bounded: str):
+    p.add_argument("--max-order", type=int, default=default,
+                   help=f"bound on {bounded} (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galorb",
@@ -329,15 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="FILE", help="write output here")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random search seed (used by 'charpoly file')")
-    common.add_argument("--max-order", type=int, default=None,
-                        help="resource guard override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze-perm", parents=[common],
                        help="class-side analysis of a permutation group")
     p.add_argument("file", help="generator file")
+    _max_order_option(p, MAX_GROUP_ORDER, "the group order")
     p.set_defaults(fn=_cmd_analyze_perm)
 
     p = sub.add_parser("analyze-table", parents=[common],
@@ -345,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="table JSON file")
     p.add_argument("--gens", metavar="FILE",
                    help="generator file for a table-versus-classes cross-check")
+    _max_order_option(p, MAX_GROUP_ORDER, "the order of the --gens group")
     p.set_defaults(fn=_cmd_analyze_table)
 
     p = sub.add_parser("an-rank", parents=[common],
@@ -367,12 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("n", type=int)
     ps.add_argument("q", type=int)
     ps.add_argument("--center", type=int, default=1)
+    _max_order_option(ps, _CHARPOLY_MAX_ORDER, "the element's order")
     ps.set_defaults(fn=_cmd_charpoly, action="singer")
     pf = psub.add_parser("file", parents=[common],
                          help="search a generated matrix group")
     pf.add_argument("file")
     pf.add_argument("--target", type=int, default=None)
     pf.add_argument("--center", type=int, default=1)
+    pf.add_argument("--seed", type=int, default=0, help="random search seed")
+    _max_order_option(pf, _CHARPOLY_MAX_ORDER,
+                      "--target, every order searched and the element's order")
     pf.set_defaults(fn=_cmd_charpoly, action="file")
     pb = psub.add_parser("bound", parents=[common],
                          help="bare class bound from a count")

@@ -4,9 +4,10 @@ Permutations on n points are tuples p of length n with p[i] the image of
 i; composition pmul(p, q) applies q first.  Group input is a finite
 generating set wrapped in a GroupSpec.  The class data consumed by the
 rest of the package is a ClassStructure: sizes, element orders, and for
-each class the map recording where coprime power maps send it, keyed by
-residues modulo the element order.  Each fact is stored once: the
-exponent and the inverse permutation on classes are derived from these.
+each class a tuple recording where the coprime power maps send it, one
+entry per unit residue modulo the element order, ascending.  Each fact
+is stored once: the exponent and the power maps on classes, inversion
+among them, are derived from these.
 
 Orders come from a stabilizer chain built by incremental Schreier-Sims:
 levels grow in place as strong generators join them, and each Schreier
@@ -30,10 +31,10 @@ numbered, labelled and validated in one place.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import InputError, ResourceLimitError
 from .numutil import factorize, units_mod
 
 MAX_DEGREE = 256
+MAX_GROUP_ORDER = 200_000_000
 
 # -- permutation primitives ---------------------------------------------
 
@@ -365,7 +367,7 @@ def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
     return chain
 
 
-def group_order(spec: GroupSpec, max_order: int = 200_000_000) -> int:
+def group_order(spec: GroupSpec, max_order: int = MAX_GROUP_ORDER) -> int:
     """Order of the generated group; ResourceLimitError beyond max_order."""
     return _build_chain(spec, max_order).order()
 
@@ -373,35 +375,24 @@ def group_order(spec: GroupSpec, max_order: int = 200_000_000) -> int:
 # -- conjugacy class data -----------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class ClassStructure:
     """Conjugacy class data of a finite group.
 
     Classes are indexed 0..n-1 with the identity class at index 0.
-    fusion[c] maps each unit residue k modulo orders[c] to the index of
-    the class of k-th powers of class c; the trivial class uses the
-    single key 0.  The exponent and the inverse map are derived from
-    orders and fusion, not stored.  labels are human-facing and carry no
-    semantics.
+    fusion[c] is a tuple holding, for each k in units_mod(orders[c]) in
+    that order, the index of the class of k-th powers of class c; the
+    trivial class has the single entry for k = 0.  The exponent and the
+    power maps are derived from orders and fusion, not stored.  labels
+    are human-facing and carry no semantics.
     """
 
     group_order: int
     sizes: tuple[int, ...]
     orders: tuple[int, ...]
-    fusion: tuple[dict[int, int], ...]
+    fusion: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     reps: tuple = ()
-
-    def __post_init__(self):
-        # cached structures are shared between callers: freeze the maps
-        object.__setattr__(self, "fusion", tuple(
-            MappingProxyType(dict(fus)) for fus in self.fusion))
-
-    def __hash__(self):
-        # the fields of __eq__, each read-only fusion map as its sorted items
-        return hash((self.group_order, self.sizes, self.orders,
-                     tuple(tuple(sorted(fus.items())) for fus in self.fusion),
-                     self.labels, self.reps))
 
     @property
     def num_classes(self) -> int:
@@ -412,11 +403,16 @@ class ClassStructure:
         """lcm of the element orders."""
         return math.lcm(*self.orders)
 
+    def power_map(self, k: int) -> tuple[int, ...]:
+        """Class of the k-th powers of each class, for k prime to the
+        exponent."""
+        return tuple(fus[bisect_left(units_mod(m), k % m)]
+                     for m, fus in zip(self.orders, self.fusion))
+
     @cached_property
     def inverse_map(self) -> tuple[int, ...]:
-        """Class of the inverses of each class: the fusion image at
-        k = -1 mod the order (k = 0 for the trivial class)."""
-        return tuple(fus[m - 1] for m, fus in zip(self.orders, self.fusion))
+        """Class of the inverses of each class."""
+        return self.power_map(-1)
 
     def validate(self):
         n = self.num_classes
@@ -429,12 +425,12 @@ class ClassStructure:
         for c in range(n):
             m = self.orders[c]
             fus = self.fusion[c]
-            if tuple(sorted(fus)) != units_mod(m):
-                raise InputError(f"fusion keys of class {c} are not the units mod {m}")
-            one = 0 if m == 1 else 1 % m
-            if fus[one] != c:
+            if len(fus) != len(units_mod(m)):
+                raise InputError(
+                    f"fusion of class {c} has {len(fus)} entries, not one per unit mod {m}")
+            if fus[0] != c:
                 raise InputError(f"fusion of class {c} does not fix k = 1")
-            for d in fus.values():
+            for d in fus:
                 if not 0 <= d < n:
                     raise InputError(f"fusion image {d} of class {c} is not a class")
                 if self.orders[d] != m or self.sizes[d] != self.sizes[c]:
@@ -480,13 +476,11 @@ def _assemble(group_order: int, classes: list, powers,
     for new, old in enumerate(perm):
         newpos[old] = new
     orders = tuple(classes[c][0] for c in perm)
-    fusion = tuple(dict(zip(units_mod(m), map(newpos.__getitem__, powers(old))))
-                   for old, m in zip(perm, orders))
     return ClassStructure(
         group_order=group_order,
         sizes=tuple(classes[c][1] for c in perm),
         orders=orders,
-        fusion=fusion,
+        fusion=tuple(tuple(map(newpos.__getitem__, powers(old))) for old in perm),
         labels=_labels_for(orders, lower),
         reps=tuple(classes[c][2] for c in perm),
     ).validate()
@@ -577,7 +571,7 @@ def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure
 
 
 def conjugacy_classes(spec: GroupSpec, *,
-                      max_order: int = 200_000_000) -> ClassStructure:
+                      max_order: int = MAX_GROUP_ORDER) -> ClassStructure:
     """Conjugacy class data of the group generated by spec.
 
     Every element is enumerated, as sorted byte rows, and the classes are
@@ -586,7 +580,7 @@ def conjugacy_classes(spec: GroupSpec, *,
     before anything is allocated.  Classes are sorted by (element order,
     size, least element) and representatives are the least elements, so
     the result does not depend on the generating set.  Results are cached
-    and shared; their fusion maps are read-only.
+    and shared, and immutable.
     """
     return _conjugacy_classes_cached(spec, max_order)
 

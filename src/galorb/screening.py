@@ -201,26 +201,16 @@ class ScreenRow:
 
 
 @dataclass(frozen=True)
-class BoundaryRow:
-    n: int
-    q: int
-    order_lb: int
-    m_cap: int
-    ok: bool
-
-
-@dataclass(frozen=True)
 class Certificate:
-    q_rows: tuple[BoundaryRow, ...]
-    n_rows: tuple[BoundaryRow, ...]
+    q_boundary_ok: bool
+    n_near_ok: bool
     n_tail_range: tuple[int, int]
     n_tail_ok: bool
     asymptotic_ok: bool
 
     @property
     def ok(self) -> bool:
-        return (all(r.ok for r in self.q_rows) and all(r.ok for r in self.n_rows)
-                and self.n_tail_ok and self.asymptotic_ok)
+        return self.q_boundary_ok and self.n_near_ok and self.n_tail_ok and self.asymptotic_ok
 
 
 @dataclass(frozen=True)
@@ -249,7 +239,7 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     rows = []
     exceptions = set()
     excluded = []
-    q_rows = []
+    q_boundary_ok = True
     qs = [q for q in prime_powers_upto(q_max) if q % 2 or not rec.q_odd_only]
     for n in range(rec.n_min, n_max + 1):
         if not rec.in_domain(n):
@@ -271,18 +261,13 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
         # Completeness, part 1: the torus order lower bound one q past
         # the box already tops every m with small phi.  The lower bound
         # is monotone in q, so one evaluation covers the ray.
-        lb = rec.order_lb_fn(n, q_max + 1)
-        q_rows.append(BoundaryRow(n, q_max + 1, lb, cap, lb > cap))
+        q_boundary_ok &= rec.order_lb_fn(n, q_max + 1) > cap
 
     # Part 2: the next stretch of n, exactly, at the least admissible q.
     q_min = 3 if rec.q_odd_only else 2
-    n_rows = []
-    for n in range(n_max + 1, 2 * n_max + 1):
-        if not rec.in_domain(n):
-            continue
-        cap = max_m_with_totient_at_most(rec.threshold(n))
-        lb = rec.order_lb_fn(n, q_min)
-        n_rows.append(BoundaryRow(n, q_min, lb, cap, lb > cap))
+    n_near_ok = all(
+        rec.order_lb_fn(n, q_min) > max_m_with_totient_at_most(rec.threshold(n))
+        for n in range(n_max + 1, 2 * n_max + 1) if rec.in_domain(n))
 
     # Part 3: a long tail via phi(m) >= sqrt(m/2), the one place that
     # bound still serves: order > 2 thr^2 suffices, checked with margin.
@@ -302,7 +287,7 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     asymptotic_ok = (2 ** ((n0 - 2) // 2) > 512 * n0 ** 3) and (n0 * 7 > 61)
     # n * 7 > 61 is a safe integer stand-in for n > 6 / log 2 = 8.656...
 
-    cert = Certificate(tuple(q_rows), tuple(n_rows), (tail_lo, tail_hi),
+    cert = Certificate(q_boundary_ok, n_near_ok, (tail_lo, tail_hi),
                        n_tail_ok, asymptotic_ok)
     return ScreenResult(
         tag=rec.tag, n_max=n_max, q_max=q_max,

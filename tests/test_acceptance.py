@@ -4,6 +4,7 @@ scratch through public entry points; nothing is mocked."""
 
 import json
 import time
+from pathlib import Path
 
 from galorb.altcount import (
     frobenius_rank, partition_record, partitions_exact, prop8_construct,
@@ -200,10 +201,12 @@ def test_c9_deterministic_output(capsys, tmp_path):
     path = tmp_path / "a5.gens"
     path.write_text(format_generators(alternating_group_spec(5)))
     runs = [
-        ("analyze-perm", str(path), "--format", "json", "--seed", "7"),
+        ("analyze-perm", str(path), "--format", "json"),
         ("an-rank", "26..40", "--format", "json"),
         ("screen", "PSp", "--format", "json"),
         ("charpoly", "singer", "4", "2", "--format", "json"),
+        ("charpoly", "file", str(Path(__file__).parents[1] / "data" / "gl2_3.json"),
+         "--target", "8", "--seed", "7", "--format", "json"),
     ]
     for argv in runs:
         first = _cli(capsys, *argv)

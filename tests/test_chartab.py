@@ -5,7 +5,7 @@ import random
 import pytest
 
 from galorb.chartab import (
-    CharacterTable, _exponent_units, brauer_crosscheck, char_report,
+    CharacterTable, brauer_crosscheck, char_report,
     column_families, fixture_names, fixture_table, parse_table,
     serialize_table, table_exponent,
 )
@@ -13,6 +13,7 @@ from galorb.cyclotomic import (
     CyclotomicNumber, FieldClass, field_class, galois_apply, value_from_obj, zeta,
 )
 from galorb.errors import DegenerateTableError, InputError
+from galorb.numutil import units_mod
 from galorb.permgroup import (
     GroupSpec, alternating_class_structure, alternating_group_spec,
     conjugacy_classes, cyclic_class_structure, symmetric_group_spec,
@@ -278,7 +279,7 @@ def _apply_row(row, k):
 
 
 def reference_orbit_count(t):
-    units = _exponent_units(table_exponent(t))
+    units = units_mod(table_exponent(t))
     return len({min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr})
 
 
@@ -286,7 +287,7 @@ def reference_column_maps(t):
     cols = [tuple(row[c] for row in t.irr) for c in range(t.num_classes)]
     index = {_row_key(col): c for c, col in enumerate(cols)}
     return {k: tuple(index[_row_key(_apply_row(col, k))] for col in cols)
-            for k in _exponent_units(table_exponent(t))}
+            for k in units_mod(table_exponent(t))}
 
 
 def reference_families(t):
@@ -310,7 +311,7 @@ def reference_families(t):
 def reference_b_sets(t):
     flat = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
     keep = [i for i, row in enumerate(t.irr) if field_class(row) not in flat]
-    units = _exponent_units(table_exponent(t))
+    units = units_mod(table_exponent(t))
     orbit_keys = [min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr]
     conj_keys = {min(_row_key(t.irr[i]), _row_key(_apply_row(t.irr[i], -1))) for i in keep}
     return tuple(keep), len(conj_keys), len({orbit_keys[i] for i in keep})

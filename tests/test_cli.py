@@ -322,11 +322,23 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["cut_by_fields"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("an-rank", "30", "--seed", "1"),
+    ("screen", "PSp", "--max-order", "5"),
+    ("charpoly", "bound", "16", "3", "--seed", "1"),
+    ("analyze-perm", str(DATA / "a5.gens"), "--seed", "1"),
+], ids=["an-rank", "screen", "charpoly-bound", "analyze-perm"])
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_byte_identical_repeats(capsys):
     outs = set()
     for _ in range(2):
         code, out, _ = run(capsys, "analyze-perm", str(DATA / "a5.gens"),
-                           "--format", "json", "--seed", "3")
+                           "--format", "json")
         assert code == 0
         outs.add(out)
     assert len(outs) == 1

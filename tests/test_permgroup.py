@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 import sympy
@@ -71,8 +72,8 @@ def reference_classes(spec):
     fusion = []
     for c, r in enumerate(reps):
         m = orders[c]
-        fusion.append({k: newpos[elem_class[ppow(r, k)]] if m > 1 else c
-                       for k in units_mod(m)})
+        fus = {k: newpos[elem_class[ppow(r, k)]] if m > 1 else c for k in units_mod(m)}
+        fusion.append(tuple(fus[k] for k in units_mod(m)))
     return ClassStructure(
         group_order=len(elem_class),
         sizes=tuple(len(class_sets[c]) for c in perm_sort),
@@ -256,7 +257,7 @@ def reference_alternating_class_structure(n):
         else:
             fus = {k: pos[(parts, half ^ s)] for k, s in swap.items()}
             inverse_map.append(fus[order - 1])
-        fusion.append(fus)
+        fusion.append(tuple(fus[k] for k in units_mod(order)))
     return ClassStructure(
         group_order=nfact // 2,
         sizes=tuple(r[1] for r in records),
@@ -293,8 +294,8 @@ def test_a5_class_structure():
     assert cs.sizes == (1, 15, 20, 12, 12)
     assert cs.orders == (1, 2, 3, 5, 5)
     # squaring swaps the two classes of 5-cycles, fourth powers fix them
-    assert cs.fusion[3][2] == 4 and cs.fusion[4][2] == 3
-    assert cs.fusion[3][4] == 3
+    assert cs.power_map(2)[3:] == (4, 3)
+    assert cs.power_map(4)[3:] == (3, 4)
     # 5-cycles are real: inverse stays in the class
     assert cs.inverse_map[3] == 3 and cs.inverse_map[4] == 4
 
@@ -326,6 +327,18 @@ def test_alternating_structure_matches_conjugator_reference(n):
     assert alternating_class_structure(n) == reference_alternating_class_structure(n)
 
 
+def test_alternating_class_data_peak_memory():
+    # 129,140 fusion entries at n = 31, as one tuple per class near 3 MB
+    tracemalloc.start()
+    try:
+        cs = alternating_class_structure(31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, cs.fusion)) == 129_140
+    assert peak < 6 * 2 ** 20, peak
+
+
 def test_alternating_split_fusion_is_the_jacobi_symbol():
     # g^k leaves its half of a split pair exactly when (k / prod(parts)) = -1
     pairs = 0
@@ -339,8 +352,9 @@ def test_alternating_split_fusion_is_the_jacobi_symbol():
                 big_p = math.prod(parts)
                 swaps[parts] = {k: sympy.jacobi_symbol(k, big_p) == -1
                                 for k in units_mod(cs.orders[c])}
-            assert cs.fusion[c].keys() == swaps[parts].keys()
-            for k, d in cs.fusion[c].items():
+            units = units_mod(cs.orders[c])
+            assert len(cs.fusion[c]) == len(units)
+            for k, d in zip(units, cs.fusion[c]):
                 assert cs.reps[d] == (parts, half ^ swaps[parts][k])
                 pairs += 1
     assert pairs > 21_766  # the pairs for n <= 31 alone
@@ -363,12 +377,11 @@ def test_chain_order_matches_enumeration():
 def test_fusion_composes(spec):
     # k-th power of the l-th power class is the kl-th power class
     cs = conjugacy_classes(spec)
-    for c in range(cs.num_classes):
-        m = cs.orders[c]
-        for k in cs.fusion[c]:
-            for l in cs.fusion[c]:
-                d = cs.fusion[c][k]
-                assert cs.fusion[d][l % m if m > 1 else 0] == cs.fusion[c][(k * l) % m if m > 1 else 0]
+    units = units_mod(cs.exponent)
+    maps = {k: cs.power_map(k) for k in units}
+    for k in units:
+        for l in units:
+            assert tuple(maps[l][d] for d in maps[k]) == maps[k * l % cs.exponent]
 
 
 def test_validate_accepts_all_builders():
@@ -434,7 +447,7 @@ POINTS_256 = GroupSpec(256, (
 ))
 
 
-@pytest.mark.parametrize("spec", [
+REFERENCE_SPECS = pytest.mark.parametrize("spec", [
     *(relabeled(projective_line_action(q), q) for q in (5, 7, 8, 9, 11)),
     alternating_group_spec(6),
     symmetric_group_spec(5),
@@ -445,8 +458,23 @@ POINTS_256 = GroupSpec(256, (
     POINTS_256,
 ], ids=["psl2_5", "psl2_7", "psl2_8", "psl2_9", "psl2_11", "a6", "s5", "q8",
         "c30", "trivial_1", "trivial_4", "s4_on_256"])
+
+
+@REFERENCE_SPECS
 def test_classes_match_reference(spec):
     assert conjugacy_classes(spec) == reference_classes(spec)
+
+
+@REFERENCE_SPECS
+def test_power_maps_match_reference_powers(spec):
+    # the class of r^k, looked up among the classes of the representatives
+    # enumerated one element at a time, for every unit k mod the exponent
+    cs = conjugacy_classes(spec)
+    class_of = {x: c for c, r in enumerate(cs.reps)
+                for x in _reference_class_of(r, spec.generators)}
+    for k in units_mod(cs.exponent):
+        assert cs.power_map(k) == tuple(class_of[ppow(r, k)] for r in cs.reps), k
+    assert cs.inverse_map == cs.power_map(-1) == tuple(class_of[pinv(r)] for r in cs.reps)
 
 
 def _three_cycle_spec(n):
@@ -485,16 +513,21 @@ def test_cached_fusion_maps_are_read_only():
     again = conjugacy_classes(alternating_group_spec(5))
     assert again == first
     again.validate()
-    assert again.fusion[3][4] == 3
+    assert again.power_map(4)[3] == 3
 
 
-def test_fusion_maps_are_copied_from_the_input():
-    fus = [{0: 0}, {1: 1}]
-    cs = ClassStructure(group_order=2, sizes=(1, 1), orders=(1, 2),
-                        fusion=tuple(fus), labels=("1A", "2A"))
-    fus[1][1] = 0
-    assert cs.fusion[1][1] == 1
-    assert cs.fusion == ({0: 0}, {1: 1})
+def test_validate_rejects_malformed_fusion_rows():
+    cs = cyclic_class_structure(5)
+    assert cs.fusion[1:3] == ((1, 2, 3, 4), (2, 4, 1, 3))
+    short = replace(cs, fusion=(cs.fusion[0], cs.fusion[1][:3]) + cs.fusion[2:])
+    with pytest.raises(InputError, match="has 3 entries, not one per unit mod 5"):
+        short.validate()
+    moved = replace(cs, fusion=(cs.fusion[0], cs.fusion[2]) + cs.fusion[2:])
+    with pytest.raises(InputError, match="fusion of class 1 does not fix k = 1"):
+        moved.validate()
+    for bad in [(), (0, 0)]:
+        with pytest.raises(InputError, match="class 0 has"):
+            replace(cs, fusion=(bad,) + cs.fusion[1:]).validate()
 
 
 def test_equal_structures_hash_equal():
@@ -503,13 +536,7 @@ def test_equal_structures_hash_equal():
     rebuilt = reference_classes(spec)
     assert rebuilt == cached and rebuilt is not cached
     assert hash(rebuilt) == hash(cached)
-    # fusion maps built in another key order are still the same maps
-    shuffled = ClassStructure(
-        cached.group_order, cached.sizes, cached.orders,
-        tuple(dict(reversed(fus.items())) for fus in cached.fusion),
-        cached.labels, cached.reps)
-    assert shuffled == cached and hash(shuffled) == hash(cached)
-    assert len({cached, rebuilt, shuffled, cyclic_class_structure(5)}) == 2
+    assert len({cached, rebuilt, cyclic_class_structure(5)}) == 2
 
 
 @st.composite
