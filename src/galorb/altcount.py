@@ -15,11 +15,11 @@ difference of two dynamic programmes over the odd parts:
   and below are ever live, which keeps the state count in the low
   thousands at n = 400, the cap.
 
-The explicit enumeration with per-partition flags stays as the slow
-path that explains small n and serves as the test oracle.  The file
-also builds the explicit injection from ordinary partitions that drives
-the asymptotic lower bound: pad a partition of m to strictly increasing
-values, double into odd parts, and append a dominating prime.
+The explicit enumeration with per-partition flags lives in the tests,
+as the oracle for both programmes.  The file also builds the explicit
+injection from ordinary partitions that drives the asymptotic lower
+bound: pad a partition of m to strictly increasing values, double into
+odd parts, and append a dominating prime.
 """
 
 from __future__ import annotations
@@ -30,26 +30,8 @@ from functools import lru_cache
 from .errors import InputError, ResourceLimitError
 from .numutil import is_prime
 
-# largest n for the rank count and for explicit enumeration
+# largest n for the rank count
 MAX_N = 400
-
-
-@dataclass(frozen=True)
-class PartitionRecord:
-    """One partition of n with the four contribution criteria spelled out."""
-
-    parts: tuple[int, ...]
-    n: int
-    k: int
-    all_odd: bool
-    distinct: bool
-    congruent_mod4: bool
-    product_not_square: bool
-
-    @property
-    def contributes(self) -> bool:
-        return (self.all_odd and self.distinct and self.congruent_mod4
-                and self.product_not_square)
 
 
 @lru_cache(maxsize=8)
@@ -80,41 +62,6 @@ def _product_is_square(parts: tuple[int, ...]) -> bool:
             part //= p
             odd_exponent.symmetric_difference_update((p,))
     return not odd_exponent
-
-
-def partition_record(parts: tuple[int, ...]) -> PartitionRecord:
-    n = sum(parts)
-    k = len(parts)
-    return PartitionRecord(
-        parts=tuple(parts),
-        n=n,
-        k=k,
-        all_odd=all(p % 2 for p in parts),
-        distinct=len(set(parts)) == k,
-        congruent_mod4=(k - n) % 4 == 0,
-        product_not_square=not _product_is_square(tuple(parts)),
-    )
-
-
-def enumerate_distinct_odd_partitions(n: int):
-    """All partitions of n into distinct odd parts, decreasing within
-    each partition and in decreasing lexicographic order overall."""
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    if n > MAX_N:
-        raise ResourceLimitError(
-            f"partition enumeration capped at n = {MAX_N}, got {n}")
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        top = min(cap, remaining if remaining % 2 else remaining - 1)
-        for p in range(top, 0, -2):
-            for rest in rec(remaining - p, p - 2):
-                yield (p,) + rest
-
-    yield from rec(n, n if n % 2 else n - 1)
 
 
 def _counts_by_parts_mod4(n: int) -> tuple[int, int, int, int]:
@@ -177,12 +124,6 @@ def frobenius_rank(n: int) -> int:
         raise ResourceLimitError(
             f"alternating rank is limited to n <= {MAX_N}; n = {n} requested")
     return _counts_by_parts_mod4(n)[n & 3] - _square_product_count(n)
-
-
-def frobenius_records(n: int) -> tuple[PartitionRecord, ...]:
-    """Every distinct-odd partition of n with its contribution flags."""
-    return tuple(partition_record(parts)
-                 for parts in enumerate_distinct_odd_partitions(n))
 
 
 # -- exact partition counts for the injection ---------------------------

@@ -13,19 +13,22 @@ Orders come from a stabilizer chain built by incremental Schreier-Sims:
 levels grow in place as strong generators join them, and each Schreier
 generator is formed once, in uint8 batches that are sifted through each
 deeper level with one gather.  The chain refuses, exactly, once the
-order it has found passes max_order.  Classes come from one path, on the
-input generators that grew the chain (at most log2 of the order, however
-many were given): every element is enumerated as a row of bytes, the
-rows are kept sorted, conjugation by each of those generators becomes a
-permutation of row indices, and the classes are the orbits of those
-permutations.  There is no random
-search and no seed; groups whose order times degree exceeds 10^8 are
-refused before any element is stored.  Alternating and cyclic groups
-also get direct combinatorial constructions that build no permutation:
-cycle types and the Jacobi symbol for A_n, residues for cyclic groups.
-All three builders share one assembly step: each lists its classes and
-supplies one class's power images at a time, and the classes are
-numbered, labelled and validated in one place.
+order it has found passes max_order.  Classes come from one path.  The
+chain's transversals enumerate every element as a row of bytes, each
+the product of one transversal element per level, so an element's index
+is read off its base images by sifting them alone.  The enumeration is
+checked to be closed under the input generators that grew the chain (at
+most log2 of the order, however many were given), and every lookup is
+checked against the row at the index it found.  Conjugation by each of
+those generators becomes a permutation of row indices, and the classes
+are the orbits of those permutations.  There is no random search and no
+seed; groups whose order times degree exceeds 10^8 are refused before
+any element is stored.  Alternating and cyclic groups also get direct
+combinatorial constructions that build no permutation: cycle types and
+the Jacobi symbol for A_n, residues for cyclic groups.  All three
+builders share one assembly step: each lists its classes and supplies
+one class's power images at a time, and the classes are numbered,
+labelled and validated in one place.
 """
 
 from __future__ import annotations
@@ -202,10 +205,11 @@ class _Level:
 
     gens holds the strong generators of this level as uint8 rows, with
     their inverses in gens_inv.  The orbit of the base point under them
-    grows in place; u[x] is a transversal element sending the base point
-    to x and uinv[x] its inverse (rows of points outside the orbit are
-    unused).  done[r, k] records that the Schreier generator of orbit
-    point orbit[r] and generator k has been formed.
+    grows in place, and pos[x] is the position of x in it (-1 outside);
+    u[x] is a transversal element sending the base point to x and
+    uinv[x] its inverse (rows of points outside the orbit are unused).
+    done[r, k] records that the Schreier generator of orbit point
+    orbit[r] and generator k has been formed.
     """
 
     def __init__(self, base: int, degree: int):
@@ -214,8 +218,8 @@ class _Level:
         self.gens = np.empty((0, degree), dtype=np.uint8)
         self.gens_inv = np.empty((0, degree), dtype=np.uint8)
         self.orbit = np.array([base], dtype=np.intp)
-        self.in_orbit = np.zeros(degree, dtype=bool)
-        self.in_orbit[base] = True
+        self.pos = np.full(degree, -1, dtype=np.int32)
+        self.pos[base] = 0
         self.u = np.zeros((degree, degree), dtype=np.uint8)
         self.uinv = np.zeros((degree, degree), dtype=np.uint8)
         self.u[base] = self.uinv[base] = identity
@@ -250,7 +254,7 @@ class _Level:
             self.uinv[y] = self.uinv[x][self.gens_inv[k]]
         if edges:
             pts = [y for y, _, _ in edges]
-            self.in_orbit[pts] = True
+            self.pos[pts] = range(len(self.orbit), len(self.orbit) + len(pts))
             self.orbit = np.concatenate((self.orbit, pts))
 
 
@@ -289,6 +293,48 @@ class _Chain:
             o *= len(lev.orbit)
         return o
 
+    def elements(self) -> np.ndarray:
+        """Every element, as uint8 rows in mixed-radix order: the row of
+        index i_0 r_0 + ... + i_{L-1} r_{L-1}, where r_l is the product
+        of the orbit lengths below level l, is the product u_0 u_1 ...
+        u_{L-1} of the transversal elements at orbit positions i_l.  One
+        column gather per level builds them.
+
+        The rows E are then checked to be the group: E g lies in E for
+        every generator g that grew the chain and E holds the identity,
+        so E contains the group, and each row is a product of group
+        elements, so E is no more than the group."""
+        rows = self.identity[None, :]
+        for lev in self.levels:
+            # row (j, i) is rows[j] u_i: a column permutation of rows[j]
+            rows = np.take(rows, lev.u[lev.orbit], axis=1).reshape(-1, self.degree)
+        for g in self.generators:
+            self.rank(np.take(rows, g, axis=1), rows)
+        return rows
+
+    def rank(self, rows: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """Index in elements (as returned by elements()) of each row.
+
+        The index is read by sifting the L base-point columns alone; each
+        row is then compared in full with the element at its index, so a
+        row outside the group raises even where its base images are an
+        element's."""
+        images = rows.T[[lev.base for lev in self.levels]]
+        idx = np.zeros(len(rows), dtype=np.int32)
+        for l, lev in enumerate(self.levels):
+            at = lev.pos[images[l]]
+            if (at < 0).any():
+                raise AssertionError("row outside the group: base image off the orbit")
+            idx = idx * len(lev.orbit) + at
+            # sifting by u_x^-1 sends each deeper base image y to uinv[x][y],
+            # entry x d + y of uinv; x d needs more than the 8 bits of x
+            xd = images[l].astype(np.intp) * self.degree
+            for m in range(l + 1, len(self.levels)):
+                images[m] = np.take(lev.uinv, xd + images[m])
+        if not np.array_equal(np.take(elements, idx, axis=0), rows):
+            raise AssertionError("row outside the group: not the element at its index")
+        return idx
+
     def _sift(self, h: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Sift each row of h through levels start..; returns the residues
         and, per row, the level where its base image left the orbit
@@ -300,8 +346,10 @@ class _Chain:
         for l in range(start, len(self.levels)):
             lev = self.levels[l]
             x = cur[:, lev.base]
-            inside = lev.in_orbit[x]
-            if not inside.all():
+            at = lev.pos[x]
+            # one reduction when every row stays in the orbit, the usual case
+            if len(at) and at.min() < 0:
+                inside = at >= 0
                 out = ~inside
                 stop[rows[out]] = l
                 h[rows[out]] = cur[out]
@@ -492,45 +540,20 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
-def _element_keys(gens: list, order: int) -> np.ndarray:
-    """Sorted keys of every element, grown by breadth-first frontiers."""
-    d = len(gens[0])
-    gens = np.array(gens, dtype=np.intp).ravel()
-    frontier = np.arange(d, dtype=np.uint8)[None, :]
-    keys = _row_keys(frontier)
-    while len(frontier):
-        # row (f, j) of the gather is frontier[f] * generator j: a column
-        # permutation, much cheaper than mapping every entry
-        cand = np.sort(_row_keys(np.take(frontier, gens, axis=1).reshape(-1, d)),
-                       kind="stable")
-        fresh = (np.searchsorted(keys, cand)
-                 == np.searchsorted(keys, cand, side="right"))
-        fresh[1:] &= cand[1:] != cand[:-1]
-        frontier = cand[fresh]
-        # two sorted runs: the stable sort merges them in linear time
-        keys = np.sort(np.concatenate((keys, frontier)), kind="stable")
-        frontier = frontier.view(np.uint8).reshape(-1, d)
-    if len(keys) != order:
-        raise AssertionError("enumeration disagrees with the stabilizer chain")
-    return keys
+def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
+    """For each element, the least index in its class.
 
-
-def _class_labels(gens: list, elems: np.ndarray) -> np.ndarray:
-    """For each element, the index of the least element of its class.
-
-    Conjugation by a generator g permutes the sorted elements.  The
-    conjugated rows are the elements again, so their argsort is an index
-    permutation directly: it sends j to the i with g x_i g^-1 = x_j,
-    which is conjugation by g^-1.  Classes are the orbits of these
-    permutations, found by lowering every label to the least label
-    among its images and then jumping pointers.
+    Conjugation by each generator g that grew the chain permutes the
+    elements: rank sends i to the index of g x_i g^-1.  Classes are the
+    orbits of these permutations, found by lowering every label to the
+    least label among its images and then jumping pointers.
     """
     conj = []
-    for g in gens:
+    for g in chain.generators:
         # (g x g^-1)[i] = g[x[g^-1[i]]]
         rows = np.array(g, dtype=np.uint8)[np.take(elems, pinv(g), axis=1)]
-        conj.append(np.argsort(_row_keys(rows), kind="stable"))
-    lab = np.arange(len(elems))
+        conj.append(chain.rank(rows, elems))
+    lab = np.arange(len(elems), dtype=np.int32)
     while True:
         new = lab
         for c in conj:
@@ -549,19 +572,19 @@ def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure
         raise ResourceLimitError(
             f"class computation needs order x degree = {order} x {spec.degree} "
             f"= {points} element-points, above the limit 10^8")
-    # the generators that grew group_order's chain; the trivial group has none
-    gens = _build_chain(spec, max_order).generators or list(spec.generators[:1])
-    keys = _element_keys(gens, order)
-    elems = keys.view(np.uint8).reshape(order, spec.degree)
-    lab = _class_labels(gens, elems)
-    rep_idx = np.flatnonzero(lab == np.arange(order))
-    sizes = np.bincount(lab)[rep_idx].tolist()
-    reps = [tuple(r) for r in elems[rep_idx].tolist()]
+    chain = _build_chain(spec, max_order)
+    elems = chain.elements()
+    lab = _class_labels(chain, elems)
+    # the least element of a class is its first row in tuple order
+    least = np.argsort(_row_keys(elems), kind="stable")
+    labels, first = np.unique(lab[least], return_index=True)
+    sizes = np.bincount(lab)[labels].tolist()
+    reps = [tuple(r) for r in elems[least[first]].tolist()]
     orders = [perm_order(r) for r in reps]
     # every coprime power of every representative, in one batched lookup
     images = [ppow(r, k) for r, m in zip(reps, orders) for k in units_mod(m)]
-    at = np.searchsorted(keys, _row_keys(np.array(images, dtype=np.uint8)))
-    found = np.searchsorted(rep_idx, lab[at]).tolist()
+    at = chain.rank(np.array(images, dtype=np.uint8), elems)
+    found = np.searchsorted(labels, lab[at]).tolist()
     starts = list(accumulate((len(units_mod(m)) for m in orders), initial=0))
 
     def powers(c):
@@ -574,13 +597,15 @@ def conjugacy_classes(spec: GroupSpec, *,
                       max_order: int = MAX_GROUP_ORDER) -> ClassStructure:
     """Conjugacy class data of the group generated by spec.
 
-    Every element is enumerated, as sorted byte rows, and the classes are
-    the orbits of conjugation by the generators that grew the stabilizer
-    chain; groups whose order times degree exceeds 10^8 are refused
-    before anything is allocated.  Classes are sorted by (element order,
-    size, least element) and representatives are the least elements, so
-    the result does not depend on the generating set.  Results are cached
-    and shared, and immutable.
+    Every element is enumerated as a byte row from the transversals of
+    the stabilizer chain, and the enumeration is checked to be closed
+    under the generators that grew the chain.  The classes are the orbits
+    of conjugation by those generators, each conjugate found by sifting
+    its base images and checked in full; groups whose order times degree
+    exceeds 10^8 are refused before anything is allocated.  Classes are
+    sorted by (element order, size, least element) and representatives
+    are the least elements, so the result does not depend on the
+    generating set.  Results are cached and shared, and immutable.
     """
     return _conjugacy_classes_cached(spec, max_order)
 

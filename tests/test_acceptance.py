@@ -7,8 +7,7 @@ import time
 from pathlib import Path
 
 from galorb.altcount import (
-    frobenius_rank, partition_record, partitions_exact, prop8_construct,
-    prop8_lower_bound,
+    frobenius_rank, partitions_exact, prop8_construct, prop8_lower_bound,
 )
 from galorb.chartab import brauer_crosscheck, char_report, column_families, fixture_table
 from galorb.classtheory import analyze, q_classes
@@ -22,6 +21,7 @@ from galorb.permgroup import (
     alternating_group_spec, conjugacy_classes, cyclic_class_structure,
     cyclic_group_spec, format_generators, symmetric_group_spec,
 )
+from test_altcount import partition_record
 
 ANALYZED = []  # class structures accumulated for the identity suite
 

@@ -3,19 +3,80 @@ against a brute-force partition oracle and the realized class
 structures, plus the constructive lower-bound machinery."""
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 
 from galorb.altcount import (
-    _counts_by_parts_mod4, count_partitions_exact,
-    enumerate_distinct_odd_partitions, frobenius_rank, frobenius_records,
-    partition_record, partitions_exact, prop8_construct, prop8_lower_bound,
+    MAX_N, _counts_by_parts_mod4, _product_is_square, count_partitions_exact,
+    frobenius_rank, partitions_exact, prop8_construct, prop8_lower_bound,
     prop8_parameters,
 )
 from galorb.classtheory import analyze
 from galorb.errors import InputError, ResourceLimitError
 from galorb.permgroup import alternating_class_structure
+
+# -- reference: every distinct-odd partition with its contribution flags --
+
+
+@dataclass(frozen=True)
+class PartitionRecord:
+    """One partition of n with the four contribution criteria spelled out."""
+
+    parts: tuple[int, ...]
+    n: int
+    k: int
+    all_odd: bool
+    distinct: bool
+    congruent_mod4: bool
+    product_not_square: bool
+
+    @property
+    def contributes(self) -> bool:
+        return (self.all_odd and self.distinct and self.congruent_mod4
+                and self.product_not_square)
+
+
+def partition_record(parts: tuple[int, ...]) -> PartitionRecord:
+    n = sum(parts)
+    k = len(parts)
+    return PartitionRecord(
+        parts=tuple(parts),
+        n=n,
+        k=k,
+        all_odd=all(p % 2 for p in parts),
+        distinct=len(set(parts)) == k,
+        congruent_mod4=(k - n) % 4 == 0,
+        product_not_square=not _product_is_square(tuple(parts)),
+    )
+
+
+def enumerate_distinct_odd_partitions(n: int):
+    """All partitions of n into distinct odd parts, decreasing within
+    each partition and in decreasing lexicographic order overall."""
+    if n < 0:
+        raise InputError("n must be nonnegative")
+    if n > MAX_N:
+        raise ResourceLimitError(
+            f"partition enumeration capped at n = {MAX_N}, got {n}")
+
+    def rec(remaining: int, cap: int):
+        if remaining == 0:
+            yield ()
+            return
+        top = min(cap, remaining if remaining % 2 else remaining - 1)
+        for p in range(top, 0, -2):
+            for rest in rec(remaining - p, p - 2):
+                yield (p,) + rest
+
+    yield from rec(n, n if n % 2 else n - 1)
+
+
+def frobenius_records(n: int) -> tuple[PartitionRecord, ...]:
+    """Every distinct-odd partition of n with its contribution flags."""
+    return tuple(partition_record(parts)
+                 for parts in enumerate_distinct_odd_partitions(n))
 
 
 def brute_distinct_odd(n):

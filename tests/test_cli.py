@@ -196,7 +196,7 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
     def never(*args):
         raise AssertionError("elements enumerated past the guard")
 
-    monkeypatch.setattr(galorb.permgroup, "_element_keys", never)
+    monkeypatch.setattr(galorb.permgroup._Chain, "elements", never)
     gens = tmp_path / "s11.gens"
     gens.write_text(format_generators(symmetric_group_spec(11)))
     code, out, err = run(capsys, "analyze-perm", str(gens))

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import sympy
 import sympy.combinatorics as sc
@@ -15,7 +16,8 @@ from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import units_mod
 from galorb.permgroup import (
-    ClassStructure, GroupSpec, _build_chain, _even_partitions, _labels_for,
+    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain,
+    _even_partitions, _labels_for, _row_keys,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, format_generators,
     group_order, parse_generators, perm_order, pinv, pmul, ppow,
@@ -248,15 +250,12 @@ def reference_alternating_class_structure(n):
     pos = {(r[2], r[3]): c for c, r in enumerate(records)}
     orders = tuple(r[0] for r in records)
     fusion = []
-    inverse_map = []
     for order, _size, parts, half, swap in records:
         if swap is None:
             fus = ({k: pos[(parts, 0)] for k in units_mod(order)} if order > 1
                    else {0: pos[(parts, 0)]})
-            inverse_map.append(pos[(parts, 0)])
         else:
             fus = {k: pos[(parts, half ^ s)] for k, s in swap.items()}
-            inverse_map.append(fus[order - 1])
         fusion.append(tuple(fus[k] for k in units_mod(order)))
     return ClassStructure(
         group_order=nfact // 2,
@@ -447,17 +446,25 @@ POINTS_256 = GroupSpec(256, (
 ))
 
 
-REFERENCE_SPECS = pytest.mark.parametrize("spec", [
-    *(relabeled(projective_line_action(q), q) for q in (5, 7, 8, 9, 11)),
-    alternating_group_spec(6),
-    symmetric_group_spec(5),
-    Q8_SPEC,
-    cyclic_group_spec(30),
-    GroupSpec(1, ((0,),)),
-    GroupSpec(4, ((0, 1, 2, 3),)),
-    POINTS_256,
-], ids=["psl2_5", "psl2_7", "psl2_8", "psl2_9", "psl2_11", "a6", "s5", "q8",
-        "c30", "trivial_1", "trivial_4", "s4_on_256"])
+REFERENCE_GROUPS = {
+    **{f"psl2_{q}": relabeled(projective_line_action(q), q) for q in (5, 7, 8, 9, 11)},
+    "a6": alternating_group_spec(6),
+    "s5": symmetric_group_spec(5),
+    "q8": Q8_SPEC,
+    "c30": cyclic_group_spec(30),
+    "trivial_1": GroupSpec(1, ((0,),)),
+    "trivial_4": GroupSpec(4, ((0, 1, 2, 3),)),
+    "s4_on_256": POINTS_256,
+}
+REFERENCE_SPECS = pytest.mark.parametrize(
+    "spec", REFERENCE_GROUPS.values(), ids=REFERENCE_GROUPS)
+
+# the groups whose classes the perm-groups benchmark takes, relabeled
+PERM_GROUPS = {
+    **{f"psl2_{q}": relabeled(projective_line_action(q), 1000 + q) for q in (29, 32, 37)},
+    "a8": relabeled(alternating_group_spec(8), 1008),
+    "s8": relabeled(symmetric_group_spec(8), 1008),
+}
 
 
 @REFERENCE_SPECS
@@ -475,6 +482,65 @@ def test_power_maps_match_reference_powers(spec):
     for k in units_mod(cs.exponent):
         assert cs.power_map(k) == tuple(class_of[ppow(r, k)] for r in cs.reps), k
     assert cs.inverse_map == cs.power_map(-1) == tuple(class_of[pinv(r)] for r in cs.reps)
+
+
+# -- the chain's enumeration against the breadth-first one ---------------
+
+
+def reference_element_keys(spec):
+    """Sorted keys of every element, grown by breadth-first frontiers:
+    each layer's products are sorted, checked against every key so far
+    by two searchsorted passes, and merged in by a stable sort."""
+    d = spec.degree
+    gens = np.array(spec.generators, dtype=np.intp).ravel()
+    frontier = np.arange(d, dtype=np.uint8)[None, :]
+    keys = _row_keys(frontier)
+    while len(frontier):
+        cand = np.sort(_row_keys(np.take(frontier, gens, axis=1).reshape(-1, d)),
+                       kind="stable")
+        fresh = (np.searchsorted(keys, cand)
+                 == np.searchsorted(keys, cand, side="right"))
+        fresh[1:] &= cand[1:] != cand[:-1]
+        frontier = cand[fresh]
+        keys = np.sort(np.concatenate((keys, frontier)), kind="stable")
+        frontier = frontier.view(np.uint8).reshape(-1, d)
+    return keys
+
+
+@pytest.mark.parametrize("spec", [*REFERENCE_GROUPS.values(), *PERM_GROUPS.values()],
+                         ids=[*REFERENCE_GROUPS, *(f"bench_{k}" for k in PERM_GROUPS)])
+def test_chain_enumerates_the_breadth_first_elements(spec):
+    chain = _build_chain(spec, MAX_GROUP_ORDER)
+    elems = chain.elements()
+    assert elems.dtype == np.uint8 and elems.shape == (chain.order(), spec.degree)
+    assert np.array_equal(np.sort(_row_keys(elems)), reference_element_keys(spec))
+
+
+def test_rank_refuses_rows_outside_the_group():
+    chain = _build_chain(alternating_group_spec(5), MAX_GROUP_ORDER)
+    elems = chain.elements()
+    with pytest.raises(AssertionError, match="row outside the group"):
+        chain.rank(np.array([(1, 0, 2, 3, 4)], dtype=np.uint8), elems)
+    # an element with the images of two points off the base swapped has
+    # the element's base images; only the full-row compare tells them apart
+    bases = [lev.base for lev in chain.levels]
+    p, q = sorted(set(range(5)) - set(bases))
+    row = elems[7].copy()
+    row[[p, q]] = row[[q, p]]
+    assert np.array_equal(row[bases], elems[7][bases])
+    assert chain.rank(elems[7:8], elems).tolist() == [7]
+    with pytest.raises(AssertionError, match="not the element at its index"):
+        chain.rank(row[None, :], elems)
+
+
+def test_enumeration_checks_closure_under_the_generators():
+    chain = _Chain(5, MAX_GROUP_ORDER)
+    for g in alternating_group_spec(5).generators:
+        chain.insert(g)
+    assert len(chain.elements()) == 60
+    chain.levels.pop()
+    with pytest.raises(AssertionError, match="row outside the group"):
+        chain.elements()
 
 
 def _three_cycle_spec(n):
@@ -502,6 +568,25 @@ def test_classes_enumerate_from_the_generators_that_grew_the_chain():
         tracemalloc.stop()
     assert cs == conjugacy_classes(alternating_group_spec(8))
     assert peak < 8 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("spec, parent_mb", [
+    (projective_line_action(64), 69.0),
+    (alternating_group_spec(9), 11.4),
+    (symmetric_group_spec(9), 22.8),
+], ids=["psl2_64", "a9", "s9"])
+def test_class_enumeration_peak_memory(spec, parent_mb):
+    # parent_mb is the peak of the breadth-first enumeration this path
+    # replaced, on the same groups; the chain's is to stay within 1.25 times
+    group_order(spec)
+    galorb.permgroup._conjugacy_classes_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        conjugacy_classes(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * parent_mb * 2 ** 20, peak
 
 
 def test_cached_fusion_maps_are_read_only():
@@ -553,6 +638,14 @@ def test_order_and_class_sizes_match_sympy(spec):
     assert group_order(spec) == group.order()
     cs = conjugacy_classes(spec)
     assert sorted(cs.sizes) == sorted(len(c) for c in group.conjugacy_classes())
+
+
+@given(small_generating_sets())
+@settings(max_examples=40, deadline=None)
+def test_rank_of_each_element_is_its_index(spec):
+    chain = _build_chain(spec, MAX_GROUP_ORDER)
+    elems = chain.elements()
+    assert np.array_equal(chain.rank(elems, elems), np.arange(chain.order()))
 
 
 def test_chain_orders_of_relabeled_large_groups():
