@@ -37,12 +37,10 @@ def _partition(parent: list[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the coprime power maps on classes, ordered by least member."""
-    parent = list(range(cs.num_classes))
-    for c, fus in enumerate(cs.fusion):
-        for d in fus:
-            _merge(parent, c, d)
-    return _partition(parent)
+    """Orbits of the coprime power maps on classes, ordered by least member.
+    Each class's fusion row lists its orbit (ClassStructure.validate
+    checks this), and disjoint sorted orbits sort by their least member."""
+    return tuple(sorted({tuple(sorted(set(fus))) for fus in cs.fusion}))
 
 
 def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 from .errors import ResourceLimitError
 
@@ -124,7 +125,11 @@ def units_mod(m: int) -> tuple[int, ...]:
         raise ValueError("modulus must be positive")
     if m == 1:
         return (0,)
-    return tuple(k for k in range(1, m) if math.gcd(k, m) == 1)
+    # strike out the multiples of each prime factor of m, 0 among them
+    unit = bytearray(b"\x01") * m
+    for p in factorize(m):
+        unit[::p] = bytes(len(range(0, m, p)))
+    return tuple(compress(range(m), unit))
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:

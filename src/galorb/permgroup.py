@@ -12,23 +12,28 @@ among them, are derived from these.
 Orders come from a stabilizer chain built by incremental Schreier-Sims:
 levels grow in place as strong generators join them, and each Schreier
 generator is formed once, in uint8 batches that are sifted through each
-deeper level with one gather.  The chain refuses, exactly, once the
-order it has found passes max_order.  Classes come from one path.  The
-chain's transversals enumerate every element as a row of bytes, each
-the product of one transversal element per level, so an element's index
-is read off its base images by sifting them alone.  The enumeration is
-checked to be closed under the input generators that grew the chain (at
-most log2 of the order, however many were given), and every lookup is
-checked against the row at the index it found.  Conjugation by each of
-those generators becomes a permutation of row indices, and the classes
-are the orbits of those permutations.  There is no random search and no
-seed; groups whose order times degree exceeds 10^8 are refused before
-any element is stored.  Alternating and cyclic groups also get direct
-combinatorial constructions that build no permutation: cycle types and
-the Jacobi symbol for A_n, residues for cyclic groups.  All three
-builders share one assembly step: each lists its classes and supplies
-one class's power images at a time, and the classes are numbered,
-labelled and validated in one place.
+deeper level with one gather.  Those of Schreier-tree edges are the
+identity and are never formed, and of a batch's residues the one that
+joins the fewest levels is promoted first.  The chain refuses, exactly,
+once the order it has found passes max_order.  Classes come from one
+path.  The chain's transversals enumerate every element as a row of
+bytes, each the product of one transversal element per level, so an
+element's index is read off its base images by sifting them alone.  The
+enumeration is checked to be closed under the input generators that grew
+the chain (at most log2 of the order, however many were given), and every
+lookup is checked against the row at the index it found.  Conjugation by
+each of those generators becomes a permutation of row indices, and the
+classes are the orbits of those permutations.  Each class's least row is
+found column by column, and the coprime powers of all representatives
+are formed together by binary powering over their rows, then looked up
+in one batch.  There is no random search and no seed; groups whose
+order times degree exceeds 10^8 are refused before any element is
+stored.  Alternating and cyclic groups also get direct combinatorial
+constructions that build no permutation: cycle types and the Jacobi
+symbol for A_n, residues for cyclic groups.  All three builders share
+one assembly step: each lists its classes and supplies one class's
+power images at a time, and the classes are numbered, labelled and
+validated (each class's fusion images must be one orbit) in one place.
 """
 
 from __future__ import annotations
@@ -64,19 +69,6 @@ def pinv(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
-
-
-def ppow(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    if k < 0:
-        return ppow(pinv(p), -k)
-    result = identity_perm(len(p))
-    base = p
-    while k:
-        if k & 1:
-            result = pmul(result, base)
-        base = pmul(base, base)
-        k >>= 1
-    return result
 
 
 def cycles(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -209,7 +201,8 @@ class _Level:
     u[x] is a transversal element sending the base point to x and
     uinv[x] its inverse (rows of points outside the orbit are unused).
     done[r, k] records that the Schreier generator of orbit point
-    orbit[r] and generator k has been formed.
+    orbit[r] and generator k has been formed, or is the identity because
+    the pair is the tree edge that brought its image into the orbit.
     """
 
     def __init__(self, base: int, degree: int):
@@ -253,9 +246,12 @@ class _Level:
             self.u[y] = self.gens[k][self.u[x]]
             self.uinv[y] = self.uinv[x][self.gens_inv[k]]
         if edges:
-            pts = [y for y, _, _ in edges]
-            self.pos[pts] = range(len(self.orbit), len(self.orbit) + len(pts))
+            pts, xs, ks = zip(*edges)
+            self.pos[list(pts)] = range(len(self.orbit), len(self.orbit) + len(pts))
             self.orbit = np.concatenate((self.orbit, pts))
+            # u_y = s u_x makes each edge's Schreier generator u_y^-1 s u_x
+            # the identity, so it is marked done and never formed
+            self.done[self.pos[list(xs)], ks] = True
 
 
 class _Chain:
@@ -264,19 +260,24 @@ class _Chain:
     Levels are extended, never rebuilt: a new strong generator grows the
     orbits and transversals of the levels it joins, and each (orbit point,
     strong generator) pair of a level is formed into its Schreier
-    generator u_y^-1 g u_x exactly once; schreier_generators counts them.
-    A level's untested pairs are formed as one uint8 batch and sifted
-    through the deeper levels with one gather per level.  The first
-    residue that is not the identity, in orbit-then-generator pair order,
+    generator u_y^-1 g u_x at most once; schreier_generators counts them.
+    The pair (x, g) of a Schreier-tree edge, which set u_y = g u_x for the
+    new point y = g(x), has the identity as its Schreier generator, so
+    _Level.add marks it done and it is never formed.  A level's other
+    untested pairs are formed as one uint8 batch and sifted through the
+    deeper levels with one gather per level.  Of the residues that are
+    not the identity, the one that stopped highest (joins the fewest
+    levels; the first in orbit-then-generator pair order on a tie)
     becomes a strong generator of the levels from the next one down to
     where it stopped (a new level's base point is the least point it
     moves); those levels are completed, and the other residues of the
-    batch are sifted on through the grown chain.  Every Schreier
-    generator is sifted, so the order is exact.  The product of the orbit
-    lengths never exceeds the group order, so the max_order refusal is
-    exact.  generators records the inserted elements that grew the
-    chain; each at least doubles the order, so there are at most
-    log2 of it, and they generate the same group as all inserted ones.
+    batch are sifted on through the grown chain.  Which residue goes
+    first does not matter for exactness, since all are sifted again.
+    Every Schreier generator is sifted, so the order is exact.  The
+    product of the orbit lengths never exceeds the group order, so the
+    max_order refusal is exact.  generators records the inserted elements
+    that grew the chain; each at least doubles the order, so there are at
+    most log2 of it, and they generate the same group as all inserted ones.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -400,9 +401,10 @@ class _Chain:
             moved = self._moved(h)
             if not len(moved):
                 return
-            first = moved[0]
-            self._add_strong(h[first], i + 1, int(stop[first]))
-            h = h[moved[1:]]
+            # the residue that joins the fewest levels, first in pair order on a tie
+            j = int(np.argmin(stop[moved]))
+            self._add_strong(h[moved[j]], i + 1, int(stop[moved[j]]))
+            h = h[np.delete(moved, j)]
 
 
 # group_order keeps its last chain, whose recorded generators the class
@@ -470,6 +472,8 @@ class ClassStructure:
             raise InputError("class sizes do not sum to the group order")
         if self.orders[0] != 1 or self.sizes[0] != 1:
             raise InputError("class 0 must be the trivial class")
+        images = [frozenset(fus) for fus in self.fusion]
+        least: dict[frozenset, int] = {}  # the first class with each image set
         for c in range(n):
             m = self.orders[c]
             fus = self.fusion[c]
@@ -478,12 +482,19 @@ class ClassStructure:
                     f"fusion of class {c} has {len(fus)} entries, not one per unit mod {m}")
             if fus[0] != c:
                 raise InputError(f"fusion of class {c} does not fix k = 1")
-            for d in fus:
+            # c is among its images, so checking each image set once, from
+            # its first class, shows that the sets are orbits
+            if least.setdefault(images[c], c) != c:
+                continue
+            for d in images[c]:
                 if not 0 <= d < n:
                     raise InputError(f"fusion image {d} of class {c} is not a class")
                 if self.orders[d] != m or self.sizes[d] != self.sizes[c]:
                     raise InputError(
                         f"fusion image {d} of class {c} has different invariants")
+                if images[d] != images[c]:
+                    raise InputError(
+                        f"fusion images of classes {c} and {d} are not one orbit")
         for c, ci in enumerate(self.inverse_map):
             if self.inverse_map[ci] != c:
                 raise InputError(f"inverse map is not an involution at class {c}")
@@ -534,12 +545,6 @@ def _assemble(group_order: int, classes: list, powers,
     ).validate()
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte string per uint8 row.  Keys compare by memcmp,
-    which on bytes is the tuple order of the rows."""
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
 def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
     """For each element, the least index in its class.
 
@@ -564,6 +569,39 @@ def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
         lab = new
 
 
+def _least_rows(elems: np.ndarray, lab: np.ndarray, classes: int) -> np.ndarray:
+    """Index of the least row, in tuple order, of each class (labelled by
+    lab), ascending by index.  Column by column, only the rows that equal
+    their class's least entry in that column are kept, until one row per
+    class is left; rows are distinct, so the columns run out no later."""
+    keep = np.arange(len(elems))
+    least = np.full(len(elems), 255, dtype=np.uint8)
+    for j in range(elems.shape[1]):
+        col, cl = elems[keep, j], lab[keep]
+        np.minimum.at(least, cl, col)
+        keep = keep[col == least[cl]]
+        if len(keep) == classes:
+            break
+        least[cl] = 255
+    return keep
+
+
+def _powers(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """rows[i] to the power ks[i] >= 0, for every i at once, by binary
+    powering: per bit of the exponents, one row-wise gather squares every
+    row and one multiplies in the rows whose bit is set."""
+    out = np.tile(np.arange(rows.shape[1], dtype=np.uint8), (len(rows), 1))
+    base = rows
+    while True:
+        odd = ks & 1 == 1
+        # powers of one element commute, so the factor order is free
+        out[odd] = np.take_along_axis(base[odd], out[odd], axis=1)
+        ks = ks >> 1
+        if not ks.any():
+            return out
+        base = np.take_along_axis(base, base, axis=1)
+
+
 @lru_cache(maxsize=32)
 def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure:
     order = group_order(spec, max_order)
@@ -575,17 +613,20 @@ def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure
     chain = _build_chain(spec, max_order)
     elems = chain.elements()
     lab = _class_labels(chain, elems)
-    # the least element of a class is its first row in tuple order
-    least = np.argsort(_row_keys(elems), kind="stable")
-    labels, first = np.unique(lab[least], return_index=True)
+    labels = np.flatnonzero(lab == np.arange(len(lab), dtype=np.int32))
+    least = _least_rows(elems, lab, len(labels))
+    rows = elems[least[np.argsort(lab[least])]]
     sizes = np.bincount(lab)[labels].tolist()
-    reps = [tuple(r) for r in elems[least[first]].tolist()]
+    reps = [tuple(r) for r in rows.tolist()]
     orders = [perm_order(r) for r in reps]
+    units = [units_mod(m) for m in orders]
+    counts = [len(u) for u in units]
     # every coprime power of every representative, in one batched lookup
-    images = [ppow(r, k) for r, m in zip(reps, orders) for k in units_mod(m)]
-    at = chain.rank(np.array(images, dtype=np.uint8), elems)
+    images = _powers(np.repeat(rows, counts, axis=0),
+                     np.array([k for u in units for k in u], dtype=np.int64))
+    at = chain.rank(images, elems)
     found = np.searchsorted(labels, lab[at]).tolist()
-    starts = list(accumulate((len(units_mod(m)) for m in orders), initial=0))
+    starts = list(accumulate(counts, initial=0))
 
     def powers(c):
         return found[starts[c]:starts[c + 1]]

@@ -1,10 +1,14 @@
 """Primality and factorization at the edge of deterministic Miller-Rabin."""
 
+import math
+
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galorb.errors import ResourceLimitError
-from galorb.numutil import factorize, is_prime, totient
+from galorb.numutil import factorize, is_prime, totient, units_mod
 
 # least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -31,3 +35,11 @@ def test_is_prime_matches_sympy_near_the_bases():
     assert [n for n in range(2000) if is_prime(n)] == list(sympy.primerange(2000))
     for n in (PSI_13 - 1, PSI_13 - 2, 2**61 - 1, 2**64 + 13, 10**24 + 7):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+@given(st.integers(1, 5000))
+@settings(max_examples=200, deadline=None)
+def test_units_mod_is_the_gcd_definition(m):
+    want = (0,) if m == 1 else tuple(k for k in range(1, m) if math.gcd(k, m) == 1)
+    assert units_mod(m) == want
+    assert len(want) == totient(m)

@@ -14,17 +14,31 @@ from hypothesis import strategies as st
 import galorb.permgroup
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
-from galorb.numutil import units_mod
+from galorb.numutil import prime_powers_upto, units_mod
 from galorb.permgroup import (
-    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain,
-    _even_partitions, _labels_for, _row_keys,
+    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _Level,
+    _even_partitions, _labels_for, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, format_generators,
-    group_order, parse_generators, perm_order, pinv, pmul, ppow,
+    group_order, identity_perm, parse_generators, perm_order, pinv, pmul,
     symmetric_group_spec,
 )
 
 # -- reference: the tuple-at-a-time class path ----------------------------
+
+
+def ppow(p, k):
+    """p to the power k, one tuple product per step of binary powering."""
+    if k < 0:
+        return ppow(pinv(p), -k)
+    result = identity_perm(len(p))
+    base = p
+    while k:
+        if k & 1:
+            result = pmul(result, base)
+        base = pmul(base, base)
+        k >>= 1
+    return result
 
 
 def _reference_elements(spec):
@@ -484,7 +498,48 @@ def test_power_maps_match_reference_powers(spec):
     assert cs.inverse_map == cs.power_map(-1) == tuple(class_of[pinv(r)] for r in cs.reps)
 
 
+# -- the batched powers against ppow --------------------------------------
+
+
+def wide_specs():
+    """150 specs: PSL(2, q) for the 27 prime powers q <= 64, A3-A9,
+    S2-S9, eight cyclic groups up to C_256, Q8, S4 on 256 points, two
+    trivial groups, and two relabelings of each of degree <= 64 that is
+    not trivial."""
+    out = {f"psl2_{q}": projective_line_action(q) for q in prime_powers_upto(64)}
+    out.update({f"a{n}": alternating_group_spec(n) for n in range(3, 10)})
+    out.update({f"s{n}": symmetric_group_spec(n) for n in range(2, 10)})
+    out.update({f"c{m}": cyclic_group_spec(m) for m in (1, 2, 6, 12, 30, 64, 120, 256)})
+    out.update({"q8": Q8_SPEC, "s4_on_256": POINTS_256, "trivial_1": GroupSpec(1, ((0,),)),
+                "trivial_4": GroupSpec(4, ((0, 1, 2, 3),))})
+    small = [k for k, s in out.items() if s.degree <= 64 and not k.startswith("trivial")]
+    for k in small:
+        for seed in (1, 2):
+            out[f"{k}_r{seed}"] = relabeled(out[k], seed)
+    return out
+
+
+def test_batched_powers_match_ppow():
+    specs = wide_specs()
+    assert len(specs) == 150
+    for name, spec in specs.items():
+        # each generator and the product of the first and the last, to
+        # every power from 0 to its order
+        perms = [*spec.generators, pmul(spec.generators[0], spec.generators[-1])]
+        counts = [perm_order(p) + 1 for p in perms]
+        want = [ppow(p, k) for p, c in zip(perms, counts) for k in range(c)]
+        got = _powers(np.repeat(np.array(perms, dtype=np.uint8), counts, axis=0),
+                      np.array([k for c in counts for k in range(c)], dtype=np.int64))
+        assert got.dtype == np.uint8 and list(map(tuple, got.tolist())) == want, name
+
+
 # -- the chain's enumeration against the breadth-first one ---------------
+
+
+def _row_keys(rows):
+    """One opaque byte string per uint8 row, compared by memcmp: the
+    tuple order of the rows."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def reference_element_keys(spec):
@@ -615,6 +670,16 @@ def test_validate_rejects_malformed_fusion_rows():
             replace(cs, fusion=(bad,) + cs.fusion[1:]).validate()
 
 
+def test_validate_rejects_fusion_rows_that_are_not_orbits():
+    # classes 1 and 3 reach 2 and 4, which reach only themselves; the
+    # inverse map is still an involution
+    cs = cyclic_class_structure(5)
+    split = replace(cs, fusion=((0,), (1, 2, 2, 1), (2, 2, 2, 2), (3, 4, 4, 3), (4, 4, 4, 4)))
+    assert split.inverse_map == (0, 1, 2, 3, 4)
+    with pytest.raises(InputError, match="fusion images of classes 1 and 2 are not one orbit"):
+        split.validate()
+
+
 def test_equal_structures_hash_equal():
     spec = alternating_group_spec(5)
     cached = conjugacy_classes(spec)
@@ -696,7 +761,105 @@ def test_order_guard_boundary(spec, order):
     GroupSpec(4, ((0, 1, 2, 3),)),
 ], ids=["s18", "a17", "psl2_49", "s4_on_256", "q8", "trivial_4"])
 def test_each_schreier_generator_is_formed_once(spec):
+    # every (orbit point, generator) pair but the |orbit| - 1 tree edges,
+    # whose Schreier generators are the identity and are never formed
     chain = _build_chain(spec, max_order=math.factorial(18))
     assert chain.schreier_generators == sum(
-        len(level.orbit) * len(level.gens) for level in chain.levels)
+        len(level.orbit) * len(level.gens) - (len(level.orbit) - 1)
+        for level in chain.levels)
+
+
+def _grown(cls, spec):
+    """A fresh chain of class cls, grown from the generators of spec."""
+    chain = cls(spec.degree, math.factorial(18))
+    for g in spec.generators:
+        chain.insert(g)
+    return chain
+
+
+@pytest.mark.parametrize("spec", [*REFERENCE_GROUPS.values(), relabeled(symmetric_group_spec(18), 7)],
+                         ids=[*REFERENCE_GROUPS, "s18"])
+def test_pairs_marked_in_add_are_the_identity(spec, monkeypatch):
+    # form the Schreier generator of every pair add marks done
+    add = _Level.add
+    marked = []
+
+    def checked_add(level, g, g_inv):
+        before = level.done.copy()
+        add(level, g, g_inv)
+        new = level.done.copy()
+        new[:, :before.shape[1]] &= ~before
+        r, k = np.nonzero(new)
+        x = level.orbit[r]
+        h = level.uinv[level.gens[k, x][:, None], level.gens[k[:, None], level.u[x]]]
+        assert (h == np.arange(spec.degree)).all()
+        marked.append(len(r))
+
+    monkeypatch.setattr(_Level, "add", checked_add)
+    chain = _grown(_Chain, spec)
+    assert sum(marked) == sum(len(level.orbit) - 1 for level in chain.levels)
+
+
+class _FirstResidueChain(_Chain):
+    """The chain with the earlier promotion rule: of a batch's residues,
+    the first that is not the identity in orbit-then-generator pair order
+    becomes a strong generator, whichever levels it joins."""
+
+    def _complete(self, i):
+        lev = self.levels[i]
+        r, k = np.nonzero(~lev.done[:len(lev.orbit)])
+        if not len(r):
+            return
+        lev.done[r, k] = True
+        self.schreier_generators += len(r)
+        x = lev.orbit[r]
+        y = lev.gens[k, x]
+        h = lev.uinv[y[:, None], lev.gens[k[:, None], lev.u[x]]]
+        while True:
+            h, stop = self._sift(h, i + 1)
+            moved = self._moved(h)
+            if not len(moved):
+                return
+            first = moved[0]
+            self._add_strong(h[first], i + 1, int(stop[first]))
+            h = h[moved[1:]]
+
+
+def _clear_chain_caches():
+    _build_chain.cache_clear()
+    galorb.permgroup._conjugacy_classes_cached.cache_clear()
+
+
+@REFERENCE_SPECS
+def test_first_residue_rule_gives_the_same_classes(spec, monkeypatch):
+    want = group_order(spec), conjugacy_classes(spec)
+    with monkeypatch.context() as m:
+        m.setattr(galorb.permgroup, "_Chain", _FirstResidueChain)
+        _clear_chain_caches()
+        try:
+            assert type(_build_chain(spec, MAX_GROUP_ORDER)) is _FirstResidueChain
+            assert (group_order(spec), conjugacy_classes(spec)) == want
+        finally:
+            _clear_chain_caches()
+
+
+# relabeled S_n and A_n, n = 16, 17, 18, with their orders
+LARGE_SA = [
+    (relabeled(f(n), 100 + n), order)
+    for n in (16, 17, 18)
+    for f, order in ((symmetric_group_spec, math.factorial(n)),
+                     (alternating_group_spec, math.factorial(n) // 2))
+]
+LARGE_SA_IDS = [f"{name}{n}" for n in (16, 17, 18) for name in ("s", "a")]
+
+
+@pytest.mark.parametrize("spec, order", LARGE_SA, ids=LARGE_SA_IDS)
+def test_first_residue_rule_gives_the_same_order(spec, order):
+    assert _grown(_FirstResidueChain, spec).order() == _grown(_Chain, spec).order() == order
+
+
+def test_schreier_generator_total_on_large_groups():
+    # forming the tree edges too and promoting the first residue formed
+    # 4469 on these six groups
+    assert sum(_grown(_Chain, spec).schreier_generators for spec, _ in LARGE_SA) == 2499
 
