@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 
-from .classtheory import _merge, _partition, analyze
+from .classtheory import analyze, orbits
 from .cyclotomic import (
     CyclotomicNumber,
     FieldClass,
@@ -379,12 +379,10 @@ def fixture_table(name: str) -> CharacterTable:
 
 
 def column_families(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
-    """Partition of columns into Galois families, ordered by least member."""
-    parent = list(range(t.num_classes))
-    for targets in t._column_maps.values():
-        for c, d in enumerate(targets):
-            _merge(parent, c, d)
-    return _partition(parent)
+    """Partition of columns into Galois families, ordered by least member.
+    The column maps are the Galois group acting on columns, so a column's
+    images under all of them are its family."""
+    return orbits(zip(*t._column_maps.values()))
 
 
 _FLAT = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)

@@ -15,40 +15,25 @@ from dataclasses import dataclass
 from .permgroup import ClassStructure
 
 
-def _merge(parent: list[int], a: int, b: int):
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    while parent[b] != b:
-        parent[b] = parent[parent[b]]
-        b = parent[b]
-    if a != b:
-        parent[max(a, b)] = min(a, b)
-
-
-def _partition(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for c in range(len(parent)):
-        r = c
-        while parent[r] != r:
-            r = parent[r]
-        groups.setdefault(r, []).append(c)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+def orbits(images) -> tuple[tuple[int, ...], ...]:
+    """Orbits of a group acting on classes or columns, ordered by least
+    member, given for each point its images under every group element;
+    the image sets of an action are its orbits, and disjoint sorted
+    orbits sort by their least member."""
+    return tuple(sorted({tuple(sorted(set(im))) for im in images}))
 
 
 def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
     """Orbits of the coprime power maps on classes, ordered by least member.
     Each class's fusion row lists its orbit (ClassStructure.validate
-    checks this), and disjoint sorted orbits sort by their least member."""
-    return tuple(sorted({tuple(sorted(set(fus))) for fus in cs.fusion}))
+    checks this)."""
+    return orbits(cs.fusion)
 
 
 def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
-    """Orbits of class inversion (singletons and mirror pairs)."""
-    parent = list(range(cs.num_classes))
-    for c, d in enumerate(cs.inverse_map):
-        _merge(parent, c, d)
-    return _partition(parent)
+    """Orbits of class inversion (singletons and mirror pairs): validate
+    makes inverse_map an involution, so {c, inverse of c} is an orbit."""
+    return orbits(enumerate(cs.inverse_map))
 
 
 @dataclass(frozen=True)

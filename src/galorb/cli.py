@@ -26,7 +26,7 @@ from .matgroup import (
     class_lower_bound, coprime_power_charpoly_count, element_order,
     parse_matrix_group_file, random_element_search, singer_element,
 )
-from .permgroup import MAX_GROUP_ORDER, conjugacy_classes, parse_generators
+from .permgroup import conjugacy_classes, parse_generators
 from .screening import FAMILIES, exception_set
 
 
@@ -52,7 +52,7 @@ def _json(obj) -> str:
 def _cmd_analyze_perm(args) -> tuple[str, int]:
     spec = parse_generators(_read(args.file))
     _note(f"degree {spec.degree}, {len(spec.generators)} generators")
-    cs = conjugacy_classes(spec, max_order=args.max_order)
+    cs = conjugacy_classes(spec)
     rep = analyze(cs)
     if args.format == "json":
         return _json(report_to_obj(rep, labels=cs.labels)), 0
@@ -84,7 +84,7 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
     if args.gens:
         spec = parse_generators(_read(args.gens))
         _note("computing conjugacy classes for the cross-check")
-        cs = conjugacy_classes(spec, max_order=args.max_order)
+        cs = conjugacy_classes(spec)
         cross = brauer_crosscheck(table, cs)
         if not cross.passed:
             code = 2
@@ -273,8 +273,6 @@ def _cmd_charpoly(args) -> tuple[str, int]:
         g = singer_element(args.n, args.q)
         return _charpoly_report(g, args)
     if args.action == "file":
-        if args.target is None:
-            raise InputError("charpoly file needs --target ORDER")
         if args.target > args.max_order:
             raise ResourceLimitError(
                 f"target order {args.target} exceeds the bound {args.max_order}; "
@@ -309,12 +307,8 @@ def _box(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("expected integers N,Q") from None
 
 
-# charpoly's default bound on element orders
-_CHARPOLY_MAX_ORDER = 100_000
-
-
-def _max_order_option(p, default: int, bounded: str):
-    p.add_argument("--max-order", type=int, default=default,
+def _max_order_option(p, bounded: str):
+    p.add_argument("--max-order", type=int, default=100_000,
                    help=f"bound on {bounded} (default %(default)s)")
 
 
@@ -331,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-perm", parents=[common],
                        help="class-side analysis of a permutation group")
     p.add_argument("file", help="generator file")
-    _max_order_option(p, MAX_GROUP_ORDER, "the group order")
     p.set_defaults(fn=_cmd_analyze_perm)
 
     p = sub.add_parser("analyze-table", parents=[common],
@@ -339,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="table JSON file")
     p.add_argument("--gens", metavar="FILE",
                    help="generator file for a table-versus-classes cross-check")
-    _max_order_option(p, MAX_GROUP_ORDER, "the order of the --gens group")
     p.set_defaults(fn=_cmd_analyze_table)
 
     p = sub.add_parser("an-rank", parents=[common],
@@ -362,16 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("n", type=int)
     ps.add_argument("q", type=int)
     ps.add_argument("--center", type=int, default=1)
-    _max_order_option(ps, _CHARPOLY_MAX_ORDER, "the element's order")
+    _max_order_option(ps, "the element's order")
     ps.set_defaults(fn=_cmd_charpoly, action="singer")
     pf = psub.add_parser("file", parents=[common],
                          help="search a generated matrix group")
     pf.add_argument("file")
-    pf.add_argument("--target", type=int, default=None)
+    pf.add_argument("--target", type=int, required=True)
     pf.add_argument("--center", type=int, default=1)
     pf.add_argument("--seed", type=int, default=0, help="random search seed")
-    _max_order_option(pf, _CHARPOLY_MAX_ORDER,
-                      "--target, every order searched and the element's order")
+    _max_order_option(pf, "--target, every order searched and the element's order")
     pf.set_defaults(fn=_cmd_charpoly, action="file")
     pb = psub.add_parser("bound", parents=[common],
                          help="bare class bound from a count")

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .numutil import factorize, is_prime
+from .numutil import factorize, is_prime, is_prime_power
 from .permgroup import GroupSpec
 
 MAX_FIELD = 512
@@ -122,11 +122,10 @@ class FiniteField:
 def finite_field(q: int) -> FiniteField:
     if q < 2 or q > MAX_FIELD:
         raise InputError(f"field size must be in 2..{MAX_FIELD}, got {q}")
-    fac = factorize(q)
-    if len(fac) != 1:
+    pk = is_prime_power(q)
+    if pk is None:
         raise InputError(f"{q} is not a prime power")
-    (p, k), = fac.items()
-    return FiniteField(p, k)
+    return FiniteField(*pk)
 
 
 # -- matrices -----------------------------------------------------------

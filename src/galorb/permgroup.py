@@ -15,20 +15,21 @@ generator is formed once, in uint8 batches that are sifted through each
 deeper level with one gather.  Those of Schreier-tree edges are the
 identity and are never formed, and of a batch's residues the one that
 joins the fewest levels is promoted first.  The chain refuses, exactly,
-once the order it has found passes max_order.  Classes come from one
-path.  The chain's transversals enumerate every element as a row of
-bytes, each the product of one transversal element per level, so an
-element's index is read off its base images by sifting them alone.  The
-enumeration is checked to be closed under the input generators that grew
-the chain (at most log2 of the order, however many were given), and every
-lookup is checked against the row at the index it found.  Conjugation by
-each of those generators becomes a permutation of row indices, and the
-classes are the orbits of those permutations.  Each class's least row is
-found column by column, and the coprime powers of all representatives
-are formed together by binary powering over their rows, then looked up
-in one batch.  There is no random search and no seed; groups whose
-order times degree exceeds 10^8 are refused before any element is
-stored.  Alternating and cyclic groups also get direct combinatorial
+once the order it has found passes its limit.  Classes come from one
+path, under one guard: their chain's limit is 10^8 element-points over
+the degree, so it stops as soon as order times degree passes 10^8,
+before any element is stored.  The chain's transversals enumerate every
+element as a row of bytes, each the product of one transversal element
+per level, so an element's index is read off its base images by sifting
+them alone.  The enumeration is checked to be closed under the input
+generators that grew the chain (at most log2 of the order, however many
+were given), and every lookup is checked against the row at the index it
+found.  Conjugation by each of those generators becomes a permutation of
+row indices, and the classes are the orbits of those permutations.  Each
+class's least row is found column by column, and the coprime powers of
+all representatives are formed together by binary powering over their
+rows, then looked up in one batch.  There is no random search and no
+seed.  Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
 one assembly step: each lists its classes and supplies one class's
@@ -51,6 +52,8 @@ from .numutil import factorize, units_mod
 
 MAX_DEGREE = 256
 MAX_GROUP_ORDER = 200_000_000
+# the class computation stores order x degree bytes of elements
+MAX_ELEMENT_POINTS = 10**8
 
 # -- permutation primitives ---------------------------------------------
 
@@ -380,8 +383,7 @@ class _Chain:
         reached = self.order()
         if reached > self.max_order:
             raise ResourceLimitError(
-                f"group order is at least {reached}, above the limit "
-                f"{self.max_order}; raise it with --max-order")
+                f"group order is at least {reached}, above the limit {self.max_order}")
         for l in range(bottom, top - 1, -1):
             self._complete(l)
 
@@ -407,9 +409,6 @@ class _Chain:
             h = h[np.delete(moved, j)]
 
 
-# group_order keeps its last chain, whose recorded generators the class
-# enumeration that follows it reads; chains are not changed once built
-@lru_cache(maxsize=1)
 def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
     chain = _Chain(spec.degree, max_order)
     for g in spec.generators:
@@ -603,14 +602,26 @@ def _powers(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure:
-    order = group_order(spec, max_order)
-    points = order * spec.degree
-    if points > 100_000_000:
+def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
+    """Conjugacy class data of the group generated by spec.
+
+    The stabilizer chain stops, and ResourceLimitError is raised, as soon
+    as the order it has found times the degree passes 10^8 element-points.
+    Otherwise every element is enumerated as a byte row from its
+    transversals, and the enumeration is checked to be closed under the
+    generators that grew the chain.  The classes are the orbits of
+    conjugation by those generators, each conjugate found by sifting its
+    base images and checked in full.  Classes are sorted by (element
+    order, size, least element) and representatives are the least
+    elements, so the result does not depend on the generating set.
+    Results are cached and shared, and immutable.
+    """
+    try:
+        chain = _build_chain(spec, MAX_ELEMENT_POINTS // spec.degree)
+    except ResourceLimitError as exc:
         raise ResourceLimitError(
-            f"class computation needs order x degree = {order} x {spec.degree} "
-            f"= {points} element-points, above the limit 10^8")
-    chain = _build_chain(spec, max_order)
+            f"class computation is limited to order x degree <= 10^8 "
+            f"element-points; on {spec.degree} points, {exc}") from None
     elems = chain.elements()
     lab = _class_labels(chain, elems)
     labels = np.flatnonzero(lab == np.arange(len(lab), dtype=np.int32))
@@ -631,24 +642,7 @@ def _conjugacy_classes_cached(spec: GroupSpec, max_order: int) -> ClassStructure
     def powers(c):
         return found[starts[c]:starts[c + 1]]
 
-    return _assemble(order, list(zip(orders, sizes, reps)), powers)
-
-
-def conjugacy_classes(spec: GroupSpec, *,
-                      max_order: int = MAX_GROUP_ORDER) -> ClassStructure:
-    """Conjugacy class data of the group generated by spec.
-
-    Every element is enumerated as a byte row from the transversals of
-    the stabilizer chain, and the enumeration is checked to be closed
-    under the generators that grew the chain.  The classes are the orbits
-    of conjugation by those generators, each conjugate found by sifting
-    its base images and checked in full; groups whose order times degree
-    exceeds 10^8 are refused before anything is allocated.  Classes are
-    sorted by (element order, size, least element) and representatives
-    are the least elements, so the result does not depend on the
-    generating set.  Results are cached and shared, and immutable.
-    """
-    return _conjugacy_classes_cached(spec, max_order)
+    return _assemble(chain.order(), list(zip(orders, sizes, reps)), powers)
 
 
 # -- direct constructions -----------------------------------------------

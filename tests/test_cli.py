@@ -137,6 +137,14 @@ def test_charpoly_file_found_and_not_found(capsys):
     assert code == 3 and "no element of order 7" in err
 
 
+def test_charpoly_file_requires_target(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charpoly", "file", str(DATA / "gl2_3.json")])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--target" in out.err
+
+
 def test_charpoly_bound(capsys):
     code, out, _ = run(capsys, "charpoly", "bound", "16", "3", "--format", "json")
     assert code == 0
@@ -181,28 +189,25 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "cannot read" in err
 
 
-def test_resource_guard_exits_4(capsys):
-    code, out, err = run(capsys, "analyze-perm", str(DATA / "a5.gens"),
-                         "--max-order", "10")
-    assert code == 4 and "resource" in err and out == ""
-    # the refusal names the limit, the order reached (a lower bound on 60)
-    # and the flag that raises the limit
-    reached = re.search(r"group order is at least (\d+), above the limit 10\b", err)
-    assert reached and 10 < int(reached.group(1)) <= 60
-    assert "--max-order" in err
-
-
 def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatch):
     def never(*args):
         raise AssertionError("elements enumerated past the guard")
 
     monkeypatch.setattr(galorb.permgroup._Chain, "elements", never)
-    gens = tmp_path / "s11.gens"
-    gens.write_text(format_generators(symmetric_group_spec(11)))
-    code, out, err = run(capsys, "analyze-perm", str(gens))
-    assert code == 4 and out == ""
-    assert "39916800 x 11 = 439084800 element-points" in err
-    assert "limit 10^8" in err
+    for n in (11, 12):
+        gens = tmp_path / f"s{n}.gens"
+        gens.write_text(format_generators(symmetric_group_spec(n)))
+        code, out, err = run(capsys, "analyze-perm", str(gens))
+        assert code == 4 and "resource" in err and out == ""
+        # the refusal names the element-point limit, the degree, and the
+        # order reached against the chain's limit 10^8 // n; the chain
+        # stopped before it had found all of S_n
+        assert "10^8 element-points" in err and f"on {n} points" in err
+        reached = re.search(rf"group order is at least (\d+), above the limit {10**8 // n}$",
+                            err.strip())
+        assert reached and 10**8 // n < int(reached.group(1)) < math.factorial(n)
+        # no option raises this limit (S12 was once told to raise --max-order)
+        assert "--" not in err
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -314,6 +319,34 @@ def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
     assert sorted(calls) == ["_column_maps", "_rows", "column_families", "q_classes"]
 
 
+def _help_usage(capsys, *command):
+    """The usage block that galorb COMMAND --help prints, one line."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split("\n\n", 1)[0].split())
+
+
+def _flags(text):
+    return set(re.findall(r"--[a-z][a-z-]*", text))
+
+
+def test_readme_option_list_matches_the_help(capsys):
+    # each "- `cmd`: ..." bullet of the README's option list names the
+    # flags that galorb cmd --help prints, beyond --help, --format, --out
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("Every subcommand takes `--format {text,json}` and `--out FILE`.")
+    block = readme[start:].split("\n\n", 2)[1]
+    bullets = dict(re.findall(r"^- `([a-z -]+)`:(.*(?:\n  .*)*)", block, re.M))
+    commands = re.search(r"\{(.*?)\}", _help_usage(capsys)).group(1).split(",")
+    actions = re.search(r"\{(.*?)\}", _help_usage(capsys, "charpoly")).group(1).split(",")
+    leaves = [c for c in commands if c != "charpoly"] + [f"charpoly {a}" for a in actions]
+    assert sorted(bullets) == sorted(leaves)
+    for command, text in bullets.items():
+        printed = _flags(_help_usage(capsys, *command.split())) - {"--help", "--format", "--out"}
+        assert _flags(text) == printed, command
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze-table", str(TABLES / "q8.json"),
@@ -327,7 +360,10 @@ def test_out_flag_writes_file(capsys, tmp_path):
     ("screen", "PSp", "--max-order", "5"),
     ("charpoly", "bound", "16", "3", "--seed", "1"),
     ("analyze-perm", str(DATA / "a5.gens"), "--seed", "1"),
-], ids=["an-rank", "screen", "charpoly-bound", "analyze-perm"])
+    ("analyze-perm", str(DATA / "a5.gens"), "--max-order", "10"),
+    ("analyze-table", str(TABLES / "a5.json"), "--max-order", "10"),
+], ids=["an-rank", "screen", "charpoly-bound", "analyze-perm",
+        "analyze-perm-max-order", "analyze-table-max-order"])
 def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

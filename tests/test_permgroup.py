@@ -440,7 +440,7 @@ def test_resource_guards():
     with pytest.raises(ResourceLimitError):
         group_order(symmetric_group_spec(20), max_order=1000)
     with pytest.raises(ResourceLimitError):
-        conjugacy_classes(symmetric_group_spec(20), max_order=1000)
+        conjugacy_classes(symmetric_group_spec(20))
 
 
 def test_class_order_guard_matches_perm_basics():
@@ -614,7 +614,7 @@ def test_classes_enumerate_from_the_generators_that_grew_the_chain():
     # and conjugation gathers; one gather per generator peaked at 34 MB
     spec = _three_cycle_spec(8)
     assert len(spec.generators) == 112
-    galorb.permgroup._conjugacy_classes_cached.cache_clear()
+    conjugacy_classes.cache_clear()
     tracemalloc.start()
     try:
         cs = conjugacy_classes(spec)
@@ -634,7 +634,7 @@ def test_class_enumeration_peak_memory(spec, parent_mb):
     # parent_mb is the peak of the breadth-first enumeration this path
     # replaced, on the same groups; the chain's is to stay within 1.25 times
     group_order(spec)
-    galorb.permgroup._conjugacy_classes_cached.cache_clear()
+    conjugacy_classes.cache_clear()
     tracemalloc.start()
     try:
         conjugacy_classes(spec)
@@ -748,7 +748,7 @@ def test_order_matches_reference_and_sympy(spec):
 ], ids=[f"{name}{n}" for n in (16, 17, 18) for name in ("s", "a")])
 def test_order_guard_boundary(spec, order):
     assert group_order(spec, max_order=order) == order
-    with pytest.raises(ResourceLimitError, match=f"above the limit {order - 1};"):
+    with pytest.raises(ResourceLimitError, match=f"above the limit {order - 1}$"):
         group_order(spec, max_order=order - 1)
 
 
@@ -826,8 +826,7 @@ class _FirstResidueChain(_Chain):
 
 
 def _clear_chain_caches():
-    _build_chain.cache_clear()
-    galorb.permgroup._conjugacy_classes_cached.cache_clear()
+    conjugacy_classes.cache_clear()
 
 
 @REFERENCE_SPECS
