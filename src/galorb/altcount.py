@@ -3,20 +3,18 @@
 The central-unit rank of an alternating group integral group ring is a
 partition count: partitions of n into distinct odd parts, with the
 number of parts congruent to n mod 4, whose part product is not a
-perfect square.  This file counts them without listing them, as the
-difference of two dynamic programmes over the odd parts:
-
-- every distinct-odd partition, keyed by (sum, parts mod 4);
-- those whose product is a square, keyed by (sum, parts mod 4, parity
-  of each prime exponent).  The parts go in buckets by their largest
-  prime factor, largest prime first.  Once the bucket of prime P is
-  done, no later part contains P, so a state with an odd power of P can
-  never become square and is dropped.  Only primes of the open bucket
-  and below are ever live, which keeps the state count in the low
-  thousands at n = 400, the cap.
+perfect square.  This file counts them without listing them, in one
+dynamic programme over the odd parts, keyed by (sum, parts mod 4,
+parity of each prime exponent).  The parts go in buckets by their
+largest prime factor, largest prime first.  Once the bucket of prime P
+is done, no later part contains P, so a state with an odd power of P
+can never become square; all such states merge into one absorbing mask
+value, NEVER, and the rank is the count at NEVER.  Only primes of the
+open bucket and below are ever live, which keeps the state count in the
+low thousands at n = 400, the cap.
 
 The explicit enumeration with per-partition flags lives in the tests,
-as the oracle for both programmes.  The file also builds the explicit
+as the oracle for the programme.  The file also builds the explicit
 injection from ordinary partitions that drives the asymptotic lower
 bound: pad a partition of m to strictly increasing values, double into
 odd parts, and append a dominating prime.
@@ -32,6 +30,8 @@ from .numutil import is_prime
 
 # largest n for the rank count
 MAX_N = 400
+# the DP mask of a product with a prime that no later part can even out
+NEVER = -1
 
 
 @lru_cache(maxsize=8)
@@ -64,21 +64,9 @@ def _product_is_square(parts: tuple[int, ...]) -> bool:
     return not odd_exponent
 
 
-def _counts_by_parts_mod4(n: int) -> tuple[int, int, int, int]:
-    """Distinct-odd partitions of n, counted by number of parts mod 4."""
-    ways = [[0, 0, 0, 0] for _ in range(n + 1)]
-    ways[0][0] = 1
-    for part in range(1, n + 1, 2):
-        for s in range(n, part - 1, -1):
-            src, dst = ways[s - part], ways[s]
-            for r in range(4):
-                dst[(r + 1) & 3] += src[r]
-    return tuple(ways[n])
-
-
-def _square_product_count(n: int) -> int:
-    """Distinct-odd partitions of n with part count congruent to n mod 4
-    and a square part product."""
+def _nonsquare_counts(n: int) -> tuple[int, int, int, int]:
+    """Distinct-odd partitions of n whose part product is not a square,
+    counted by number of parts mod 4."""
     spf = _spf_sieve(n)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for part in range(3, n + 1, 2):
@@ -90,40 +78,47 @@ def _square_product_count(n: int) -> int:
         # primes come out of spf ascending, so p is the largest one
         buckets.setdefault(p, []).append((part, mask))
 
-    # (sum, parts mod 4, bit p set iff p divides the product oddly) -> count
+    # (sum, parts mod 4, bit p set iff p divides the product oddly) -> count;
+    # the mask NEVER stands for every product that can no longer be square
     states = {(0, 0, 0): 1}
     for prime in sorted(buckets, reverse=True):
         for part, mask in buckets[prime]:
             grown = dict(states)
             for (s, r, m), c in states.items():
                 if s + part <= n:
-                    key = (s + part, (r + 1) & 3, m ^ mask)
+                    key = (s + part, (r + 1) & 3, m if m == NEVER else m ^ mask)
                     grown[key] = grown.get(key, 0) + c
             states = grown
+        # no later part contains prime; NEVER & bit is set too
         bit = 1 << prime
-        states = {key: c for key, c in states.items() if not key[2] & bit}
+        merged: dict[tuple[int, int, int], int] = {}
+        for (s, r, m), c in states.items():
+            key = (s, r, NEVER if m & bit else m)
+            merged[key] = merged.get(key, 0) + c
+        states = merged
     # The part 1 changes no exponent: take it or leave it.
-    return (states.get((n, n & 3, 0), 0)
-            + states.get((n - 1, (n - 1) & 3, 0), 0))
+    return tuple(states.get((n, r, NEVER), 0) + states.get((n - 1, (r - 1) & 3, NEVER), 0)
+                 for r in range(4))
 
 
 def frobenius_rank(n: int) -> int:
     """Central-unit rank for the alternating group on n points, n >= 2,
     as an exact partition count.
 
-    The rank is (distinct-odd partitions of n with k = n mod 4 parts)
-    minus (those among them with a square product).  The second count
-    adds parts in buckets of equal largest prime factor, largest first:
-    after the bucket of P no part left contains P, so every state with
-    an odd power of P is final and non-square, and is dropped.  At
-    n = 400 this peaks at 2524 states.
+    The rank is the number of distinct-odd partitions of n with
+    k = n mod 4 parts and a non-square product, read off one programme.
+    It adds parts in buckets of equal largest prime factor, largest
+    first: after the bucket of P no part left contains P, so every state
+    with an odd power of P can never become square, and all of them merge
+    into one absorbing state per (sum, parts mod 4).  At n = 400 this
+    peaks at 3240 states.
     """
     if n < 2:
         raise InputError("alternating rank needs n >= 2")
     if n > MAX_N:
         raise ResourceLimitError(
             f"alternating rank is limited to n <= {MAX_N}; n = {n} requested")
-    return _counts_by_parts_mod4(n)[n & 3] - _square_product_count(n)
+    return _nonsquare_counts(n)[n & 3]
 
 
 # -- exact partition counts for the injection ---------------------------

@@ -42,7 +42,7 @@ from .cyclotomic import (
     value_from_obj,
     value_to_obj,
 )
-from .errors import DegenerateTableError, InputError
+from .errors import DegenerateTableError, InputError, ResourceLimitError
 from .numutil import totient, units_mod
 from .permgroup import ClassStructure
 
@@ -333,8 +333,8 @@ def parse_table(text: str, name: str | None = None) -> CharacterTable:
             if z is None:
                 try:
                     z = parsed[key] = value_from_obj(v)
-                except InputError as exc:
-                    raise InputError(f"row {i}, column {j}: {exc}") from None
+                except (InputError, ResourceLimitError) as exc:
+                    raise type(exc)(f"row {i}, column {j}: {exc}") from None
             row.append(z)
         rows.append(tuple(row))
     table = CharacterTable(

@@ -24,15 +24,17 @@ No floating point is used anywhere in the arithmetic.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .numutil import divisors, factorize, totient, units_mod
 
 _ZERO = Fraction(0)
+# largest root-of-unity order a parsed value may name; canonicalising at
+# order n stores phi(n) coefficients and up to (n - phi(n)) phi(n) reductions
+MAX_ROOT_ORDER = 1024
 
 
 @lru_cache(maxsize=None)
@@ -355,10 +357,6 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.make(n, {k: 1})
 
 
-def make(n: int, terms: dict[int, Fraction | int]) -> CyclotomicNumber:
-    return CyclotomicNumber.make(n, terms)
-
-
 def galois_apply(z: CyclotomicNumber, k: int) -> CyclotomicNumber:
     """Image of z under the field map zeta -> zeta^k.
 
@@ -430,7 +428,8 @@ def value_to_obj(z: CyclotomicNumber):
 
 
 def value_from_obj(obj) -> CyclotomicNumber:
-    """Parse the encoding produced by value_to_obj; also accepts bare ints."""
+    """Parse the encoding produced by value_to_obj; also accepts bare ints.
+    ResourceLimitError for a root-of-unity order above MAX_ROOT_ORDER."""
     if isinstance(obj, bool):
         raise InputError("boolean is not a cyclotomic value")
     if isinstance(obj, int):
@@ -446,17 +445,8 @@ def value_from_obj(obj) -> CyclotomicNumber:
             coeffs = {int(e): Fraction(c) for e, c in obj["coeffs"].items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad cyclotomic object {obj!r}: {exc}") from None
+        if n > MAX_ROOT_ORDER:
+            raise ResourceLimitError(
+                f"root-of-unity order is limited to n <= {MAX_ROOT_ORDER}; n = {n} given")
         return CyclotomicNumber.make(n, coeffs)
     raise InputError(f"cannot parse cyclotomic value from {type(obj).__name__}")
-
-
-def value_to_text(z: CyclotomicNumber) -> str:
-    return json.dumps(value_to_obj(z), sort_keys=True)
-
-
-def value_from_text(text: str) -> CyclotomicNumber:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = text.strip()
-    return value_from_obj(obj)

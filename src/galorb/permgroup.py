@@ -9,27 +9,29 @@ entry per unit residue modulo the element order, ascending.  Each fact
 is stored once: the exponent and the power maps on classes, inversion
 among them, are derived from these.
 
-Orders come from a stabilizer chain built by incremental Schreier-Sims:
-levels grow in place as strong generators join them, and each Schreier
-generator is formed once, in uint8 batches that are sifted through each
-deeper level with one gather.  Those of Schreier-tree edges are the
-identity and are never formed, and of a batch's residues the one that
-joins the fewest levels is promoted first.  The chain refuses, exactly,
-once the order it has found passes its limit.  Classes come from one
-path, under one guard: their chain's limit is 10^8 element-points over
-the degree, so it stops as soon as order times degree passes 10^8,
-before any element is stored.  The chain's transversals enumerate every
-element as a row of bytes, each the product of one transversal element
-per level, so an element's index is read off its base images by sifting
-them alone.  The enumeration is checked to be closed under the input
-generators that grew the chain (at most log2 of the order, however many
-were given), and every lookup is checked against the row at the index it
-found.  Conjugation by each of those generators becomes a permutation of
-row indices, and the classes are the orbits of those permutations.  Each
-class's least row is found column by column, and the coprime powers of
-all representatives are formed together by binary powering over their
-rows, then looked up in one batch.  There is no random search and no
-seed.  Alternating and cyclic groups also get direct combinatorial
+Orders come from a stabilizer chain built by incremental Schreier-Sims
+with one sift-and-promote loop: the input generators, as one uint8
+batch, and each level's Schreier generators, each formed once, are
+sifted through the levels with one gather per level, and of a batch's
+residues the one that joins the fewest levels is promoted first.
+Levels grow in place as strong generators join them; the Schreier
+generators of tree edges are the identity and are never formed.  The
+chain refuses, exactly, once the order it has found passes its limit.
+Classes come from one path, under one guard: their chain's limit is
+10^8 element-points over the degree, so it stops as soon as order times
+degree passes 10^8, before any element is stored.  The chain's
+transversals enumerate every element as a row of bytes, each the
+product of one transversal element per level, so an element's index is
+read off its base images by sifting them alone.  The enumeration is
+checked to be closed under level 0's strong generators (the promoted
+inputs, at most log2 of the order, however many were given), and every
+lookup is checked against the row at the index it found.  Conjugation
+by each of those generators becomes a permutation of row indices, and
+the classes are the orbits of those permutations.  Each class's least
+row is found column by column, and the coprime powers of all
+representatives are formed together by binary powering over their rows,
+then looked up in one batch.  There is no random search and no seed.
+Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
 one assembly step: each lists its classes and supplies one class's
@@ -260,27 +262,21 @@ class _Level:
 class _Chain:
     """Stabilizer chain built by deterministic, incremental Schreier-Sims.
 
-    Levels are extended, never rebuilt: a new strong generator grows the
-    orbits and transversals of the levels it joins, and each (orbit point,
-    strong generator) pair of a level is formed into its Schreier
-    generator u_y^-1 g u_x at most once; schreier_generators counts them.
-    The pair (x, g) of a Schreier-tree edge, which set u_y = g u_x for the
-    new point y = g(x), has the identity as its Schreier generator, so
-    _Level.add marks it done and it is never formed.  A level's other
-    untested pairs are formed as one uint8 batch and sifted through the
-    deeper levels with one gather per level.  Of the residues that are
-    not the identity, the one that stopped highest (joins the fewest
-    levels; the first in orbit-then-generator pair order on a tie)
-    becomes a strong generator of the levels from the next one down to
-    where it stopped (a new level's base point is the least point it
-    moves); those levels are completed, and the other residues of the
-    batch are sifted on through the grown chain.  Which residue goes
-    first does not matter for exactness, since all are sifted again.
-    Every Schreier generator is sifted, so the order is exact.  The
-    product of the orbit lengths never exceeds the group order, so the
-    max_order refusal is exact.  generators records the inserted elements
-    that grew the chain; each at least doubles the order, so there are at
-    most log2 of it, and they generate the same group as all inserted ones.
+    extend is the one entry point, for the input generators (from level 0)
+    and for each level's Schreier generators (from the level below) alike.
+    Levels are extended, never rebuilt: a promoted residue grows the orbits
+    and transversals of the levels it joins, which are then completed
+    deepest first.  Each (orbit point, strong generator) pair of a level
+    is formed into its Schreier generator u_y^-1 g u_x at most once;
+    schreier_generators counts them.  The pair (x, g) of a Schreier-tree
+    edge, which set u_y = g u_x for the new point y = g(x), has the
+    identity as its Schreier generator, so _Level.add marks it done and it
+    is never formed.  Every Schreier generator is sifted, so the order is
+    exact.  The product of the orbit lengths never exceeds the group
+    order, so the max_order refusal is exact.  Level 0's strong generators
+    are the promoted residues of the inputs: they generate the group, and
+    each was outside the group of the complete chain before it, so there
+    are at most log2 of the order of them, however many inputs were given.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -288,7 +284,6 @@ class _Chain:
         self.max_order = max_order
         self.identity = np.arange(degree, dtype=np.uint8)
         self.levels: list[_Level] = []
-        self.generators: list[tuple[int, ...]] = []
         self.schreier_generators = 0
 
     def order(self) -> int:
@@ -305,15 +300,16 @@ class _Chain:
         column gather per level builds them.
 
         The rows E are then checked to be the group: E g lies in E for
-        every generator g that grew the chain and E holds the identity,
-        so E contains the group, and each row is a product of group
-        elements, so E is no more than the group."""
+        every strong generator g of level 0, which generate the group, and
+        E holds the identity, so E contains the group, and each row is a
+        product of group elements, so E is no more than the group."""
         rows = self.identity[None, :]
         for lev in self.levels:
             # row (j, i) is rows[j] u_i: a column permutation of rows[j]
             rows = np.take(rows, lev.u[lev.orbit], axis=1).reshape(-1, self.degree)
-        for g in self.generators:
-            self.rank(np.take(rows, g, axis=1), rows)
+        for lev in self.levels[:1]:
+            for g in lev.gens:
+                self.rank(np.take(rows, g, axis=1), rows)
         return rows
 
     def rank(self, rows: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -362,18 +358,29 @@ class _Chain:
         h[rows] = cur
         return h, stop
 
-    def _moved(self, h: np.ndarray) -> np.ndarray:
-        return np.flatnonzero((h != self.identity).any(axis=1))
-
-    def insert(self, g: tuple[int, ...]):
-        h, stop = self._sift(np.array([g], dtype=np.uint8), 0)
-        if len(self._moved(h)):
-            self.generators.append(g)
-            self._add_strong(h[0], 0, int(stop[0]))
+    def extend(self, h: np.ndarray, top: int = 0):
+        """Make the group of levels top.. contain the rows h, which fix the
+        base points above top.  While some residue of h is not the
+        identity, the one that stopped highest (joins the fewest levels;
+        the first in batch order on a tie) becomes a strong generator of
+        the levels from top down to where it stopped (a new level's base
+        point is the least point it moves), and the rest are sifted on
+        through the grown chain.  Which residue goes first does not matter
+        for exactness, since all are sifted again."""
+        while len(h):
+            h, stop = self._sift(h, top)
+            moved = np.flatnonzero((h != self.identity).any(axis=1))
+            if not len(moved):
+                return
+            j = int(np.argmin(stop[moved]))
+            self._add_strong(h[moved[j]], top, int(stop[moved[j]]))
+            h = h[np.delete(moved, j)]
 
     def _add_strong(self, g: np.ndarray, top: int, bottom: int):
         """Make g, which fixes the base points above level bottom, a strong
-        generator of levels top..bottom, then complete them deepest first."""
+        generator of levels top..bottom, then complete them deepest first:
+        each level's untested Schreier generators extend the levels below
+        it."""
         if bottom == len(self.levels):
             self.levels.append(_Level(int(np.flatnonzero(g != self.identity)[0]),
                                       self.degree))
@@ -385,34 +392,20 @@ class _Chain:
             raise ResourceLimitError(
                 f"group order is at least {reached}, above the limit {self.max_order}")
         for l in range(bottom, top - 1, -1):
-            self._complete(l)
-
-    def _complete(self, i: int):
-        """Sift every untested Schreier generator of level i."""
-        lev = self.levels[i]
-        r, k = np.nonzero(~lev.done[:len(lev.orbit)])
-        if not len(r):
-            return
-        lev.done[r, k] = True
-        self.schreier_generators += len(r)
-        x = lev.orbit[r]
-        y = lev.gens[k, x]
-        h = lev.uinv[y[:, None], lev.gens[k[:, None], lev.u[x]]]
-        while True:
-            h, stop = self._sift(h, i + 1)
-            moved = self._moved(h)
-            if not len(moved):
-                return
-            # the residue that joins the fewest levels, first in pair order on a tie
-            j = int(np.argmin(stop[moved]))
-            self._add_strong(h[moved[j]], i + 1, int(stop[moved[j]]))
-            h = h[np.delete(moved, j)]
+            lev = self.levels[l]
+            r, k = np.nonzero(~lev.done[:len(lev.orbit)])
+            if not len(r):
+                continue
+            lev.done[r, k] = True
+            self.schreier_generators += len(r)
+            x = lev.orbit[r]
+            y = lev.gens[k, x]
+            self.extend(lev.uinv[y[:, None], lev.gens[k[:, None], lev.u[x]]], l + 1)
 
 
 def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
     chain = _Chain(spec.degree, max_order)
-    for g in spec.generators:
-        chain.insert(g)
+    chain.extend(np.array(spec.generators, dtype=np.uint8))
     return chain
 
 
@@ -547,16 +540,16 @@ def _assemble(group_order: int, classes: list, powers,
 def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
     """For each element, the least index in its class.
 
-    Conjugation by each generator g that grew the chain permutes the
+    Conjugation by each strong generator g of level 0 permutes the
     elements: rank sends i to the index of g x_i g^-1.  Classes are the
     orbits of these permutations, found by lowering every label to the
     least label among its images and then jumping pointers.
     """
     conj = []
-    for g in chain.generators:
-        # (g x g^-1)[i] = g[x[g^-1[i]]]
-        rows = np.array(g, dtype=np.uint8)[np.take(elems, pinv(g), axis=1)]
-        conj.append(chain.rank(rows, elems))
+    for lev in chain.levels[:1]:
+        for g, g_inv in zip(lev.gens, lev.gens_inv):
+            # (g x g^-1)[i] = g[x[g^-1[i]]]
+            conj.append(chain.rank(g[np.take(elems, g_inv, axis=1)], elems))
     lab = np.arange(len(elems), dtype=np.int32)
     while True:
         new = lab
@@ -608,12 +601,13 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     The stabilizer chain stops, and ResourceLimitError is raised, as soon
     as the order it has found times the degree passes 10^8 element-points.
     Otherwise every element is enumerated as a byte row from its
-    transversals, and the enumeration is checked to be closed under the
-    generators that grew the chain.  The classes are the orbits of
-    conjugation by those generators, each conjugate found by sifting its
-    base images and checked in full.  Classes are sorted by (element
-    order, size, least element) and representatives are the least
-    elements, so the result does not depend on the generating set.
+    transversals, and the enumeration is checked to be closed under level
+    0's strong generators, the promoted residues of the inputs.  The
+    classes are the orbits of conjugation by those generators, each
+    conjugate found by sifting its base images and checked in full.
+    Classes are sorted by (element order, size, least element) and
+    representatives are the least elements, so the result does not
+    depend on the generating set.
     Results are cached and shared, and immutable.
     """
     try:

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from galorb.altcount import (
-    MAX_N, _counts_by_parts_mod4, _product_is_square, count_partitions_exact,
+    MAX_N, _nonsquare_counts, _product_is_square, count_partitions_exact,
     frobenius_rank, partitions_exact, prop8_construct, prop8_lower_bound,
     prop8_parameters,
 )
@@ -131,8 +131,8 @@ def test_rank_matches_enumeration(n):
 def test_parts_mod4_counts_match_enumeration(n):
     counts = [0, 0, 0, 0]
     for parts in enumerate_distinct_odd_partitions(n):
-        counts[len(parts) % 4] += 1
-    assert _counts_by_parts_mod4(n) == tuple(counts)
+        counts[len(parts) % 4] += not _product_is_square(parts)
+    assert _nonsquare_counts(n) == tuple(counts)
 
 
 def test_rank_pinned_beyond_cheap_enumeration():

@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 import re
+import time
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_analyze_table_crosscheck_failure_exits_2(capsys, tmp_path):
                        "--gens", str(DATA / "c5.gens"))
     assert code == 2
     assert "FAIL" in out and "MISMATCH" in out
+
+
+def test_analyze_table_refuses_a_huge_root_order_at_once(capsys, tmp_path):
+    obj = json.loads(serialize_table(fixture_table("c5")))
+    obj["irr"][1][1] = {"n": 10 ** 10, "coeffs": {"1": "1"}}
+    bad = tmp_path / "huge_n.json"
+    bad.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze-table", str(bad))
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert "row 1, column 1" in err
+    assert "n <= 1024" in err and f"n = {10 ** 10}" in err
 
 
 def test_an_rank_range(capsys):

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galorb.cyclotomic import (
-    CyclotomicNumber, FieldClass, _apply_unit, _canonical, _reduce,
-    conjugate, cyclotomic_polynomial, field_class, galois_apply, make,
-    value_from_obj, value_from_text, value_to_obj, value_to_text, zeta,
+    MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _apply_unit, _canonical, _reduce,
+    conjugate, cyclotomic_polynomial, field_class, galois_apply, value_from_obj,
+    value_to_obj, zeta,
 )
-from galorb.errors import InputError
+from galorb.errors import InputError, ResourceLimitError
 from galorb.numutil import divisors, totient, units_mod
 
 _ZERO = Fraction(0)
@@ -150,8 +150,8 @@ def test_conductor_is_lowered():
 
 
 def test_arithmetic_identities():
-    a = make(12, {1: 1, 5: Fraction(1, 2)})
-    b = make(12, {7: -2, 0: 3})
+    a = CyclotomicNumber.make(12, {1: 1, 5: Fraction(1, 2)})
+    b = CyclotomicNumber.make(12, {7: -2, 0: 3})
     assert a + b == b + a
     assert a * b == b * a
     assert a - a == CyclotomicNumber.rational(0)
@@ -170,8 +170,8 @@ def test_rational_iff_fixed_by_every_galois_map():
     probes = [
         zeta(7) + zeta(7, 6),
         zeta(5),
-        make(8, {1: 1, 3: 1, 5: 1, 7: 1}),
-        make(12, {0: Fraction(3, 2)}),
+        CyclotomicNumber.make(8, {1: 1, 3: 1, 5: 1, 7: 1}),
+        CyclotomicNumber.make(12, {0: Fraction(3, 2)}),
         zeta(9) + zeta(9, 4) + zeta(9, 7),
     ]
     for z in probes:
@@ -185,7 +185,7 @@ def cyclo_values(draw):
     n = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 16]))
     deg = totient(n)
     coeffs = draw(st.lists(st.integers(-4, 4), min_size=deg, max_size=deg))
-    return make(n, {i: c for i, c in enumerate(coeffs)})
+    return CyclotomicNumber.make(n, {i: c for i, c in enumerate(coeffs)})
 
 
 @given(cyclo_values(), st.integers(1, 300), st.integers(1, 300))
@@ -210,11 +210,17 @@ def test_conjugation_commutes_with_action(z, k):
     assert conjugate(galois_apply(z, k)) == galois_apply(conjugate(z), k)
 
 
+def test_root_order_limit():
+    z = value_from_obj({"n": MAX_ROOT_ORDER, "coeffs": {"1023": "1"}})
+    assert z == zeta(1024, 1023) and z.order == 1024
+    with pytest.raises(ResourceLimitError, match="n <= 1024; n = 1025 given"):
+        value_from_obj({"n": MAX_ROOT_ORDER + 1, "coeffs": {"1": "1"}})
+
+
 @given(cyclo_values())
 @settings(max_examples=150, deadline=None)
 def test_encoding_round_trip(z):
     assert value_from_obj(value_to_obj(z)) == z
-    assert value_from_text(value_to_text(z)) == z
     # the obj form survives a JSON round trip unchanged
     assert value_from_obj(json.loads(json.dumps(value_to_obj(z)))) == z
 

@@ -590,19 +590,19 @@ def test_rank_refuses_rows_outside_the_group():
 
 def test_enumeration_checks_closure_under_the_generators():
     chain = _Chain(5, MAX_GROUP_ORDER)
-    for g in alternating_group_spec(5).generators:
-        chain.insert(g)
+    chain.extend(np.array(alternating_group_spec(5).generators, dtype=np.uint8))
     assert len(chain.elements()) == 60
     chain.levels.pop()
     with pytest.raises(AssertionError, match="row outside the group"):
         chain.elements()
 
 
-def _three_cycle_spec(n):
-    """A_n given by all 2 C(n, 3) of its 3-cycles."""
+def _three_cycle_spec(n, inverses=True):
+    """A_n given by all 2 C(n, 3) of its 3-cycles, or without inverses by
+    the C(n, 3) cycles (a, b, c) with a < b < c."""
     gens = []
     for a, b, c in itertools.combinations(range(n), 3):
-        for x, y, z in ((a, b, c), (a, c, b)):
+        for x, y, z in ((a, b, c), (a, c, b))[:2 if inverses else 1]:
             g = list(range(n))
             g[x], g[y], g[z] = y, z, x
             gens.append(tuple(g))
@@ -772,8 +772,7 @@ def test_each_schreier_generator_is_formed_once(spec):
 def _grown(cls, spec):
     """A fresh chain of class cls, grown from the generators of spec."""
     chain = cls(spec.degree, math.factorial(18))
-    for g in spec.generators:
-        chain.insert(g)
+    chain.extend(np.array(spec.generators, dtype=np.uint8))
     return chain
 
 
@@ -802,26 +801,17 @@ def test_pairs_marked_in_add_are_the_identity(spec, monkeypatch):
 
 class _FirstResidueChain(_Chain):
     """The chain with the earlier promotion rule: of a batch's residues,
-    the first that is not the identity in orbit-then-generator pair order
-    becomes a strong generator, whichever levels it joins."""
+    the first that is not the identity in batch order becomes a strong
+    generator, whichever levels it joins."""
 
-    def _complete(self, i):
-        lev = self.levels[i]
-        r, k = np.nonzero(~lev.done[:len(lev.orbit)])
-        if not len(r):
-            return
-        lev.done[r, k] = True
-        self.schreier_generators += len(r)
-        x = lev.orbit[r]
-        y = lev.gens[k, x]
-        h = lev.uinv[y[:, None], lev.gens[k[:, None], lev.u[x]]]
+    def extend(self, h, top=0):
         while True:
-            h, stop = self._sift(h, i + 1)
-            moved = self._moved(h)
+            h, stop = self._sift(h, top)
+            moved = np.flatnonzero((h != self.identity).any(axis=1))
             if not len(moved):
                 return
             first = moved[0]
-            self._add_strong(h[first], i + 1, int(stop[first]))
+            self._add_strong(h[first], top, int(stop[first]))
             h = h[moved[1:]]
 
 
@@ -862,3 +852,39 @@ def test_schreier_generator_total_on_large_groups():
     # 4469 on these six groups
     assert sum(_grown(_Chain, spec).schreier_generators for spec, _ in LARGE_SA) == 2499
 
+
+def _grown_one_at_a_time(spec, max_order=math.factorial(18)):
+    """A fresh chain extended by one input row at a time, in input order."""
+    chain = _Chain(spec.degree, max_order)
+    for g in spec.generators:
+        chain.extend(np.array([g], dtype=np.uint8))
+    return chain
+
+
+BATCH_GROUPS = {**REFERENCE_GROUPS,
+                "a8_3cycles": _three_cycle_spec(8, inverses=False),
+                "a9_3cycles": _three_cycle_spec(9, inverses=False)}
+
+
+@pytest.mark.parametrize("spec", BATCH_GROUPS.values(), ids=BATCH_GROUPS)
+def test_batched_and_one_at_a_time_chains_agree(spec, monkeypatch):
+    batched, single = _grown(_Chain, spec), _grown_one_at_a_time(spec)
+    order = batched.order()
+    assert single.order() == order
+    for chain in (batched, single):
+        # each strong generator of level 0 at least doubled the order
+        assert 2 ** sum(len(lev.gens) for lev in chain.levels[:1]) <= order
+    want = conjugacy_classes(spec)
+    with monkeypatch.context() as m:
+        m.setattr(galorb.permgroup, "_build_chain", _grown_one_at_a_time)
+        conjugacy_classes.cache_clear()
+        try:
+            assert conjugacy_classes(spec) == want
+        finally:
+            conjugacy_classes.cache_clear()
+
+
+def test_batched_inputs_form_fewer_schreier_generators():
+    specs = [BATCH_GROUPS["a8_3cycles"], BATCH_GROUPS["a9_3cycles"]]
+    assert sum(_grown(_Chain, spec).schreier_generators for spec in specs) == 170
+    assert sum(_grown_one_at_a_time(spec).schreier_generators for spec in specs) == 267
