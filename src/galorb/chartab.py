@@ -67,10 +67,6 @@ class GaloisAction:
     cells: tuple[Ids, ...]
     images: tuple[Ids, ...]
 
-    def unit(self, k: int) -> int:
-        """The member of units acting as zeta -> zeta^k; k coprime to e."""
-        return k % self.exponent
-
 
 def _apply(ids: Ids, image: Ids) -> Ids:
     return tuple(map(image.__getitem__, ids))
@@ -129,7 +125,7 @@ class CharacterTable:
         """Built on first use, in one pass: every row's images under the
         whole action are formed once."""
         act = self.galois_action
-        conj = act.units.index(act.unit(-1))
+        conj = act.units.index(-1 % act.exponent)
         fixed = [0] * len(act.units)
         real, orbit_keys, conj_keys, field_classes = [], [], [], []
         for row in act.cells:
@@ -232,6 +228,13 @@ class CharacterTable:
             raise InputError(
                 f"table {self.name!r}: degree squares sum to {degsq} and sizes to "
                 f"{sum(self.class_sizes)}, group order is {self.group_order}")
+        # an element's order divides the group order; the Galois action
+        # works over the units mod the lcm of the orders, so this bounds it
+        for c, o in enumerate(self.class_orders or ()):
+            if self.group_order % o:
+                raise InputError(
+                    f"table {self.name!r}: class order {o} of column {c} does not "
+                    f"divide the group order {self.group_order}")
         e = table_exponent(self)
         for i, row in enumerate(self.irr):
             for z in row:
@@ -294,7 +297,7 @@ def table_exponent(t: CharacterTable) -> int:
 # -- parsing ------------------------------------------------------------
 
 
-def parse_table(text: str, name: str | None = None) -> CharacterTable:
+def parse_table(text: str) -> CharacterTable:
     """Parse and validate the JSON table format."""
     try:
         obj = json.loads(text)
@@ -303,7 +306,7 @@ def parse_table(text: str, name: str | None = None) -> CharacterTable:
     if not isinstance(obj, dict):
         raise InputError("table file must hold a JSON object")
     try:
-        tname = str(obj["name"]) if name is None else name
+        tname = str(obj["name"])
         order = obj["order"]
         sizes = obj["class_sizes"]
         irr = obj["irr"]
@@ -468,7 +471,7 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
 
     bad = []
     for k in units:
-        fixed_rows = t._rows.fixed[act.unit(k)]
+        fixed_rows = t._rows.fixed[k % act.exponent]
         fixed_cols = sum(1 for c, d in enumerate(cs.power_map(k)) if d == c)
         if fixed_rows != fixed_cols:
             bad.append(f"k={k}: {fixed_rows} fixed rows vs {fixed_cols} fixed classes")
@@ -483,7 +486,7 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     bad = []
     for k in units:
         fusion_map = cs.power_map(k)
-        table_map = t._column_maps[act.unit(k)]
+        table_map = t._column_maps[k % act.exponent]
         if table_map != fusion_map:
             diffs = [c for c in range(cs.num_classes) if table_map[c] != fusion_map[c]]
             bad.append(f"k={k}: columns {diffs} map to {[table_map[c] for c in diffs]} "

@@ -109,10 +109,9 @@ def analyze(cs: ClassStructure) -> GaloisReport:
     )
 
 
-def report_to_obj(rep: GaloisReport, labels=None) -> dict:
-    """JSON-ready dict; families rendered with labels when given."""
-    fams = [list(f) for f in rep.families]
-    obj = {
+def report_to_obj(rep: GaloisReport, labels: tuple[str, ...]) -> dict:
+    """JSON-ready dict; families are rendered as indices and as labels."""
+    return {
         "group_order": rep.group_order,
         "num_classes": rep.num_classes,
         "n_Q": rep.n_Q,
@@ -122,9 +121,7 @@ def report_to_obj(rep: GaloisReport, labels=None) -> dict:
         "a1": rep.a1,
         "a2": rep.a2,
         "is_cut": rep.is_cut,
-        "families": fams,
+        "families": [list(f) for f in rep.families],
         "family_contributions": list(rep.family_contributions),
+        "family_labels": [[labels[c] for c in f] for f in rep.families],
     }
-    if labels is not None:
-        obj["family_labels"] = [[labels[c] for c in f] for f in rep.families]
-    return obj

@@ -23,7 +23,7 @@ from .chartab import brauer_crosscheck, char_report, parse_table
 from .classtheory import analyze, report_to_obj
 from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError
 from .matgroup import (
-    class_lower_bound, coprime_power_charpoly_count, element_order,
+    MAX_ELEMENT_ORDER, class_lower_bound, coprime_power_charpoly_count, element_order,
     parse_matrix_group_file, random_element_search, singer_element,
 )
 from .permgroup import conjugacy_classes, parse_generators
@@ -282,7 +282,7 @@ def _cmd_charpoly(args) -> tuple[str, int]:
         if g is None:
             raise UncertifiedError(
                 f"no element of order {args.target} found "
-                f"(seed {args.seed}); try another seed or more attempts")
+                f"(seed {args.seed}); try another seed")
         return _charpoly_report(g, args)
     # action == "bound"
     bound, verdict = class_lower_bound(args.count, args.center)
@@ -308,7 +308,7 @@ def _box(text: str) -> tuple[int, int]:
 
 
 def _max_order_option(p, bounded: str):
-    p.add_argument("--max-order", type=int, default=100_000,
+    p.add_argument("--max-order", type=int, default=MAX_ELEMENT_ORDER,
                    help=f"bound on {bounded} (default %(default)s)")
 
 

@@ -213,9 +213,8 @@ class CyclotomicNumber:
 
     __slots__ = ("order", "_vec")
 
-    def __init__(self, order: int, vec: tuple[Fraction, ...], _raw: bool = False):
-        if not _raw:
-            order, vec = _canonical(order, dict(enumerate(vec)))
+    def __init__(self, order: int, vec: tuple[Fraction, ...]):
+        """Wrap a vector already in canonical form; make canonicalises."""
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_vec", vec)
 
@@ -231,11 +230,11 @@ class CyclotomicNumber:
             raise InputError("root-of-unity order must be positive")
         clean = {int(e): Fraction(c) for e, c in terms.items()}
         order, vec = _canonical(n, clean)
-        return CyclotomicNumber(order, vec, _raw=True)
+        return CyclotomicNumber(order, vec)
 
     @staticmethod
     def rational(x) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(x),), _raw=True)
+        return CyclotomicNumber(1, (Fraction(x),))
 
     # -- structure ------------------------------------------------------
 
@@ -296,12 +295,12 @@ class CyclotomicNumber:
         for e, c in other._terms_at(n).items():
             terms[e] = terms.get(e, _ZERO) + c
         order, vec = _canonical(n, terms)
-        return CyclotomicNumber(order, vec, _raw=True)
+        return CyclotomicNumber(order, vec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self._vec), _raw=True)
+        return CyclotomicNumber(self.order, tuple(-c for c in self._vec))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -315,7 +314,7 @@ class CyclotomicNumber:
             c = other._vec[0]
             if not c:
                 return CyclotomicNumber.rational(0)
-            return CyclotomicNumber(self.order, tuple(v * c for v in self._vec), _raw=True)
+            return CyclotomicNumber(self.order, tuple(v * c for v in self._vec))
         if self.order == 1:
             return other * self
         n = math.lcm(self.order, other.order)
@@ -327,7 +326,7 @@ class CyclotomicNumber:
                 e = (e1 + e2) % n
                 terms[e] = terms.get(e, _ZERO) + c1 * c2
         order, vec = _canonical(n, terms)
-        return CyclotomicNumber(order, vec, _raw=True)
+        return CyclotomicNumber(order, vec)
 
     __rmul__ = __mul__
 
@@ -371,7 +370,7 @@ def galois_apply(z: CyclotomicNumber, k: int) -> CyclotomicNumber:
         raise InputError(f"galois_apply needs gcd(k, {n}) = 1, got k = {k}")
     vec = _apply_unit(n, list(z._vec), k)
     # conductor is Galois-invariant, so the reduced vector is canonical
-    return CyclotomicNumber(n, tuple(vec), _raw=True)
+    return CyclotomicNumber(n, tuple(vec))
 
 
 def conjugate(z: CyclotomicNumber) -> CyclotomicNumber:

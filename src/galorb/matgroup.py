@@ -36,6 +36,8 @@ from .permgroup import GroupSpec
 
 MAX_FIELD = 512
 MAX_DIM = 12    # keeps every q^d - 1 we must factor within easy reach
+MAX_ELEMENT_ORDER = 100_000    # default bound on an element's order
+SEARCH_ATTEMPTS = 100    # elements random_element_search tests
 
 
 class FiniteField:
@@ -307,7 +309,7 @@ def _fpoly_powmod(F: FiniteField, base, e, f):
     return result
 
 
-def element_order(M: Matrix, bound: int = 10_000_000) -> int:
+def element_order(M: Matrix, bound: int = MAX_ELEMENT_ORDER) -> int:
     """Exact multiplicative order via the factor degrees of the
     characteristic polynomial: the order divides
     p^ceil(log_p n) * lcm(q^d - 1) over the irreducible factor degrees
@@ -440,7 +442,7 @@ def _companion_power_columns(F: FiniteField, f):
             col = [F.add(c, F.mul(top, a)) for c, a in zip(col, neg_f)]
 
 
-def coprime_power_charpoly_count(g: Matrix, max_order: int = 100_000) -> int:
+def coprime_power_charpoly_count(g: Matrix, max_order: int = MAX_ELEMENT_ORDER) -> int:
     """Number of distinct characteristic polynomials among g^k with k
     coprime to the order m of g; refused past max_order like
     `element_order`.
@@ -486,8 +488,8 @@ def class_lower_bound(count: int, center_order: int) -> tuple[int, bool]:
     return bound, bound >= 5
 
 
-def random_element_search(gens, target_order: int, attempts: int = 100,
-                          seed: int = 0, bound: int = 10_000_000):
+def random_element_search(gens, target_order: int, seed: int = 0,
+                          bound: int = MAX_ELEMENT_ORDER):
     """Deterministic random walk through the generated group, returning
     the first element of the requested order, or None."""
     gens = tuple(gens)
@@ -495,7 +497,7 @@ def random_element_search(gens, target_order: int, attempts: int = 100,
         raise InputError("at least one generator required")
     rng = random.Random(seed)
     cur = Matrix.identity(gens[0].field, gens[0].n)
-    for _ in range(attempts):
+    for _ in range(SEARCH_ATTEMPTS):
         for _ in range(rng.randint(1, 3)):
             cur = cur * rng.choice(gens)
         try:

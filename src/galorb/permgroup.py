@@ -14,9 +14,10 @@ with one sift-and-promote loop: the input generators, as one uint8
 batch, and each level's Schreier generators, each formed once, are
 sifted through the levels with one gather per level, and of a batch's
 residues the one that joins the fewest levels is promoted first.
-Levels grow in place as strong generators join them; the Schreier
-generators of tree edges are the identity and are never formed.  The
-chain refuses, exactly, once the order it has found passes its limit.
+Levels grow in place, and only when complete, as strong generators join
+them; each is completed from the pairs its growth made, but for tree
+edges, whose Schreier generators are the identity.  The chain refuses,
+exactly, once the order it has found passes its limit.
 Classes come from one path, under one guard: their chain's limit is
 10^8 element-points over the degree, so it stops as soon as order times
 degree passes 10^8, before any element is stored.  The chain's
@@ -200,36 +201,33 @@ def format_generators(spec: GroupSpec) -> str:
 class _Level:
     """One level of a stabilizer chain.
 
-    gens holds the strong generators of this level as uint8 rows, with
-    their inverses in gens_inv.  The orbit of the base point under them
-    grows in place, and pos[x] is the position of x in it (-1 outside);
-    u[x] is a transversal element sending the base point to x and
-    uinv[x] its inverse (rows of points outside the orbit are unused).
-    done[r, k] records that the Schreier generator of orbit point
-    orbit[r] and generator k has been formed, or is the identity because
-    the pair is the tree edge that brought its image into the orbit.
+    gens holds the strong generators of this level as uint8 rows.  The
+    orbit of the base point under them grows in place, and pos[x] is the
+    position of x in it (-1 outside); u[x] is a transversal element
+    sending the base point to x and uinv[x] its inverse (rows of points
+    outside the orbit are unused).  A level grows only when complete, so
+    its untested Schreier pairs are those its latest add returned.
     """
 
     def __init__(self, base: int, degree: int):
         identity = np.arange(degree, dtype=np.uint8)
         self.base = base
         self.gens = np.empty((0, degree), dtype=np.uint8)
-        self.gens_inv = np.empty((0, degree), dtype=np.uint8)
         self.orbit = np.array([base], dtype=np.intp)
         self.pos = np.full(degree, -1, dtype=np.int32)
         self.pos[base] = 0
         self.u = np.zeros((degree, degree), dtype=np.uint8)
         self.uinv = np.zeros((degree, degree), dtype=np.uint8)
         self.u[base] = self.uinv[base] = identity
-        self.done = np.zeros((degree, 0), dtype=bool)
 
-    def add(self, g: np.ndarray, g_inv: np.ndarray):
+    def add(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Add a strong generator and extend the orbit and transversal:
         the new generator acts on the old points, then every generator
-        acts on the new points."""
+        acts on the new points.  Returns the orbit positions and generator
+        indices, in row-major order, of the pairs this made (each old
+        point with g, each new point with every generator) but for the
+        tree edges, whose Schreier generators are the identity."""
         self.gens = np.vstack((self.gens, g))
-        self.gens_inv = np.vstack((self.gens_inv, g_inv))
-        self.done = np.hstack((self.done, np.zeros((len(self.done), 1), dtype=bool)))
         gens = self.gens.tolist()
         orbit = self.orbit.tolist()
         seen = set(orbit)
@@ -247,16 +245,20 @@ class _Level:
                     seen.add(z)
                     edges.append((z, y, k))
         for y, x, k in edges:
-            # u_y = s u_x and u_y^-1 = u_x^-1 s^-1 for y = s(x)
+            # u_y = s u_x for y = s(x)
             self.u[y] = self.gens[k][self.u[x]]
-            self.uinv[y] = self.uinv[x][self.gens_inv[k]]
+        fresh = np.zeros((len(seen), len(gens)), dtype=bool)
+        fresh[:, -1] = True
+        fresh[len(orbit):] = True
         if edges:
-            pts, xs, ks = zip(*edges)
-            self.pos[list(pts)] = range(len(self.orbit), len(self.orbit) + len(pts))
+            pts, xs, ks = map(list, zip(*edges))
+            self.uinv[pts] = np.argsort(self.u[pts], axis=1)
+            self.pos[pts] = range(len(orbit), len(seen))
             self.orbit = np.concatenate((self.orbit, pts))
             # u_y = s u_x makes each edge's Schreier generator u_y^-1 s u_x
-            # the identity, so it is marked done and never formed
-            self.done[self.pos[list(xs)], ks] = True
+            # the identity, so it is never formed
+            fresh[self.pos[xs], ks] = False
+        return np.nonzero(fresh)
 
 
 class _Chain:
@@ -266,17 +268,20 @@ class _Chain:
     and for each level's Schreier generators (from the level below) alike.
     Levels are extended, never rebuilt: a promoted residue grows the orbits
     and transversals of the levels it joins, which are then completed
-    deepest first.  Each (orbit point, strong generator) pair of a level
-    is formed into its Schreier generator u_y^-1 g u_x at most once;
-    schreier_generators counts them.  The pair (x, g) of a Schreier-tree
-    edge, which set u_y = g u_x for the new point y = g(x), has the
-    identity as its Schreier generator, so _Level.add marks it done and it
-    is never formed.  Every Schreier generator is sifted, so the order is
-    exact.  The product of the orbit lengths never exceeds the group
-    order, so the max_order refusal is exact.  Level 0's strong generators
-    are the promoted residues of the inputs: they generate the group, and
-    each was outside the group of the complete chain before it, so there
-    are at most log2 of the order of them, however many inputs were given.
+    deepest first, each from the pairs its add returned: a level grows only
+    when complete, since completing level l extends only deeper levels, so
+    these are all its untested pairs.  Each (orbit point, strong generator)
+    pair of a level is formed into its Schreier generator u_y^-1 g u_x at
+    most once; schreier_generators counts them.  The pair (x, g) of a
+    Schreier-tree edge, which set u_y = g u_x for the new point y = g(x),
+    has the identity as its Schreier generator, so _Level.add leaves it
+    out and it is never formed.  Every Schreier generator is sifted, so
+    the order is exact.  The product of the orbit lengths never exceeds
+    the group order, so the max_order refusal is exact.  Level 0's strong
+    generators are the promoted residues of the inputs: they generate the
+    group, and each was outside the group of the complete chain before
+    it, so there are at most log2 of the order of them, however many
+    inputs were given.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -384,19 +389,16 @@ class _Chain:
         if bottom == len(self.levels):
             self.levels.append(_Level(int(np.flatnonzero(g != self.identity)[0]),
                                       self.degree))
-        g_inv = np.argsort(g).astype(np.uint8)
-        for l in range(top, bottom + 1):
-            self.levels[l].add(g, g_inv)
+        pairs = [self.levels[l].add(g) for l in range(top, bottom + 1)]
         reached = self.order()
         if reached > self.max_order:
             raise ResourceLimitError(
                 f"group order is at least {reached}, above the limit {self.max_order}")
         for l in range(bottom, top - 1, -1):
             lev = self.levels[l]
-            r, k = np.nonzero(~lev.done[:len(lev.orbit)])
+            r, k = pairs[l - top]
             if not len(r):
                 continue
-            lev.done[r, k] = True
             self.schreier_generators += len(r)
             x = lev.orbit[r]
             y = lev.gens[k, x]
@@ -541,13 +543,14 @@ def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
     """For each element, the least index in its class.
 
     Conjugation by each strong generator g of level 0 permutes the
-    elements: rank sends i to the index of g x_i g^-1.  Classes are the
+    elements: rank sends i to the index of g x_i g^-1, with g^-1 formed
+    here, one argsort per generator.  Classes are the
     orbits of these permutations, found by lowering every label to the
     least label among its images and then jumping pointers.
     """
     conj = []
     for lev in chain.levels[:1]:
-        for g, g_inv in zip(lev.gens, lev.gens_inv):
+        for g, g_inv in zip(lev.gens, np.argsort(lev.gens, axis=1)):
             # (g x g^-1)[i] = g[x[g^-1[i]]]
             conj.append(chain.rank(g[np.take(elems, g_inv, axis=1)], elems))
     lab = np.arange(len(elems), dtype=np.int32)

@@ -10,7 +10,8 @@ from galorb.chartab import (
     serialize_table, table_exponent,
 )
 from galorb.cyclotomic import (
-    CyclotomicNumber, FieldClass, field_class, galois_apply, value_from_obj, zeta,
+    CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_integers,
+    value_from_obj, zeta,
 )
 from galorb.errors import DegenerateTableError, InputError
 from galorb.numutil import units_mod
@@ -197,13 +198,34 @@ def test_validate_rejects_bad_shapes():
         parse_table(json.dumps(obj))
 
 
-def test_orthogonality_works_at_the_conductors():
-    # 27720 is the exponent of S_12, whose table is rational: the check
-    # runs at conductor 1 and never reduces modulo Phi_27720
+def test_orthogonality_works_at_the_conductors(monkeypatch):
+    # S3 has exponent 6 and a rational table: the check runs at conductor
+    # 1 and never reduces modulo Phi_6
+    import galorb.chartab
+    seen = []
+
+    def spy(n, acc):
+        seen.append(n)
+        return reduce_integers(n, acc)
+
+    monkeypatch.setattr(galorb.chartab, "reduce_integers", spy)
+    t = parse_table(json.dumps(_fixture_obj("s3")))
+    assert table_exponent(t) == 6
+    assert seen and set(seen) == {1}
+    # an element of order 27720 (the exponent of S_12) is no element of C2
     obj = _fixture_obj("c2")
     obj["class_orders"] = [1, 27720]
-    t = parse_table(json.dumps(obj))
-    assert table_exponent(t) == 27720
+    with pytest.raises(InputError, match="class order 27720 of column 1 does not "
+                                         "divide the group order 2"):
+        parse_table(json.dumps(obj))
+
+
+@pytest.mark.parametrize("order", [10 ** 6, 10 ** 10])
+def test_validate_refuses_class_orders_not_dividing_the_order(order):
+    obj = _fixture_obj("c2")
+    obj["class_orders"] = [1, order]
+    with pytest.raises(InputError, match=f"'c2': class order {order} of column 1"):
+        parse_table(json.dumps(obj))
 
 
 def test_validate_rejects_foreign_conductor():

@@ -97,5 +97,3 @@ def test_report_serialization():
     assert obj["rank"] == 1
     assert obj["group_order"] == 60
     assert ["5A", "5B"] in obj["family_labels"]
-    plain = report_to_obj(rep)
-    assert "family_labels" not in plain

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import pathlib
@@ -9,8 +10,11 @@ import pytest
 
 import galorb.permgroup
 from galorb.chartab import fixture_names, fixture_table, serialize_table
-from galorb.cli import main
-from galorb.matgroup import _exact_order, projective_line_action
+from galorb.cli import build_parser, main
+from galorb.matgroup import (
+    MAX_ELEMENT_ORDER, _exact_order, coprime_power_charpoly_count, element_order,
+    projective_line_action, random_element_search,
+)
 from galorb.permgroup import (
     alternating_group_spec, cyclic_group_spec, format_generators, symmetric_group_spec,
 )
@@ -77,6 +81,19 @@ def test_analyze_table_refuses_a_huge_root_order_at_once(capsys, tmp_path):
     assert code == 4 and out == ""
     assert "row 1, column 1" in err
     assert "n <= 1024" in err and f"n = {10 ** 10}" in err
+
+
+@pytest.mark.parametrize("order", [10 ** 6, 10 ** 10])
+def test_analyze_table_refuses_a_class_order_not_dividing_the_order(capsys, tmp_path, order):
+    obj = json.loads(serialize_table(fixture_table("c2")))
+    obj["class_orders"] = [1, order]
+    bad = tmp_path / "bad_order.json"
+    bad.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze-table", str(bad))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"class order {order} of column 1 does not divide the group order 2" in err
 
 
 def test_an_rank_range(capsys):
@@ -196,6 +213,16 @@ def test_charpoly_has_one_order_bound(capsys):
                          "--target", "8", "--max-order", "7")
     assert code == 4 and out == ""
     assert "target order 8 exceeds the bound 7; raise it with --max-order" in err
+
+
+def test_element_order_bounds_have_one_default():
+    for fn, name in ((element_order, "bound"), (random_element_search, "bound"),
+                     (coprime_power_charpoly_count, "max_order")):
+        assert inspect.signature(fn).parameters[name].default == MAX_ELEMENT_ORDER, fn
+    parser = build_parser()
+    for argv in (["charpoly", "singer", "4", "2"],
+                 ["charpoly", "file", "g.json", "--target", "8"]):
+        assert parser.parse_args(argv).max_order == MAX_ELEMENT_ORDER, argv
 
 
 def test_missing_file_exits_2(capsys):

@@ -776,27 +776,67 @@ def _grown(cls, spec):
     return chain
 
 
-@pytest.mark.parametrize("spec", [*REFERENCE_GROUPS.values(), relabeled(symmetric_group_spec(18), 7)],
-                         ids=[*REFERENCE_GROUPS, "s18"])
-def test_pairs_marked_in_add_are_the_identity(spec, monkeypatch):
-    # form the Schreier generator of every pair add marks done
-    add = _Level.add
-    marked = []
+ADD_GROUPS = pytest.mark.parametrize(
+    "spec", [*REFERENCE_GROUPS.values(), relabeled(symmetric_group_spec(18), 7)],
+    ids=[*REFERENCE_GROUPS, "s18"])
 
-    def checked_add(level, g, g_inv):
-        before = level.done.copy()
-        add(level, g, g_inv)
-        new = level.done.copy()
-        new[:, :before.shape[1]] &= ~before
-        r, k = np.nonzero(new)
-        x = level.orbit[r]
-        h = level.uinv[level.gens[k, x][:, None], level.gens[k[:, None], level.u[x]]]
-        assert (h == np.arange(spec.degree)).all()
-        marked.append(len(r))
+
+def _schreier_generators(level, r, k):
+    """u_y^-1 g_k u_x for x = orbit[r] and y = g_k(x), one row per pair."""
+    x = level.orbit[r]
+    return level.uinv[level.gens[k, x][:, None], level.gens[k[:, None], level.u[x]]]
+
+
+@ADD_GROUPS
+def test_pairs_marked_in_add_are_the_identity(spec, monkeypatch):
+    # add returns the pairs it made, row-major, but for the tree edges,
+    # whose Schreier generators are the identity
+    add = _Level.add
+    skipped = []
+
+    def checked_add(level, g):
+        old = len(level.orbit)
+        returned = add(level, g)
+        made = np.zeros((len(level.orbit), len(level.gens)), dtype=bool)
+        made[:, -1] = True
+        made[old:] = True
+        r, k = returned
+        assert (np.diff(r * len(level.gens) + k) > 0).all()
+        assert made[r, k].all()
+        made[r, k] = False
+        r, k = np.nonzero(made)
+        assert (_schreier_generators(level, r, k) == np.arange(spec.degree)).all()
+        skipped.append(len(r))
+        return returned
 
     monkeypatch.setattr(_Level, "add", checked_add)
     chain = _grown(_Chain, spec)
-    assert sum(marked) == sum(len(level.orbit) - 1 for level in chain.levels)
+    assert sum(skipped) == sum(len(level.orbit) - 1 for level in chain.levels)
+
+
+@ADD_GROUPS
+def test_a_level_is_complete_whenever_it_grows(spec, monkeypatch):
+    # every Schreier generator of a level sifts to the identity through the
+    # levels below it before each add to the level, once it has generators,
+    # and at the end
+    chain = _Chain(spec.degree, math.factorial(18))
+    add = _Level.add
+
+    def assert_complete(l):
+        level = chain.levels[l]
+        r, k = np.nonzero(np.ones((len(level.orbit), len(level.gens)), dtype=bool))
+        h, _ = chain._sift(_schreier_generators(level, r, k), l + 1)
+        assert (h == chain.identity).all()
+
+    def checked_add(level, g):
+        if len(level.gens):
+            assert_complete(next(l for l, lev in enumerate(chain.levels) if lev is level))
+        return add(level, g)
+
+    monkeypatch.setattr(_Level, "add", checked_add)
+    chain.extend(np.array(spec.generators, dtype=np.uint8))
+    for l in range(len(chain.levels)):
+        assert_complete(l)
 
 
 class _FirstResidueChain(_Chain):
