@@ -5,7 +5,7 @@ the central units of the integral group ring computed from class data or
 from an ordinary character table.
 """
 
-from .altcount import frobenius_rank, prop8_lower_bound
+from .altcount import frobenius_rank, frobenius_ranks, prop8_lower_bound
 from .chartab import (
     CharacterTable,
     brauer_crosscheck,
@@ -63,6 +63,7 @@ __all__ = [
     "char_report",
     "brauer_crosscheck",
     "frobenius_rank",
+    "frobenius_ranks",
     "prop8_lower_bound",
     "exception_set",
     "singer_order",

@@ -13,11 +13,18 @@ value, NEVER, and the rank is the count at NEVER.  Only primes of the
 open bucket and below are ever live, which keeps the state count in the
 low thousands at n = 400, the cap.
 
-The explicit enumeration with per-partition flags lives in the tests,
-as the oracle for the programme.  The file also builds the explicit
-injection from ordinary partitions that drives the asymptotic lower
-bound: pad a partition of m to strictly increasing values, double into
-odd parts, and append a dominating prime.
+The programme run for n holds the counts of every sum s <= n, exactly
+as the programme run for s would give them: a partition of s uses only
+parts <= s; a bucket whose prime exceeds s holds only parts above s,
+so it adds nothing at sums <= s and sets no bit there; and the merge
+into NEVER after a bucket does not depend on the target sum.  So the
+ranks of a whole range are read off the one programme for its upper
+end, and a range that passes the cap is refused before any count.
+
+The explicit enumeration with per-partition flags, and the injection
+from ordinary partitions that drives the asymptotic lower bound, live
+in the tests as references; this file keeps the bound's parameters and
+its exact value.
 """
 
 from __future__ import annotations
@@ -64,9 +71,9 @@ def _product_is_square(parts: tuple[int, ...]) -> bool:
     return not odd_exponent
 
 
-def _nonsquare_counts(n: int) -> tuple[int, int, int, int]:
-    """Distinct-odd partitions of n whose part product is not a square,
-    counted by number of parts mod 4."""
+def _nonsquare_counts(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """For every sum s = 0..n, the distinct-odd partitions of s whose
+    part product is not a square, counted by number of parts mod 4."""
     spf = _spf_sieve(n)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for part in range(3, n + 1, 2):
@@ -97,8 +104,26 @@ def _nonsquare_counts(n: int) -> tuple[int, int, int, int]:
             merged[key] = merged.get(key, 0) + c
         states = merged
     # The part 1 changes no exponent: take it or leave it.
-    return tuple(states.get((n, r, NEVER), 0) + states.get((n - 1, (r - 1) & 3, NEVER), 0)
-                 for r in range(4))
+    return tuple(
+        tuple(states.get((s, r, NEVER), 0) + states.get((s - 1, (r - 1) & 3, NEVER), 0)
+              for r in range(4))
+        for s in range(n + 1))
+
+
+def frobenius_ranks(lo: int, hi: int) -> list[int]:
+    """Central-unit ranks for the alternating groups on lo..hi points,
+    read off the one programme for hi.
+
+    Both ends are checked before any count: lo < 2 is bad input, and
+    hi past MAX_N is refused.
+    """
+    if lo < 2:
+        raise InputError("alternating rank needs n >= 2")
+    if hi > MAX_N:
+        raise ResourceLimitError(
+            f"alternating rank is limited to n <= {MAX_N}; n = {hi} requested")
+    counts = _nonsquare_counts(hi)
+    return [counts[n][n & 3] for n in range(lo, hi + 1)]
 
 
 def frobenius_rank(n: int) -> int:
@@ -111,14 +136,13 @@ def frobenius_rank(n: int) -> int:
     first: after the bucket of P no part left contains P, so every state
     with an odd power of P can never become square, and all of them merge
     into one absorbing state per (sum, parts mod 4).  At n = 400 this
-    peaks at 3240 states.
+    peaks at 3240 states.  That programme gives every sum s <= n
+    exactly: a partition of s uses only parts <= s, a bucket whose prime
+    exceeds s holds only larger parts, and the merge after each bucket
+    does not depend on the target sum.  So a range of n is one
+    ``frobenius_ranks`` call, not one programme per n.
     """
-    if n < 2:
-        raise InputError("alternating rank needs n >= 2")
-    if n > MAX_N:
-        raise ResourceLimitError(
-            f"alternating rank is limited to n <= {MAX_N}; n = {n} requested")
-    return _nonsquare_counts(n)[n & 3]
+    return frobenius_ranks(n, n)[0]
 
 
 # -- exact partition counts for the injection ---------------------------
@@ -136,71 +160,7 @@ def count_partitions_exact(m: int, j: int) -> int:
     return count_partitions_exact(m - 1, j - 1) + count_partitions_exact(m - j, j)
 
 
-def partitions_exact(m: int, j: int):
-    """Generate the partitions counted by count_partitions_exact,
-    parts decreasing within each tuple."""
-    if m < 0 or j < 0:
-        return
-    if j == 0:
-        if m == 0:
-            yield ()
-        return
-
-    def rec(remaining: int, slots: int, cap: int):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        top = min(cap, remaining - (slots - 1))
-        for p in range(top, 0, -1):
-            if p * slots < remaining:
-                break
-            for rest in rec(remaining - p, slots - 1, p):
-                yield (p,) + rest
-
-    yield from rec(m, j, m)
-
-
 # -- the padded-doubling injection --------------------------------------
-
-
-def prop8_construct(m: int, k: int, p: int,
-                    pi: tuple[int, ...]) -> tuple[int, ...]:
-    """Map one partition pi of m into exactly k - 1 parts to a
-    contributing partition of n = p + k*k - 1 + 2*m.
-
-    Sorted ascending, part i gains i, everything doubles into an odd
-    value, and the prime p joins as the largest part.  Since p exceeds
-    every other part, it divides the product exactly once, so the
-    product cannot be a square.
-    """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    if m < 0:
-        raise InputError("m must be nonnegative")
-    if not is_prime(p):
-        raise InputError(f"p = {p} is not prime")
-    if len(pi) != k - 1:
-        raise InputError(f"need exactly {k - 1} parts, got {len(pi)}")
-    if any(x < 1 for x in pi):
-        raise InputError("partition parts must be positive")
-    if sum(pi) != m:
-        raise InputError(f"parts sum to {sum(pi)}, not m = {m}")
-    if p <= k * k - 1 + 2 * m:
-        raise InputError(
-            f"p = {p} too small to dominate: need p > {k * k - 1 + 2 * m}")
-    n = p + k * k - 1 + 2 * m
-    if (n - k) % 4:
-        raise InputError(f"k = {k} is not congruent to n = {n} mod 4")
-
-    inc = sorted(pi)
-    parts = tuple(2 * (x + i) + 1 for i, x in enumerate(inc, start=1)) + (p,)
-    assert sum(parts) == n
-    assert all(q % 2 for q in parts)
-    assert len(set(parts)) == k
-    assert (len(parts) - n) % 4 == 0
-    assert not _product_is_square(parts)
-    return parts
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .altcount import frobenius_rank, prop8_lower_bound
+from .altcount import frobenius_ranks, prop8_lower_bound
 from .chartab import brauer_crosscheck, char_report, parse_table
 from .classtheory import analyze, report_to_obj
 from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError
@@ -143,11 +143,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_an_rank(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.range)
-    if lo < 2:
-        raise InputError("alternating rank needs n >= 2")
     rows = []
-    for n in range(lo, hi + 1):
-        rank = frobenius_rank(n)
+    for n, rank in enumerate(frobenius_ranks(lo, hi), start=lo):
         entry = {"n": n, "rank": rank}
         if n >= 26:
             b = prop8_lower_bound(n)

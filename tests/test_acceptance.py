@@ -6,9 +6,7 @@ import json
 import time
 from pathlib import Path
 
-from galorb.altcount import (
-    frobenius_rank, partitions_exact, prop8_construct, prop8_lower_bound,
-)
+from galorb.altcount import frobenius_rank, frobenius_ranks, prop8_lower_bound
 from galorb.chartab import brauer_crosscheck, char_report, column_families, fixture_table
 from galorb.classtheory import analyze, q_classes
 from galorb.cli import main
@@ -21,7 +19,7 @@ from galorb.permgroup import (
     alternating_group_spec, conjugacy_classes, cyclic_class_structure,
     cyclic_group_spec, format_generators, symmetric_group_spec,
 )
-from test_altcount import partition_record
+from test_altcount import partition_record, partitions_exact, prop8_construct
 
 ANALYZED = []  # class structures accumulated for the identity suite
 
@@ -130,9 +128,8 @@ def test_c5_frobenius_criterion():
 
 def test_c6_injection_suite():
     t0 = time.monotonic()
-    for n in range(26, 121):
+    for n, r in enumerate(frobenius_ranks(26, 120), start=26):
         b = prop8_lower_bound(n)
-        r = frobenius_rank(n)
         assert b.count <= r, n
         if n <= 60:
             assert r > 1, n

@@ -1,6 +1,7 @@
 """Partition-side rank computations for alternating groups, checked
 against a brute-force partition oracle and the realized class
-structures, plus the constructive lower-bound machinery."""
+structures, plus the constructive lower-bound machinery, whose explicit
+injection is kept here as a reference."""
 
 import math
 from dataclasses import dataclass
@@ -8,13 +9,14 @@ from itertools import combinations
 
 import pytest
 
+from galorb import altcount
 from galorb.altcount import (
     MAX_N, _nonsquare_counts, _product_is_square, count_partitions_exact,
-    frobenius_rank, partitions_exact, prop8_construct, prop8_lower_bound,
-    prop8_parameters,
+    frobenius_rank, frobenius_ranks, prop8_lower_bound, prop8_parameters,
 )
 from galorb.classtheory import analyze
 from galorb.errors import InputError, ResourceLimitError
+from galorb.numutil import is_prime
 from galorb.permgroup import alternating_class_structure
 
 # -- reference: every distinct-odd partition with its contribution flags --
@@ -79,6 +81,73 @@ def frobenius_records(n: int) -> tuple[PartitionRecord, ...]:
                  for parts in enumerate_distinct_odd_partitions(n))
 
 
+# -- reference: the padded-doubling injection behind the lower bound --
+
+
+def partitions_exact(m: int, j: int):
+    """Generate the partitions counted by count_partitions_exact,
+    parts decreasing within each tuple."""
+    if m < 0 or j < 0:
+        return
+    if j == 0:
+        if m == 0:
+            yield ()
+        return
+
+    def rec(remaining: int, slots: int, cap: int):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        top = min(cap, remaining - (slots - 1))
+        for p in range(top, 0, -1):
+            if p * slots < remaining:
+                break
+            for rest in rec(remaining - p, slots - 1, p):
+                yield (p,) + rest
+
+    yield from rec(m, j, m)
+
+
+def prop8_construct(m: int, k: int, p: int,
+                    pi: tuple[int, ...]) -> tuple[int, ...]:
+    """Map one partition pi of m into exactly k - 1 parts to a
+    contributing partition of n = p + k*k - 1 + 2*m.
+
+    Sorted ascending, part i gains i, everything doubles into an odd
+    value, and the prime p joins as the largest part.  Since p exceeds
+    every other part, it divides the product exactly once, so the
+    product cannot be a square.
+    """
+    if k < 1:
+        raise InputError("k must be at least 1")
+    if m < 0:
+        raise InputError("m must be nonnegative")
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    if len(pi) != k - 1:
+        raise InputError(f"need exactly {k - 1} parts, got {len(pi)}")
+    if any(x < 1 for x in pi):
+        raise InputError("partition parts must be positive")
+    if sum(pi) != m:
+        raise InputError(f"parts sum to {sum(pi)}, not m = {m}")
+    if p <= k * k - 1 + 2 * m:
+        raise InputError(
+            f"p = {p} too small to dominate: need p > {k * k - 1 + 2 * m}")
+    n = p + k * k - 1 + 2 * m
+    if (n - k) % 4:
+        raise InputError(f"k = {k} is not congruent to n = {n} mod 4")
+
+    inc = sorted(pi)
+    parts = tuple(2 * (x + i) + 1 for i, x in enumerate(inc, start=1)) + (p,)
+    assert sum(parts) == n
+    assert all(q % 2 for q in parts)
+    assert len(set(parts)) == k
+    assert (len(parts) - n) % 4 == 0
+    assert not _product_is_square(parts)
+    return parts
+
+
 def brute_distinct_odd(n):
     """All strictly decreasing tuples of distinct odd parts summing to n."""
     odds = list(range(1, n + 1, 2))
@@ -108,6 +177,20 @@ def test_enumeration_guards():
         frobenius_rank(401)
 
 
+@pytest.mark.parametrize("lo,hi,error,msg", [
+    (2, 401, ResourceLimitError, "n = 401 requested"),
+    (300, 401, ResourceLimitError, "n = 401 requested"),
+    (2, 10**12, ResourceLimitError, "n = 1000000000000 requested"),
+    (1, 500, InputError, "n >= 2"),
+])
+def test_range_out_of_bounds_is_refused_before_any_count(monkeypatch, lo, hi, error, msg):
+    calls = []
+    monkeypatch.setattr(altcount, "_nonsquare_counts", calls.append)
+    with pytest.raises(error, match=msg):
+        frobenius_ranks(lo, hi)
+    assert calls == []
+
+
 def test_square_product_detection():
     for parts in [(9,), (1,), (25, 1), (9, 4), (3, 3), (5, 3), (2, 8),
                   (49, 25, 9), (45, 5)]:
@@ -132,13 +215,24 @@ def test_parts_mod4_counts_match_enumeration(n):
     counts = [0, 0, 0, 0]
     for parts in enumerate_distinct_odd_partitions(n):
         counts[len(parts) % 4] += not _product_is_square(parts)
-    assert _nonsquare_counts(n) == tuple(counts)
+    # the programme for n and the one for 60 both hold sum n
+    assert _nonsquare_counts(n)[n] == tuple(counts)
+    assert _nonsquare_counts(60)[n] == tuple(counts)
+
+
+def test_one_programme_holds_every_smaller_sum():
+    counts = _nonsquare_counts(160)
+    assert len(counts) == 161
+    for s in range(161):
+        assert counts[s] == _nonsquare_counts(s)[s], s
 
 
 def test_rank_pinned_beyond_cheap_enumeration():
-    # both values were confirmed by full enumeration (minutes at n = 300)
-    assert frobenius_rank(200) == 171988
-    assert frobenius_rank(300) == 6521918
+    # n = 200 and 300 were confirmed by full enumeration (minutes at 300)
+    ranks = dict(enumerate(frobenius_ranks(2, 400), start=2))
+    assert ranks[200] == 171988
+    assert ranks[300] == 6521918
+    assert ranks[400] == 172468858
 
 
 def test_rank_agrees_with_class_structures():
@@ -163,9 +257,8 @@ def test_injection_parameters_at_anchors():
 
 
 def test_bound_below_rank_across_range():
-    for n in range(26, 251):
+    for n, r in enumerate(frobenius_ranks(26, 400), start=26):
         b = prop8_lower_bound(n)
-        r = frobenius_rank(n)
         assert b.count <= r, (n, b.count, r)
         if n % 4 == 2:
             assert b.feasible and b.count == 1, (n, b)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -9,6 +10,7 @@ import time
 import pytest
 
 import galorb.permgroup
+from galorb import altcount
 from galorb.chartab import fixture_names, fixture_table, serialize_table
 from galorb.cli import build_parser, main
 from galorb.matgroup import (
@@ -131,6 +133,38 @@ def test_an_rank_past_the_limit_exits_4(capsys):
     code, out, err = run(capsys, "an-rank", "401")
     assert code == 4 and out == ""
     assert "n <= 400" in err and "n = 401" in err
+
+
+@pytest.mark.parametrize("rng,hi", [
+    ("300..401", "401"), ("300..1000", "1000"), ("2..1000000000000", "1000000000000"),
+])
+def test_an_rank_range_past_the_limit_is_refused_before_any_count(capsys, rng, hi):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "an-rank", rng)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 4 and out == ""
+    assert f"n <= 400; n = {hi} requested" in err
+
+
+def test_an_rank_range_runs_one_programme_at_its_end(capsys, monkeypatch):
+    calls = []
+    counts = altcount._nonsquare_counts
+
+    def spy(n):
+        calls.append(n)
+        return counts(n)
+
+    monkeypatch.setattr(altcount, "_nonsquare_counts", spy)
+    code, out, _ = run(capsys, "an-rank", "26..114")
+    assert code == 0 and len(out.splitlines()) == 1 + 89
+    assert calls == [114]
+
+
+def test_an_rank_full_range_is_pinned(capsys):
+    code, out, _ = run(capsys, "an-rank", "2..400", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd34193a2854b9646e3e5b45e98bb3365511068acda0579aba9593abf3735d97")
 
 
 def test_screen_family(capsys):
