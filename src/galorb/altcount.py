@@ -21,10 +21,10 @@ into NEVER after a bucket does not depend on the target sum.  So the
 ranks of a whole range are read off the one programme for its upper
 end, and a range that passes the cap is refused before any count.
 
-The explicit enumeration with per-partition flags, and the injection
-from ordinary partitions that drives the asymptotic lower bound, live
-in the tests as references; this file keeps the bound's parameters and
-its exact value.
+The explicit enumeration with per-partition flags and its square test,
+and the injection from ordinary partitions that drives the asymptotic
+lower bound, live in the tests as references; this file keeps the
+bound's parameters and its exact value.
 """
 
 from __future__ import annotations
@@ -51,24 +51,6 @@ def _spf_sieve(limit: int) -> tuple[int, ...]:
                 if spf[q] == q:
                     spf[q] = p
     return tuple(spf)
-
-
-def _product_is_square(parts: tuple[int, ...]) -> bool:
-    """Exact square test on the product, via prime exponent parities.
-
-    Factoring the parts one by one keeps every intermediate small; the
-    product itself can be astronomically larger than any sieve.
-    """
-    if not parts:
-        return True
-    spf = _spf_sieve(max(parts))
-    odd_exponent: set[int] = set()
-    for part in parts:
-        while part > 1:
-            p = spf[part]
-            part //= p
-            odd_exponent.symmetric_difference_update((p,))
-    return not odd_exponent
 
 
 def _nonsquare_counts(n: int) -> tuple[tuple[int, int, int, int], ...]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .altcount import frobenius_ranks, prop8_lower_bound
@@ -370,9 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call rather than at import;
+    parsing leaves a parser as it was, so one serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, code = args.fn(args)
     except InputError as exc:

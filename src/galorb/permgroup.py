@@ -23,15 +23,23 @@ Classes come from one path, under one guard: their chain's limit is
 degree passes 10^8, before any element is stored.  The chain's
 transversals enumerate every element as a row of bytes, each the
 product of one transversal element per level, so an element's index is
-read off its base images by sifting them alone.  The enumeration is
-checked to be closed under level 0's strong generators (the promoted
-inputs, at most log2 of the order, however many were given), and every
-lookup is checked against the row at the index it found.  Conjugation
-by each of those generators becomes a permutation of row indices, and
-the classes are the orbits of those permutations.  Each class's least
-row is found column by column, and the coprime powers of all
-representatives are formed together by binary powering over their rows,
-then looked up in one batch.  There is no random search and no seed.
+read off its base images by sifting them alone, and every lookup is
+checked against the row at the index it found.  The enumeration is
+checked to be closed under level 0's strong generators g (the promoted
+inputs, at most log2 of the order, however many were given): each check
+is the lookup R_g of right multiplication by g, and R_g is kept.  One
+more lookup, of the inverse rows built level by level from the
+transversal inverses, gives inv, and conjugation by g is the index
+permutation inv R_g inv R_g, with no conjugate row formed.  The classes
+are the orbits of those permutations.  When level 0 has more than two
+strong generators, a few pairs of words in them, seeded from the
+spec's bytes, are tried, and the first pair whose chain reaches the
+group's order replaces them, so at most three full lookups are made.
+Each class's least row is found column by column, and the coprime
+powers of all representatives are formed together by binary powering
+over their rows, then looked up in one batch.  There is no random
+search; the seeded pair choice changes which chain enumerates, never
+the result.
 Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
@@ -43,6 +51,7 @@ validated (each class's fusion images must be one orbit) in one place.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -57,6 +66,10 @@ MAX_DEGREE = 256
 MAX_GROUP_ORDER = 200_000_000
 # the class computation stores order x degree bytes of elements
 MAX_ELEMENT_POINTS = 10**8
+# the class path tries this many pairs of words of this length in level 0's
+# strong generators when there are more than two of them
+PAIR_TRIES = 8
+PAIR_WORD_LENGTH = 12
 
 # -- permutation primitives ---------------------------------------------
 
@@ -297,25 +310,46 @@ class _Chain:
             o *= len(lev.orbit)
         return o
 
-    def elements(self) -> np.ndarray:
-        """Every element, as uint8 rows in mixed-radix order: the row of
-        index i_0 r_0 + ... + i_{L-1} r_{L-1}, where r_l is the product
-        of the orbit lengths below level l, is the product u_0 u_1 ...
-        u_{L-1} of the transversal elements at orbit positions i_l.  One
-        column gather per level builds them.
+    def elements(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Every element, as uint8 rows in mixed-radix order, and per
+        strong generator g of level 0 the lookup of right multiplication
+        by g.  The row of index i_0 r_0 + ... + i_{L-1} r_{L-1}, where r_l
+        is the product of the orbit lengths below level l, is the product
+        u_0 u_1 ... u_{L-1} of the transversal elements at orbit positions
+        i_l.  One column gather per level builds them.
 
         The rows E are then checked to be the group: E g lies in E for
         every strong generator g of level 0, which generate the group, and
         E holds the identity, so E contains the group, and each row is a
-        product of group elements, so E is no more than the group."""
+        product of group elements, so E is no more than the group.  Each
+        of these checks is a full lookup, R_g[i] = index of x_i g, and
+        R_g is returned, an int32 permutation of the indices."""
         rows = self.identity[None, :]
         for lev in self.levels:
             # row (j, i) is rows[j] u_i: a column permutation of rows[j]
             rows = np.take(rows, lev.u[lev.orbit], axis=1).reshape(-1, self.degree)
-        for lev in self.levels[:1]:
-            for g in lev.gens:
-                self.rank(np.take(rows, g, axis=1), rows)
+        right = [self.rank(np.take(rows, g, axis=1), rows)
+                 for lev in self.levels[:1] for g in lev.gens]
+        return rows, right
+
+    def inverse_rows(self) -> np.ndarray:
+        """The inverse of every element, as uint8 rows in reversed
+        mixed-radix order: the element u_0 u_1 ... u_{L-1} has the inverse
+        u_{L-1}^-1 ... u_1^-1 u_0^-1, so one column gather per level,
+        deepest first, builds them, and its row has the index that
+        elements() gives with the levels' digits taken in reverse."""
+        rows = self.identity[None, :]
+        for lev in reversed(self.levels):
+            # row (j, i) is rows[j] u_i^-1: a column permutation of rows[j]
+            rows = np.take(rows, lev.uinv[lev.orbit], axis=1).reshape(-1, self.degree)
         return rows
+
+    def inverses(self, elements: np.ndarray) -> np.ndarray:
+        """inv[i] = index in elements of the inverse of elements[i]: the
+        inverse rows ranked, each checked in full, and put back in the
+        order of elements() by reversing the axes of the digits."""
+        digits = [len(lev.orbit) for lev in reversed(self.levels)]
+        return self.rank(self.inverse_rows(), elements).reshape(digits).T.ravel()
 
     def rank(self, rows: np.ndarray, elements: np.ndarray) -> np.ndarray:
         """Index in elements (as returned by elements()) of each row.
@@ -539,21 +573,63 @@ def _assemble(group_order: int, classes: list, powers,
     ).validate()
 
 
-def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
+def _class_chain(spec: GroupSpec) -> _Chain:
+    """The chain the classes are enumerated from, under the guard.
+
+    Each strong generator of level 0 costs one full lookup, so when there
+    are more than two, up to PAIR_TRIES pairs of words of PAIR_WORD_LENGTH
+    letters in them are tried: a pair whose chain reaches the order found
+    generates the group (it generates a subgroup, and chains are exact),
+    and the first such pair's chain is returned.  Its limit is that order,
+    which it cannot pass.  The words are seeded from the spec's bytes, so
+    the choice is deterministic; the classes do not depend on it.  If no
+    pair reaches the order, as for groups that are not 2-generated, the
+    first chain is returned.
+    """
+    try:
+        chain = _build_chain(spec, MAX_ELEMENT_POINTS // spec.degree)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"class computation is limited to order x degree <= 10^8 "
+            f"element-points; on {spec.degree} points, {exc}") from None
+    if not chain.levels or len(chain.levels[0].gens) <= 2:
+        return chain
+    gens = chain.levels[0].gens
+    order = chain.order()
+    rng = random.Random(np.array(spec.generators, dtype=np.uint8).tobytes())
+    picks = np.array(rng.choices(range(len(gens)), k=2 * PAIR_TRIES * PAIR_WORD_LENGTH))
+    words = np.tile(chain.identity, (2 * PAIR_TRIES, 1))
+    for step in picks.reshape(2 * PAIR_TRIES, PAIR_WORD_LENGTH).T:
+        # each word w becomes g w for its next letter g
+        words = np.take_along_axis(gens[step], words, axis=1)
+    for pair in words.reshape(PAIR_TRIES, 2, spec.degree):
+        trial = _Chain(spec.degree, order)
+        trial.extend(pair)
+        if trial.order() == order:
+            return trial
+    return chain
+
+
+def _conjugations(right: list[np.ndarray], inv: np.ndarray) -> list[np.ndarray]:
+    """Per right-multiplication lookup R_g, the permutation of indices
+    i -> index of g^-1 x_i g, composed from R_g and the inverse lookup inv
+    alone: x_i goes to x_i g, (x_i g)^-1 = g^-1 x_i^-1, g^-1 x_i^-1 g and
+    its inverse g^-1 x_i g.  Each lookup was checked in full, so each
+    composite is exact, and no conjugate row is formed."""
+    return [inv[r[inv[r]]] for r in right]
+
+
+def _class_labels(right: list[np.ndarray], inv: np.ndarray) -> np.ndarray:
     """For each element, the least index in its class.
 
-    Conjugation by each strong generator g of level 0 permutes the
-    elements: rank sends i to the index of g x_i g^-1, with g^-1 formed
-    here, one argsort per generator.  Classes are the
-    orbits of these permutations, found by lowering every label to the
-    least label among its images and then jumping pointers.
+    Conjugation by the strong generators of level 0, which generate the
+    group, permutes the indices as _conjugations composes it from the
+    lookups right and inv; the classes are the orbits of these
+    permutations, found by lowering every label to the least label among
+    its images and then jumping pointers.
     """
-    conj = []
-    for lev in chain.levels[:1]:
-        for g, g_inv in zip(lev.gens, np.argsort(lev.gens, axis=1)):
-            # (g x g^-1)[i] = g[x[g^-1[i]]]
-            conj.append(chain.rank(g[np.take(elems, g_inv, axis=1)], elems))
-    lab = np.arange(len(elems), dtype=np.int32)
+    conj = _conjugations(right, inv)
+    lab = np.arange(len(inv), dtype=np.int32)
     while True:
         new = lab
         for c in conj:
@@ -603,24 +679,23 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
 
     The stabilizer chain stops, and ResourceLimitError is raised, as soon
     as the order it has found times the degree passes 10^8 element-points.
-    Otherwise every element is enumerated as a byte row from its
-    transversals, and the enumeration is checked to be closed under level
-    0's strong generators, the promoted residues of the inputs.  The
-    classes are the orbits of conjugation by those generators, each
-    conjugate found by sifting its base images and checked in full.
+    Otherwise every element is enumerated as a byte row from the
+    transversals of _class_chain's chain, and the enumeration is checked
+    to be closed under its level 0's strong generators, at most two when
+    two seeded words generate the group.  Three kinds of full lookup are
+    made, each found by sifting base images and checked against the whole
+    row at its index: right multiplication by each of those generators
+    (the closure check), inversion, and the coprime powers of the
+    representatives.  The classes are the orbits of conjugation by those
+    generators, composed from the first two as index permutations.
     Classes are sorted by (element order, size, least element) and
     representatives are the least elements, so the result does not
     depend on the generating set.
     Results are cached and shared, and immutable.
     """
-    try:
-        chain = _build_chain(spec, MAX_ELEMENT_POINTS // spec.degree)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"class computation is limited to order x degree <= 10^8 "
-            f"element-points; on {spec.degree} points, {exc}") from None
-    elems = chain.elements()
-    lab = _class_labels(chain, elems)
+    chain = _class_chain(spec)
+    elems, right = chain.elements()
+    lab = _class_labels(right, chain.inverses(elems))
     labels = np.flatnonzero(lab == np.arange(len(lab), dtype=np.int32))
     least = _least_rows(elems, lab, len(labels))
     rows = elems[least[np.argsort(lab[least])]]

@@ -11,7 +11,7 @@ import pytest
 
 from galorb import altcount
 from galorb.altcount import (
-    MAX_N, _nonsquare_counts, _product_is_square, count_partitions_exact,
+    MAX_N, _nonsquare_counts, _spf_sieve, count_partitions_exact,
     frobenius_rank, frobenius_ranks, prop8_lower_bound, prop8_parameters,
 )
 from galorb.classtheory import analyze
@@ -20,6 +20,24 @@ from galorb.numutil import is_prime
 from galorb.permgroup import alternating_class_structure
 
 # -- reference: every distinct-odd partition with its contribution flags --
+
+
+def _product_is_square(parts: tuple[int, ...]) -> bool:
+    """Exact square test on the product, via prime exponent parities.
+
+    Factoring the parts one by one keeps every intermediate small; the
+    product itself can be astronomically larger than any sieve.
+    """
+    if not parts:
+        return True
+    spf = _spf_sieve(max(parts))
+    odd_exponent: set[int] = set()
+    for part in parts:
+        while part > 1:
+            p = spf[part]
+            part //= p
+            odd_exponent.symmetric_difference_update((p,))
+    return not odd_exponent
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import galorb.permgroup
-from galorb import altcount
+from galorb import altcount, cli
 from galorb.chartab import fixture_names, fixture_table, serialize_table
 from galorb.cli import build_parser, main
 from galorb.matgroup import (
@@ -158,6 +158,25 @@ def test_an_rank_range_runs_one_programme_at_its_end(capsys, monkeypatch):
     code, out, _ = run(capsys, "an-rank", "26..114")
     assert code == 0 and len(out.splitlines()) == 1 + 89
     assert calls == [114]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+
+    def spy():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for argv in (("an-rank", "30"), ("charpoly", "bound", "10", "2"),
+                     ("an-rank", "26..28", "--format", "json"), ("an-rank", "x")):
+            run(capsys, *argv)
+        assert build_parser() is not build_parser()
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
 
 
 def test_an_rank_full_range_is_pinned(capsys):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -16,8 +20,8 @@ from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import prime_powers_upto, units_mod
 from galorb.permgroup import (
-    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _Level,
-    _even_partitions, _labels_for, _powers,
+    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_chain,
+    _class_labels, _conjugations, _even_partitions, _labels_for, _Level, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, format_generators,
     group_order, identity_perm, parse_generators, perm_order, pinv, pmul,
@@ -566,14 +570,14 @@ def reference_element_keys(spec):
                          ids=[*REFERENCE_GROUPS, *(f"bench_{k}" for k in PERM_GROUPS)])
 def test_chain_enumerates_the_breadth_first_elements(spec):
     chain = _build_chain(spec, MAX_GROUP_ORDER)
-    elems = chain.elements()
+    elems, _ = chain.elements()
     assert elems.dtype == np.uint8 and elems.shape == (chain.order(), spec.degree)
     assert np.array_equal(np.sort(_row_keys(elems)), reference_element_keys(spec))
 
 
 def test_rank_refuses_rows_outside_the_group():
     chain = _build_chain(alternating_group_spec(5), MAX_GROUP_ORDER)
-    elems = chain.elements()
+    elems, _ = chain.elements()
     with pytest.raises(AssertionError, match="row outside the group"):
         chain.rank(np.array([(1, 0, 2, 3, 4)], dtype=np.uint8), elems)
     # an element with the images of two points off the base swapped has
@@ -591,7 +595,7 @@ def test_rank_refuses_rows_outside_the_group():
 def test_enumeration_checks_closure_under_the_generators():
     chain = _Chain(5, MAX_GROUP_ORDER)
     chain.extend(np.array(alternating_group_spec(5).generators, dtype=np.uint8))
-    assert len(chain.elements()) == 60
+    assert len(chain.elements()[0]) == 60
     chain.levels.pop()
     with pytest.raises(AssertionError, match="row outside the group"):
         chain.elements()
@@ -623,6 +627,131 @@ def test_classes_enumerate_from_the_generators_that_grew_the_chain():
         tracemalloc.stop()
     assert cs == conjugacy_classes(alternating_group_spec(8))
     assert peak < 8 * 2 ** 20, peak
+
+
+# -- conjugation from the lookups against the conjugate rows --------------
+
+M11_TEXT = "(1,2,3,4,5,6,7,8,9,10,11)\n(3,7,11,8)(4,10,5,6)\n"
+M11_SPEC = parse_generators("degree 11\n" + M11_TEXT)
+M12_SPEC = parse_generators("degree 12\n" + M11_TEXT + "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)\n")
+# C2^3, which no two of its elements generate
+C2_CUBED = GroupSpec(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)))
+
+
+def reference_conjugation(chain, elems, g):
+    """The index of g^-1 x g for each element x, from the conjugate rows
+    themselves, each ranked and compared in full."""
+    # (g^-1 x g)[i] = g^-1[x[g[i]]]
+    return chain.rank(np.argsort(g)[np.take(elems, g, axis=1)], elems)
+
+
+def reference_labels(conj, count):
+    """The least index in each orbit of the permutations conj, by lowering
+    each label along them, without pointer jumps, until none changes."""
+    lab = np.arange(count)
+    while True:
+        new = lab
+        for c in conj:
+            new = np.minimum(new, new[c])
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def test_class_labels_match_the_conjugate_rows():
+    checked = 0
+    extra = {"m11": M11_SPEC, "m12": M12_SPEC, "c2_cubed": C2_CUBED}
+    for name, spec in {**wide_specs(), **extra}.items():
+        chain = _class_chain(spec)
+        if chain.order() > 50_000 and spec is not M12_SPEC:
+            continue
+        checked += 1
+        elems, right = chain.elements()
+        inv = chain.inverses(elems)
+        assert (np.take_along_axis(elems, elems[inv], axis=1) == chain.identity).all(), name
+        gens = [g for lev in chain.levels[:1] for g in lev.gens]
+        assert len(gens) == len(right), name
+        conj = _conjugations(right, inv)
+        want = [reference_conjugation(chain, elems, g) for g in gens]
+        for got, ref in zip(conj, want, strict=True):
+            assert got.dtype == np.int32 and np.array_equal(got, ref), name
+        assert np.array_equal(_class_labels(right, inv),
+                              reference_labels(want, len(elems))), name
+    assert checked == 131
+
+
+def test_mathieu_classes_from_two_generators():
+    # the ATLAS class counts; M12's chain grows from all three inputs
+    assert len(_build_chain(M12_SPEC, MAX_GROUP_ORDER).levels[0].gens) == 3
+    for spec, order, classes in ((M11_SPEC, 7920, 10), (M12_SPEC, 95040, 15)):
+        chain = _class_chain(spec)
+        assert chain.order() == order and len(chain.levels[0].gens) == 2
+        assert conjugacy_classes(spec).num_classes == classes
+
+
+def test_groups_not_two_generated_keep_the_chain_generators():
+    assert len(_class_chain(C2_CUBED).levels[0].gens) == 3
+    assert conjugacy_classes(C2_CUBED) == reference_classes(C2_CUBED)
+
+
+def test_pair_choice_does_not_depend_on_the_hash_seed():
+    # the chosen chain's level 0 generators, for specs whose first chains
+    # have three
+    script = ("import hashlib; "
+              "from galorb.matgroup import projective_line_action; "
+              "from galorb.permgroup import _class_chain, parse_generators; "
+              f"specs = [parse_generators({format_generators(M12_SPEC)!r}), "
+              "*map(projective_line_action, (29, 32, 37))]; "
+              "print([hashlib.sha256(_class_chain(s).levels[0].gens.tobytes()).hexdigest()"
+              " for s in specs])")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = pathlib.Path(galorb.permgroup.__file__).resolve().parent.parent
+    outs = set()
+    for seed in ("0", "1", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
+def test_corrupted_inverse_rows_are_refused(monkeypatch):
+    inverse_rows = _Chain.inverse_rows
+
+    def corrupted(chain):
+        # swap the images of two points off the base in one row, which
+        # keeps its base images
+        rows = inverse_rows(chain)
+        p, q = sorted(set(range(chain.degree)) - {lev.base for lev in chain.levels})[:2]
+        rows[5, [p, q]] = rows[5, [q, p]]
+        return rows
+
+    monkeypatch.setattr(_Chain, "inverse_rows", corrupted)
+    conjugacy_classes.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match="row outside the group: not the element at its index"):
+            conjugacy_classes(M11_SPEC)
+    finally:
+        conjugacy_classes.cache_clear()
+
+
+@pytest.mark.parametrize("q", [32, 64])
+def test_class_path_peak_memory_per_element_point(q):
+    # inverse rows built with the uint8 table as a whole np.take index,
+    # which numpy casts to intp at once, peaked at 11.3 times
+    spec = projective_line_action(q)
+    points = group_order(spec) * spec.degree
+    conjugacy_classes.cache_clear()
+    tracemalloc.start()
+    try:
+        conjugacy_classes(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * points, peak / points
 
 
 @pytest.mark.parametrize("spec, parent_mb", [
@@ -709,7 +838,7 @@ def test_order_and_class_sizes_match_sympy(spec):
 @settings(max_examples=40, deadline=None)
 def test_rank_of_each_element_is_its_index(spec):
     chain = _build_chain(spec, MAX_GROUP_ORDER)
-    elems = chain.elements()
+    elems, _ = chain.elements()
     assert np.array_equal(chain.rank(elems, elems), np.arange(chain.order()))
 
 
