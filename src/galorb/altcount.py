@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
-from .numutil import is_prime
+from .numutil import factorize, is_prime
 
 # largest n for the rank count
 MAX_N = 400
@@ -41,31 +41,14 @@ MAX_N = 400
 NEVER = -1
 
 
-@lru_cache(maxsize=8)
-def _spf_sieve(limit: int) -> tuple[int, ...]:
-    """Smallest prime factor for every value up to limit."""
-    spf = list(range(limit + 1))
-    for p in range(2, int(limit ** 0.5) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return tuple(spf)
-
-
 def _nonsquare_counts(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """For every sum s = 0..n, the distinct-odd partitions of s whose
     part product is not a square, counted by number of parts mod 4."""
-    spf = _spf_sieve(n)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for part in range(3, n + 1, 2):
-        mask, q = 0, part
-        while q > 1:
-            p = spf[q]
-            q //= p
-            mask ^= 1 << p
-        # primes come out of spf ascending, so p is the largest one
-        buckets.setdefault(p, []).append((part, mask))
+        primes = factorize(part)
+        mask = sum(1 << p for p, e in primes.items() if e & 1)
+        buckets.setdefault(max(primes), []).append((part, mask))
 
     # (sum, parts mod 4, bit p set iff p divides the product oddly) -> count;
     # the mask NEVER stands for every product that can no longer be square

@@ -14,13 +14,16 @@ row-side rank identities.  When a ClassStructure for the same group is
 available, brauer_crosscheck ties the two reports together check by
 check, by the Brauer permutation lemma.
 
-Every analysis reads one GaloisAction per table, built once: each
-distinct value gets an integer id and each unit k modulo the table
-exponent an id map, so rows, columns and fields are compared as id
-tuples and galois_apply runs once per distinct value and unit, not per
-cell and query.  The per-row facts (one pass over the rows), the
-column maps and the report are likewise built once per table.  Orthogonality is
-checked on integer lifts of the values at the lcm of their conductors.
+A table has one root-of-unity order n, the lcm of the conductors of
+its values: the Galois action on the values factors through Q(zeta_n),
+so n sizes all the work and class orders size none.  Every analysis
+reads one GaloisAction per table, built once: each distinct value gets
+an integer id and each unit k modulo n an id map, so rows, columns and
+fields are compared as id tuples and galois_apply runs once per
+distinct value and unit, not per cell and query.  The per-row facts
+(one pass over the rows), the column maps and the report are likewise
+built once per table.  Orthogonality is checked on integer lifts of the
+values at n, and refused when the reductions at n would not fit.
 """
 
 from __future__ import annotations
@@ -49,11 +52,15 @@ from .permgroup import ClassStructure
 Row = tuple[CyclotomicNumber, ...]
 Ids = tuple[int, ...]
 
+# the most power reductions, (n - phi(n)) phi(n) at the table's order n,
+# that the orthogonality check may need
+MAX_LIFT_REDUCTIONS = 1 << 25
+
 
 @dataclass(frozen=True)
 class GaloisAction:
-    """The Galois group of Q(zeta_e), e the table exponent, acting on the
-    values of one table.
+    """The Galois group of Q(zeta_e), e the lcm of the conductors of the
+    table's values, acting on those values.
 
     cells holds the value ids row by row; ids number the distinct cell
     values from 0.  images[u][v] is the id of the image of value v under
@@ -102,23 +109,23 @@ class CharacterTable:
         return len(self.class_sizes)
 
     @cached_property
-    def _values(self) -> tuple[tuple[CyclotomicNumber, ...], tuple[Ids, ...]]:
-        """The distinct cell values in first-seen order, and the cells as
+    def _values(self) -> tuple[int, tuple[CyclotomicNumber, ...], tuple[Ids, ...]]:
+        """The table's order n, the lcm of the conductors of its values;
+        the distinct cell values in first-seen order; and the cells as
         indices into them."""
         ids: dict[CyclotomicNumber, int] = {}
         cells = tuple(tuple(ids.setdefault(z, len(ids)) for z in row) for row in self.irr)
-        return tuple(ids), cells
+        return math.lcm(*(z.order for z in ids)), tuple(ids), cells
 
     @cached_property
     def galois_action(self) -> GaloisAction:
         """Built on first use: one galois_apply per distinct value and unit."""
-        values, cells = self._values
+        n, values, cells = self._values
         ids = {z: i for i, z in enumerate(values)}
-        e = table_exponent(self)
-        units = units_mod(e)
+        units = units_mod(n)
         images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
                        for k in units)
-        return GaloisAction(e, units, cells, images)
+        return GaloisAction(n, units, cells, images)
 
     @cached_property
     def _rows(self) -> _RowData:
@@ -142,7 +149,7 @@ class CharacterTable:
 
     @cached_property
     def _column_maps(self) -> dict[int, Ids]:
-        """For each unit k mod the exponent, the permutation of columns
+        """For each unit k mod the table's order, the permutation of columns
         induced by applying the Galois map entrywise; built on first use."""
         act = self.galois_action
         cols = [tuple(row[c] for row in act.cells) for c in range(self.num_classes)]
@@ -228,20 +235,21 @@ class CharacterTable:
             raise InputError(
                 f"table {self.name!r}: degree squares sum to {degsq} and sizes to "
                 f"{sum(self.class_sizes)}, group order is {self.group_order}")
-        # an element's order divides the group order; the Galois action
-        # works over the units mod the lcm of the orders, so this bounds it
-        for c, o in enumerate(self.class_orders or ()):
-            if self.group_order % o:
-                raise InputError(
-                    f"table {self.name!r}: class order {o} of column {c} does not "
-                    f"divide the group order {self.group_order}")
-        e = table_exponent(self)
-        for i, row in enumerate(self.irr):
-            for z in row:
-                if e % z.order:
+        if self.class_orders is not None:
+            # an element's order divides the group order, and a value's
+            # conductor divides the exponent, the lcm of the orders
+            for c, o in enumerate(self.class_orders):
+                if self.group_order % o:
                     raise InputError(
-                        f"table {self.name!r}: row {i} has a value of conductor "
-                        f"{z.order}, not dividing the exponent {e}")
+                        f"table {self.name!r}: class order {o} of column {c} does not "
+                        f"divide the group order {self.group_order}")
+            e = math.lcm(*self.class_orders)
+            for i, row in enumerate(self.irr):
+                for z in row:
+                    if e % z.order:
+                        raise InputError(
+                            f"table {self.name!r}: row {i} has a value of conductor "
+                            f"{z.order}, not dividing the exponent {e}")
         self._check_orthogonality()
         return self
 
@@ -249,15 +257,23 @@ class CharacterTable:
         """sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on integers.
 
         Every value lifts once to integer terms of D * value at zeta_n,
-        D the common denominator and n the lcm of the conductors (a
-        divisor of the exponent); conjugation negates exponents.  A row
-        pair's sum is then a cyclic convolution over exponents mod n,
-        reduced once to the power basis and compared with (|G| D^2, 0, ...).
+        D the common denominator and n the table's order; conjugation
+        negates exponents.  A row pair's sum is then a cyclic convolution
+        over exponents mod n, reduced once to the power basis and compared
+        with (|G| D^2, 0, ...).  Reducing at n may take (n - phi(n)) phi(n)
+        stored reductions; past MAX_LIFT_REDUCTIONS the check is refused
+        before any is made.
         """
-        values, cells = self._values
-        n, scale, lifts = integer_lift(values)
+        n, values, cells = self._values
+        phi = totient(n)
+        if (n - phi) * phi > MAX_LIFT_REDUCTIONS:
+            raise ResourceLimitError(
+                f"table {self.name!r}: orthogonality at n = {n}, the lcm of the value "
+                f"conductors, needs {(n - phi) * phi} power reductions; the limit is "
+                f"{MAX_LIFT_REDUCTIONS}")
+        scale, lifts = integer_lift(values, n)
         conj = [tuple((-x % n, c) for x, c in terms) for terms in lifts]
-        zero = [0] * totient(n)
+        zero = [0] * phi
         norm = [self.group_order * scale * scale] + zero[1:]
         for i, row in enumerate(cells):
             for j in range(i, len(cells)):
@@ -274,24 +290,6 @@ class CharacterTable:
                     raise InputError(
                         f"table {self.name!r}: rows {i} and {j} violate "
                         f"orthogonality (got {total!r}, want {want})")
-
-
-def table_exponent(t: CharacterTable) -> int:
-    """lcm of class element orders, or of value conductors when the
-    orders are not recorded.  The fallback can be a proper divisor of
-    the group exponent (rational tables give 1), but the Galois action
-    on values factors through it, so every orbit computation here is
-    unchanged."""
-    if t.class_orders is not None:
-        e = 1
-        for o in t.class_orders:
-            e = math.lcm(e, o)
-        return e
-    e = 1
-    for row in t.irr:
-        for z in row:
-            e = math.lcm(e, z.order)
-    return e
 
 
 # -- parsing ------------------------------------------------------------
@@ -462,7 +460,8 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     act = t.galois_action
     if e % act.exponent:
         raise InputError(
-            f"table exponent {act.exponent} does not divide the group exponent {e}")
+            f"the lcm {act.exponent} of the table's value conductors does not "
+            f"divide the group exponent {e}")
 
     rep_t = char_report(t)
     rep_c = analyze(cs)

@@ -10,7 +10,7 @@ independently and asserts that the counts agree, in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .permgroup import ClassStructure
 
@@ -110,18 +110,7 @@ def analyze(cs: ClassStructure) -> GaloisReport:
 
 
 def report_to_obj(rep: GaloisReport, labels: tuple[str, ...]) -> dict:
-    """JSON-ready dict; families are rendered as indices and as labels."""
-    return {
-        "group_order": rep.group_order,
-        "num_classes": rep.num_classes,
-        "n_Q": rep.n_Q,
-        "n_R": rep.n_R,
-        "rank": rep.rank,
-        "f": rep.f,
-        "a1": rep.a1,
-        "a2": rep.a2,
-        "is_cut": rep.is_cut,
-        "families": [list(f) for f in rep.families],
-        "family_contributions": list(rep.family_contributions),
-        "family_labels": [[labels[c] for c in f] for f in rep.families],
-    }
+    """JSON-ready dict: the report's fields, with the families rendered
+    as labels as well."""
+    return {**asdict(rep),
+            "family_labels": [[labels[c] for c in f] for f in rep.families]}

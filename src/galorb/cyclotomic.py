@@ -15,8 +15,8 @@ multiples of p; for p || N the value is split along zeta_N = zeta_p^u
 zeta_{N/p}^w and read off over Q(zeta_{N/p}) (see _descend_coprime).
 
 integer_lift and reduce_integers put a batch of values on integer vectors
-at the lcm of their conductors, for sums that need no canonical form until
-the end.
+at a common multiple of their conductors, for sums that need no canonical
+form until the end.
 
 No floating point is used anywhere in the arithmetic.
 """
@@ -395,20 +395,20 @@ def field_class(values) -> FieldClass:
 
 # -- integer lifts --------------------------------------------------------
 
-def integer_lift(values) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """Put values on integers at n, the lcm of their conductors: returns
-    n, the common denominator D of their coefficients, and for each value
-    the terms (k, c) of D * value = sum c zeta_n^k, all c integers."""
-    n = scale = 1
+def integer_lift(values, n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """Put values on integers at n, a common multiple of their
+    conductors: returns the common denominator D of their coefficients,
+    and for each value the terms (k, c) of D * value = sum c zeta_n^k,
+    all c integers."""
+    scale = 1
     for z in values:
-        n = math.lcm(n, z.order)
         for c in z._vec:
             scale = math.lcm(scale, c.denominator)
     lifts = tuple(
         tuple((i * (n // z.order), c.numerator * (scale // c.denominator))
               for i, c in enumerate(z._vec) if c)
         for z in values)
-    return n, scale, lifts
+    return scale, lifts
 
 
 def reduce_integers(n: int, coeffs) -> list[int]:

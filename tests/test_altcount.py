@@ -5,13 +5,14 @@ injection is kept here as a reference."""
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from galorb import altcount
 from galorb.altcount import (
-    MAX_N, _nonsquare_counts, _spf_sieve, count_partitions_exact,
+    MAX_N, _nonsquare_counts, count_partitions_exact,
     frobenius_rank, frobenius_ranks, prop8_lower_bound, prop8_parameters,
 )
 from galorb.classtheory import analyze
@@ -20,6 +21,18 @@ from galorb.numutil import is_prime
 from galorb.permgroup import alternating_class_structure
 
 # -- reference: every distinct-odd partition with its contribution flags --
+
+
+@lru_cache(maxsize=8)
+def _spf_sieve(limit: int) -> tuple[int, ...]:
+    """Smallest prime factor for every value up to limit."""
+    spf = list(range(limit + 1))
+    for p in range(2, int(limit ** 0.5) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return tuple(spf)
 
 
 def _product_is_square(parts: tuple[int, ...]) -> bool:

@@ -1,19 +1,21 @@
 import json
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from galorb.chartab import (
     CharacterTable, brauer_crosscheck, char_report,
     column_families, fixture_names, fixture_table, parse_table,
-    serialize_table, table_exponent,
+    serialize_table,
 )
 from galorb.cyclotomic import (
     CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_integers,
     value_from_obj, zeta,
 )
-from galorb.errors import DegenerateTableError, InputError
+from galorb.errors import DegenerateTableError, InputError, ResourceLimitError
 from galorb.numutil import units_mod
 from galorb.permgroup import (
     GroupSpec, alternating_class_structure, alternating_group_spec,
@@ -158,11 +160,55 @@ def test_degenerate_table_detected():
 
 
 def test_exponent_fallback_uses_conductors():
+    # the table's order is the lcm of its conductors, recorded orders or not
     t = fixture_table("a5")
     noorders = CharacterTable(t.name, t.group_order, t.class_sizes, None, t.irr)
-    assert table_exponent(noorders) == 5
+    assert t.galois_action.exponent == noorders.galois_action.exponent == 5
+    assert reference_exponent(t) == 30
     assert char_report(noorders).rank_eq1 == 1
     assert char_report(noorders).h_R == 5
+
+
+def test_class_orders_size_no_work():
+    # a rational table whose class orders name 1 + d^2: its order is 1, so
+    # the action runs over one unit, as with the orders omitted
+    d = 2000
+    irr = ((CyclotomicNumber.rational(1), CyclotomicNumber.rational(1)),
+           (CyclotomicNumber.rational(d), CyclotomicNumber.rational(Fraction(-1, d))))
+    start = time.perf_counter()
+    t = CharacterTable("d", 1 + d * d, (1, d * d), (1, 1 + d * d), irr).validate()
+    bare = CharacterTable("d", 1 + d * d, (1, d * d), None, irr).validate()
+    assert char_report(t) == char_report(bare)
+    assert char_report(t).families == char_report(bare).families == ((0,), (1,))
+    assert t.galois_action.units == (0,)
+    assert time.perf_counter() - start < 1.0
+
+
+def _roots_table(p, q):
+    """A 3x3 table whose only irrational cells are zeta_p and zeta_q; its
+    order is pq, and its rows are not orthogonal."""
+    one = CyclotomicNumber.rational(1)
+    irr = ((one, one, one), (one, zeta(p), one), (one, one, zeta(q)))
+    return CharacterTable(f"z{p}_{q}", 3, (1, 1, 1), None, irr)
+
+
+def test_orthogonality_lift_that_cannot_fit_is_refused():
+    # (n - phi(n)) phi(n) = 2039 * 1038360 reductions at n = 1019 * 1021
+    t = _roots_table(1019, 1021)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        t.validate()
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "table 'z1019_1021': orthogonality at n = 1040399, the lcm of the value "
+        f"conductors, needs 2117216040 power reductions; the limit is {2 ** 25}")
+    # below the limit the check reaches its verdict (433 * 46620 reductions
+    # at n = 211 * 223 would too, in about 3 s); 11040 * 3840 at
+    # n = 480 * 31 = 14880 is above it
+    with pytest.raises(InputError, match="rows 0 and 1 violate orthogonality"):
+        _roots_table(101, 103).validate()
+    with pytest.raises(ResourceLimitError, match="n = 14880"):
+        _roots_table(480, 31).validate()
 
 
 def _fixture_obj(name):
@@ -210,7 +256,7 @@ def test_orthogonality_works_at_the_conductors(monkeypatch):
 
     monkeypatch.setattr(galorb.chartab, "reduce_integers", spy)
     t = parse_table(json.dumps(_fixture_obj("s3")))
-    assert table_exponent(t) == 6
+    assert t.galois_action.exponent == 1
     assert seen and set(seen) == {1}
     # an element of order 27720 (the exponent of S_12) is no element of C2
     obj = _fixture_obj("c2")
@@ -292,6 +338,17 @@ def test_parse_cache_reports_the_first_bad_cell(irr, message):
 # -- reference: the per-cell row and column functions ---------------------
 
 
+def reference_exponent(t):
+    """The lcm of the class orders, or of the value conductors when the
+    orders are not recorded: a multiple of the table's order, the
+    conductors' lcm.  The action on values factors through that order, so
+    the references below run over these units and compare through
+    k % act.exponent."""
+    if t.class_orders is not None:
+        return math.lcm(*t.class_orders)
+    return math.lcm(*(z.order for row in t.irr for z in row))
+
+
 def _row_key(row):
     return tuple(z.sort_key() for z in row)
 
@@ -301,7 +358,7 @@ def _apply_row(row, k):
 
 
 def reference_orbit_count(t):
-    units = units_mod(table_exponent(t))
+    units = units_mod(reference_exponent(t))
     return len({min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr})
 
 
@@ -309,7 +366,7 @@ def reference_column_maps(t):
     cols = [tuple(row[c] for row in t.irr) for c in range(t.num_classes)]
     index = {_row_key(col): c for c, col in enumerate(cols)}
     return {k: tuple(index[_row_key(_apply_row(col, k))] for col in cols)
-            for k in units_mod(table_exponent(t))}
+            for k in units_mod(reference_exponent(t))}
 
 
 def reference_families(t):
@@ -333,10 +390,14 @@ def reference_families(t):
 def reference_b_sets(t):
     flat = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
     keep = [i for i, row in enumerate(t.irr) if field_class(row) not in flat]
-    units = units_mod(table_exponent(t))
+    units = units_mod(reference_exponent(t))
     orbit_keys = [min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr]
     conj_keys = {min(_row_key(t.irr[i]), _row_key(_apply_row(t.irr[i], -1))) for i in keep}
     return tuple(keep), len(conj_keys), len({orbit_keys[i] for i in keep})
+
+
+def _without_orders(t):
+    return CharacterTable(t.name, t.group_order, t.class_sizes, None, t.irr).validate()
 
 
 def cyclic_table(m, rng):
@@ -350,20 +411,26 @@ def cyclic_table(m, rng):
 ORACLE_TABLES = [(name, lambda name=name: fixture_table(name)) for name in sorted(REPORT_ANCHORS)]
 ORACLE_TABLES += [(f"c{m}", lambda m=m: cyclic_table(m, random.Random(m)))
                   for m in range(1, 25)]
+ORACLE_TABLES += [(f"{name}-noorders",
+                   lambda name=name: _without_orders(fixture_table(name)))
+                  for name in sorted(REPORT_ANCHORS)]
 
 
 @pytest.mark.parametrize("name,make", ORACLE_TABLES, ids=[n for n, _ in ORACLE_TABLES])
 def test_galois_action_matches_per_cell_reference(name, make):
     t = make()
     act = t.galois_action
+    assert act.exponent == math.lcm(*(z.order for row in t.irr for z in row))
     rows = t._rows
     assert list(rows.real) == [_apply_row(row, -1) == row for row in t.irr]
-    for k, image in zip(act.units, act.images):
+    for k in units_mod(reference_exponent(t)):
+        image = act.images[act.units.index(k % act.exponent)]
         fixed = [tuple(image[v] for v in ids) == ids for ids in act.cells]
         assert fixed == [_apply_row(row, k) == row for row in t.irr], k
-        assert rows.fixed[k] == sum(fixed), k
+        assert rows.fixed[k % act.exponent] == sum(fixed), k
     assert len(set(rows.orbit_keys)) == reference_orbit_count(t)
-    assert t._column_maps == reference_column_maps(t)
+    assert {k: t._column_maps[k % act.exponent]
+            for k in units_mod(reference_exponent(t))} == reference_column_maps(t)
     assert column_families(t) == reference_families(t)
     assert list(rows.field_classes) == [field_class(row) for row in t.irr]
     assert b_set(t) == reference_b_sets(t)

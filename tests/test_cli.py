@@ -85,6 +85,24 @@ def test_analyze_table_refuses_a_huge_root_order_at_once(capsys, tmp_path):
     assert "n <= 1024" in err and f"n = {10 ** 10}" in err
 
 
+def _roots_table_obj(p, q):
+    z = {"n": p, "coeffs": {"1": "1"}}, {"n": q, "coeffs": {"1": "1"}}
+    return {"name": f"z{p}_{q}", "order": 3, "class_sizes": [1, 1, 1],
+            "irr": [[1, 1, 1], [1, z[0], 1], [1, 1, z[1]]]}
+
+
+@pytest.mark.parametrize("p, q, want", [(1019, 1021, 4), (101, 103, 2)])
+def test_analyze_table_orthogonality_lift_limit(
+        capsys, tmp_path, p, q, want):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(_roots_table_obj(p, q)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze-table", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == want and out == ""
+    assert f"table 'z{p}_{q}'" in err
+
+
 @pytest.mark.parametrize("order", [10 ** 6, 10 ** 10])
 def test_analyze_table_refuses_a_class_order_not_dividing_the_order(capsys, tmp_path, order):
     obj = json.loads(serialize_table(fixture_table("c2")))
@@ -339,6 +357,21 @@ def test_readme_examples_json_bytes(capsys, argv, golden):
 def test_screen_text_bytes(capsys, argv, golden, want):
     code, out, _ = run(capsys, *argv)
     assert code == want
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.txt"),
+    (("analyze-table", TABLES / "a5.json", "--gens", DATA / "a5.gens"),
+     "analyze-table_a5.txt"),
+    (("an-rank", "26..40"), "an-rank_26-40.txt"),
+    (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.txt"),
+    (("charpoly", "file", DATA / "gl2_3.json", "--target", "8"),
+     "charpoly_file_gl2_3.txt"),
+], ids=["analyze-perm", "analyze-table", "an-rank", "charpoly-singer", "charpoly-file"])
+def test_readme_examples_text_bytes(capsys, argv, golden):
+    code, out, _ = run(capsys, *map(str, argv), "--format", "text")
+    assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
