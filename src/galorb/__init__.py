@@ -13,7 +13,6 @@ from .chartab import (
     fixture_names,
     fixture_table,
     parse_table,
-    serialize_table,
 )
 from .classtheory import GaloisReport, analyze
 from .cyclotomic import CyclotomicNumber, FieldClass, conjugate, galois_apply, zeta
@@ -57,7 +56,6 @@ __all__ = [
     "analyze",
     "CharacterTable",
     "parse_table",
-    "serialize_table",
     "fixture_names",
     "fixture_table",
     "char_report",

@@ -41,9 +41,9 @@ from .cyclotomic import (
     FieldClass,
     galois_apply,
     integer_lift,
+    power_reductions,
     reduce_integers,
     value_from_obj,
-    value_to_obj,
 )
 from .errors import DegenerateTableError, InputError, ResourceLimitError
 from .numutil import totient, units_mod
@@ -260,9 +260,10 @@ class CharacterTable:
         D the common denominator and n the table's order; conjugation
         negates exponents.  A row pair's sum is then a cyclic convolution
         over exponents mod n, reduced once to the power basis and compared
-        with (|G| D^2, 0, ...).  Reducing at n may take (n - phi(n)) phi(n)
-        stored reductions; past MAX_LIFT_REDUCTIONS the check is refused
-        before any is made.
+        with (|G| D^2, 0, ...).  The (n - phi(n)) phi(n) reductions at n
+        are built for this check alone and released with it; past
+        MAX_LIFT_REDUCTIONS the check is refused before any is made.  A
+        failing sum is canonicalised from its reduced vector.
         """
         n, values, cells = self._values
         phi = totient(n)
@@ -271,6 +272,7 @@ class CharacterTable:
                 f"table {self.name!r}: orthogonality at n = {n}, the lcm of the value "
                 f"conductors, needs {(n - phi) * phi} power reductions; the limit is "
                 f"{MAX_LIFT_REDUCTIONS}")
+        red = power_reductions(n)
         scale, lifts = integer_lift(values, n)
         conj = [tuple((-x % n, c) for x, c in terms) for terms in lifts]
         zero = [0] * phi
@@ -283,9 +285,10 @@ class CharacterTable:
                         sca = s * ca
                         for y, cb in conj[b]:
                             acc[(x + y) % n] += sca * cb
-                if reduce_integers(n, acc) != (norm if i == j else zero):
+                got = reduce_integers(n, acc, red)
+                if got != (norm if i == j else zero):
                     total = CyclotomicNumber.make(n, {
-                        k: Fraction(c, scale * scale) for k, c in enumerate(acc) if c})
+                        k: Fraction(c, scale * scale) for k, c in enumerate(got) if c})
                     want = self.group_order if i == j else 0
                     raise InputError(
                         f"table {self.name!r}: rows {i} and {j} violate "
@@ -346,19 +349,6 @@ def parse_table(text: str) -> CharacterTable:
         irr=tuple(rows),
     )
     return table.validate()
-
-
-def serialize_table(t: CharacterTable) -> str:
-    """Canonical JSON rendering; parse(serialize(t)) round-trips exactly."""
-    obj = {
-        "name": t.name,
-        "order": t.group_order,
-        "class_sizes": list(t.class_sizes),
-        "irr": [[value_to_obj(z) for z in row] for row in t.irr],
-    }
-    if t.class_orders is not None:
-        obj["class_orders"] = list(t.class_orders)
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -14,9 +14,12 @@ Q(zeta_{N/p}).  For p^2 | N that is a test on the coordinates off the
 multiples of p; for p || N the value is split along zeta_N = zeta_p^u
 zeta_{N/p}^w and read off over Q(zeta_{N/p}) (see _descend_coprime).
 
+Phi_N is a quotient of products of binomials x^d - 1; the one cache is
+_power_reductions, the rows x^k mod Phi_N that canonical forms read.
+
 integer_lift and reduce_integers put a batch of values on integer vectors
 at a common multiple of their conductors, for sums that need no canonical
-form until the end.
+form until the end, with reductions the caller builds and drops.
 
 No floating point is used anywhere in the arithmetic.
 """
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
-from .numutil import divisors, factorize, totient, units_mod
+from .numutil import factorize, power, totient, units_mod
 
 _ZERO = Fraction(0)
 # largest root-of-unity order a parsed value may name; canonicalising at
@@ -37,43 +41,33 @@ _ZERO = Fraction(0)
 MAX_ROOT_ORDER = 1024
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending:
+    the product of (x^d - 1)^mu(n/d) over d = n / (a product of distinct
+    primes of n).  For n > 1 the exponents sum to 0, so 1 - x^d serves as
+    well, and modulo x^(phi(n)+1) multiplying by it is a shifted
+    subtraction, dividing a running sum.  Uncached: _power_reductions is."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n)[:-1]:
-        poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
+    top = totient(n)
+    num, den = [n], []    # d with mu(n/d) = 1 and = -1
+    for p in factorize(n):
+        num, den = num + [d // p for d in den], den + [d // p for d in num]
+    poly = [1] + [0] * top
+    for d in num:
+        for i in range(top, d - 1, -1):
+            poly[i] -= poly[i - d]
+    for d in den:
+        for i in range(d, top + 1):
+            poly[i] += poly[i - d]
     return tuple(poly)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic up to leading +-1
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("division not exact")
-        out[i - dn] = q
-        for j, b in enumerate(den):
-            num[i - dn + j] -= q * b
-    if any(num[:dn]):
-        raise ArithmeticError("nonzero remainder")
-    return out
-
-
-@lru_cache(maxsize=None)
-def _power_reductions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows r[k - phi(n)] give x^k mod Phi_n for phi(n) <= k < n."""
+def power_reductions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows r[k - phi(n)] give x^k mod Phi_n for phi(n) <= k < n; built
+    on every call, (n - phi(n)) phi(n) integers."""
     phi = totient(n)
     base = [-c for c in cyclotomic_polynomial(n)[:-1]]
     rows = [tuple(base)]
@@ -87,19 +81,20 @@ def _power_reductions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(n: int, terms, zero=_ZERO) -> list:
+# the module's one cache, for canonical forms (orders <= MAX_ROOT_ORDER when parsed)
+_power_reductions = lru_cache(maxsize=None)(power_reductions)
+
+
+def _reduce(n: int, terms, zero=_ZERO, red=None) -> list:
     """Fold an exponent -> coefficient map into the power basis of Q(zeta_n).
 
     Coefficients are Fractions by default; with zero = 0 integer
-    coefficients stay integers."""
+    coefficients stay integers.  red is power_reductions(n), taken from
+    the cache when it is needed and not given."""
     if n == 1:
-        total = zero
-        for c in terms.values():
-            total += c
-        return [total]
+        return [sum(terms.values(), zero)]
     phi = totient(n)
     vec = [zero] * phi
-    red = None
     for e, c in terms.items():
         if not c:
             continue
@@ -120,22 +115,6 @@ def _apply_unit(n: int, vec: list[Fraction], k: int) -> list[Fraction]:
     return _reduce(n, {(k * i) % n: c for i, c in enumerate(vec) if c})
 
 
-@lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(sorted(factorize(n)))
-
-
-@lru_cache(maxsize=None)
-def _coprime_split(n: int, p: int) -> tuple[tuple[int, int], ...]:
-    """For p || n and m = n/p: zeta_n = zeta_p^u zeta_m^w with
-    u m + w p = 1 (mod n), so basis index i goes to the pair
-    (u i mod p, w i mod m).  One pair per index i < phi(n)."""
-    m = n // p
-    u = pow(m, -1, p)
-    w = pow(p, -1, m) if m > 1 else 0
-    return tuple((u * i % p, w * i % m) for i in range(totient(n)))
-
-
 def _descend_coprime(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | None:
     """Coordinates in Q(zeta_{n/p}) of a value of Q(zeta_n), p || n, or
     None when the value does not lie there.
@@ -144,12 +123,15 @@ def _descend_coprime(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | No
     with y_a in Q(zeta_{n/p}).  Over that field 1, zeta_p, ...,
     zeta_p^(p-2) is a basis and zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)),
     so the value lies in Q(zeta_{n/p}) exactly when y_1 = ... = y_(p-1),
-    and is then y_0 - y_(p-1).  For p = 2 that is always the case."""
+    and is then y_0 - y_(p-1).  For p = 2 that is always the case.  With
+    m = n/p and u m + w p = 1 (mod n), zeta_n^i = zeta_p^(u i) zeta_m^(w i)."""
     m = n // p
+    u = pow(m, -1, p)
+    w = pow(p, -1, m) if m > 1 else 0
     parts: list[dict[int, Fraction]] = [{} for _ in range(p)]
-    for (a, e), c in zip(_coprime_split(n, p), vec):
+    for i, c in enumerate(vec):
         if c:
-            parts[a][e] = c
+            parts[u * i % p][w * i % m] = c
     last = _reduce(m, parts[-1])
     for part in parts[1:-1]:
         if _reduce(m, part) != last:
@@ -171,7 +153,7 @@ def _canonical(n: int, terms) -> tuple[int, tuple[Fraction, ...]]:
     vec = _reduce(n, terms)
     if not any(vec[1:]):
         return 1, (vec[0],)
-    for p in _prime_divisors(n):
+    for p in sorted(factorize(n)):
         while n % p == 0:
             m = n // p
             if m % p == 0:
@@ -229,8 +211,7 @@ class CyclotomicNumber:
         if n < 1:
             raise InputError("root-of-unity order must be positive")
         clean = {int(e): Fraction(c) for e, c in terms.items()}
-        order, vec = _canonical(n, clean)
-        return CyclotomicNumber(order, vec)
+        return CyclotomicNumber(*_canonical(n, clean))
 
     @staticmethod
     def rational(x) -> "CyclotomicNumber":
@@ -294,8 +275,7 @@ class CyclotomicNumber:
         terms = self._terms_at(n)
         for e, c in other._terms_at(n).items():
             terms[e] = terms.get(e, _ZERO) + c
-        order, vec = _canonical(n, terms)
-        return CyclotomicNumber(order, vec)
+        return CyclotomicNumber(*_canonical(n, terms))
 
     __radd__ = __add__
 
@@ -325,22 +305,14 @@ class CyclotomicNumber:
             for e2, c2 in b.items():
                 e = (e1 + e2) % n
                 terms[e] = terms.get(e, _ZERO) + c1 * c2
-        order, vec = _canonical(n, terms)
-        return CyclotomicNumber(order, vec)
+        return CyclotomicNumber(*_canonical(n, terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise InputError("negative powers are not supported")
-        result = CyclotomicNumber.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, operator.mul, CyclotomicNumber.rational(1))
 
     # -- presentation ---------------------------------------------------
 
@@ -400,10 +372,7 @@ def integer_lift(values, n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...]
     conductors: returns the common denominator D of their coefficients,
     and for each value the terms (k, c) of D * value = sum c zeta_n^k,
     all c integers."""
-    scale = 1
-    for z in values:
-        for c in z._vec:
-            scale = math.lcm(scale, c.denominator)
+    scale = math.lcm(1, *(c.denominator for z in values for c in z._vec))
     lifts = tuple(
         tuple((i * (n // z.order), c.numerator * (scale // c.denominator))
               for i, c in enumerate(z._vec) if c)
@@ -411,10 +380,11 @@ def integer_lift(values, n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...]
     return scale, lifts
 
 
-def reduce_integers(n: int, coeffs) -> list[int]:
+def reduce_integers(n: int, coeffs, reductions) -> list[int]:
     """Power-basis coordinates in Q(zeta_n) of sum_k coeffs[k] zeta_n^k
-    for integer coeffs; two sums are equal exactly when these are."""
-    return _reduce(n, dict(enumerate(coeffs)), 0)
+    for integer coeffs, with reductions = power_reductions(n); two sums
+    are equal exactly when these are."""
+    return _reduce(n, dict(enumerate(coeffs)), 0, reductions)
 
 
 # -- text encoding ------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from collections import deque
 from functools import lru_cache
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .numutil import factorize, is_prime, is_prime_power
+from .numutil import factorize, is_prime, is_prime_power, power
 from .permgroup import GroupSpec
 
 MAX_FIELD = 512
@@ -189,14 +190,7 @@ class Matrix:
     def pow(self, e: int) -> "Matrix":
         if e < 0:
             raise InputError("negative matrix powers are not supported")
-        result = Matrix.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, Matrix.identity(self.field, self.n))
 
     @property
     def is_identity(self) -> bool:
@@ -291,22 +285,11 @@ def _fpoly_mulmod(F: FiniteField, a, b, f):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = F.add(out[i + j], F.mul(x, y))
-    if len(out) >= len(f):
-        _, out = _fpoly_divmod(F, tuple(out), f)
-        return out
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _fpoly_divmod(F, out, f)[1]
 
 
 def _fpoly_powmod(F: FiniteField, base, e, f):
-    result = (1,)
-    while e:
-        if e & 1:
-            result = _fpoly_mulmod(F, result, base, f)
-        base = _fpoly_mulmod(F, base, base, f)
-        e >>= 1
-    return result
+    return power(base, e, lambda a, b: _fpoly_mulmod(F, a, b, f), (1,))
 
 
 def element_order(M: Matrix, bound: int = MAX_ELEMENT_ORDER) -> int:
@@ -566,10 +549,16 @@ def parse_matrix_group_file(text: str) -> tuple[FiniteField, tuple[Matrix, ...]]
         raise InputError(f"p = {p} is not prime")
     if dim > MAX_DIM:
         raise InputError(f"dimension must be at most {MAX_DIM}, got {dim}")
+    # 2^k > MAX_FIELD from k = MAX_FIELD.bit_length() on, so p^k is
+    # formed only when it is small
+    if p > MAX_FIELD or k >= MAX_FIELD.bit_length() or p ** k > MAX_FIELD:
+        raise InputError(f"field size must be in 2..{MAX_FIELD}, got {p}^{k}")
     F = finite_field(p ** k)
     want_poly = list(F.poly) + [1]
     got_poly = obj.get("defining_poly")
-    if got_poly is not None and list(got_poly) != want_poly:
+    if got_poly is not None and not isinstance(got_poly, list):
+        raise InputError(f"'defining_poly' of GF({F.q}) must be a list of coefficients")
+    if got_poly is not None and got_poly != want_poly:
         raise InputError(
             f"defining_poly {got_poly} does not match the canonical "
             f"choice {want_poly} for GF({p ** k})")

@@ -2,8 +2,8 @@
 
 Everything here is integer arithmetic: factorization by trial division with
 a Pollard rho fallback, Miller-Rabin that is exact below psi_13 (about
-3.3 * 10**24) and refuses larger inputs, unit groups mod m, divisor lists.
-No floats.
+3.3 * 10**24) and refuses larger inputs, unit groups mod m, and the one
+square-and-multiply (power) for any associative product.  No floats.
 """
 
 from __future__ import annotations
@@ -99,12 +99,20 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted list of the positive divisors of n."""
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    return sorted(ds)
+def power(base, e: int, mul, one):
+    """base^e under the associative product mul with identity one; the
+    last squaring is never formed, so e >= 1 takes bit_length(e) +
+    popcount(e) - 1 calls to mul, the first product with one among them."""
+    if e < 0:
+        raise ValueError("power expects a nonnegative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 @lru_cache(maxsize=None)

@@ -197,17 +197,6 @@ def _parse_cycle_line(line: str, ln: int, degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def format_generators(spec: GroupSpec) -> str:
-    lines = [f"degree {spec.degree}"]
-    for g in spec.generators:
-        cycs = cycles(g)
-        if not cycs:
-            lines.append("()")
-        else:
-            lines.append("".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cycs))
-    return "\n".join(lines) + "\n"
-
-
 # -- stabilizer chain ---------------------------------------------------
 
 

@@ -17,8 +17,9 @@ from galorb.matgroup import (
 from galorb.numutil import units_mod
 from galorb.permgroup import (
     alternating_group_spec, conjugacy_classes, cyclic_class_structure,
-    cyclic_group_spec, format_generators, symmetric_group_spec,
+    cyclic_group_spec, symmetric_group_spec,
 )
+from helpers import format_generators
 from test_altcount import partition_record, partitions_exact, prop8_construct
 
 ANALYZED = []  # class structures accumulated for the identity suite

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from galorb.chartab import (
     CharacterTable, brauer_crosscheck, char_report,
     column_families, fixture_names, fixture_table, parse_table,
-    serialize_table,
 )
 from galorb.cyclotomic import (
     CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_integers,
@@ -21,6 +21,7 @@ from galorb.permgroup import (
     GroupSpec, alternating_class_structure, alternating_group_spec,
     conjugacy_classes, cyclic_class_structure, symmetric_group_spec,
 )
+from helpers import serialize_table
 
 # rank, longest row family, number of real rows
 REPORT_ANCHORS = {
@@ -211,6 +212,22 @@ def test_orthogonality_lift_that_cannot_fit_is_refused():
         _roots_table(480, 31).validate()
 
 
+def test_orthogonality_reductions_are_released_with_the_table():
+    # the 203 * 10200 reductions at n = 101 * 103 (about 17 MB, hence the
+    # peak) belong to the one check and go with it; the failing sum is
+    # canonicalised without them
+    t = _roots_table(101, 103)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="rows 0 and 1 violate orthogonality"):
+            t.validate()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 10 * 2 ** 20, peak
+    assert held < 2 * 2 ** 20, held
+
+
 def _fixture_obj(name):
     return json.loads(serialize_table(fixture_table(name)))
 
@@ -250,9 +267,9 @@ def test_orthogonality_works_at_the_conductors(monkeypatch):
     import galorb.chartab
     seen = []
 
-    def spy(n, acc):
+    def spy(n, acc, red):
         seen.append(n)
-        return reduce_integers(n, acc)
+        return reduce_integers(n, acc, red)
 
     monkeypatch.setattr(galorb.chartab, "reduce_integers", spy)
     t = parse_table(json.dumps(_fixture_obj("s3")))

@@ -8,11 +8,12 @@ from galorb.classtheory import (
     analyze, q_classes, r_classes, report_to_obj,
 )
 from galorb.matgroup import projective_line_action
-from galorb.numutil import divisors, totient
+from galorb.numutil import totient
 from galorb.permgroup import (
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, symmetric_group_spec,
 )
+from helpers import divisors
 
 
 def a_set(rep):

@@ -11,15 +11,16 @@ import pytest
 
 import galorb.permgroup
 from galorb import altcount, cli
-from galorb.chartab import fixture_names, fixture_table, serialize_table
+from galorb.chartab import fixture_names, fixture_table
 from galorb.cli import build_parser, main
 from galorb.matgroup import (
     MAX_ELEMENT_ORDER, _exact_order, coprime_power_charpoly_count, element_order,
     projective_line_action, random_element_search,
 )
 from galorb.permgroup import (
-    alternating_group_spec, cyclic_group_spec, format_generators, symmetric_group_spec,
+    alternating_group_spec, cyclic_group_spec, symmetric_group_spec,
 )
+from helpers import format_generators, serialize_table
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -237,6 +238,16 @@ def test_charpoly_file_found_and_not_found(capsys):
     code, _, err = run(capsys, "charpoly", "file", str(DATA / "gl2_3.json"),
                        "--target", "7")
     assert code == 3 and "no element of order 7" in err
+
+
+@pytest.mark.parametrize("fields, field", [({"p": 2, "k": 100000}, "got 2^100000"),
+                                           ({"p": 3, "k": 1, "defining_poly": 5}, "GF(3)")])
+def test_charpoly_file_malformed_field_exits_2(capsys, tmp_path, fields, field):
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [[[1]]], **fields}))
+    code, out, err = run(capsys, "charpoly", "file", str(path), "--target", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
 
 
 def test_charpoly_file_requires_target(capsys):

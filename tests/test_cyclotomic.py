@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from galorb.cyclotomic import (
     value_to_obj, zeta,
 )
 from galorb.errors import InputError, ResourceLimitError
-from galorb.numutil import divisors, totient, units_mod
+from galorb.numutil import totient, units_mod
+from helpers import divisors
 
 _ZERO = Fraction(0)
 
@@ -160,10 +162,26 @@ def test_arithmetic_identities():
 
 
 def test_sympy_minimal_polynomial_crosscheck():
-    for n in range(1, 61):
+    # past 60: many small primes (840, 2310), a prime square (1008), a
+    # 2-power (1024), and 14880 = 2^5 3 5 31
+    for n in [*range(1, 61), 840, 1008, 1024, 2310, 14880]:
         ours = cyclotomic_polynomial(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x"))).all_coeffs()
         assert list(ours) == list(reversed(theirs)), n
+
+
+def test_descent_keeps_nothing_per_order():
+    # the sum lives at n = 211 * 223 and descends past both primes; the
+    # descent computes its index split in place and caches nothing at n
+    tracemalloc.start()
+    try:
+        z = zeta(211) + zeta(223)
+        assert z.order == 211 * 223
+        del z
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20, held
 
 
 def test_rational_iff_fixed_by_every_galois_map():

@@ -529,3 +529,22 @@ def test_parse_matrix_group_file():
             "p": 4, "k": 1, "dim": 1, "generators": [[[1]]]}))
     with pytest.raises(InputError):
         parse_matrix_group_file("[]")
+
+
+# p^k past the field bound is refused before it is formed: 2^100000 would
+# also overflow the int-to-str limit in the message; a defining_poly that
+# is no list is refused as such, not passed to list()
+MALFORMED_FIELDS = {
+    "huge_power": ({"p": 2, "k": 100000}, "field size must be in 2..512, got 2^100000"),
+    "poly_not_a_list": ({"p": 3, "k": 1, "defining_poly": 5},
+                        "'defining_poly' of GF(3) must be a list of coefficients"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_parse_matrix_group_file_names_a_malformed_field(case):
+    fields, message = MALFORMED_FIELDS[case]
+    obj = {"dim": 1, "generators": [[[1]]], **fields}
+    with pytest.raises(InputError) as info:
+        parse_matrix_group_file(json.dumps(obj))
+    assert str(info.value) == message

@@ -1,4 +1,5 @@
-"""Primality and factorization at the edge of deterministic Miller-Rabin."""
+"""Primality and factorization at the edge of deterministic Miller-Rabin,
+and the one square-and-multiply."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galorb.errors import ResourceLimitError
-from galorb.numutil import factorize, is_prime, totient, units_mod
+from galorb.numutil import factorize, is_prime, power, totient, units_mod
 
 # least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -43,3 +44,21 @@ def test_units_mod_is_the_gcd_definition(m):
     want = (0,) if m == 1 else tuple(k for k in range(1, m) if math.gcd(k, m) == 1)
     assert units_mod(m) == want
     assert len(want) == totient(m)
+
+
+def test_power_matches_pow_and_counts_its_products():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    # e = 0 is the identity with no product
+    assert power(7, 0, mul, 1) == 1 and not calls
+    for e in range(1, 301):
+        calls.clear()
+        assert power(3, e, mul, 1) == pow(3, e), e
+        # the last squaring is never formed
+        assert len(calls) == e.bit_length() + e.bit_count() - 1, e
+    with pytest.raises(ValueError):
+        power(3, -1, mul, 1)

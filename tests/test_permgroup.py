@@ -23,10 +23,10 @@ from galorb.permgroup import (
     MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_chain,
     _class_labels, _conjugations, _even_partitions, _labels_for, _Level, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
-    cyclic_class_structure, cyclic_group_spec, cycles, format_generators,
-    group_order, identity_perm, parse_generators, perm_order, pinv, pmul,
-    symmetric_group_spec,
+    cyclic_class_structure, cyclic_group_spec, cycles, group_order, identity_perm,
+    parse_generators, perm_order, pinv, pmul, symmetric_group_spec,
 )
+from helpers import format_generators
 
 # -- reference: the tuple-at-a-time class path ----------------------------
 
