@@ -109,19 +109,21 @@ class CharacterTable:
         return len(self.class_sizes)
 
     @cached_property
-    def _values(self) -> tuple[int, tuple[CyclotomicNumber, ...], tuple[Ids, ...]]:
+    def _values(self) -> tuple[int, dict[CyclotomicNumber, int], tuple[Ids, ...]]:
         """The table's order n, the lcm of the conductors of its values;
-        the distinct cell values in first-seen order; and the cells as
-        indices into them."""
+        the distinct cell values numbered in first-seen order (never
+        mutated: readers that add values extend a copy); and the cells as
+        those numbers."""
         ids: dict[CyclotomicNumber, int] = {}
         cells = tuple(tuple(ids.setdefault(z, len(ids)) for z in row) for row in self.irr)
-        return math.lcm(*(z.order for z in ids)), tuple(ids), cells
+        return math.lcm(*(z.order for z in ids)), ids, cells
 
     @cached_property
     def galois_action(self) -> GaloisAction:
         """Built on first use: one galois_apply per distinct value and unit."""
         n, values, cells = self._values
-        ids = {z: i for i, z in enumerate(values)}
+        # a dict copy reuses the stored hashes; no value is hashed again
+        ids = values.copy()
         units = units_mod(n)
         images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
                        for k in units)

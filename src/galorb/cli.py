@@ -24,8 +24,8 @@ from .chartab import brauer_crosscheck, char_report, parse_table
 from .classtheory import analyze, report_to_obj
 from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError
 from .matgroup import (
-    MAX_ELEMENT_ORDER, class_lower_bound, coprime_power_charpoly_count, element_order,
-    parse_matrix_group_file, random_element_search, singer_element,
+    MAX_ELEMENT_ORDER, check_order, class_lower_bound, coprime_power_charpoly_count,
+    element_order, parse_matrix_group_file, random_element_search, singer_element,
 )
 from .permgroup import conjugacy_classes, parse_generators
 from .screening import FAMILIES, exception_set
@@ -268,13 +268,10 @@ def _charpoly_report(g, args) -> tuple[str, int]:
 
 def _cmd_charpoly(args) -> tuple[str, int]:
     if args.action == "singer":
-        g = singer_element(args.n, args.q)
+        g = singer_element(args.n, args.q, bound=args.max_order)
         return _charpoly_report(g, args)
     if args.action == "file":
-        if args.target > args.max_order:
-            raise ResourceLimitError(
-                f"target order {args.target} exceeds the bound {args.max_order}; "
-                "raise it with --max-order")
+        check_order(args.target, args.max_order, "target order")
         _, gens = parse_matrix_group_file(_read(args.file))
         g = random_element_search(gens, args.target, seed=args.seed, bound=args.max_order)
         if g is None:

@@ -389,16 +389,11 @@ def reduce_integers(n: int, coeffs, reductions) -> list[int]:
 
 # -- text encoding ------------------------------------------------------
 
-def value_to_obj(z: CyclotomicNumber):
-    """JSON-ready form: a rational string, or {"n": N, "coeffs": {...}}."""
-    if z.order == 1:
-        return str(z.rational_value)
-    return {"n": z.order, "coeffs": {str(e): str(c) for e, c in z.coeffs.items()}}
-
-
 def value_from_obj(obj) -> CyclotomicNumber:
-    """Parse the encoding produced by value_to_obj; also accepts bare ints.
-    ResourceLimitError for a root-of-unity order above MAX_ROOT_ORDER."""
+    """Parse one cell: an int, a rational string such as "-1/2", or
+    {"n": N, "coeffs": {"e": "c", ...}} for the sum of c zeta_N^e, with
+    exponents and rational coefficients as strings.  ResourceLimitError
+    for a root-of-unity order above MAX_ROOT_ORDER."""
     if isinstance(obj, bool):
         raise InputError("boolean is not a cyclotomic value")
     if isinstance(obj, int):

@@ -171,7 +171,8 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field is not other.field or self.n != other.n:
+        # every GF(q) is built the same way, so its size names it
+        if self.field.q != other.field.q or self.n != other.n:
             raise InputError("matrix shapes or fields differ")
         F = self.field
         cols = tuple(zip(*other.rows))
@@ -298,17 +299,22 @@ def element_order(M: Matrix, bound: int = MAX_ELEMENT_ORDER) -> int:
     p^ceil(log_p n) * lcm(q^d - 1) over the irreducible factor degrees
     d, and trial stripping of that multiple pins it down.  The exact
     order is cached per matrix; the bound is checked on every call."""
-    order = _exact_order(M, M.field)
-    if order > bound:
-        raise ResourceLimitError(
-            f"order {order} exceeds the bound {bound}; raise it with --max-order")
+    order = _exact_order(M)
+    check_order(order, bound)
     return order
 
 
+def check_order(order: int, bound: int, what: str = "order") -> None:
+    """ResourceLimitError, naming the flag that raises the bound, when
+    order exceeds bound."""
+    if order > bound:
+        raise ResourceLimitError(
+            f"{what} {order} exceeds the bound {bound}; raise it with --max-order")
+
+
 @lru_cache(maxsize=256)
-def _exact_order(M: Matrix, F: FiniteField) -> int:
-    # keyed on the field object too: matrices over two constructions of
-    # GF(q) compare equal
+def _exact_order(M: Matrix) -> int:
+    F = M.field
     n = M.n
     if n > MAX_DIM:
         raise ResourceLimitError(
@@ -359,7 +365,6 @@ def _exact_order(M: Matrix, F: FiniteField) -> int:
 # -- Singer elements and power-coprime invariants -----------------------
 
 
-@lru_cache(maxsize=64)
 def _primitive_poly(n: int, q: int) -> tuple[int, ...]:
     """Primitive degree-n polynomial over GF(q), least encoded value,
     ascending coefficients without the leading 1.
@@ -389,12 +394,15 @@ def _primitive_poly(n: int, q: int) -> tuple[int, ...]:
     raise AssertionError(f"no primitive polynomial of degree {n} over GF({q})")
 
 
-def singer_element(n: int, q: int) -> Matrix:
+def singer_element(n: int, q: int, bound: int = MAX_ELEMENT_ORDER) -> Matrix:
     """Companion matrix of a primitive polynomial: a cyclic generator
-    of order q^n - 1 inside the invertible n x n matrices."""
+    of order q^n - 1 inside the invertible n x n matrices.  That order is
+    checked against bound, like `element_order`'s, before the search for
+    the polynomial."""
     if n < 1 or n > MAX_DIM:
         raise InputError(f"dimension must be in 1..{MAX_DIM}, got {n}")
     F = finite_field(q)
+    check_order(q ** n - 1, bound)
     coeffs = _primitive_poly(n, q)
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n):

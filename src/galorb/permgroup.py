@@ -1,13 +1,12 @@
 """Permutation groups, conjugacy classes, and power-map fusion data.
 
 Permutations on n points are tuples p of length n with p[i] the image of
-i; composition pmul(p, q) applies q first.  Group input is a finite
-generating set wrapped in a GroupSpec.  The class data consumed by the
-rest of the package is a ClassStructure: sizes, element orders, and for
-each class a tuple recording where the coprime power maps send it, one
-entry per unit residue modulo the element order, ascending.  Each fact
-is stored once: the exponent and the power maps on classes, inversion
-among them, are derived from these.
+i.  Group input is a finite generating set wrapped in a GroupSpec.  The
+class data consumed by the rest of the package is a ClassStructure:
+sizes, element orders, and for each class a tuple recording where the
+coprime power maps send it, one entry per unit residue modulo the
+element order, ascending.  Each fact is stored once: the exponent and
+the power maps on classes, inversion among them, are derived from these.
 
 Orders come from a stabilizer chain built by incremental Schreier-Sims
 with one sift-and-promote loop: the input generators, as one uint8
@@ -54,7 +53,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -76,18 +75,6 @@ PAIR_WORD_LENGTH = 12
 
 def identity_perm(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
-
-
-def pmul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition: apply q, then p."""
-    return tuple(map(p.__getitem__, q))
-
-
-def pinv(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def cycles(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -662,7 +649,6 @@ def _powers(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
         base = np.take_along_axis(base, base, axis=1)
 
 
-@lru_cache(maxsize=32)
 def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     """Conjugacy class data of the group generated by spec.
 
@@ -679,8 +665,7 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     generators, composed from the first two as index permutations.
     Classes are sorted by (element order, size, least element) and
     representatives are the least elements, so the result does not
-    depend on the generating set.
-    Results are cached and shared, and immutable.
+    depend on the generating set.  The result is immutable.
     """
     chain = _class_chain(spec)
     elems, right = chain.elements()

@@ -1,10 +1,11 @@
-"""Helpers several test modules share: writers and number theory that
-only the tests call, so they live here rather than in galorb."""
+"""Helpers several test modules share: writers, number theory and
+permutation products that only the tests call, so they live here rather
+than in galorb."""
 
 import json
 
 from galorb.chartab import CharacterTable
-from galorb.cyclotomic import value_to_obj
+from galorb.cyclotomic import CyclotomicNumber
 from galorb.numutil import factorize
 from galorb.permgroup import GroupSpec, cycles
 
@@ -15,6 +16,25 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         ds = [d * p**i for d in ds for i in range(e + 1)]
     return sorted(ds)
+
+
+def pmul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Composition: apply q, then p."""
+    return tuple(map(p.__getitem__, q))
+
+
+def pinv(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def value_to_obj(z: CyclotomicNumber):
+    """JSON-ready form: a rational string, or {"n": N, "coeffs": {...}}."""
+    if z.order == 1:
+        return str(z.rational_value)
+    return {"n": z.order, "coeffs": {str(e): str(c) for e, c in z.coeffs.items()}}
 
 
 def serialize_table(t: CharacterTable) -> str:

@@ -15,7 +15,7 @@ from galorb.chartab import fixture_names, fixture_table
 from galorb.cli import build_parser, main
 from galorb.matgroup import (
     MAX_ELEMENT_ORDER, _exact_order, coprime_power_charpoly_count, element_order,
-    projective_line_action, random_element_search,
+    projective_line_action, random_element_search, singer_element,
 )
 from galorb.permgroup import (
     alternating_group_spec, cyclic_group_spec, symmetric_group_spec,
@@ -297,8 +297,24 @@ def test_charpoly_has_one_order_bound(capsys):
     assert "target order 8 exceeds the bound 7; raise it with --max-order" in err
 
 
+def test_charpoly_singer_refuses_its_order_before_the_search(capsys):
+    # GL(12, 256)'s Singer element has order 256^12 - 1; the search for
+    # its polynomial ran past 600 s before the order was checked
+    start = time.perf_counter()
+    code, out, err = run(capsys, "charpoly", "singer", "12", "256")
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert f"order {256 ** 12 - 1} exceeds the bound 100000; raise it with --max-order" in err
+    # the input checks on n and q still come first
+    for argv, message in ((("13", "2"), "error: dimension must be in 1..12, got 13"),
+                          (("2", "6"), "error: 6 is not a prime power")):
+        code, out, err = run(capsys, "charpoly", "singer", *argv)
+        assert code == 2 and out == "" and message in err, argv
+
+
 def test_element_order_bounds_have_one_default():
     for fn, name in ((element_order, "bound"), (random_element_search, "bound"),
+                     (singer_element, "bound"),
                      (coprime_power_charpoly_count, "max_order")):
         assert inspect.signature(fn).parameters[name].default == MAX_ELEMENT_ORDER, fn
     parser = build_parser()

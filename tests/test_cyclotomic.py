@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from galorb.cyclotomic import (
     MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _apply_unit, _canonical, _reduce,
-    conjugate, cyclotomic_polynomial, field_class, galois_apply, value_from_obj,
-    value_to_obj, zeta,
+    conjugate, cyclotomic_polynomial, field_class, galois_apply, value_from_obj, zeta,
 )
 from galorb.errors import InputError, ResourceLimitError
 from galorb.numutil import totient, units_mod
-from helpers import divisors
+from helpers import divisors, value_to_obj
 
 _ZERO = Fraction(0)
 

@@ -24,9 +24,9 @@ from galorb.permgroup import (
     _class_labels, _conjugations, _even_partitions, _labels_for, _Level, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, group_order, identity_perm,
-    parse_generators, perm_order, pinv, pmul, symmetric_group_spec,
+    parse_generators, perm_order, symmetric_group_spec,
 )
-from helpers import format_generators
+from helpers import format_generators, pinv, pmul
 
 # -- reference: the tuple-at-a-time class path ----------------------------
 
@@ -618,7 +618,6 @@ def test_classes_enumerate_from_the_generators_that_grew_the_chain():
     # and conjugation gathers; one gather per generator peaked at 34 MB
     spec = _three_cycle_spec(8)
     assert len(spec.generators) == 112
-    conjugacy_classes.cache_clear()
     tracemalloc.start()
     try:
         cs = conjugacy_classes(spec)
@@ -729,13 +728,9 @@ def test_corrupted_inverse_rows_are_refused(monkeypatch):
         return rows
 
     monkeypatch.setattr(_Chain, "inverse_rows", corrupted)
-    conjugacy_classes.cache_clear()
-    try:
-        with pytest.raises(AssertionError,
-                           match="row outside the group: not the element at its index"):
-            conjugacy_classes(M11_SPEC)
-    finally:
-        conjugacy_classes.cache_clear()
+    with pytest.raises(AssertionError,
+                       match="row outside the group: not the element at its index"):
+        conjugacy_classes(M11_SPEC)
 
 
 @pytest.mark.parametrize("q", [32, 64])
@@ -744,7 +739,6 @@ def test_class_path_peak_memory_per_element_point(q):
     # which numpy casts to intp at once, peaked at 11.3 times
     spec = projective_line_action(q)
     points = group_order(spec) * spec.degree
-    conjugacy_classes.cache_clear()
     tracemalloc.start()
     try:
         conjugacy_classes(spec)
@@ -763,7 +757,6 @@ def test_class_enumeration_peak_memory(spec, parent_mb):
     # parent_mb is the peak of the breadth-first enumeration this path
     # replaced, on the same groups; the chain's is to stay within 1.25 times
     group_order(spec)
-    conjugacy_classes.cache_clear()
     tracemalloc.start()
     try:
         conjugacy_classes(spec)
@@ -984,21 +977,13 @@ class _FirstResidueChain(_Chain):
             h = h[moved[1:]]
 
 
-def _clear_chain_caches():
-    conjugacy_classes.cache_clear()
-
-
 @REFERENCE_SPECS
 def test_first_residue_rule_gives_the_same_classes(spec, monkeypatch):
     want = group_order(spec), conjugacy_classes(spec)
     with monkeypatch.context() as m:
         m.setattr(galorb.permgroup, "_Chain", _FirstResidueChain)
-        _clear_chain_caches()
-        try:
-            assert type(_build_chain(spec, MAX_GROUP_ORDER)) is _FirstResidueChain
-            assert (group_order(spec), conjugacy_classes(spec)) == want
-        finally:
-            _clear_chain_caches()
+        assert type(_build_chain(spec, MAX_GROUP_ORDER)) is _FirstResidueChain
+        assert (group_order(spec), conjugacy_classes(spec)) == want
 
 
 # relabeled S_n and A_n, n = 16, 17, 18, with their orders
@@ -1046,11 +1031,7 @@ def test_batched_and_one_at_a_time_chains_agree(spec, monkeypatch):
     want = conjugacy_classes(spec)
     with monkeypatch.context() as m:
         m.setattr(galorb.permgroup, "_build_chain", _grown_one_at_a_time)
-        conjugacy_classes.cache_clear()
-        try:
-            assert conjugacy_classes(spec) == want
-        finally:
-            conjugacy_classes.cache_clear()
+        assert conjugacy_classes(spec) == want
 
 
 def test_batched_inputs_form_fewer_schreier_generators():
