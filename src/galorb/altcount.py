@@ -10,8 +10,8 @@ largest prime factor, largest prime first.  Once the bucket of prime P
 is done, no later part contains P, so a state with an odd power of P
 can never become square; all such states merge into one absorbing mask
 value, NEVER, and the rank is the count at NEVER.  Only primes of the
-open bucket and below are ever live, which keeps the state count in the
-low thousands at n = 400, the cap.
+open bucket and below are ever live, which keeps the state count at
+3240 or fewer at n = 400, the cap.
 
 The programme run for n holds the counts of every sum s <= n, exactly
 as the programme run for s would give them: a partition of s uses only
@@ -93,20 +93,8 @@ def frobenius_ranks(lo: int, hi: int) -> list[int]:
 
 def frobenius_rank(n: int) -> int:
     """Central-unit rank for the alternating group on n points, n >= 2,
-    as an exact partition count.
-
-    The rank is the number of distinct-odd partitions of n with
-    k = n mod 4 parts and a non-square product, read off one programme.
-    It adds parts in buckets of equal largest prime factor, largest
-    first: after the bucket of P no part left contains P, so every state
-    with an odd power of P can never become square, and all of them merge
-    into one absorbing state per (sum, parts mod 4).  At n = 400 this
-    peaks at 3240 states.  That programme gives every sum s <= n
-    exactly: a partition of s uses only parts <= s, a bucket whose prime
-    exceeds s holds only larger parts, and the merge after each bucket
-    does not depend on the target sum.  So a range of n is one
-    ``frobenius_ranks`` call, not one programme per n.
-    """
+    as an exact partition count: frobenius_ranks(n, n), from the one
+    programme described at the top of this file."""
     return frobenius_ranks(n, n)[0]
 
 

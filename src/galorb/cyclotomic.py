@@ -239,7 +239,9 @@ class CyclotomicNumber:
         return self.order == 1 and self._vec[0].denominator == 1
 
     def sort_key(self):
-        """Total order on canonical forms, used for canonical orbit picks."""
+        """Total order on canonical forms.  The package itself orders no
+        values by it: character tables compare rows and columns as tuples
+        of value ids."""
         return (self.order, tuple((i, c.numerator, c.denominator) for i, c in enumerate(self._vec)))
 
     def __eq__(self, other):

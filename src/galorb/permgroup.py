@@ -22,23 +22,23 @@ Classes come from one path, under one guard: their chain's limit is
 degree passes 10^8, before any element is stored.  The chain's
 transversals enumerate every element as a row of bytes, each the
 product of one transversal element per level, so an element's index is
-read off its base images by sifting them alone, and every lookup is
-checked against the row at the index it found.  The enumeration is
+read off its base images by sifting them alone.  The enumeration is
 checked to be closed under level 0's strong generators g (the promoted
 inputs, at most log2 of the order, however many were given): each check
-is the lookup R_g of right multiplication by g, and R_g is kept.  One
-more lookup, of the inverse rows built level by level from the
-transversal inverses, gives inv, and conjugation by g is the index
-permutation inv R_g inv R_g, with no conjugate row formed.  The classes
-are the orbits of those permutations.  When level 0 has more than two
-strong generators, a few pairs of words in them, seeded from the
-spec's bytes, are tried, and the first pair whose chain reaches the
-group's order replaces them, so at most three full lookups are made.
-Each class's least row is found column by column, and the coprime
-powers of all representatives are formed together by binary powering
-over their rows, then looked up in one batch.  There is no random
-search; the seeded pair choice changes which chain enumerates, never
-the result.
+ranks every row x g by its base images and compares it in full with the
+row at the index found.  As x runs over the group so does x g, so these
+checks show the sift exact on every element of the group.  Conjugation
+by g then ranks each g^-1 x g from its base images g^-1[x[g[b]]] alone,
+with no conjugate row formed, and the classes are the orbits of those
+permutations.  When level 0 has more than two strong generators, a few
+pairs of words in them, seeded from the spec's bytes, are tried, and
+the first pair whose chain reaches the group's order replaces them, so
+at most three full lookups are made: two closure checks and one of the
+powers.  Each class's least row is found column by column, and the
+coprime powers of all representatives are formed together by binary
+powering over their rows, then looked up in one batch.  There is no
+random search; the seeded pair choice changes which chain enumerates,
+never the result.
 Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
@@ -270,7 +270,8 @@ class _Chain:
     generators are the promoted residues of the inputs: they generate the
     group, and each was outside the group of the complete chain before
     it, so there are at most log2 of the order of them, however many
-    inputs were given.
+    inputs were given.  index sifts base images alone; rank also compares
+    whole rows, and elements checks the enumeration with it.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -286,56 +287,33 @@ class _Chain:
             o *= len(lev.orbit)
         return o
 
-    def elements(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Every element, as uint8 rows in mixed-radix order, and per
-        strong generator g of level 0 the lookup of right multiplication
-        by g.  The row of index i_0 r_0 + ... + i_{L-1} r_{L-1}, where r_l
-        is the product of the orbit lengths below level l, is the product
-        u_0 u_1 ... u_{L-1} of the transversal elements at orbit positions
-        i_l.  One column gather per level builds them.
+    def elements(self) -> np.ndarray:
+        """Every element, as uint8 rows in mixed-radix order.  The row of
+        index i_0 r_0 + ... + i_{L-1} r_{L-1}, where r_l is the product of
+        the orbit lengths below level l, is the product u_0 u_1 ... u_{L-1}
+        of the transversal elements at orbit positions i_l.  One column
+        gather per level builds them.
 
         The rows E are then checked to be the group: E g lies in E for
         every strong generator g of level 0, which generate the group, and
         E holds the identity, so E contains the group, and each row is a
         product of group elements, so E is no more than the group.  Each
-        of these checks is a full lookup, R_g[i] = index of x_i g, and
-        R_g is returned, an int32 permutation of the indices."""
+        check ranks all rows x g, and x g runs over the group with x, so
+        it also shows index exact on every element of the group."""
         rows = self.identity[None, :]
         for lev in self.levels:
             # row (j, i) is rows[j] u_i: a column permutation of rows[j]
             rows = np.take(rows, lev.u[lev.orbit], axis=1).reshape(-1, self.degree)
-        right = [self.rank(np.take(rows, g, axis=1), rows)
-                 for lev in self.levels[:1] for g in lev.gens]
-        return rows, right
-
-    def inverse_rows(self) -> np.ndarray:
-        """The inverse of every element, as uint8 rows in reversed
-        mixed-radix order: the element u_0 u_1 ... u_{L-1} has the inverse
-        u_{L-1}^-1 ... u_1^-1 u_0^-1, so one column gather per level,
-        deepest first, builds them, and its row has the index that
-        elements() gives with the levels' digits taken in reverse."""
-        rows = self.identity[None, :]
-        for lev in reversed(self.levels):
-            # row (j, i) is rows[j] u_i^-1: a column permutation of rows[j]
-            rows = np.take(rows, lev.uinv[lev.orbit], axis=1).reshape(-1, self.degree)
+        for lev in self.levels[:1]:
+            for g in lev.gens:
+                self.rank(np.take(rows, g, axis=1), rows)
         return rows
 
-    def inverses(self, elements: np.ndarray) -> np.ndarray:
-        """inv[i] = index in elements of the inverse of elements[i]: the
-        inverse rows ranked, each checked in full, and put back in the
-        order of elements() by reversing the axes of the digits."""
-        digits = [len(lev.orbit) for lev in reversed(self.levels)]
-        return self.rank(self.inverse_rows(), elements).reshape(digits).T.ravel()
-
-    def rank(self, rows: np.ndarray, elements: np.ndarray) -> np.ndarray:
-        """Index in elements (as returned by elements()) of each row.
-
-        The index is read by sifting the L base-point columns alone; each
-        row is then compared in full with the element at its index, so a
-        row outside the group raises even where its base images are an
-        element's."""
-        images = rows.T[[lev.base for lev in self.levels]]
-        idx = np.zeros(len(rows), dtype=np.int32)
+    def index(self, images: np.ndarray) -> np.ndarray:
+        """Index in elements() of each element whose base images are the
+        columns of images (one row per level; overwritten), read by
+        sifting them alone; only rank refuses a row outside the group."""
+        idx = np.zeros(images.shape[1], dtype=np.int32)
         for l, lev in enumerate(self.levels):
             at = lev.pos[images[l]]
             if (at < 0).any():
@@ -346,6 +324,14 @@ class _Chain:
             xd = images[l].astype(np.intp) * self.degree
             for m in range(l + 1, len(self.levels)):
                 images[m] = np.take(lev.uinv, xd + images[m])
+        return idx
+
+    def rank(self, rows: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """Index in elements (as returned by elements()) of each row: its
+        base images are sifted by index, and each row is then compared in
+        full with the element at its index, so a row outside the group
+        raises even where its base images are an element's."""
+        idx = self.index(rows.T[[lev.base for lev in self.levels]])
         if not np.array_equal(np.take(elements, idx, axis=0), rows):
             raise AssertionError("row outside the group: not the element at its index")
         return idx
@@ -586,26 +572,22 @@ def _class_chain(spec: GroupSpec) -> _Chain:
     return chain
 
 
-def _conjugations(right: list[np.ndarray], inv: np.ndarray) -> list[np.ndarray]:
-    """Per right-multiplication lookup R_g, the permutation of indices
-    i -> index of g^-1 x_i g, composed from R_g and the inverse lookup inv
-    alone: x_i goes to x_i g, (x_i g)^-1 = g^-1 x_i^-1, g^-1 x_i^-1 g and
-    its inverse g^-1 x_i g.  Each lookup was checked in full, so each
-    composite is exact, and no conjugate row is formed."""
-    return [inv[r[inv[r]]] for r in right]
-
-
-def _class_labels(right: list[np.ndarray], inv: np.ndarray) -> np.ndarray:
+def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
     """For each element, the least index in its class.
 
-    Conjugation by the strong generators of level 0, which generate the
-    group, permutes the indices as _conjugations composes it from the
-    lookups right and inv; the classes are the orbits of these
-    permutations, found by lowering every label to the least label among
-    its images and then jumping pointers.
+    Conjugation by each strong generator g of level 0, which generate the
+    group, permutes the indices: x goes to g^-1 x g, whose base images
+    g^-1[x[g[b]]] are the columns g[b] of elems mapped through g^-1, and
+    index ranks it from them alone, with no conjugate row formed.  Every
+    conjugate is in the group, on which elements() checked index, so this
+    is exact.  The classes are the orbits of these permutations, found by
+    lowering every label to the least label among its images and then
+    jumping pointers.
     """
-    conj = _conjugations(right, inv)
-    lab = np.arange(len(inv), dtype=np.int32)
+    bases = [lev.base for lev in chain.levels]
+    conj = [chain.index(np.argsort(g).astype(np.uint8)[elems.T[g[bases]]])
+            for lev in chain.levels[:1] for g in lev.gens]
+    lab = np.arange(len(elems), dtype=np.int32)
     while True:
         new = lab
         for c in conj:
@@ -657,19 +639,20 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     Otherwise every element is enumerated as a byte row from the
     transversals of _class_chain's chain, and the enumeration is checked
     to be closed under its level 0's strong generators, at most two when
-    two seeded words generate the group.  Three kinds of full lookup are
+    two seeded words generate the group.  Two kinds of full lookup are
     made, each found by sifting base images and checked against the whole
     row at its index: right multiplication by each of those generators
-    (the closure check), inversion, and the coprime powers of the
-    representatives.  The classes are the orbits of conjugation by those
-    generators, composed from the first two as index permutations.
+    (the closure check) and the coprime powers of the representatives.
+    The classes are the orbits of conjugation by those generators, each
+    conjugate ranked from its base images alone, which the closure check
+    showed exact on the group.
     Classes are sorted by (element order, size, least element) and
     representatives are the least elements, so the result does not
     depend on the generating set.  The result is immutable.
     """
     chain = _class_chain(spec)
-    elems, right = chain.elements()
-    lab = _class_labels(right, chain.inverses(elems))
+    elems = chain.elements()
+    lab = _class_labels(chain, elems)
     labels = np.flatnonzero(lab == np.arange(len(lab), dtype=np.int32))
     least = _least_rows(elems, lab, len(labels))
     rows = elems[least[np.argsort(lab[least])]]

@@ -21,7 +21,7 @@ from galorb.matgroup import projective_line_action
 from galorb.numutil import prime_powers_upto, units_mod
 from galorb.permgroup import (
     MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_chain,
-    _class_labels, _conjugations, _even_partitions, _labels_for, _Level, _powers,
+    _class_labels, _even_partitions, _labels_for, _Level, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, group_order, identity_perm,
     parse_generators, perm_order, symmetric_group_spec,
@@ -570,14 +570,14 @@ def reference_element_keys(spec):
                          ids=[*REFERENCE_GROUPS, *(f"bench_{k}" for k in PERM_GROUPS)])
 def test_chain_enumerates_the_breadth_first_elements(spec):
     chain = _build_chain(spec, MAX_GROUP_ORDER)
-    elems, _ = chain.elements()
+    elems = chain.elements()
     assert elems.dtype == np.uint8 and elems.shape == (chain.order(), spec.degree)
     assert np.array_equal(np.sort(_row_keys(elems)), reference_element_keys(spec))
 
 
 def test_rank_refuses_rows_outside_the_group():
     chain = _build_chain(alternating_group_spec(5), MAX_GROUP_ORDER)
-    elems, _ = chain.elements()
+    elems = chain.elements()
     with pytest.raises(AssertionError, match="row outside the group"):
         chain.rank(np.array([(1, 0, 2, 3, 4)], dtype=np.uint8), elems)
     # an element with the images of two points off the base swapped has
@@ -595,7 +595,7 @@ def test_rank_refuses_rows_outside_the_group():
 def test_enumeration_checks_closure_under_the_generators():
     chain = _Chain(5, MAX_GROUP_ORDER)
     chain.extend(np.array(alternating_group_spec(5).generators, dtype=np.uint8))
-    assert len(chain.elements()[0]) == 60
+    assert len(chain.elements()) == 60
     chain.levels.pop()
     with pytest.raises(AssertionError, match="row outside the group"):
         chain.elements()
@@ -665,17 +665,22 @@ def test_class_labels_match_the_conjugate_rows():
         if chain.order() > 50_000 and spec is not M12_SPEC:
             continue
         checked += 1
-        elems, right = chain.elements()
-        inv = chain.inverses(elems)
-        assert (np.take_along_axis(elems, elems[inv], axis=1) == chain.identity).all(), name
+        elems = chain.elements()
         gens = [g for lev in chain.levels[:1] for g in lev.gens]
-        assert len(gens) == len(right), name
-        conj = _conjugations(right, inv)
         want = [reference_conjugation(chain, elems, g) for g in gens]
+        # the conjugation maps are what index returns inside _class_labels
+        conj = []
+        index = chain.index
+
+        def recorded(images):
+            conj.append(index(images))
+            return conj[-1]
+
+        chain.index = recorded
+        lab = _class_labels(chain, elems)
         for got, ref in zip(conj, want, strict=True):
             assert got.dtype == np.int32 and np.array_equal(got, ref), name
-        assert np.array_equal(_class_labels(right, inv),
-                              reference_labels(want, len(elems))), name
+        assert np.array_equal(lab, reference_labels(want, len(elems))), name
     assert checked == 131
 
 
@@ -716,27 +721,50 @@ def test_pair_choice_does_not_depend_on_the_hash_seed():
     assert len(outs) == 1
 
 
-def test_corrupted_inverse_rows_are_refused(monkeypatch):
-    inverse_rows = _Chain.inverse_rows
-
-    def corrupted(chain):
-        # swap the images of two points off the base in one row, which
-        # keeps its base images
-        rows = inverse_rows(chain)
-        p, q = sorted(set(range(chain.degree)) - {lev.base for lev in chain.levels})[:2]
-        rows[5, [p, q]] = rows[5, [q, p]]
-        return rows
-
-    monkeypatch.setattr(_Chain, "inverse_rows", corrupted)
+def test_corrupted_sift_is_refused():
+    # swap two entries of one transversal inverse of level 1, at the base
+    # points of the next two levels: the sift then sends the elements
+    # through that orbit point to wrong indices, which the closure check's
+    # full compare refuses
+    chain = _class_chain(M11_SPEC)
+    lev, p, q = chain.levels[1], chain.levels[2].base, chain.levels[3].base
+    x = lev.orbit[1]
+    lev.uinv[x, [p, q]] = lev.uinv[x, [q, p]]
     with pytest.raises(AssertionError,
                        match="row outside the group: not the element at its index"):
-        conjugacy_classes(M11_SPEC)
+        chain.elements()
+
+
+@pytest.mark.parametrize("spec, ranks, indexes", [
+    (projective_line_action(37), 3, 5),
+    (M12_SPEC, 3, 5),
+    (alternating_group_spec(8), 3, 5),
+    (cyclic_group_spec(12), 2, 3),
+], ids=["psl2_37", "m12", "a8", "c12"])
+def test_class_path_lookup_counts(spec, ranks, indexes, monkeypatch):
+    # one full rank per level 0 generator (the closure check) and one for
+    # the powers; index is also called once per conjugation, from base
+    # images alone; a lookup added back to the path changes these counts
+    calls = {"rank": 0, "index": 0}
+    for name in calls:
+        method = getattr(_Chain, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_Chain, name, counted)
+    conjugacy_classes(spec)
+    assert calls == {"rank": ranks, "index": indexes}
 
 
 @pytest.mark.parametrize("q", [32, 64])
 def test_class_path_peak_memory_per_element_point(q):
-    # inverse rows built with the uint8 table as a whole np.take index,
-    # which numpy casts to intp at once, peaked at 11.3 times
+    # the peak is the closure check's: the elements, their product with a
+    # generator, the rows gathered at its ranks and the compare, a byte per
+    # element-point each (4.1 times at q = 32 and 64); rows built with a
+    # uint8 table as a whole np.take index, which numpy casts to intp at
+    # once, peaked at 11.3 times
     spec = projective_line_action(q)
     points = group_order(spec) * spec.degree
     tracemalloc.start()
@@ -831,7 +859,7 @@ def test_order_and_class_sizes_match_sympy(spec):
 @settings(max_examples=40, deadline=None)
 def test_rank_of_each_element_is_its_index(spec):
     chain = _build_chain(spec, MAX_GROUP_ORDER)
-    elems, _ = chain.elements()
+    elems = chain.elements()
     assert np.array_equal(chain.rank(elems, elems), np.arange(chain.order()))
 
 
