@@ -266,22 +266,23 @@ def _charpoly_report(g, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _at_least_one(args, *flags: str) -> None:
-    """InputError naming the first of flags whose value is below 1: no
-    order, count or seed can make such a target or center valid."""
-    for flag in flags:
-        value = getattr(args, flag)
+def _at_least_one(args, *names: str) -> None:
+    """InputError naming the first of names (options or arguments, as
+    typed) whose value is below 1: no order, count or seed can make such
+    a target, count or center valid."""
+    for name in names:
+        value = getattr(args, name.lstrip("-"))
         if value < 1:
-            raise InputError(f"--{flag} must be at least 1, got {value}")
+            raise InputError(f"{name} must be at least 1, got {value}")
 
 
 def _cmd_charpoly(args) -> tuple[str, int]:
     if args.action == "singer":
-        _at_least_one(args, "center")
+        _at_least_one(args, "--center")
         g = singer_element(args.n, args.q, bound=args.max_order)
         return _charpoly_report(g, args)
     if args.action == "file":
-        _at_least_one(args, "target", "center")
+        _at_least_one(args, "--target", "--center")
         check_order(args.target, args.max_order, "target order")
         _, gens = parse_matrix_group_file(_read(args.file))
         g = random_element_search(gens, args.target, seed=args.seed, bound=args.max_order)
@@ -291,6 +292,7 @@ def _cmd_charpoly(args) -> tuple[str, int]:
                 f"(seed {args.seed}); try another seed")
         return _charpoly_report(g, args)
     # action == "bound"
+    _at_least_one(args, "count", "center")
     bound, verdict = class_lower_bound(args.count, args.center)
     obj = {"count": args.count, "center": args.center,
            "class_bound": bound, "at_least_five": verdict}

@@ -27,18 +27,17 @@ checked to be closed under level 0's strong generators g (the promoted
 inputs, at most log2 of the order, however many were given): each check
 ranks every row x g by its base images and compares it in full with the
 row at the index found.  As x runs over the group so does x g, so these
-checks show the sift exact on every element of the group.  Conjugation
-by g then ranks each g^-1 x g from its base images g^-1[x[g[b]]] alone,
-with no conjugate row formed, and the classes are the orbits of those
+checks show the sift exact on every element of the group, and no other
+row is compared.  Conjugation by g ranks each g^-1 x g from its base
+images g^-1[x[g[b]]] alone, and the classes are the orbits of those
 permutations.  When level 0 has more than two strong generators, a few
 pairs of words in them, seeded from the spec's bytes, are tried, and
 the first pair whose chain reaches the group's order replaces them, so
-at most three full lookups are made: two closure checks and one of the
-powers.  Each class's least row is found column by column, and the
-coprime powers of all representatives are formed together by binary
-powering over their rows, then looked up in one batch.  There is no
-random search; the seeded pair choice changes which chain enumerates,
-never the result.
+at most two closure checks are made.  Each class's least row is found
+column by column, and the coprime powers of all representatives are
+formed together by binary powering over their rows, then ranked from
+their base images in one batch.  There is no random search; the seeded
+pair choice changes which chain enumerates, never the result.
 Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
@@ -270,8 +269,8 @@ class _Chain:
     generators are the promoted residues of the inputs: they generate the
     group, and each was outside the group of the complete chain before
     it, so there are at most log2 of the order of them, however many
-    inputs were given.  index sifts base images alone; rank also compares
-    whole rows, and elements checks the enumeration with it.
+    inputs were given.  index sifts base images alone, and elements checks
+    it exact on the group by comparing whole rows.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -298,21 +297,27 @@ class _Chain:
         every strong generator g of level 0, which generate the group, and
         E holds the identity, so E contains the group, and each row is a
         product of group elements, so E is no more than the group.  Each
-        check ranks all rows x g, and x g runs over the group with x, so
-        it also shows index exact on every element of the group."""
+        check ranks all rows x g by index and compares them in full with
+        the rows found; x g runs over the group with x, so it also shows
+        index exact on every element of the group."""
         rows = self.identity[None, :]
         for lev in self.levels:
             # row (j, i) is rows[j] u_i: a column permutation of rows[j]
             rows = np.take(rows, lev.u[lev.orbit], axis=1).reshape(-1, self.degree)
+        bases = [lev.base for lev in self.levels]
         for lev in self.levels[:1]:
             for g in lev.gens:
-                self.rank(np.take(rows, g, axis=1), rows)
+                # the base images (x g)[b] = x[g[b]] are the columns g[b]
+                idx = self.index(rows.T[g[bases]])
+                if not np.array_equal(np.take(rows, idx, axis=0), np.take(rows, g, axis=1)):
+                    raise AssertionError("row outside the group: not the element at its index")
         return rows
 
     def index(self, images: np.ndarray) -> np.ndarray:
         """Index in elements() of each element whose base images are the
         columns of images (one row per level; overwritten), read by
-        sifting them alone; only rank refuses a row outside the group."""
+        sifting them alone: exact on the group, as elements() checks, it
+        refuses only a base image off its level's orbit."""
         idx = np.zeros(images.shape[1], dtype=np.int32)
         for l, lev in enumerate(self.levels):
             at = lev.pos[images[l]]
@@ -324,16 +329,6 @@ class _Chain:
             xd = images[l].astype(np.intp) * self.degree
             for m in range(l + 1, len(self.levels)):
                 images[m] = np.take(lev.uinv, xd + images[m])
-        return idx
-
-    def rank(self, rows: np.ndarray, elements: np.ndarray) -> np.ndarray:
-        """Index in elements (as returned by elements()) of each row: its
-        base images are sifted by index, and each row is then compared in
-        full with the element at its index, so a row outside the group
-        raises even where its base images are an element's."""
-        idx = self.index(rows.T[[lev.base for lev in self.levels]])
-        if not np.array_equal(np.take(elements, idx, axis=0), rows):
-            raise AssertionError("row outside the group: not the element at its index")
         return idx
 
     def _sift(self, h: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -639,13 +634,11 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     Otherwise every element is enumerated as a byte row from the
     transversals of _class_chain's chain, and the enumeration is checked
     to be closed under its level 0's strong generators, at most two when
-    two seeded words generate the group.  Two kinds of full lookup are
-    made, each found by sifting base images and checked against the whole
-    row at its index: right multiplication by each of those generators
-    (the closure check) and the coprime powers of the representatives.
-    The classes are the orbits of conjugation by those generators, each
-    conjugate ranked from its base images alone, which the closure check
-    showed exact on the group.
+    two seeded words generate the group: each product with one of them is
+    ranked by sifting its base images and compared in full with the row
+    at its index, which shows the sift exact on the group.  Conjugates,
+    whose orbits are the classes, and the coprime powers of the
+    representatives are then ranked from their base images alone.
     Classes are sorted by (element order, size, least element) and
     representatives are the least elements, so the result does not
     depend on the generating set.  The result is immutable.
@@ -661,10 +654,10 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     orders = [perm_order(r) for r in reps]
     units = [units_mod(m) for m in orders]
     counts = [len(u) for u in units]
-    # every coprime power of every representative, in one batched lookup
+    # every coprime power of every representative, ranked in one batch
     images = _powers(np.repeat(rows, counts, axis=0),
                      np.array([k for u in units for k in u], dtype=np.int64))
-    at = chain.rank(images, elems)
+    at = chain.index(images.T[[lev.base for lev in chain.levels]])
     found = np.searchsorted(labels, lab[at]).tolist()
     starts = list(accumulate(counts, initial=0))
 

@@ -88,22 +88,25 @@ class FamilyRecord:
     """
 
     tag: str
-    summary: str
     n_min: int
-    n_step: int            # admissible n form an arithmetic progression
-    n_residue: int
+    n_step: int            # admissible n: n_min, n_min + n_step, ...
     q_odd_only: bool
     threshold: Callable[[int], int]
     torus: Callable[[int, int], tuple[int, int, int, int]]
     exclusions: dict[tuple[int, int], str]
 
+    def admissible(self, lo: int, hi: int) -> range:
+        """The admissible n with lo <= n <= hi, ascending."""
+        start = max(lo, self.n_min)
+        return range(start + (self.n_min - start) % self.n_step, hi + 1, self.n_step)
+
     def in_domain(self, n: int) -> bool:
-        return n >= self.n_min and n % self.n_step == self.n_residue
+        return n in self.admissible(n, n)
 
     def domain_text(self) -> str:
         shape = {(1, 0): "any n", (2, 0): "even n", (2, 1): "odd n",
                  (4, 0): "n divisible by 4", (4, 2): "n = 2 mod 4"}[
-                     (self.n_step, self.n_residue)]
+                     (self.n_step, self.n_min % self.n_step)]
         q = ", odd q" if self.q_odd_only else ""
         return f"{shape} >= {self.n_min}{q}"
 
@@ -123,8 +126,7 @@ class FamilyRecord:
 
 FAMILIES: dict[str, FamilyRecord] = {
     "PSL": FamilyRecord(
-        "PSL", "projective special linear, full Singer torus",
-        2, 1, 0, False, lambda n: 4 * n,
+        "PSL", 2, 1, False, lambda n: 4 * n,
         lambda n, q: (q ** n - 1, q - 1, n, q - 1),
         {
             (2, 2): "not simple (solvable of order 6)",
@@ -135,33 +137,27 @@ FAMILIES: dict[str, FamilyRecord] = {
             (4, 2): "isomorphic to the alternating group on 8 letters",
         }),
     "PSp": FamilyRecord(
-        "PSp", "projective symplectic, torus of order (q^(n/2)+1)/(2,q-1)",
-        4, 2, 0, False, lambda n: 4 * n,
+        "PSp", 4, 2, False, lambda n: 4 * n,
         lambda n, q: (q ** (n // 2) + 1, 1, 2, q - 1),
         {(4, 2): "not simple (isomorphic to the symmetric group on 6 letters)"}),
     "PSU_odd": FamilyRecord(
-        "PSU_odd", "projective special unitary with n/2 odd",
-        6, 4, 2, False, lambda n: 2 * n,
+        "PSU_odd", 6, 4, False, lambda n: 2 * n,
         lambda n, q: (q ** (n // 2) + 1, q + 1, n // 2, q + 1),
         {(6, 2): "not simple (solvable of order 72)"}),
     "POmegaMinus": FamilyRecord(
-        "POmegaMinus", "minus-type orthogonal in even dimension",
-        8, 2, 0, False, lambda n: 4 * n,
+        "POmegaMinus", 8, 2, False, lambda n: 4 * n,
         lambda n, q: (q ** (n // 2) + 1, 1, 2, q + 1),
         {}),
     "PSU_div4": FamilyRecord(
-        "PSU_div4", "projective special unitary with n/2 even",
-        8, 4, 0, False, lambda n: 4 * n,
+        "PSU_div4", 8, 4, False, lambda n: 4 * n,
         lambda n, q: (q ** (n // 2 - 1) + 1, 1, n // 2, q + 1),
         {}),
     "POmega_odd": FamilyRecord(
-        "POmega_odd", "odd-dimensional orthogonal, odd q",
-        7, 2, 1, True, lambda n: 8 * n,
+        "POmega_odd", 7, 2, True, lambda n: 8 * n,
         lambda n, q: (q ** ((n - 1) // 2) + 1, 1, 2, q - 1),
         {}),
     "POmegaPlus": FamilyRecord(
-        "POmegaPlus", "plus-type orthogonal in even dimension",
-        8, 2, 0, False, lambda n: 8 * (n - 2),
+        "POmegaPlus", 8, 2, False, lambda n: 8 * (n - 2),
         lambda n, q: (q ** ((n - 2) // 2) + 1, 1, 2, q + 1),
         {}),
 }
@@ -241,9 +237,7 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     excluded = []
     q_boundary_ok = True
     qs = [q for q in prime_powers_upto(q_max) if q % 2 or not rec.q_odd_only]
-    for n in range(rec.n_min, n_max + 1):
-        if not rec.in_domain(n):
-            continue
+    for n in rec.admissible(rec.n_min, n_max):
         thr = rec.threshold(n)
         # Torus orders grow exponentially while phi is only needed when
         # it might undercut thr, which forces order <= M(thr).  Larger
@@ -267,23 +261,21 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     q_min = 3 if rec.q_odd_only else 2
     n_near_ok = all(
         rec.order_lb_fn(n, q_min) > max_m_with_totient_at_most(rec.threshold(n))
-        for n in range(n_max + 1, 2 * n_max + 1) if rec.in_domain(n))
+        for n in rec.admissible(n_max + 1, 2 * n_max))
 
     # Part 3: a long tail via phi(m) >= sqrt(m/2), the one place that
     # bound still serves: order > 2 thr^2 suffices, checked with margin.
     tail_lo, tail_hi = 2 * n_max + 1, _N_TAIL_END
     n_tail_ok = all(
         rec.order_lb_fn(n, q_min) > 4 * rec.threshold(n) ** 2
-        for n in range(tail_lo, tail_hi + 1) if rec.in_domain(n))
+        for n in rec.admissible(tail_lo, tail_hi))
 
     # Part 4: beyond the tail.  Every family's bound is at least
     # 2^((n-2)/2) / (2n) and every threshold is at most 8n, so
     # 2^((n-2)/2) > 512 n^3 gives phi > threshold; the gap widens with n
     # as soon as n log 2 > 6.  Both sides integer-checked at the first
     # n past the tail.
-    n0 = tail_hi + 1
-    while not rec.in_domain(n0):
-        n0 += 1
+    n0 = rec.admissible(tail_hi + 1, tail_hi + rec.n_step)[0]
     asymptotic_ok = (2 ** ((n0 - 2) // 2) > 512 * n0 ** 3) and (n0 * 7 > 61)
     # n * 7 > 61 is a safe integer stand-in for n > 6 / log 2 = 8.656...
 

@@ -264,14 +264,17 @@ def test_charpoly_file_requires_target(capsys):
     (("file", str(DATA / "gl2_3.json"), "--target", "8", "--center", "0"),
      "--center must be at least 1, got 0"),
     (("singer", "6", "4", "--center", "0"), "--center must be at least 1, got 0"),
-], ids=["target_0", "target_negative", "file_center_0", "singer_center_0"])
+    (("bound", "0", "3"), "count must be at least 1, got 0"),
+    (("bound", "5", "0"), "center must be at least 1, got 0"),
+], ids=["target_0", "target_negative", "file_center_0", "singer_center_0",
+        "bound_count_0", "bound_center_0"])
 def test_charpoly_refuses_target_and_center_below_one_first(capsys, monkeypatch, argv, message):
     # no search, order or count can make these valid, so none is started
     def unreached(*args, **kwargs):
         pytest.fail("work started before the option check")
 
     for name in ("parse_matrix_group_file", "random_element_search", "singer_element",
-                 "element_order", "coprime_power_charpoly_count"):
+                 "element_order", "coprime_power_charpoly_count", "class_lower_bound"):
         monkeypatch.setattr(cli, name, unreached)
     code, out, err = run(capsys, "charpoly", *argv)
     assert code == 2 and out == ""

@@ -575,21 +575,29 @@ def test_chain_enumerates_the_breadth_first_elements(spec):
     assert np.array_equal(np.sort(_row_keys(elems)), reference_element_keys(spec))
 
 
-def test_rank_refuses_rows_outside_the_group():
-    chain = _build_chain(alternating_group_spec(5), MAX_GROUP_ORDER)
-    elems = chain.elements()
-    with pytest.raises(AssertionError, match="row outside the group"):
-        chain.rank(np.array([(1, 0, 2, 3, 4)], dtype=np.uint8), elems)
-    # an element with the images of two points off the base swapped has
-    # the element's base images; only the full-row compare tells them apart
-    bases = [lev.base for lev in chain.levels]
-    p, q = sorted(set(range(5)) - set(bases))
-    row = elems[7].copy()
-    row[[p, q]] = row[[q, p]]
-    assert np.array_equal(row[bases], elems[7][bases])
-    assert chain.rank(elems[7:8], elems).tolist() == [7]
-    with pytest.raises(AssertionError, match="not the element at its index"):
-        chain.rank(row[None, :], elems)
+def test_closure_check_refuses_rows_outside_the_group():
+    for n in (5, 7):
+        chain = _build_chain(alternating_group_spec(n), MAX_GROUP_ORDER)
+        assert len(chain.elements()) == chain.order()
+        # a last-level transversal row with the images of two points off
+        # the base swapped: every row built from it keeps its base images,
+        # so only the closure check's full compare tells it apart
+        bases = [lev.base for lev in chain.levels]
+        p, q = sorted(set(range(n)) - set(bases))[:2]
+        lev = chain.levels[-1]
+        x = lev.orbit[1]
+        row = lev.u[x].copy()
+        lev.u[x, [p, q]] = lev.u[x, [q, p]]
+        assert np.array_equal(lev.u[x][bases], row[bases])
+        with pytest.raises(AssertionError,
+                           match="row outside the group: not the element at its index"):
+            chain.elements()
+    # index refuses a base image off its level's orbit: the last level
+    # fixes the first base point
+    images = np.array(bases, dtype=np.uint8)[:, None]
+    images[-1] = bases[0]
+    with pytest.raises(AssertionError, match="row outside the group: base image off the orbit"):
+        chain.index(images)
 
 
 def test_enumeration_checks_closure_under_the_generators():
@@ -639,9 +647,12 @@ C2_CUBED = GroupSpec(6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5,
 
 def reference_conjugation(chain, elems, g):
     """The index of g^-1 x g for each element x, from the conjugate rows
-    themselves, each ranked and compared in full."""
+    themselves, each ranked from its base images and compared in full."""
     # (g^-1 x g)[i] = g^-1[x[g[i]]]
-    return chain.rank(np.argsort(g)[np.take(elems, g, axis=1)], elems)
+    rows = np.argsort(g)[np.take(elems, g, axis=1)]
+    idx = chain.index(rows.T[[lev.base for lev in chain.levels]])
+    assert np.array_equal(np.take(elems, idx, axis=0), rows)
+    return idx
 
 
 def reference_labels(conj, count):
@@ -735,27 +746,33 @@ def test_corrupted_sift_is_refused():
         chain.elements()
 
 
-@pytest.mark.parametrize("spec, ranks, indexes", [
-    (projective_line_action(37), 3, 5),
-    (M12_SPEC, 3, 5),
-    (alternating_group_spec(8), 3, 5),
-    (cyclic_group_spec(12), 2, 3),
+@pytest.mark.parametrize("spec, compares, indexes", [
+    (projective_line_action(37), 2, 5),
+    (M12_SPEC, 2, 5),
+    (alternating_group_spec(8), 2, 5),
+    (cyclic_group_spec(12), 1, 3),
 ], ids=["psl2_37", "m12", "a8", "c12"])
-def test_class_path_lookup_counts(spec, ranks, indexes, monkeypatch):
-    # one full rank per level 0 generator (the closure check) and one for
-    # the powers; index is also called once per conjugation, from base
-    # images alone; a lookup added back to the path changes these counts
-    calls = {"rank": 0, "index": 0}
-    for name in calls:
-        method = getattr(_Chain, name)
+def test_class_path_lookup_counts(spec, compares, indexes, monkeypatch):
+    # index ranks the products with each of the k level 0 generators (the
+    # closure check), the conjugates by each and, once, the powers; only
+    # the closure check compares element rows in full, k times; a lookup
+    # or compare added back to the path changes these counts
+    calls = {"compares": 0, "index": 0}
+    index, array_equal = _Chain.index, np.array_equal
 
-        def counted(self, *args, name=name, method=method):
-            calls[name] += 1
-            return method(self, *args)
+    def counted_index(self, images):
+        calls["index"] += 1
+        return index(self, images)
 
-        monkeypatch.setattr(_Chain, name, counted)
+    def counted_equal(a, b):
+        # element rows are 2-dimensional, one column per point
+        calls["compares"] += np.ndim(a) == 2 and np.shape(a)[1] == spec.degree
+        return array_equal(a, b)
+
+    monkeypatch.setattr(_Chain, "index", counted_index)
+    monkeypatch.setattr(np, "array_equal", counted_equal)
     conjugacy_classes(spec)
-    assert calls == {"rank": ranks, "index": indexes}
+    assert calls == {"compares": compares, "index": indexes}
 
 
 @pytest.mark.parametrize("q", [32, 64])
@@ -857,10 +874,11 @@ def test_order_and_class_sizes_match_sympy(spec):
 
 @given(small_generating_sets())
 @settings(max_examples=40, deadline=None)
-def test_rank_of_each_element_is_its_index(spec):
+def test_index_of_each_element_is_its_position(spec):
     chain = _build_chain(spec, MAX_GROUP_ORDER)
     elems = chain.elements()
-    assert np.array_equal(chain.rank(elems, elems), np.arange(chain.order()))
+    bases = [lev.base for lev in chain.levels]
+    assert np.array_equal(chain.index(elems.T[bases]), np.arange(chain.order()))
 
 
 def test_chain_orders_of_relabeled_large_groups():
