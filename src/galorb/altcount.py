@@ -29,8 +29,8 @@ bound's parameters and its exact value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
 from .numutil import factorize, is_prime
@@ -101,16 +101,17 @@ def frobenius_rank(n: int) -> int:
 # -- exact partition counts for the injection ---------------------------
 
 
-@lru_cache(maxsize=None)
 def count_partitions_exact(m: int, j: int) -> int:
-    """Partitions of m into exactly j positive parts."""
-    if m < 0 or j < 0:
+    """Partitions of m into exactly j positive parts: less one from each
+    part, they are the partitions of m - j into parts <= j, counted in one
+    table over the sums 0..m - j by taking the parts 1..j in turn."""
+    if m < j or j < 0:
         return 0
-    if j == 0:
-        return 1 if m == 0 else 0
-    if m < j:
-        return 0
-    return count_partitions_exact(m - 1, j - 1) + count_partitions_exact(m - j, j)
+    ways = [1] + [0] * (m - j)
+    for part in range(1, j + 1):
+        for s in range(part, m - j + 1):
+            ways[s] += ways[s - part]
+    return ways[m - j]
 
 
 # -- the padded-doubling injection --------------------------------------
@@ -141,23 +142,12 @@ def prop8_parameters(n: int) -> tuple[int, int, int]:
     p = n // 2 + 1
     while not is_prime(p):
         p += 1
-
-    def below(k: int) -> bool:
-        # k <= sqrt(p) / 10, exactly
-        return k <= 0 or 100 * k * k <= p
-
-    lo = n % 4
-    if below(lo):
-        while below(lo + 4):
-            lo += 4
-    else:
-        while not below(lo):
-            lo -= 4
+    # s is the largest k with 100 k^2 <= p, so lo, the largest k <= s
+    # congruent to n mod 4, is the largest candidate k <= sqrt(p) / 10
+    s = math.isqrt(p // 100)
+    lo = s - (s - n) % 4
     hi = lo + 4
-    s = lo + hi
-    if s <= 0:
-        k = hi
-    elif p > 25 * s * s:
+    if lo + hi <= 0 or p > 25 * (lo + hi) ** 2:
         # 2 sqrt(p) / 10 > lo + hi: the upper candidate is closer
         k = hi
     else:

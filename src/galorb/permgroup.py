@@ -24,20 +24,21 @@ transversals enumerate every element as a row of bytes, each the
 product of one transversal element per level, so an element's index is
 read off its base images by sifting them alone.  The enumeration is
 checked to be closed under level 0's strong generators g (the promoted
-inputs, at most log2 of the order, however many were given): each check
+rows it grew from, at most log2 of the order, however many): each check
 ranks every row x g by its base images and compares it in full with the
 row at the index found.  As x runs over the group so does x g, so these
 checks show the sift exact on every element of the group, and no other
 row is compared.  Conjugation by g ranks each g^-1 x g from its base
 images g^-1[x[g[b]]] alone, and the classes are the orbits of those
-permutations.  When level 0 has more than two strong generators, a few
-pairs of words in them, seeded from the spec's bytes, are tried, and
-the first pair whose chain reaches the group's order replaces them, so
-at most two closure checks are made.  Each class's least row is found
+permutations.  Given more than two generators, the chain grows first
+from two words in them, seeded from the spec's bytes, and then from the
+generators, so level 0 has two strong generators, and two closure
+checks are made, when the words generate the group; each generator
+outside their group adds one more.  Each class's least row is found
 column by column, and the coprime powers of all representatives are
 formed together by binary powering over their rows, then ranked from
 their base images in one batch.  There is no random search; the seeded
-pair choice changes which chain enumerates, never the result.
+words change which chain enumerates, never the result.
 Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
@@ -64,9 +65,8 @@ MAX_DEGREE = 256
 MAX_GROUP_ORDER = 200_000_000
 # the class computation stores order x degree bytes of elements
 MAX_ELEMENT_POINTS = 10**8
-# the class path tries this many pairs of words of this length in level 0's
-# strong generators when there are more than two of them
-PAIR_TRIES = 8
+# the class chain first grows from two words of this length in the
+# generators when there are more than two of them
 PAIR_WORD_LENGTH = 12
 
 # -- permutation primitives ---------------------------------------------
@@ -266,11 +266,11 @@ class _Chain:
     out and it is never formed.  Every Schreier generator is sifted, so
     the order is exact.  The product of the orbit lengths never exceeds
     the group order, so the max_order refusal is exact.  Level 0's strong
-    generators are the promoted residues of the inputs: they generate the
-    group, and each was outside the group of the complete chain before
-    it, so there are at most log2 of the order of them, however many
-    inputs were given.  index sifts base images alone, and elements checks
-    it exact on the group by comparing whole rows.
+    generators are the promoted residues of the rows extended from level
+    0: they generate the group, and each was outside the group of the
+    complete chain before it, so there are at most log2 of the order of
+    them, however many rows were given.  index sifts base images alone,
+    and elements checks it exact on the group by comparing whole rows.
     """
 
     def __init__(self, degree: int, max_order: int):
@@ -533,37 +533,31 @@ def _assemble(group_order: int, classes: list, powers,
 def _class_chain(spec: GroupSpec) -> _Chain:
     """The chain the classes are enumerated from, under the guard.
 
-    Each strong generator of level 0 costs one full lookup, so when there
-    are more than two, up to PAIR_TRIES pairs of words of PAIR_WORD_LENGTH
-    letters in them are tried: a pair whose chain reaches the order found
-    generates the group (it generates a subgroup, and chains are exact),
-    and the first such pair's chain is returned.  Its limit is that order,
-    which it cannot pass.  The words are seeded from the spec's bytes, so
-    the choice is deterministic; the classes do not depend on it.  If no
-    pair reaches the order, as for groups that are not 2-generated, the
-    first chain is returned.
+    Each strong generator of level 0 costs one closure check and one
+    conjugation, so when the spec has more than two generators the chain
+    first grows from two words of PAIR_WORD_LENGTH letters in them, which
+    usually generate the group, and then from the inputs: each input in
+    the words' group sifts to the identity, and each outside it joins
+    level 0 as one more strong generator.  Either way the chain is exact
+    for the group.  The words are seeded from the spec's bytes, so the
+    chain is deterministic; the classes do not depend on it.
     """
+    chain = _Chain(spec.degree, MAX_ELEMENT_POINTS // spec.degree)
+    gens = np.array(spec.generators, dtype=np.uint8)
     try:
-        chain = _build_chain(spec, MAX_ELEMENT_POINTS // spec.degree)
+        if len(gens) > 2:
+            rng = random.Random(gens.tobytes())
+            picks = np.array(rng.choices(range(len(gens)), k=2 * PAIR_WORD_LENGTH))
+            words = np.tile(chain.identity, (2, 1))
+            for step in picks.reshape(2, PAIR_WORD_LENGTH).T:
+                # each word w becomes g w for its next letter g
+                words = np.take_along_axis(gens[step], words, axis=1)
+            chain.extend(words)
+        chain.extend(gens)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             f"class computation is limited to order x degree <= 10^8 "
             f"element-points; on {spec.degree} points, {exc}") from None
-    if not chain.levels or len(chain.levels[0].gens) <= 2:
-        return chain
-    gens = chain.levels[0].gens
-    order = chain.order()
-    rng = random.Random(np.array(spec.generators, dtype=np.uint8).tobytes())
-    picks = np.array(rng.choices(range(len(gens)), k=2 * PAIR_TRIES * PAIR_WORD_LENGTH))
-    words = np.tile(chain.identity, (2 * PAIR_TRIES, 1))
-    for step in picks.reshape(2 * PAIR_TRIES, PAIR_WORD_LENGTH).T:
-        # each word w becomes g w for its next letter g
-        words = np.take_along_axis(gens[step], words, axis=1)
-    for pair in words.reshape(PAIR_TRIES, 2, spec.degree):
-        trial = _Chain(spec.degree, order)
-        trial.extend(pair)
-        if trial.order() == order:
-            return trial
     return chain
 
 
@@ -633,8 +627,8 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     as the order it has found times the degree passes 10^8 element-points.
     Otherwise every element is enumerated as a byte row from the
     transversals of _class_chain's chain, and the enumeration is checked
-    to be closed under its level 0's strong generators, at most two when
-    two seeded words generate the group: each product with one of them is
+    to be closed under its level 0's strong generators, two when two
+    seeded words generate the group: each product with one of them is
     ranked by sifting its base images and compared in full with the row
     at its index, which shows the sift exact on the group.  Conjugates,
     whose orbits are the classes, and the coprime powers of the

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .numutil import is_prime, is_prime_power, prime_powers_upto, totient
 
 __all__ = [
@@ -222,15 +222,27 @@ class ScreenResult:
 
 
 _N_TAIL_END = 4096
+# a box of n_max x q_max cells, whose torus orders have up to about n_max
+# digits, does work near n_max^2 q_max; the certificate's M-table grows
+# with n_max and the prime-power sieve with q_max, so q_max has its own cap
+MAX_BOX_WORK = 10**8
+MAX_BOX_Q = 8192
 
 
 def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     """Scan the (n, q) box for sub-threshold torus totients and certify
-    that nothing outside the box was missed."""
+    that nothing outside the box was missed.  A box past MAX_BOX_Q or
+    MAX_BOX_WORK is refused before any scan."""
     rec = _family(tag)
     if n_max < rec.n_min or q_max < 2:
         raise InputError(f"box too small for family {tag}: "
                          f"n_max {n_max}, q_max {q_max}")
+    if q_max > MAX_BOX_Q:
+        raise ResourceLimitError(f"screen box is limited to q_max <= {MAX_BOX_Q}, got {q_max}")
+    if n_max * n_max * q_max > MAX_BOX_WORK:
+        raise ResourceLimitError(
+            f"screen box is limited to n_max^2 x q_max <= 10^8, got "
+            f"{n_max}^2 x {q_max} = {n_max * n_max * q_max}")
 
     rows = []
     exceptions = set()

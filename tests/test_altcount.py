@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+import sympy
 
 from galorb import altcount
 from galorb.altcount import (
@@ -287,6 +288,44 @@ def test_injection_parameters_at_anchors():
     assert not b.feasible and b.k == -1 and b.count == 0
 
 
+def reference_prop8_parameters(n: int) -> tuple[int, int, int]:
+    """prop8_parameters by walking the candidates k congruent to n mod 4
+    from n % 4 up or down to the last one with k <= sqrt(p) / 10."""
+    p = n // 2 + 1
+    while not is_prime(p):
+        p += 1
+
+    def below(k: int) -> bool:
+        # k <= sqrt(p) / 10, exactly
+        return k <= 0 or 100 * k * k <= p
+
+    lo = n % 4
+    if below(lo):
+        while below(lo + 4):
+            lo += 4
+    else:
+        while not below(lo):
+            lo -= 4
+    hi = lo + 4
+    s = lo + hi
+    k = hi if s <= 0 or p > 25 * s * s else lo
+    return p, k, (n - p - k * k + 1) // 2
+
+
+def test_injection_parameters_match_the_walk():
+    for n in range(26, 10**4 + 1):
+        assert prop8_parameters(n) == reference_prop8_parameters(n), n
+
+
+def test_injection_bound_far_past_the_rank_cap():
+    # 3191 is the first n where the bound reaches 2; the
+    # count once recursed about m deep and raised RecursionError there
+    b = prop8_lower_bound(3191)
+    assert (b.p, b.k, b.m, b.count, b.feasible) == (1597, 3, 793, 396, True)
+    b = prop8_lower_bound(10**5)
+    assert b.feasible and b.count > 0
+
+
 def test_bound_below_rank_across_range():
     for n, r in enumerate(frobenius_ranks(26, 400), start=26):
         b = prop8_lower_bound(n)
@@ -324,6 +363,11 @@ def test_construction_is_injective_and_lands_in_target():
 @pytest.mark.parametrize("j", range(0, 7))
 def test_partition_count_matches_generator(m, j):
     assert count_partitions_exact(m, j) == sum(1 for _ in partitions_exact(m, j))
+
+
+def test_partition_counts_sum_to_the_partition_number():
+    m = 1000
+    assert sum(count_partitions_exact(m, j) for j in range(m + 1)) == sympy.partition(m)
 
 
 @pytest.mark.parametrize("bad,msg", [

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import galorb.permgroup
-from galorb import altcount, cli
+from galorb import altcount, cli, screening
 from galorb.chartab import fixture_names, fixture_table
 from galorb.cli import build_parser, main
 from galorb.matgroup import (
@@ -217,6 +217,43 @@ def test_screen_uncertified_exits_3(capsys):
     code, out, _ = run(capsys, "screen", "PSL", "--box", "2,8")
     assert code == 3
     assert "NOT certified" in out
+
+
+class Scanned(Exception):
+    """Raised in place of the prime-power sieve: the box passed its guard."""
+
+
+SCREEN_BOXES = [
+    ("5000,64", "n_max^2 x q_max <= 10^8, got 5000^2 x 64 = 1600000000"),
+    ("40,1000000", "q_max <= 8192, got 1000000"),
+    ("1251,64", "n_max^2 x q_max <= 10^8, got 1251^2 x 64 = 100160064"),
+    ("110,8193", "q_max <= 8192, got 8193"),
+    # admitted: these reach the sieve
+    ("1250,64", None),
+    ("110,8192", None),
+    ("400,64", None),
+    ("80,128", None),
+]
+
+
+@pytest.mark.parametrize("box, message", SCREEN_BOXES, ids=[box for box, _ in SCREEN_BOXES])
+def test_screen_box_past_its_work_limit_is_refused_before_any_scan(
+        capsys, monkeypatch, box, message):
+    # 5000,64 took 17 s and 40,1000000 ran past 90 s before the guard
+    def sieve(q_max):
+        raise Scanned
+
+    monkeypatch.setattr(screening, "prime_powers_upto", sieve)
+    start = time.perf_counter()
+    if message is None:
+        with pytest.raises(Scanned):
+            main(["screen", "all", "--box", box])
+        return
+    code, out, err = run(capsys, "screen", "all", "--box", box)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert f"resource limit: screen box is limited to {message}" in err
+    assert "--" not in err
 
 
 def test_screen_unknown_family(capsys):

@@ -710,8 +710,8 @@ def test_groups_not_two_generated_keep_the_chain_generators():
 
 
 def test_pair_choice_does_not_depend_on_the_hash_seed():
-    # the chosen chain's level 0 generators, for specs whose first chains
-    # have three
+    # the class chain's level 0 generators, for specs of three generators,
+    # whose chains grow first from the seeded words
     script = ("import hashlib; "
               "from galorb.matgroup import projective_line_action; "
               "from galorb.permgroup import _class_chain, parse_generators; "
@@ -751,12 +751,14 @@ def test_corrupted_sift_is_refused():
     (M12_SPEC, 2, 5),
     (alternating_group_spec(8), 2, 5),
     (cyclic_group_spec(12), 1, 3),
-], ids=["psl2_37", "m12", "a8", "c12"])
+    (projective_line_action(8), 3, 7),
+], ids=["psl2_37", "m12", "a8", "c12", "psl2_8"])
 def test_class_path_lookup_counts(spec, compares, indexes, monkeypatch):
     # index ranks the products with each of the k level 0 generators (the
     # closure check), the conjugates by each and, once, the powers; only
     # the closure check compares element rows in full, k times; a lookup
-    # or compare added back to the path changes these counts
+    # or compare added back to the path changes these counts.  PSL(2, 8)'s
+    # seeded words miss the group, so one input joins level 0 (k = 3)
     calls = {"compares": 0, "index": 0}
     index, array_equal = _Chain.index, np.array_equal
 
@@ -771,8 +773,10 @@ def test_class_path_lookup_counts(spec, compares, indexes, monkeypatch):
 
     monkeypatch.setattr(_Chain, "index", counted_index)
     monkeypatch.setattr(np, "array_equal", counted_equal)
-    conjugacy_classes(spec)
+    got = conjugacy_classes(spec)
     assert calls == {"compares": compares, "index": indexes}
+    if got.group_order <= 1000:  # the tuple enumeration is slow past that
+        assert got == reference_classes(spec)
 
 
 @pytest.mark.parametrize("q", [32, 64])
