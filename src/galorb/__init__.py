@@ -17,7 +17,6 @@ from .chartab import (
 from .classtheory import GaloisReport, analyze
 from .cyclotomic import CyclotomicNumber, FieldClass, conjugate, galois_apply, zeta
 from .errors import (
-    DegenerateTableError,
     GalorbError,
     InputError,
     ResourceLimitError,
@@ -72,7 +71,6 @@ __all__ = [
     "projective_line_action",
     "GalorbError",
     "InputError",
-    "DegenerateTableError",
     "ResourceLimitError",
     "UncertifiedError",
 ]

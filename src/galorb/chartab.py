@@ -3,9 +3,9 @@
 A table is a square matrix of exact cyclotomic values, rows indexed by
 irreducible characters and columns by conjugacy classes, together with
 the class sizes and (optionally) the element orders per class.  Row
-orthogonality is the validation oracle: every shipped or ingested table
-must satisfy it exactly, which pins down the matrix up to row and column
-permutations.
+orthogonality is the validation oracle: a table is checked exactly when
+it is built, so none exists unchecked, and the check pins down the
+matrix up to row and column permutations.
 
 char_report mirrors the class-side report: the central-unit rank from
 row data (real rows, conjugate pairs, Galois orbits of rows), the b-set
@@ -45,7 +45,7 @@ from .cyclotomic import (
     reduce_integers,
     value_from_obj,
 )
-from .errors import DegenerateTableError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .numutil import totient, units_mod
 from .permgroup import ClassStructure
 
@@ -96,7 +96,9 @@ class _RowData:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Validated exact character table; immutable after construction."""
+    """Exact character table, immutable and checked when built: shapes,
+    degrees, sizes, orders and conductors, then exact row orthogonality
+    (ResourceLimitError when the check would be too large to make)."""
 
     name: str
     group_order: int
@@ -155,13 +157,8 @@ class CharacterTable:
         induced by applying the Galois map entrywise; built on first use."""
         act = self.galois_action
         cols = [tuple(row[c] for row in act.cells) for c in range(self.num_classes)]
-        index = {}
-        for c, col in enumerate(cols):
-            if col in index:
-                raise DegenerateTableError(
-                    f"table {self.name!r}: degenerate table, columns {index[col]} "
-                    f"and {c} are identical")
-            index[col] = c
+        # orthogonal rows make the table invertible, so its columns are distinct
+        index = {col: c for c, col in enumerate(cols)}
         maps = {}
         for k, image in zip(act.units, act.images):
             targets = []
@@ -207,7 +204,7 @@ class CharacterTable:
             families=families,
         )
 
-    def validate(self) -> "CharacterTable":
+    def __post_init__(self):
         n = self.num_classes
         if len(self.irr) != n:
             raise InputError(
@@ -217,7 +214,7 @@ class CharacterTable:
                 raise InputError(f"table {self.name!r}: row {i} has {len(row)} entries")
         if any(s < 1 for s in self.class_sizes):
             raise InputError(f"table {self.name!r}: class sizes must be positive")
-        if self.class_sizes[0] != 1:
+        if tuple(self.class_sizes[:1]) != (1,):
             raise InputError(f"table {self.name!r}: column 0 must be the identity class")
         if self.class_orders is not None:
             if len(self.class_orders) != n:
@@ -253,7 +250,6 @@ class CharacterTable:
                             f"table {self.name!r}: row {i} has a value of conductor "
                             f"{z.order}, not dividing the exponent {e}")
         self._check_orthogonality()
-        return self
 
     def _check_orthogonality(self) -> None:
         """sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on integers.
@@ -301,7 +297,7 @@ class CharacterTable:
 
 
 def parse_table(text: str) -> CharacterTable:
-    """Parse and validate the JSON table format."""
+    """Parse the JSON table format into a checked table."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -343,14 +339,13 @@ def parse_table(text: str) -> CharacterTable:
                     raise type(exc)(f"row {i}, column {j}: {exc}") from None
             row.append(z)
         rows.append(tuple(row))
-    table = CharacterTable(
+    return CharacterTable(
         name=tname,
         group_order=order,
         class_sizes=tuple(sizes),
         class_orders=tuple(orders) if orders is not None else None,
         irr=tuple(rows),
     )
-    return table.validate()
 
 
 def fixture_names() -> tuple[str, ...]:

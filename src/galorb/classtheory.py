@@ -25,14 +25,14 @@ def orbits(images) -> tuple[tuple[int, ...], ...]:
 
 def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
     """Orbits of the coprime power maps on classes, ordered by least member.
-    Each class's fusion row lists its orbit (ClassStructure.validate
-    checks this)."""
+    Each class's fusion row lists its orbit (every ClassStructure is
+    checked for this when built)."""
     return orbits(cs.fusion)
 
 
 def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
-    """Orbits of class inversion (singletons and mirror pairs): validate
-    makes inverse_map an involution, so {c, inverse of c} is an orbit."""
+    """Orbits of class inversion (singletons and mirror pairs): inverse_map
+    is an involution, checked when built, so {c, its inverse} is an orbit."""
     return orbits(enumerate(cs.inverse_map))
 
 

@@ -28,7 +28,7 @@ from .matgroup import (
     element_order, parse_matrix_group_file, random_element_search, singer_element,
 )
 from .permgroup import conjugacy_classes, parse_generators
-from .screening import FAMILIES, exception_set
+from .screening import FAMILIES, check_box, exception_set
 
 
 def _note(msg: str) -> None:
@@ -208,6 +208,8 @@ def _cmd_screen(args) -> tuple[str, int]:
             f"unknown family {args.family!r}; choose from "
             f"{', '.join(sorted(FAMILIES))} or 'all'")
     n_max, q_max = args.box
+    for tag in tags:
+        check_box(tag, n_max, q_max)
     objs = []
     for tag in tags:
         _note(f"screening {tag} over n <= {n_max}, q <= {q_max}")

@@ -13,13 +13,11 @@ class InputError(GalorbError):
     """Invalid input data: files, arguments, or inconsistent tables."""
 
 
-class DegenerateTableError(InputError):
-    """A character table with two identical columns; column matching is ambiguous."""
-
-
 class ResourceLimitError(GalorbError):
-    """A configured guard (group order, degree, partition size) was exceeded."""
+    """A guard on the work an input asks for was exceeded, such as the
+    group order, element-points, a matrix dimension or the screen box."""
 
 
 class UncertifiedError(GalorbError):
-    """A screening run finished but could not certify completeness."""
+    """charpoly file's seeded search found no element of the target order.
+    (An uncertified screen is a result: screen exits 3 without raising.)"""

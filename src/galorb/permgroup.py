@@ -30,21 +30,23 @@ row at the index found.  As x runs over the group so does x g, so these
 checks show the sift exact on every element of the group, and no other
 row is compared.  Conjugation by g ranks each g^-1 x g from its base
 images g^-1[x[g[b]]] alone, and the classes are the orbits of those
-permutations.  Given more than two generators, the chain grows first
-from two words in them, seeded from the spec's bytes, and then from the
-generators, so level 0 has two strong generators, and two closure
-checks are made, when the words generate the group; each generator
-outside their group adds one more.  Each class's least row is found
-column by column, and the coprime powers of all representatives are
-formed together by binary powering over their rows, then ranked from
-their base images in one batch.  There is no random search; the seeded
-words change which chain enumerates, never the result.
+permutations.  One builder makes the chain for orders and classes
+alike: given more than two generators, it grows first from two words in
+them, seeded from the spec's bytes, and then from the generators, so
+level 0 has two strong generators, and the class path makes two closure
+checks, when the words generate the group; each generator outside their
+group adds one more.  Each class's least row is found column by column,
+and the coprime powers of all representatives are formed together by
+binary powering over their rows, then ranked from their base images in
+one batch.  There is no random search; the seeded words change which
+chain enumerates, never the result.
 Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: cycle types and the Jacobi
 symbol for A_n, residues for cyclic groups.  All three builders share
 one assembly step: each lists its classes and supplies one class's
-power images at a time, and the classes are numbered, labelled and
-validated (each class's fusion images must be one orbit) in one place.
+power images at a time, and the classes are numbered and labelled in
+one place.  A ClassStructure checks itself when it is built (each
+class's fusion images must be one orbit), so none exists unchecked.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ MAX_DEGREE = 256
 MAX_GROUP_ORDER = 200_000_000
 # the class computation stores order x degree bytes of elements
 MAX_ELEMENT_POINTS = 10**8
-# the class chain first grows from two words of this length in the
-# generators when there are more than two of them
+# a chain first grows from two words of this length in the generators
+# when there are more than two of them
 PAIR_WORD_LENGTH = 12
 
 # -- permutation primitives ---------------------------------------------
@@ -397,8 +399,29 @@ class _Chain:
 
 
 def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
+    """The stabilizer chain of the group spec generates, for orders and
+    classes alike; ResourceLimitError once its order passes max_order.
+
+    Each strong generator of level 0 costs the class path one closure
+    check and one conjugation, so when the spec has more than two
+    generators the chain first grows from two words of PAIR_WORD_LENGTH
+    letters in them, which usually generate the group, and then from the
+    inputs: each input in the words' group sifts to the identity, and each
+    outside it joins level 0 as one more strong generator.  Either way the
+    chain is exact for the group.  The words are seeded from the spec's
+    bytes, so the chain is deterministic; no result depends on it.
+    """
     chain = _Chain(spec.degree, max_order)
-    chain.extend(np.array(spec.generators, dtype=np.uint8))
+    gens = np.array(spec.generators, dtype=np.uint8)
+    if len(gens) > 2:
+        rng = random.Random(gens.tobytes())
+        picks = np.array(rng.choices(range(len(gens)), k=2 * PAIR_WORD_LENGTH))
+        words = np.tile(chain.identity, (2, 1))
+        for step in picks.reshape(2, PAIR_WORD_LENGTH).T:
+            # each word w becomes g w for its next letter g
+            words = np.take_along_axis(gens[step], words, axis=1)
+        chain.extend(words)
+    chain.extend(gens)
     return chain
 
 
@@ -419,7 +442,8 @@ class ClassStructure:
     that order, the index of the class of k-th powers of class c; the
     trivial class has the single entry for k = 0.  The exponent and the
     power maps are derived from orders and fusion, not stored.  labels
-    are human-facing and carry no semantics.
+    are human-facing and carry no semantics.  Every structure is checked
+    when built: InputError unless its fusion rows are consistent orbits.
     """
 
     group_order: int
@@ -449,7 +473,7 @@ class ClassStructure:
         """Class of the inverses of each class."""
         return self.power_map(-1)
 
-    def validate(self):
+    def __post_init__(self):
         n = self.num_classes
         if not len(self.orders) == len(self.fusion) == len(self.labels) == n:
             raise InputError("class structure fields disagree in length")
@@ -483,7 +507,6 @@ class ClassStructure:
         for c, ci in enumerate(self.inverse_map):
             if self.inverse_map[ci] != c:
                 raise InputError(f"inverse map is not an involution at class {c}")
-        return self
 
 
 def _labels_for(keys: list, lower: bool = False) -> tuple[str, ...]:
@@ -513,7 +536,7 @@ def _assemble(group_order: int, classes: list, powers,
     powers(c) gives, for a builder class c of order m, the builder index
     of the class of c^k for each k in units_mod(m), in that order (for
     the trivial class, k = 0 and the class itself).  The keys become the
-    reps, labels are added, and the result is validated.
+    reps and labels are added; the structure checks itself.
     """
     perm = sorted(range(len(classes)), key=classes.__getitem__)
     newpos = [0] * len(perm)
@@ -527,38 +550,7 @@ def _assemble(group_order: int, classes: list, powers,
         fusion=tuple(tuple(map(newpos.__getitem__, powers(old))) for old in perm),
         labels=_labels_for(orders, lower),
         reps=tuple(classes[c][2] for c in perm),
-    ).validate()
-
-
-def _class_chain(spec: GroupSpec) -> _Chain:
-    """The chain the classes are enumerated from, under the guard.
-
-    Each strong generator of level 0 costs one closure check and one
-    conjugation, so when the spec has more than two generators the chain
-    first grows from two words of PAIR_WORD_LENGTH letters in them, which
-    usually generate the group, and then from the inputs: each input in
-    the words' group sifts to the identity, and each outside it joins
-    level 0 as one more strong generator.  Either way the chain is exact
-    for the group.  The words are seeded from the spec's bytes, so the
-    chain is deterministic; the classes do not depend on it.
-    """
-    chain = _Chain(spec.degree, MAX_ELEMENT_POINTS // spec.degree)
-    gens = np.array(spec.generators, dtype=np.uint8)
-    try:
-        if len(gens) > 2:
-            rng = random.Random(gens.tobytes())
-            picks = np.array(rng.choices(range(len(gens)), k=2 * PAIR_WORD_LENGTH))
-            words = np.tile(chain.identity, (2, 1))
-            for step in picks.reshape(2, PAIR_WORD_LENGTH).T:
-                # each word w becomes g w for its next letter g
-                words = np.take_along_axis(gens[step], words, axis=1)
-            chain.extend(words)
-        chain.extend(gens)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"class computation is limited to order x degree <= 10^8 "
-            f"element-points; on {spec.degree} points, {exc}") from None
-    return chain
+    )
 
 
 def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
@@ -623,12 +615,12 @@ def _powers(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
 def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     """Conjugacy class data of the group generated by spec.
 
-    The stabilizer chain stops, and ResourceLimitError is raised, as soon
-    as the order it has found times the degree passes 10^8 element-points.
-    Otherwise every element is enumerated as a byte row from the
-    transversals of _class_chain's chain, and the enumeration is checked
-    to be closed under its level 0's strong generators, two when two
-    seeded words generate the group: each product with one of them is
+    The chain, from _build_chain, stops, and ResourceLimitError is raised,
+    as soon as its order times the degree passes 10^8 element-points.
+    Otherwise every element is enumerated as a byte row from the chain's
+    transversals, and the enumeration is checked to be closed under its
+    level 0's strong generators, two when the spec has two or its seeded
+    words generate the group: each product with one of them is
     ranked by sifting its base images and compared in full with the row
     at its index, which shows the sift exact on the group.  Conjugates,
     whose orbits are the classes, and the coprime powers of the
@@ -637,7 +629,12 @@ def conjugacy_classes(spec: GroupSpec) -> ClassStructure:
     representatives are the least elements, so the result does not
     depend on the generating set.  The result is immutable.
     """
-    chain = _class_chain(spec)
+    try:
+        chain = _build_chain(spec, MAX_ELEMENT_POINTS // spec.degree)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"class computation is limited to order x degree <= 10^8 "
+            f"element-points; on {spec.degree} points, {exc}") from None
     elems = chain.elements()
     lab = _class_labels(chain, elems)
     labels = np.flatnonzero(lab == np.arange(len(lab), dtype=np.int32))

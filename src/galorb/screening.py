@@ -30,7 +30,7 @@ from .numutil import is_prime, is_prime_power, prime_powers_upto, totient
 
 __all__ = [
     "max_m_with_totient_at_most", "FamilyRecord", "FAMILIES",
-    "singer_order", "exception_set", "ScreenResult",
+    "singer_order", "check_box", "exception_set", "ScreenResult",
 ]
 
 
@@ -229,10 +229,10 @@ MAX_BOX_WORK = 10**8
 MAX_BOX_Q = 8192
 
 
-def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
-    """Scan the (n, q) box for sub-threshold torus totients and certify
-    that nothing outside the box was missed.  A box past MAX_BOX_Q or
-    MAX_BOX_WORK is refused before any scan."""
+def check_box(tag: str, n_max: int, q_max: int) -> FamilyRecord:
+    """The family tag names, once its (n, q) box is known to be scannable:
+    InputError when the box misses the family, ResourceLimitError past
+    MAX_BOX_Q or MAX_BOX_WORK.  No scan is made."""
     rec = _family(tag)
     if n_max < rec.n_min or q_max < 2:
         raise InputError(f"box too small for family {tag}: "
@@ -243,7 +243,14 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
         raise ResourceLimitError(
             f"screen box is limited to n_max^2 x q_max <= 10^8, got "
             f"{n_max}^2 x {q_max} = {n_max * n_max * q_max}")
+    return rec
 
+
+def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
+    """Scan the (n, q) box for sub-threshold torus totients and certify
+    that nothing outside the box was missed.  check_box refuses a box
+    before any scan."""
+    rec = check_box(tag, n_max, q_max)
     rows = []
     exceptions = set()
     excluded = []

@@ -256,6 +256,21 @@ def test_screen_box_past_its_work_limit_is_refused_before_any_scan(
     assert "--" not in err
 
 
+@pytest.mark.parametrize("box, family", [("3,8", "PSp"), ("7,64", "POmegaMinus")])
+def test_screen_all_refuses_a_box_too_small_before_any_scan(
+        capsys, monkeypatch, box, family):
+    # every family's box is checked before the first note or scan, so the
+    # families ahead of the one the box misses are not scanned
+    def sieve(q_max):
+        raise Scanned
+
+    monkeypatch.setattr(screening, "prime_powers_upto", sieve)
+    code, out, err = run(capsys, "screen", "all", "--box", box)
+    n_max, q_max = box.split(",")
+    assert code == 2 and out == ""
+    assert err == f"error: box too small for family {family}: n_max {n_max}, q_max {q_max}\n"
+
+
 def test_screen_unknown_family(capsys):
     code, _, err = run(capsys, "screen", "Foo")
     assert code == 2 and "unknown family" in err

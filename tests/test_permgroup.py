@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -20,8 +21,8 @@ from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import prime_powers_upto, units_mod
 from galorb.permgroup import (
-    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_chain,
-    _class_labels, _even_partitions, _labels_for, _Level, _powers,
+    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_labels,
+    _even_partitions, _labels_for, _Level, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, group_order, identity_perm,
     parse_generators, perm_order, symmetric_group_spec,
@@ -101,7 +102,7 @@ def reference_classes(spec):
         fusion=tuple(fusion),
         labels=_labels_for(list(orders)),
         reps=tuple(reps),
-    ).validate()
+    )
 
 
 # -- reference: Schreier-Sims that rebuilds each level it completes -------
@@ -282,7 +283,7 @@ def reference_alternating_class_structure(n):
         fusion=tuple(fusion),
         labels=_labels_for(list(orders), lower=True),
         reps=tuple((r[2], r[3]) for r in records),
-    ).validate()
+    )
 
 
 def relabeled(spec, seed):
@@ -405,13 +406,14 @@ def test_validate_accepts_all_builders():
     for cs in [cyclic_class_structure(1), cyclic_class_structure(24),
                alternating_class_structure(12),
                conjugacy_classes(symmetric_group_spec(5))]:
-        cs.validate()
+        # a copy is built, and so checked, again
+        assert replace(cs) == cs
 
 
 @given(st.integers(1, 60))
 @settings(max_examples=40, deadline=None)
 def test_cyclic_structure_properties(m):
-    cs = cyclic_class_structure(m).validate()
+    cs = cyclic_class_structure(m)
     assert cs.group_order == m
     assert cs.num_classes == m
     assert all(s == 1 for s in cs.sizes)
@@ -672,7 +674,7 @@ def test_class_labels_match_the_conjugate_rows():
     checked = 0
     extra = {"m11": M11_SPEC, "m12": M12_SPEC, "c2_cubed": C2_CUBED}
     for name, spec in {**wide_specs(), **extra}.items():
-        chain = _class_chain(spec)
+        chain = _build_chain(spec, MAX_GROUP_ORDER)
         if chain.order() > 50_000 and spec is not M12_SPEC:
             continue
         checked += 1
@@ -696,28 +698,43 @@ def test_class_labels_match_the_conjugate_rows():
 
 
 def test_mathieu_classes_from_two_generators():
-    # the ATLAS class counts; M12's chain grows from all three inputs
-    assert len(_build_chain(M12_SPEC, MAX_GROUP_ORDER).levels[0].gens) == 3
+    # the ATLAS class counts; a chain grown from M12's three inputs alone
+    # keeps all three
+    assert len(_grown(_Chain, M12_SPEC).levels[0].gens) == 3
     for spec, order, classes in ((M11_SPEC, 7920, 10), (M12_SPEC, 95040, 15)):
-        chain = _class_chain(spec)
+        chain = _build_chain(spec, MAX_GROUP_ORDER)
         assert chain.order() == order and len(chain.levels[0].gens) == 2
         assert conjugacy_classes(spec).num_classes == classes
 
 
+def test_class_path_bytes_are_pinned():
+    """The class path's output, pinned byte for byte: one sha256, updated
+    in this order with repr(conjugacy_classes(s)).encode() for each of the
+    150 wide_specs() in dict order, then M11_SPEC, then M12_SPEC.  Any
+    change to a class, its order, size, representative, label or fusion
+    row changes it."""
+    digest = hashlib.sha256()
+    for spec in [*wide_specs().values(), M11_SPEC, M12_SPEC]:
+        digest.update(repr(conjugacy_classes(spec)).encode())
+    assert digest.hexdigest() == (
+        "cbcc3eecba4b35856994eda7cea6c0064049da0a736c73e98f698207c9f27ca0")
+
+
 def test_groups_not_two_generated_keep_the_chain_generators():
-    assert len(_class_chain(C2_CUBED).levels[0].gens) == 3
+    assert len(_build_chain(C2_CUBED, MAX_GROUP_ORDER).levels[0].gens) == 3
     assert conjugacy_classes(C2_CUBED) == reference_classes(C2_CUBED)
 
 
 def test_pair_choice_does_not_depend_on_the_hash_seed():
-    # the class chain's level 0 generators, for specs of three generators,
-    # whose chains grow first from the seeded words
+    # the chain's level 0 generators, for specs of three generators, whose
+    # chains grow first from the seeded words
     script = ("import hashlib; "
               "from galorb.matgroup import projective_line_action; "
-              "from galorb.permgroup import _class_chain, parse_generators; "
+              "from galorb.permgroup import _build_chain, parse_generators; "
               f"specs = [parse_generators({format_generators(M12_SPEC)!r}), "
               "*map(projective_line_action, (29, 32, 37))]; "
-              "print([hashlib.sha256(_class_chain(s).levels[0].gens.tobytes()).hexdigest()"
+              "print([hashlib.sha256(_build_chain(s, 10**8).levels[0].gens.tobytes())"
+              ".hexdigest()"
               " for s in specs])")
     root = pathlib.Path(__file__).resolve().parent.parent
     src = pathlib.Path(galorb.permgroup.__file__).resolve().parent.parent
@@ -737,7 +754,7 @@ def test_corrupted_sift_is_refused():
     # points of the next two levels: the sift then sends the elements
     # through that orbit point to wrong indices, which the closure check's
     # full compare refuses
-    chain = _class_chain(M11_SPEC)
+    chain = _build_chain(M11_SPEC, MAX_GROUP_ORDER)
     lev, p, q = chain.levels[1], chain.levels[2].base, chain.levels[3].base
     x = lev.orbit[1]
     lev.uinv[x, [p, q]] = lev.uinv[x, [q, p]]
@@ -823,32 +840,32 @@ def test_cached_fusion_maps_are_read_only():
         del first.fusion[0][0]
     again = conjugacy_classes(alternating_group_spec(5))
     assert again == first
-    again.validate()
+    assert replace(again) == again
     assert again.power_map(4)[3] == 3
 
 
 def test_validate_rejects_malformed_fusion_rows():
     cs = cyclic_class_structure(5)
     assert cs.fusion[1:3] == ((1, 2, 3, 4), (2, 4, 1, 3))
-    short = replace(cs, fusion=(cs.fusion[0], cs.fusion[1][:3]) + cs.fusion[2:])
+    # replace builds a new structure, which is checked as it is built
     with pytest.raises(InputError, match="has 3 entries, not one per unit mod 5"):
-        short.validate()
-    moved = replace(cs, fusion=(cs.fusion[0], cs.fusion[2]) + cs.fusion[2:])
+        replace(cs, fusion=(cs.fusion[0], cs.fusion[1][:3]) + cs.fusion[2:])
     with pytest.raises(InputError, match="fusion of class 1 does not fix k = 1"):
-        moved.validate()
+        replace(cs, fusion=(cs.fusion[0], cs.fusion[2]) + cs.fusion[2:])
     for bad in [(), (0, 0)]:
         with pytest.raises(InputError, match="class 0 has"):
-            replace(cs, fusion=(bad,) + cs.fusion[1:]).validate()
+            replace(cs, fusion=(bad,) + cs.fusion[1:])
 
 
 def test_validate_rejects_fusion_rows_that_are_not_orbits():
     # classes 1 and 3 reach 2 and 4, which reach only themselves; the
     # inverse map is still an involution
     cs = cyclic_class_structure(5)
-    split = replace(cs, fusion=((0,), (1, 2, 2, 1), (2, 2, 2, 2), (3, 4, 4, 3), (4, 4, 4, 4)))
-    assert split.inverse_map == (0, 1, 2, 3, 4)
+    split = ((0,), (1, 2, 2, 1), (2, 2, 2, 2), (3, 4, 4, 3), (4, 4, 4, 4))
+    # the images at k = 4 = -1 mod 5
+    assert tuple(fus[-1] for fus in split) == (0, 1, 2, 3, 4)
     with pytest.raises(InputError, match="fusion images of classes 1 and 2 are not one orbit"):
-        split.validate()
+        replace(cs, fusion=split)
 
 
 def test_equal_structures_hash_equal():
@@ -1079,9 +1096,17 @@ def test_batched_and_one_at_a_time_chains_agree(spec, monkeypatch):
         # each strong generator of level 0 at least doubled the order
         assert 2 ** sum(len(lev.gens) for lev in chain.levels[:1]) <= order
     want = conjugacy_classes(spec)
+    calls = []
+
+    def one_at_a_time(spec, max_order):
+        calls.append(spec)
+        return _grown_one_at_a_time(spec, max_order)
+
     with monkeypatch.context() as m:
-        m.setattr(galorb.permgroup, "_build_chain", _grown_one_at_a_time)
+        m.setattr(galorb.permgroup, "_build_chain", one_at_a_time)
         assert conjugacy_classes(spec) == want
+    # the classes were enumerated from the patched chain
+    assert calls == [spec]
 
 
 def test_batched_inputs_form_fewer_schreier_generators():
