@@ -20,10 +20,12 @@ so n sizes all the work and class orders size none.  Every analysis
 reads one GaloisAction per table, built once: each distinct value gets
 an integer id and each unit k modulo n an id map, so rows, columns and
 fields are compared as id tuples and galois_apply runs once per
-distinct value and unit, not per cell and query.  The per-row facts
-(one pass over the rows), the column maps and the report are likewise
-built once per table.  Orthogonality is checked on integer lifts of the
-values at n, and refused when the reductions at n would not fit.
+distinct value and unit, not per cell and query.  The action permutes
+rows and columns alike (Brauer's permutation lemma); both are read by
+one code as a permutation per unit, built once per table, and a table
+whose rows or columns it does not permute is refused.  Orthogonality
+is checked on integer lifts of the values at n, and refused when the
+reductions at n would not fit.
 """
 
 from __future__ import annotations
@@ -80,25 +82,11 @@ def _apply(ids: Ids, image: Ids) -> Ids:
 
 
 @dataclass(frozen=True)
-class _RowData:
-    """What one pass over a table's rows learns.  Per row: whether it is
-    real, its orbit key (least image under the whole Galois action), its
-    conjugation key (least of the row and its complex conjugate) and the
-    class of the field it generates.  fixed maps each unit k of the
-    action to the number of rows that k fixes."""
-
-    real: tuple[bool, ...]
-    orbit_keys: tuple[Ids, ...]
-    conj_keys: tuple[Ids, ...]
-    field_classes: tuple[FieldClass, ...]
-    fixed: dict[int, int]
-
-
-@dataclass(frozen=True)
 class CharacterTable:
     """Exact character table, immutable and checked when built: shapes,
     degrees, sizes, orders and conductors, then exact row orthogonality
-    (ResourceLimitError when the check would be too large to make)."""
+    (ResourceLimitError when the check would be too large to make).  The
+    Galois action on its rows and columns is checked when first read."""
 
     name: str
     group_order: int
@@ -131,60 +119,53 @@ class CharacterTable:
                        for k in units)
         return GaloisAction(n, units, cells, images)
 
-    @cached_property
-    def _rows(self) -> _RowData:
-        """Built on first use, in one pass: every row's images under the
-        whole action are formed once."""
+    def _line_maps(self, lines: tuple[Ids, ...], what: str) -> dict[int, Ids]:
+        """For each unit k mod the table's order, the permutation of lines
+        (rows or columns, as id tuples) induced by applying the Galois map
+        entrywise; InputError when an image is no line."""
         act = self.galois_action
-        conj = act.units.index(-1 % act.exponent)
-        fixed = [0] * len(act.units)
-        real, orbit_keys, conj_keys, field_classes = [], [], [], []
-        for row in act.cells:
-            images = [_apply(row, image) for image in act.images]
-            stabiliser = [u for u, im in enumerate(images) if im == row]
-            for u in stabiliser:
-                fixed[u] += 1
-            real.append(images[conj] == row)
-            orbit_keys.append(min(images))
-            conj_keys.append(min(row, images[conj]))
-            field_classes.append(FieldClass.of(len(images) // len(stabiliser), real[-1]))
-        return _RowData(tuple(real), tuple(orbit_keys), tuple(conj_keys),
-                       tuple(field_classes), dict(zip(act.units, fixed)))
-
-    @cached_property
-    def _column_maps(self) -> dict[int, Ids]:
-        """For each unit k mod the table's order, the permutation of columns
-        induced by applying the Galois map entrywise; built on first use."""
-        act = self.galois_action
-        cols = [tuple(row[c] for row in act.cells) for c in range(self.num_classes)]
-        # orthogonal rows make the table invertible, so its columns are distinct
-        index = {col: c for c, col in enumerate(cols)}
+        # orthogonal rows make the table invertible, so its rows are
+        # distinct and so are its columns
+        index = {line: i for i, line in enumerate(lines)}
         maps = {}
         for k, image in zip(act.units, act.images):
             targets = []
-            for c, col in enumerate(cols):
-                d = index.get(_apply(col, image))
-                if d is None:
+            for i, line in enumerate(lines):
+                j = index.get(_apply(line, image))
+                if j is None:
                     raise InputError(
-                        f"table {self.name!r}: image of column {c} under the Galois "
-                        f"map k = {k} matches no column")
-                targets.append(d)
+                        f"table {self.name!r}: image of {what} {i} under the Galois "
+                        f"map k = {k} matches no {what}")
+                targets.append(j)
             maps[k] = tuple(targets)
         return maps
 
     @cached_property
+    def _row_maps(self) -> dict[int, Ids]:
+        """The Galois action on rows; built on first use."""
+        return self._line_maps(self.galois_action.cells, "row")
+
+    @cached_property
+    def _column_maps(self) -> dict[int, Ids]:
+        """The Galois action on columns; built on first use."""
+        return self._line_maps(tuple(zip(*self.galois_action.cells)), "column")
+
+    @cached_property
     def _report(self) -> CharReport:
-        """char_report's value, built on first use."""
-        rows = self._rows
-        n = len(rows.real)
-        h_r = sum(rows.real)
-        if (n - h_r) % 2:
-            raise InputError(f"table {self.name!r}: non-real rows do not pair up")
-        n_orbits = len(set(rows.orbit_keys))
-        rank = h_r + (n - h_r) // 2 - n_orbits
-        keep = [i for i, fc in enumerate(rows.field_classes) if fc not in _FLAT]
-        b1 = len({rows.conj_keys[i] for i in keep})
-        b2 = len({rows.orbit_keys[i] for i in keep})
+        """char_report's value, built on first use: the column families
+        first, then every row-side fact from the row maps."""
+        families = column_families(self)
+        maps = self._row_maps
+        conj = maps[-1 % self.galois_action.exponent]
+        row_orbits = orbits(zip(*maps.values()))
+        h_r = sum(i == j for i, j in enumerate(conj))
+        rank = h_r + (len(conj) - h_r) // 2 - len(row_orbits)
+        # a row's field has degree its orbit length, and reality is
+        # constant on orbits, so the b-set is a union of row orbits
+        keep = [orb for orb in row_orbits
+                if FieldClass.of(len(orb), conj[orb[0]] == orb[0]) not in _FLAT]
+        b1 = len({min(i, conj[i]) for orb in keep for i in orb})
+        b2 = len(keep)
         if rank != b1 - b2:
             raise AssertionError(f"table {self.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
         if 2 * b2 > b1:
@@ -192,17 +173,9 @@ class CharacterTable:
         if (not keep) != (rank == 0):
             raise AssertionError(
                 f"table {self.name!r}: field criterion disagrees with the rank")
-        families = column_families(self)
-        return CharReport(
-            h_R=h_r,
-            rank_eq1=rank,
-            f_table=max(len(fam) for fam in families),
-            b1=b1,
-            b2=b2,
-            cut_by_fields=not keep,
-            n_orbits=n_orbits,
-            families=families,
-        )
+        return CharReport(h_R=h_r, rank_eq1=rank, f_table=max(map(len, families)),
+                          b1=b1, b2=b2, cut_by_fields=not keep,
+                          n_orbits=len(row_orbits), families=families)
 
     def __post_init__(self):
         n = self.num_classes
@@ -399,7 +372,7 @@ class CharReport:
 
 
 def char_report(t: CharacterTable) -> CharReport:
-    """The report of one table, from one pass over its rows; built once
+    """The report of one table, from its row and column maps; built once
     per table, when the row-side rank identities are asserted."""
     return t._report
 
@@ -457,7 +430,7 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
 
     bad = []
     for k in units:
-        fixed_rows = t._rows.fixed[k % act.exponent]
+        fixed_rows = sum(1 for i, j in enumerate(t._row_maps[k % act.exponent]) if i == j)
         fixed_cols = sum(1 for c, d in enumerate(cs.power_map(k)) if d == c)
         if fixed_rows != fixed_cols:
             bad.append(f"k={k}: {fixed_rows} fixed rows vs {fixed_cols} fixed classes")

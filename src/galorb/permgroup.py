@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -479,7 +480,7 @@ class ClassStructure:
             raise InputError("class structure fields disagree in length")
         if sum(self.sizes) != self.group_order:
             raise InputError("class sizes do not sum to the group order")
-        if self.orders[0] != 1 or self.sizes[0] != 1:
+        if tuple(self.orders[:1]) != (1,) or tuple(self.sizes[:1]) != (1,):
             raise InputError("class 0 must be the trivial class")
         images = [frozenset(fus) for fus in self.fusion]
         least: dict[frozenset, int] = {}  # the first class with each image set
@@ -740,16 +741,7 @@ def alternating_class_structure(n: int) -> ClassStructure:
     classes = []  # (order, size, (parts, half))
     swaps = []  # per class: None when unsplit, else per unit 1 if powers change half
     for parts in _even_partitions(n):
-        z = 1
-        run = None
-        mult = 0
-        for p in parts + (0,):
-            if p == run:
-                mult += 1
-            else:
-                if run is not None:
-                    z *= run ** mult * math.factorial(mult)
-                run, mult = p, 1
+        z = math.prod(p ** m * math.factorial(m) for p, m in Counter(parts).items())
         size = nfact // z
         order = math.lcm(*parts)
         split = all(p % 2 for p in parts) and len(set(parts)) == len(parts)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from galorb.chartab import (
     CharacterTable, brauer_crosscheck, char_report,
     column_families, fixture_names, fixture_table, parse_table,
 )
+from galorb.classtheory import orbits
 from galorb.cyclotomic import (
     CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_integers,
     value_from_obj, zeta,
@@ -34,12 +36,22 @@ REPORT_ANCHORS = {
 Q8_SPEC = GroupSpec(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
 
 
+def row_field_classes(t):
+    """Each row's field class, read off the row maps: the field's degree
+    is the row's orbit length, and it is real when conjugation fixes the
+    row."""
+    maps = t._row_maps
+    conj = maps[-1 % t.galois_action.exponent]
+    length = {i: len(orb) for orb in orbits(zip(*maps.values())) for i in orb}
+    return [FieldClass.of(length[i], conj[i] == i) for i in range(len(conj))]
+
+
 def b_set(t):
     """Rows whose field is neither rational nor imaginary quadratic,
     with the report's b1 and b2."""
     flat = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
     rep = char_report(t)
-    keep = tuple(i for i, fc in enumerate(t._rows.field_classes) if fc not in flat)
+    keep = tuple(i for i, fc in enumerate(row_field_classes(t)) if fc not in flat)
     return keep, rep.b1, rep.b2
 
 
@@ -161,6 +173,18 @@ def test_degenerate_table_detected():
     one = CyclotomicNumber.rational(1)
     with pytest.raises(InputError, match="rows 0 and 1 violate orthogonality"):
         CharacterTable("deg", 2, (1, 1), (1, 1), ((one, one), (one, one)))
+
+
+def test_table_whose_columns_the_action_does_not_permute_is_refused():
+    # the C3 table with column 1 multiplied by zeta_5 stays exactly
+    # orthogonal, but k = 2 sends column 1 to no column
+    one, w, z = CyclotomicNumber.rational(1), zeta(3), zeta(5)
+    t = CharacterTable("c3z", 3, (1, 1, 1), None,
+                       ((one, z, one), (one, w * z, w * w), (one, w * w * z, w)))
+    with pytest.raises(InputError) as info:
+        char_report(t)
+    assert str(info.value) == (
+        "table 'c3z': image of column 1 under the Galois map k = 2 matches no column")
 
 
 def test_exponent_fallback_uses_conductors():
@@ -386,6 +410,12 @@ def reference_orbit_count(t):
     return len({min(_row_key(_apply_row(row, k)) for k in units) for row in t.irr})
 
 
+def reference_row_maps(t):
+    index = {_row_key(row): i for i, row in enumerate(t.irr)}
+    return {k: tuple(index[_row_key(_apply_row(row, k))] for row in t.irr)
+            for k in units_mod(reference_exponent(t))}
+
+
 def reference_column_maps(t):
     cols = [tuple(row[c] for row in t.irr) for c in range(t.num_classes)]
     index = {_row_key(col): c for c, col in enumerate(cols)}
@@ -445,19 +475,34 @@ def test_galois_action_matches_per_cell_reference(name, make):
     t = make()
     act = t.galois_action
     assert act.exponent == math.lcm(*(z.order for row in t.irr for z in row))
-    rows = t._rows
-    assert list(rows.real) == [_apply_row(row, -1) == row for row in t.irr]
+    maps = t._row_maps
+    conj = maps[-1 % act.exponent]
+    assert [conj[i] == i for i in range(len(t.irr))] == [
+        _apply_row(row, -1) == row for row in t.irr]
     for k in units_mod(reference_exponent(t)):
         image = act.images[act.units.index(k % act.exponent)]
         fixed = [tuple(image[v] for v in ids) == ids for ids in act.cells]
         assert fixed == [_apply_row(row, k) == row for row in t.irr], k
-        assert rows.fixed[k % act.exponent] == sum(fixed), k
-    assert len(set(rows.orbit_keys)) == reference_orbit_count(t)
+        assert sum(i == j for i, j in enumerate(maps[k % act.exponent])) == sum(fixed), k
+    assert len(orbits(zip(*maps.values()))) == reference_orbit_count(t)
+    assert {k: maps[k % act.exponent]
+            for k in units_mod(reference_exponent(t))} == reference_row_maps(t)
     assert {k: t._column_maps[k % act.exponent]
             for k in units_mod(reference_exponent(t))} == reference_column_maps(t)
     assert column_families(t) == reference_families(t)
-    assert list(rows.field_classes) == [field_class(row) for row in t.irr]
+    assert row_field_classes(t) == [field_class(row) for row in t.irr]
     assert b_set(t) == reference_b_sets(t)
+
+
+def test_table_route_bytes_are_pinned():
+    """sha256, updated with repr(char_report(make())).encode() for each
+    (name, make) of ORACLE_TABLES in order, pins every report the table
+    route makes on those 42 tables."""
+    digest = hashlib.sha256()
+    for _, make in ORACLE_TABLES:
+        digest.update(repr(char_report(make())).encode())
+    assert digest.hexdigest() == (
+        "0c829d31a3942d0515f3f68da9ba6540d1ca9159cbc5be91e81c44f5c30f1078")
 
 
 def test_galois_action_is_read_only_and_computed_once():

@@ -6,12 +6,13 @@ import pathlib
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
 import galorb.permgroup
 from galorb import altcount, cli, screening
-from galorb.chartab import fixture_names, fixture_table
+from galorb.chartab import CharacterTable, fixture_names, fixture_table
 from galorb.cli import build_parser, main
 from galorb.matgroup import (
     MAX_ELEMENT_ORDER, _exact_order, coprime_power_charpoly_count, element_order,
@@ -526,7 +527,6 @@ def test_analyze_table_json_bytes(capsys, tmp_path, name):
 
 def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
     import galorb.classtheory
-    from galorb.chartab import CharacterTable
     calls = []
 
     def counting(name, fn):
@@ -535,7 +535,7 @@ def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("_rows", "_column_maps"):
+    for name in ("_row_maps", "_column_maps"):
         prop = vars(CharacterTable)[name]
         monkeypatch.setattr(prop, "func", counting(name, prop.func))
     monkeypatch.setattr(galorb.classtheory, "q_classes",
@@ -545,7 +545,28 @@ def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze-table", str(TABLES / "a5.json"),
                        "--gens", str(DATA / "a5.gens"), "--format", "json")
     assert code == 0 and json.loads(out)["crosscheck"]["passed"]
-    assert sorted(calls) == ["_column_maps", "_rows", "column_families", "q_classes"]
+    assert sorted(calls) == ["_column_maps", "_row_maps", "column_families", "q_classes"]
+
+
+def test_analyze_table_refuses_rows_the_galois_action_does_not_permute(capsys, tmp_path):
+    # the A5 x C5 table (rows in (a5 row, c5 row) order) with its rows
+    # r = chi_5 x lambda and s = chi_5 x conj(lambda) replaced by
+    # (3/5)r + (4/5)s and (4/5)r - (3/5)s: exactly orthogonal, degrees 7
+    # and 1, columns permuted, but k = 2 sends row 21 to no row
+    a, c = fixture_table("a5"), fixture_table("c5")
+    irr = [tuple(x * y for x in ra for y in rc) for ra in a.irr for rc in c.irr]
+    r, s = irr[21], irr[24]
+    irr[21] = tuple(Fraction(3, 5) * x + Fraction(4, 5) * y for x, y in zip(r, s))
+    irr[24] = tuple(Fraction(4, 5) * x - Fraction(3, 5) * y for x, y in zip(r, s))
+    mix = CharacterTable(
+        "mix", 300, tuple(x * y for x in a.class_sizes for y in c.class_sizes),
+        tuple(math.lcm(x, y) for x in a.class_orders for y in c.class_orders), tuple(irr))
+    path = tmp_path / "mix.json"
+    path.write_text(serialize_table(mix))
+    code, out, err = run(capsys, "analyze-table", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: table 'mix': image of row 21 under the Galois map k = 2 matches no row\n")
 
 
 def _help_usage(capsys, *command):

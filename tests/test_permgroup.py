@@ -855,6 +855,9 @@ def test_validate_rejects_malformed_fusion_rows():
     for bad in [(), (0, 0)]:
         with pytest.raises(InputError, match="class 0 has"):
             replace(cs, fusion=(bad,) + cs.fusion[1:])
+    # a structure with no classes has no trivial class
+    with pytest.raises(InputError, match="class 0 must be the trivial class"):
+        ClassStructure(group_order=0, sizes=(), orders=(), fusion=(), labels=())
 
 
 def test_validate_rejects_fusion_rows_that_are_not_orbits():
