@@ -1,33 +1,25 @@
 """Matrix groups over small finite fields, exactly.
 
 Field elements are integers 0..q-1 encoding coefficient vectors over
-the prime field in base p, with exp/log tables for multiplication and
-a q x q table for addition (see FiniteField).  One set of polynomial
+the prime field in base p (see FiniteField).  One set of polynomial
 helpers over GF(q) (`_fpoly_*`) and one primitive-polynomial search
 (`_primitive_poly`, least encoded value) serve both the extension
-fields GF(p^k) and the Singer elements.
-
-On top of that: characteristic polynomials via Hessenberg reduction,
-multiplicative orders through the factor-degree structure of the
+fields GF(p^k) and the Singer elements.  Products (`_dot`) and
+characteristic polynomials (`char_polys`) run on numpy stacks of
+matrices, each field operation a gather from per-field tables.  On top
+of that: multiplicative orders from the factor degrees of the
 characteristic polynomial, Singer elements as companion matrices, and
-the count of characteristic polynomials among power-coprime elements
-that drives class-count lower bounds.  That count needs no matrix
-product: cp(g^k) = cp(C_f^k) for f = cp(g) and C_f its companion
-matrix, whose power columns x^k, ..., x^(k+n-1) mod f come from one
-walk over x^j mod f.  cp(g^k) depends only on k modulo the p'-part m'
-of the order, and is fixed by k -> qk, so one charpoly per <q>-coset of
-units mod m' suffices; the walk takes fewer than m' + n steps, m' at
-most the element-order bound (`--max-order`).
+the count of characteristic polynomials among coprime powers behind
+class-count lower bounds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import random
-from collections import deque
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,6 +31,8 @@ MAX_FIELD = 512
 MAX_DIM = 12    # keeps every q^d - 1 we must factor within easy reach
 MAX_ELEMENT_ORDER = 100_000    # default bound on an element's order
 SEARCH_ATTEMPTS = 100    # elements random_element_search tests
+_BLOCK = 1 << 10    # exponents per block of the coprime-power count
+_Tables = namedtuple("_Tables", "add sub mul inv")
 
 
 class FiniteField:
@@ -151,8 +145,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "Matrix":
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                for i in range(n)))
+        return cls(field, np.eye(n, dtype=int).tolist())
 
     @property
     def n(self) -> int:
@@ -174,79 +167,84 @@ class Matrix:
         # every GF(q) is built the same way, so its size names it
         if self.field.q != other.field.q or self.n != other.n:
             raise InputError("matrix shapes or fields differ")
-        F = self.field
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                new.append(acc)
-            out.append(tuple(new))
-        return Matrix(F, out)
+        return Matrix(self.field, _dot(_tables(self.field), self._array(), other._array()).tolist())
 
     def pow(self, e: int) -> "Matrix":
         if e < 0:
             raise InputError("negative matrix powers are not supported")
-        return power(self, e, operator.mul, Matrix.identity(self.field, self.n))
+        mul, one = partial(_dot, _tables(self.field)), np.eye(self.n, dtype=np.intp)
+        return Matrix(self.field, power(self._array(), e, mul, one).tolist())
+
+    def _array(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.intp).reshape(self.n, self.n)
 
     @property
     def is_identity(self) -> bool:
-        return all(v == (1 if i == j else 0)
-                   for i, row in enumerate(self.rows) for j, v in enumerate(row))
+        return self == Matrix.identity(self.field, self.n)
+
+
+@lru_cache(maxsize=4)
+def _tables(F: FiniteField) -> _Tables:
+    """Read-only q x q tables of F's add, sub and mul, and its inverses
+    with inv[0] = 0 (a zero pivot scales by zero), from F's own
+    operations: products by exp/log, sums by a + b = a (1 + b/a)."""
+    elems = range(F.q)
+    log = np.array(F.log)
+    mul = np.array(F.exp * 2, dtype=np.intp)[log[:, None] + log]
+    mul[0] = mul[:, 0] = 0
+    inv = np.array([0, *map(F.inv, elems[1:])], dtype=np.intp)
+    add = mul[np.arange(F.q)[:, None], np.array([F.add(1, x) for x in elems])[mul[inv]]]
+    add[0] = elems
+    tables = _Tables(add, add[:, [F.neg(x) for x in elems]], mul, inv)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _dot(T: _Tables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked products A @ B over the field of T: every a_il b_lj in one
+    gather, then the sums over l in pairs."""
+    terms = T.mul[A[..., :, :, None], B[..., None, :, :]]
+    while terms.shape[-2] > 1:
+        half = terms.shape[-2] // 2
+        terms = np.concatenate((T.add[terms[..., :half, :], terms[..., half:2 * half, :]],
+                                terms[..., 2 * half:, :]), axis=-2)
+    return terms[..., 0, :] if terms.shape[-2] else terms.sum(axis=-2)    # n = 0: empty sums
+
+
+def char_polys(F: FiniteField, mats) -> np.ndarray:
+    """Monic characteristic polynomials of a (b, n, n) stack over F, one
+    row of n + 1 ascending encoded coefficients per matrix: Hessenberg
+    reduction, a pivot per matrix, then the leading-minor recurrence."""
+    T = _tables(F)
+    H = np.array(mats, dtype=np.intp)
+    b, n = H.shape[0], H.shape[-1]
+    rows = np.arange(b)
+    for j in range(n - 2):
+        # a nonzero below row j of column j swaps into row j + 1, then
+        # H -> L H L^-1, L = I - sum t_i e_i e_(j+1)^T, clears the rest
+        piv = j + 1 + np.argmax(H[:, j + 1:, j] != 0, axis=1)
+        H[rows, j + 1], H[rows, piv] = H[rows, piv], H[rows, j + 1]
+        H[rows, :, j + 1], H[rows, :, piv] = H[rows, :, piv], H[rows, :, j + 1]
+        t = T.mul[H[:, j + 2:, j], T.inv[H[:, j + 1, j]][:, None]]
+        H[:, j + 2:] = T.sub[H[:, j + 2:], T.mul[t[:, :, None], H[:, j + 1, None]]]
+        H[:, :, j + 1] = T.add[H[:, :, j + 1], _dot(T, H[:, :, j + 2:], t[:, :, None])[..., 0]]
+    # p_m = x p_(m-1) - sum over k <= m of h_(k-1,m-1) beta_k p_(k-1), with
+    # beta_k = h_(k,k-1) ... h_(m-1,m-2) (beta_m = 1: column m - 1 of beta)
+    P = np.zeros((b, n + 1, n + 1), dtype=np.intp)
+    P[:, 0, 0] = 1
+    beta = np.ones((b, n), dtype=np.intp)
+    for m in range(1, n + 1):
+        P[:, m, 1:] = P[:, m - 1, :-1]
+        beta[:, :m - 1] = T.mul[beta[:, :m - 1], H[:, m - 1, m - 2, None]]
+        coef = T.mul[H[:, :m, m - 1], beta[:, :m]]
+        P[:, m] = T.sub[P[:, m], _dot(T, coef[:, None], P[:, :m])[:, 0]]
+    return P[:, n]
 
 
 def char_poly(M: Matrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial, ascending encoded coefficients.
-
-    Similarity reduction to upper Hessenberg form, then the standard
-    leading-minor recurrence; exact over the field.
-    """
-    F = M.field
-    n = M.n
-    h = [list(r) for r in M.rows]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = F.inv(h[j + 1][j])
-        for i in range(j + 2, n):
-            if not h[i][j]:
-                continue
-            t = F.mul(h[i][j], inv)
-            for c in range(n):
-                h[i][c] = F.sub(h[i][c], F.mul(t, h[j + 1][c]))
-            for r in range(n):
-                h[r][j + 1] = F.add(h[r][j + 1], F.mul(t, h[r][i]))
-
-    polys = [(1,)]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        pm = [0] * (m + 1)
-        d = h[m - 1][m - 1]
-        for i, c in enumerate(prev):
-            pm[i + 1] = F.add(pm[i + 1], c)
-            if d and c:
-                pm[i] = F.sub(pm[i], F.mul(d, c))
-        beta = 1
-        for k in range(m - 1, 0, -1):
-            beta = F.mul(beta, h[k][k - 1])
-            if not beta:
-                break
-            coef = F.mul(h[k - 1][m - 1], beta)
-            if coef:
-                for i, c in enumerate(polys[k - 1]):
-                    if c:
-                        pm[i] = F.sub(pm[i], F.mul(coef, c))
-        polys.append(tuple(pm))
-    return polys[n]
+    """Monic characteristic polynomial, ascending encoded coefficients."""
+    return tuple(char_polys(M.field, [M._array()])[0].tolist())
 
 
 # -- polynomial helpers over the field (field tables, orders, searches) --
@@ -403,34 +401,15 @@ def singer_element(n: int, q: int, bound: int = MAX_ELEMENT_ORDER) -> Matrix:
         raise InputError(f"dimension must be in 1..{MAX_DIM}, got {n}")
     F = finite_field(q)
     check_order(q ** n - 1, bound)
-    coeffs = _primitive_poly(n, q)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = F.neg(coeffs[i])
-    return Matrix(F, rows)
+    return Matrix(F, _companion(_tables(F), _primitive_poly(n, q) + (1,)).tolist())
 
 
-def _companion_power_columns(F: FiniteField, f):
-    """Yield, for k = 0, 1, 2, ..., the columns x^k, ..., x^(k+n-1)
-    mod f of C_f^k, C_f the companion matrix of the monic f of degree n.
-
-    One walk over x^j mod f, a shift and one scaled subtraction of f per
-    step, keeping a window of the last n columns: the yielded deque is
-    the window itself and changes on the next step."""
+def _companion(T: _Tables, f) -> np.ndarray:
+    """Companion matrix of the monic f: -f_0, ..., -f_(n-1) in its last column."""
     n = len(f) - 1
-    neg_f = [F.neg(c) for c in f[:n]]
-    window = deque(maxlen=n)
-    col = [1] + [0] * (n - 1)
-    while True:
-        window.append(col)
-        if len(window) == n:
-            yield window
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [F.add(c, F.mul(top, a)) for c, a in zip(col, neg_f)]
+    C = np.eye(n, k=-1, dtype=np.intp)
+    C[:, -1] = T.sub[0, list(f[:n])]
+    return C
 
 
 def coprime_power_charpoly_count(g: Matrix, max_order: int = MAX_ELEMENT_ORDER) -> int:
@@ -440,32 +419,53 @@ def coprime_power_charpoly_count(g: Matrix, max_order: int = MAX_ELEMENT_ORDER) 
 
     With f = cp(g) and C_f its companion matrix, cp(g^k) = cp(C_f^k):
     both are the product of (X - a^k) over the eigenvalues a of g with
-    multiplicity, so f is never factored and no matrix is multiplied.
-    The eigenvalues have order dividing the p'-part m' of m, and
+    multiplicity, so f is never factored and g never powered.  The
+    eigenvalues have order dividing the p'-part m' of m, and
     cp(g^(qk)) = cp(g^k), so cp(g^k) is constant on each <q>-coset of
-    the units mod m' (onto which the units mod m reduce), and only the
-    least unit of each coset is evaluated, on the columns of C_f^k that
-    `_companion_power_columns` walks to.  Work: fewer than m' + n walk
-    steps and one charpoly per coset (phi(q^n - 1) / n for a Singer
-    element)."""
+    the units mod m' (onto which the units mod m reduce).  Each block of
+    `_power_columns` takes one `char_polys` call, on the least unit of
+    each coset in it (phi(q^n - 1) / n in all for a Singer element)."""
     m = element_order(g, bound=max_order)
     F = g.field
     while m % F.p == 0:    # from here on m is the p'-part m'
         m //= F.p
-    if m == 1:
-        return 1
-    seen = bytearray(m)
+    f = char_poly(g)
+    n = len(f) - 1
+    w = 1 << (max(n, min(_BLOCK, m)) - 1).bit_length()
+    leaders = []    # per block of w exponents, its cosets' least units
+    for lo in range(0, m, w):
+        # k q, k < m, is exact in int64 while m q < 2^63
+        ks = np.arange(lo, min(lo + w, m), dtype=np.int64 if m * F.q < 1 << 63 else object)
+        least = np.gcd(ks, m) == 1
+        cur = ks * F.q % m
+        while (cur != ks).any():    # once round every coset
+            least &= cur > ks
+            cur = cur * F.q % m
+        leaders.append(np.flatnonzero(least))
+    while not len(leaders[-1]):    # k = 1 leads in the first block
+        leaders.pop()
     polys = set()
-    for k, cols in enumerate(_companion_power_columns(F, char_poly(g))):
-        if k == m:
-            break
-        if k and not seen[k] and math.gcd(k, m) == 1:
-            polys.add(char_poly(Matrix(F, zip(*cols))))
-            j = k
-            while not seen[j]:
-                seen[j] = 1
-                j = j * F.q % m
+    for cols, at in zip(_power_columns(_tables(F), f, w), leaders):
+        mats = cols[:, at[:, None] + np.arange(n)].transpose(1, 0, 2)
+        polys.update(map(bytes, char_polys(F, mats)))
     return len(polys)
+
+
+def _power_columns(T: _Tables, f, w: int):
+    """Yield, for lo = 0, w, 2w, ..., the n x (w + n - 1) columns x^lo,
+    ..., x^(lo+w+n-2) mod f: C_f^k for lo <= k < lo + w is columns k - lo,
+    ..., k - lo + n - 1.  w is a power of two, at least n = deg f; the
+    first block comes by doubling, each next one as C_f^w times the last."""
+    n = len(f) - 1
+    step = _companion(T, f)
+    block = np.eye(n, 1, dtype=np.intp)
+    while block.shape[1] < w:    # C_f^s times the first s columns: the next s
+        block = np.concatenate((block, _dot(T, step, block)), axis=1)
+        step = _dot(T, step, step)
+    while True:
+        after = _dot(T, step, block)
+        yield np.concatenate((block, after[:, :n - 1]), axis=1)
+        block = after
 
 
 def class_lower_bound(count: int, center_order: int) -> tuple[int, bool]:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -740,11 +739,13 @@ def alternating_class_structure(n: int) -> ClassStructure:
     nfact = math.factorial(n)
     classes = []  # (order, size, (parts, half))
     swaps = []  # per class: None when unsplit, else per unit 1 if powers change half
+    # p^m m!, the centralizer factor of m cycles of length p
+    factor = [[p ** m * math.factorial(m) for m in range(n + 1)] for p in range(n + 1)]
     for parts in _even_partitions(n):
-        z = math.prod(p ** m * math.factorial(m) for p, m in Counter(parts).items())
-        size = nfact // z
-        order = math.lcm(*parts)
-        split = all(p % 2 for p in parts) and len(set(parts)) == len(parts)
+        distinct = set(parts)
+        size = nfact // math.prod([factor[p][parts.count(p)] for p in distinct])
+        order = math.lcm(*distinct)
+        split = len(distinct) == len(parts) and all(p % 2 for p in distinct)
         if not split:
             classes.append((order, size, (parts, 0)))
             swaps.append(None)

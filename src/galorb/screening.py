@@ -12,9 +12,10 @@ the m with small phi (a prime p dividing m has p - 1 dividing phi(m)),
 not from a totient table.  A finite (n, q) box never proves a list
 complete on its own, so each scan carries a certificate: exact boundary
 checks against M one step beyond the box in q and up to twice the box
-in n, the cruder phi(m) >= sqrt(m/2) for a long n tail, and a
-closed-form exponential-versus-cubic comparison beyond that.  Every
-check uses integer arithmetic only.
+in n, the cruder phi(m) >= sqrt(m/2) for a long n tail (scanned only
+until the torus bound, which never decreases in n, clears the tail's
+largest threshold), and a closed-form exponential-versus-cubic
+comparison beyond that.  Every check uses integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -246,6 +247,32 @@ def check_box(tag: str, n_max: int, q_max: int) -> FamilyRecord:
     return rec
 
 
+def _n_tail_ok(rec: FamilyRecord, lo: int, q_min: int) -> bool:
+    """Whether order_lb_fn(n, q_min) > 4 thr(n)^2 at every admissible n
+    in lo.._N_TAIL_END, thr the family's threshold.  With q_min = 3 for
+    POmega_odd and 2 for the others, the check reads, per family:
+
+        PSL          floor((2^n - 1) / n)                > 64 n^2
+        PSp          floor((2^(n/2) + 1) / 2)            > 64 n^2
+        PSU_odd      floor((2^(n/2) + 1) / (3 n/2))      > 16 n^2
+        POmegaMinus  floor((2^(n/2) + 1) / 2)            > 64 n^2
+        PSU_div4     floor((2^(n/2 - 1) + 1) / (n/2))    > 64 n^2
+        POmega_odd   floor((3^((n-1)/2) + 1) / 2)        > 256 n^2
+        POmegaPlus   floor((2^((n-2)/2) + 1) / 2)        > 256 (n - 2)^2
+
+    Every left side never decreases along admissible n and every right
+    side grows with n, so once a left side tops the right side at
+    _N_TAIL_END, every later n passes and the scan stops there."""
+    top = 4 * rec.threshold(_N_TAIL_END) ** 2
+    for n in rec.admissible(lo, _N_TAIL_END):
+        bound = rec.order_lb_fn(n, q_min)
+        if bound > top:
+            return True
+        if bound <= 4 * rec.threshold(n) ** 2:
+            return False
+    return True
+
+
 def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     """Scan the (n, q) box for sub-threshold torus totients and certify
     that nothing outside the box was missed.  check_box refuses a box
@@ -283,11 +310,10 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
         for n in rec.admissible(n_max + 1, 2 * n_max))
 
     # Part 3: a long tail via phi(m) >= sqrt(m/2), the one place that
-    # bound still serves: order > 2 thr^2 suffices, checked with margin.
+    # bound still serves: order > 2 thr^2 suffices, checked with margin,
+    # until the bound clears the largest threshold of the tail.
     tail_lo, tail_hi = 2 * n_max + 1, _N_TAIL_END
-    n_tail_ok = all(
-        rec.order_lb_fn(n, q_min) > 4 * rec.threshold(n) ** 2
-        for n in rec.admissible(tail_lo, tail_hi))
+    n_tail_ok = _n_tail_ok(rec, tail_lo, q_min)
 
     # Part 4: beyond the tail.  Every family's bound is at least
     # 2^((n-2)/2) / (2n) and every threshold is at most 8n, so

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from galorb import matgroup
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import (
-    MAX_DIM, MAX_FIELD, FiniteField, Matrix, _companion_power_columns,
-    char_poly, class_lower_bound, coprime_power_charpoly_count, element_order,
+    MAX_DIM, MAX_FIELD, FiniteField, Matrix, char_poly, char_polys,
+    class_lower_bound, coprime_power_charpoly_count, element_order,
     finite_field, parse_matrix_group_file, projective_line_action,
     random_element_search, singer_element,
 )
@@ -247,6 +247,122 @@ def _charpoly_oracle(M):
     return tuple(det(tuple(range(n)), tuple(range(n)))[:n + 1])
 
 
+# The scalar char_poly before the batched kernel: Hessenberg reduction
+# one matrix and one field element at a time, then the leading-minor
+# recurrence.  Kept as the reference char_polys is compared against.
+def _hessenberg_charpoly(M):
+    F = M.field
+    n = M.n
+    h = [list(r) for r in M.rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = F.inv(h[j + 1][j])
+        for i in range(j + 2, n):
+            if not h[i][j]:
+                continue
+            t = F.mul(h[i][j], inv)
+            for c in range(n):
+                h[i][c] = F.sub(h[i][c], F.mul(t, h[j + 1][c]))
+            for r in range(n):
+                h[r][j + 1] = F.add(h[r][j + 1], F.mul(t, h[r][i]))
+
+    polys = [(1,)]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        pm = [0] * (m + 1)
+        d = h[m - 1][m - 1]
+        for i, c in enumerate(prev):
+            pm[i + 1] = F.add(pm[i + 1], c)
+            if d and c:
+                pm[i] = F.sub(pm[i], F.mul(d, c))
+        beta = 1
+        for k in range(m - 1, 0, -1):
+            beta = F.mul(beta, h[k][k - 1])
+            if not beta:
+                break
+            coef = F.mul(h[k - 1][m - 1], beta)
+            if coef:
+                for i, c in enumerate(polys[k - 1]):
+                    if c:
+                        pm[i] = F.sub(pm[i], F.mul(coef, c))
+        polys.append(tuple(pm))
+    return polys[n]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 64, 81, 125, 243, 256, 343, 512])
+def test_tables_match_the_field_operations(q):
+    F = finite_field(q)
+    T = matgroup._tables(F)
+    assert matgroup._tables(F) is T and not any(t.flags.writeable for t in T)
+    rng = random.Random(q)
+    pairs = (itertools.product(range(q), repeat=2) if q <= 64 else
+             [(rng.randrange(q), rng.randrange(q)) for _ in range(5000)])
+    for a, b in pairs:
+        assert (T.add[a, b], T.sub[a, b], T.mul[a, b]) == (F.add(a, b), F.sub(a, b), F.mul(a, b))
+    assert T.inv[0] == 0 and all(T.inv[a] == F.inv(a) for a in range(1, q))
+
+
+# The scalar matrix product before the batched kernel, kept as the
+# reference Matrix.__mul__ and Matrix.pow are compared against.
+def _scalar_product(A, B):
+    F = A.field
+    cols = tuple(zip(*B.rows))
+    return Matrix(F, [[functools.reduce(F.add, map(F.mul, row, col), 0) for col in cols]
+                      for row in A.rows])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 27, 125, 512])
+def test_products_and_powers_match_the_scalar_product(q):
+    F = finite_field(q)
+    rng = random.Random(q)
+    for n in (0, 1, 2, 3, 5, 8, MAX_DIM):
+        A, B = (Matrix(F, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+                for _ in range(2))
+        assert A * B == _scalar_product(A, B)
+        power = Matrix.identity(F, n)
+        for e in range(6):
+            assert A.pow(e) == power, (n, e)
+            power = _scalar_product(power, A)
+
+
+def _pivoting_matrix(rng, q, n):
+    """Random n x n rows, a third of them with a zero subdiagonal entry
+    in column 0 above a nonzero one (a row swap) and a third with a zero
+    column (no pivot at all)."""
+    rows = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(n)]
+    shape = rng.randrange(3)
+    if shape == 1 and n >= 3:
+        rows[1][0] = 0
+        rows[n - 1][0] = rng.randrange(1, q)
+    elif shape == 2:
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81,
+                               128, 243, 256, 512])
+def test_char_polys_match_scalar_hessenberg_and_cofactors(q):
+    F = finite_field(q)
+    rng = random.Random(q)
+    for n in (*range(1, 7), 8, MAX_DIM):
+        batch = [_pivoting_matrix(rng, q, n) for _ in range(20)]
+        got = [tuple(row) for row in char_polys(F, batch).tolist()]
+        mats = [Matrix(F, rows) for rows in batch]
+        assert got == [_hessenberg_charpoly(M) for M in mats], (q, n)
+        if n <= 5:
+            assert got == [_charpoly_oracle(M) for M in mats], (q, n)
+        assert got[:1] == [char_poly(mats[0])]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_char_poly_matches_cofactor_oracle(q):
     F = finite_field(q)
@@ -391,14 +507,17 @@ def _companion(F, f):
     return Matrix(F, rows)
 
 
-@given(count_matrices(), st.integers(0, 60))
+@given(count_matrices(), st.integers(0, 60), st.sampled_from([4, 8, 32]))
 @settings(max_examples=150, deadline=None)
-def test_walk_window_is_the_companion_power(g, k):
-    # any k, coprime to the order or not, and singular g too
+def test_block_columns_are_the_companion_power(g, k, w):
+    # any k, coprime to the order or not, and singular g too; narrow
+    # blocks reach k through many advances
     F = g.field
     f = char_poly(g)
-    cols = next(itertools.islice(_companion_power_columns(F, f), k, None))
-    power = Matrix(F, zip(*cols))
+    n = len(f) - 1
+    blocks = matgroup._power_columns(matgroup._tables(F), f, w)
+    cols = next(itertools.islice(blocks, k // w, None))
+    power = Matrix(F, cols[:, k % w:k % w + n].tolist())
     assert power == _companion(F, f).pow(k)
     assert char_poly(power) == char_poly(g.pow(k))
 
@@ -423,11 +542,11 @@ def test_count_takes_one_charpoly_per_coset(monkeypatch):
     mixed = Matrix(F, [[1, 1, 0, 0], [0, 1, 0, 0],
                        [0, 0, *singer.rows[0]], [0, 0, *singer.rows[1]]])
     assert element_order(mixed) == 24
-    calls = []
-    monkeypatch.setattr(matgroup, "char_poly",
-                        lambda M: calls.append(M) or char_poly(M))
+    rows = []
+    monkeypatch.setattr(matgroup, "char_polys",
+                        lambda F, mats: rows.append(len(mats)) or char_polys(F, mats))
     assert coprime_power_charpoly_count(mixed) == 2
-    assert len(calls) == 1 + 2    # cp(g), then one per coset
+    assert rows == [1, 2]    # cp(g), then one row per coset
 
 
 SINGER_PAIRS = [(n, q) for q in prime_powers_upto(MAX_FIELD)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -235,3 +236,50 @@ def test_torus_tuple_matches_reference_formulas(tag):
                 continue
             assert rec.order_fn(n, q) == order_ref(n, q), (n, q)
             assert rec.order_lb_fn(n, q) == lb_ref(n, q), (n, q)
+
+
+def _q_min(rec):
+    return 3 if rec.q_odd_only else 2
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_tail_bound_never_decreases_and_thresholds_grow(tag):
+    # the two facts that let the tail scan stop early
+    rec = FAMILIES[tag]
+    ns = rec.admissible(rec.n_min, screening._N_TAIL_END)
+    bounds = [rec.order_lb_fn(n, _q_min(rec)) for n in ns]
+    assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+    thresholds = [rec.threshold(n) for n in ns]
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_tail_stop_rule_matches_the_full_scan(tag):
+    # one pass of the per-n check, read as "every n from here on passes"
+    rec = FAMILIES[tag]
+    end = screening._N_TAIL_END
+    ns = rec.admissible(rec.n_min, end)
+    passes = [rec.order_lb_fn(n, _q_min(rec)) > 4 * rec.threshold(n) ** 2 for n in ns]
+    suffix_all = [True] * (len(passes) + 1)
+    for i in range(len(passes) - 1, -1, -1):
+        suffix_all[i] = passes[i] and suffix_all[i + 1]
+    assert not suffix_all[0] and suffix_all[-2]
+    for lo in range(rec.n_min, end + 2):
+        first = len(rec.admissible(rec.n_min, lo - 1))
+        assert screening._n_tail_ok(rec, lo, _q_min(rec)) == suffix_all[first], lo
+
+
+def test_screen_results_are_pinned():
+    # sha256 updated with repr(exception_set(tag, n_max, q_max)).encode()
+    # for tag in FAMILIES order, n_max in range(n_min, 25), q_max in
+    # (2, 8, 64): 396 results, the whole ScreenResult of each
+    digest = hashlib.sha256()
+    count = 0
+    for tag, rec in FAMILIES.items():
+        for n_max in range(rec.n_min, 25):
+            for q_max in (2, 8, 64):
+                digest.update(repr(exception_set(tag, n_max, q_max)).encode())
+                count += 1
+    assert count == 396
+    assert digest.hexdigest() == (
+        "92819b8f5163b31a2f40c0038fd29064422b9930b9b54d7552dda2326f129b01")
