@@ -26,8 +26,10 @@ def orbits(images) -> tuple[tuple[int, ...], ...]:
 def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
     """Orbits of the coprime power maps on classes, ordered by least member.
     Each class's fusion row lists its orbit (every ClassStructure is
-    checked for this when built)."""
-    return orbits(cs.fusion)
+    checked for this when built); a row of one repeated index is read as
+    its singleton without building a set."""
+    return tuple(sorted({(c,) if fus.count(c) == len(fus) else tuple(sorted(set(fus)))
+                         for c, fus in enumerate(cs.fusion)}))
 
 
 def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:

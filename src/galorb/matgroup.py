@@ -202,14 +202,16 @@ def _tables(F: FiniteField) -> _Tables:
 
 
 def _dot(T: _Tables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stacked products A @ B over the field of T: every a_il b_lj in one
-    gather, then the sums over l in pairs."""
-    terms = T.mul[A[..., :, :, None], B[..., None, :, :]]
-    while terms.shape[-2] > 1:
-        half = terms.shape[-2] // 2
-        terms = np.concatenate((T.add[terms[..., :half, :], terms[..., half:2 * half, :]],
-                                terms[..., 2 * half:, :]), axis=-2)
-    return terms[..., 0, :] if terms.shape[-2] else terms.sum(axis=-2)    # n = 0: empty sums
+    """Stacked products A @ B over the field of T, summed over l one slice
+    at a time: each step gathers the terms a_il b_lj of one l and adds
+    them in, so no temporary holds more than one term per entry."""
+    if not A.shape[-1]:    # empty sums
+        return np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                        + (A.shape[-2], B.shape[-1]), dtype=np.intp)
+    out = T.mul[A[..., :1], B[..., :1, :]]
+    for l in range(1, A.shape[-1]):
+        out = T.add[out, T.mul[A[..., l:l + 1], B[..., l:l + 1, :]]]
+    return out
 
 
 def char_polys(F: FiniteField, mats) -> np.ndarray:

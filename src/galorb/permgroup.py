@@ -41,12 +41,17 @@ binary powering over their rows, then ranked from their base images in
 one batch.  There is no random search; the seeded words change which
 chain enumerates, never the result.
 Alternating and cyclic groups also get direct combinatorial
-constructions that build no permutation: cycle types and the Jacobi
-symbol for A_n, residues for cyclic groups.  All three builders share
-one assembly step: each lists its classes and supplies one class's
-power images at a time, and the classes are numbered and labelled in
-one place.  A ClassStructure checks itself when it is built (each
-class's fusion images must be one orbit), so none exists unchecked.
+constructions that build no permutation: residues for cyclic groups,
+and for A_n one recursion node per cycle type, carrying its centralizer
+order, element order and whether it splits, with the Jacobi symbol,
+read from one table of quadratic non-residues per prime, deciding the
+powers of a split pair.  All three builders share one assembly step:
+each lists its classes and supplies one class's power images at a
+time, or none for a class fixed by every power map (nearly every A_n
+class), whose fusion row is then one repeated index; the classes are
+numbered and labelled in one place.  A ClassStructure checks itself
+when it is built (each class's fusion images must be one orbit, which
+a row of one repeated index is at once), so none exists unchecked.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .numutil import factorize, units_mod
+from .numutil import factorize, is_prime, units_mod
 
 MAX_DEGREE = 256
 MAX_GROUP_ORDER = 200_000_000
@@ -470,8 +475,10 @@ class ClassStructure:
 
     @cached_property
     def inverse_map(self) -> tuple[int, ...]:
-        """Class of the inverses of each class."""
-        return self.power_map(-1)
+        """Class of the inverses of each class: the last fusion entry, as
+        the units are ascending and -1 is the greatest (for m <= 2, the
+        only one)."""
+        return tuple(fus[-1] for fus in self.fusion)
 
     def __post_init__(self):
         n = self.num_classes
@@ -481,7 +488,11 @@ class ClassStructure:
             raise InputError("class sizes do not sum to the group order")
         if tuple(self.orders[:1]) != (1,) or tuple(self.sizes[:1]) != (1,):
             raise InputError("class 0 must be the trivial class")
-        images = [frozenset(fus) for fus in self.fusion]
+        # a row of one repeated index (fixed by every power map) has the
+        # orbit {c} once it fixes k = 1, and needs no image set of its
+        # own; None stands for it, which equals no set of two classes
+        images = [None if fus.count(c) == len(fus) else frozenset(fus)
+                  for c, fus in enumerate(self.fusion)]
         least: dict[frozenset, int] = {}  # the first class with each image set
         for c in range(n):
             m = self.orders[c]
@@ -493,7 +504,7 @@ class ClassStructure:
                 raise InputError(f"fusion of class {c} does not fix k = 1")
             # c is among its images, so checking each image set once, from
             # its first class, shows that the sets are orbits
-            if least.setdefault(images[c], c) != c:
+            if images[c] is None or least.setdefault(images[c], c) != c:
                 continue
             for d in images[c]:
                 if not 0 <= d < n:
@@ -535,19 +546,28 @@ def _assemble(group_order: int, classes: list, powers,
     numbering, keys distinct; the classes are renumbered by that triple.
     powers(c) gives, for a builder class c of order m, the builder index
     of the class of c^k for each k in units_mod(m), in that order (for
-    the trivial class, k = 0 and the class itself).  The keys become the
-    reps and labels are added; the structure checks itself.
+    the trivial class, k = 0 and the class itself), or None when every
+    power lies in c's own class: that fusion row is built as one
+    repeated index.  The keys become the reps and labels are added; the
+    structure checks itself.
     """
     perm = sorted(range(len(classes)), key=classes.__getitem__)
     newpos = [0] * len(perm)
     for new, old in enumerate(perm):
         newpos[old] = new
+
+    def row(new, old):
+        images = powers(old)
+        if images is None:
+            return (new,) * len(units_mod(classes[old][0]))
+        return tuple(map(newpos.__getitem__, images))
+
     orders = tuple(classes[c][0] for c in perm)
     return ClassStructure(
         group_order=group_order,
         sizes=tuple(classes[c][1] for c in perm),
         orders=orders,
-        fusion=tuple(tuple(map(newpos.__getitem__, powers(old))) for old in perm),
+        fusion=tuple(map(row, range(len(perm)), perm)),
         labels=_labels_for(orders, lower),
         reps=tuple(classes[c][2] for c in perm),
     )
@@ -696,75 +716,84 @@ def cyclic_class_structure(m: int) -> ClassStructure:
     return _assemble(m, classes, lambda j: [j * k % m for k in units_mod(classes[j][0])])
 
 
-def _even_partitions(n: int):
-    """Partitions of n with an even number of even parts, parts
-    decreasing, in reverse-lexicographic order.  Each step pops the
-    trailing 1s, lowers the last part x to x - 1 and refills the freed
-    sum with parts x - 1 and one remainder."""
-    parts = [n]
-    evens = 1 - n % 2
-    while True:
-        if evens % 2 == 0:
-            yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        x = parts.pop()
-        evens -= 1 - x % 2
-        x -= 1
-        fill, rest = divmod(ones + x + 1, x)
-        parts += [x] * fill
-        evens += fill * (1 - x % 2)
-        if rest:
-            parts.append(rest)
-            evens += 1 - rest % 2
+def _even_classes(n: int):
+    """Yield (parts, centralizer order, element order, split) for each
+    partition of n with evenly many even parts, parts decreasing, in
+    reverse-lexicographic order; split when the parts are odd and
+    distinct.
+
+    One recursion node per partition.  A node holds the parts above 1
+    chosen so far; each child adds a smaller part p with multiplicity m,
+    multiplicities in descending order, and carries on the product of
+    the p^m m!, the lcm of the parts, the parity of the even parts and
+    the split flag.  A node visits its children, then emits its own
+    partition, filled up with ones.  Nodes are yielded, not listed, so
+    no second list of the classes is held."""
+    fact = [math.factorial(m) for m in range(n + 1)]
+
+    def visit(parts, rest, top, z, order, odd_evens, split):
+        for p in range(top if top < rest else rest, 1, -1):
+            even = 1 - p % 2
+            order_p, split_p = math.lcm(order, p), split and not even
+            for m in range(rest // p, 0, -1):
+                yield from visit(parts + (p,) * m, rest - p * m, p - 1, z * p ** m * fact[m],
+                                 order_p, odd_evens ^ (even & m), split_p and m == 1)
+        if not odd_evens:
+            yield parts + (1,) * rest, z * fact[rest], order, split and rest <= 1
+
+    return visit((), n, n, 1, 1, 0, True)
+
+
+def _nonresidues(ell: int) -> np.ndarray:
+    """1 at each residue mod the odd prime ell that is not a square."""
+    table = np.ones(ell, dtype=np.intp)
+    table[np.arange(ell) ** 2 % ell] = 0
+    return table
 
 
 def alternating_class_structure(n: int) -> ClassStructure:
     """Class data of the alternating group on n points, 5 <= n <= 40,
     built from cycle types without touching group elements.
 
-    A class is a partition of n with evenly many even parts; it splits
-    into a pair exactly when the parts are odd and distinct.  For such
-    parts with product P, the k-th power of a class lies in the other
-    half of its pair exactly when the Jacobi symbol (k / P) is -1: on a
-    p-cycle, i -> ki mod p conjugates the cycle to its k-th power, and
-    its sign is (k / p) by Zolotarev's lemma (Frobenius's form for odd p).
+    A class is a partition of n with evenly many even parts, one node of
+    _even_classes, which carries its centralizer order and element order;
+    it splits into a pair exactly when the parts are odd and distinct.
+    An unsplit class is fixed by every power map, so its fusion row is
+    one repeated index.  For split parts with product P, the k-th power
+    of a class lies in the other half of its pair exactly when the
+    Jacobi symbol (k / P) is -1: on a p-cycle, i -> ki mod p conjugates
+    the cycle to its k-th power, and its sign is (k / p) by Zolotarev's
+    lemma (Frobenius's form for odd p).  (k / P) is read from one table
+    of quadratic non-residues per prime dividing P to an odd power.
     """
     if not 5 <= n <= 40:
         raise InputError(f"alternating class data supports 5 <= n <= 40, got {n}")
     nfact = math.factorial(n)
     classes = []  # (order, size, (parts, half))
-    swaps = []  # per class: None when unsplit, else per unit 1 if powers change half
-    # p^m m!, the centralizer factor of m cycles of length p
-    factor = [[p ** m * math.factorial(m) for m in range(n + 1)] for p in range(n + 1)]
-    for parts in _even_partitions(n):
-        distinct = set(parts)
-        size = nfact // math.prod([factor[p][parts.count(p)] for p in distinct])
-        order = math.lcm(*distinct)
-        split = len(distinct) == len(parts) and all(p % 2 for p in distinct)
+    swaps = {}  # builder index of half 0 of a split pair: per unit, 1 if powers change half
+    nonres = {ell: _nonresidues(ell) for ell in range(3, n + 1, 2) if is_prime(ell)}
+    for parts, z, order, split in _even_classes(n):
+        size = nfact // z
         if not split:
             classes.append((order, size, (parts, 0)))
-            swaps.append(None)
             continue
         if size % 2:
             raise AssertionError("split class size must be even")
-        # (k / P) is the product of Euler's criterion over the primes
-        # dividing P to an odd power, all of them prime to the unit k
-        odd = [ell for ell, e in factorize(math.prod(parts)).items() if e % 2]
-        swap = [sum(pow(k, (ell - 1) // 2, ell) != 1 for ell in odd) % 2
-                for k in units_mod(order)]
+        # (k / P) is the product of the Legendre symbols (k / ell) over the
+        # primes ell dividing P to an odd power, all of them prime to k
+        ks = np.array(units_mod(order))
+        swap = swaps[len(classes)] = np.zeros(len(ks), dtype=np.intp)
+        for ell, e in factorize(math.prod(parts)).items():
+            if e % 2:
+                swap ^= nonres[ell][ks % ell]
         classes += [(order, size // 2, (parts, 0)), (order, size // 2, (parts, 1))]
-        swaps += [swap, swap]
 
     def powers(c):
-        if swaps[c] is None:
-            return [c] * len(units_mod(classes[c][0]))
+        half = classes[c][2][1]
+        swap = swaps.get(c - half)
+        if swap is None:
+            return None
         # a split pair is builder classes i (half 0) and i + 1 (half 1)
-        step = 1 - 2 * classes[c][2][1]
-        return [c + step * s for s in swaps[c]]
+        return (c + (1 - 2 * half) * swap).tolist()
 
     return _assemble(nfact // 2, classes, powers, lower=True)

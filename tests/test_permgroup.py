@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galorb.permgroup
+from galorb.classtheory import orbits, q_classes
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import prime_powers_upto, units_mod
 from galorb.permgroup import (
     MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_labels,
-    _even_partitions, _labels_for, _Level, _powers,
+    _even_classes, _labels_for, _Level, _powers,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, group_order, identity_perm,
     parse_generators, perm_order, symmetric_group_spec,
@@ -214,8 +216,8 @@ def _conjugator_parity(g, h, parts, n):
 
 
 def reference_even_partitions(n):
-    """The recursion `_even_partitions` replaced: partitions of n with an
-    even number of even parts, parts decreasing, as a list."""
+    """Partitions of n with an even number of even parts, parts
+    decreasing, as a list, by a recursion over the parts one at a time."""
     out = []
 
     def rec(remaining, maxpart, acc, evens):
@@ -234,7 +236,15 @@ def reference_even_partitions(n):
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_even_partitions_match_recursive_reference(n):
-    assert list(_even_partitions(n)) == reference_even_partitions(n)
+    nodes = list(_even_classes(n))
+    assert [parts for parts, _, _, _ in nodes] == reference_even_partitions(n)
+    # each node's data, recomputed from its parts
+    for parts, z, order, split in nodes:
+        distinct = set(parts)
+        assert z == math.prod(p ** parts.count(p) * math.factorial(parts.count(p))
+                              for p in distinct)
+        assert order == math.lcm(*parts)
+        assert split == (len(distinct) == len(parts) and all(p % 2 for p in parts))
 
 
 def reference_alternating_class_structure(n):
@@ -243,7 +253,7 @@ def reference_alternating_class_structure(n):
     between them, one unit k at a time."""
     nfact = math.factorial(n)
     records = []  # (order, size, parts, half, fusion_swap or None)
-    for parts in _even_partitions(n):
+    for parts in reference_even_partitions(n):
         z = 1
         run = None
         mult = 0
@@ -343,6 +353,18 @@ def test_alternating_formula_matches_enumeration(n):
 @pytest.mark.parametrize("n", range(5, 25))
 def test_alternating_structure_matches_conjugator_reference(n):
     assert alternating_class_structure(n) == reference_alternating_class_structure(n)
+
+
+def test_alternating_class_bytes_are_pinned():
+    """The A_n class data, pinned byte for byte: one sha256, updated in
+    order with repr(alternating_class_structure(n)).encode() for
+    n = 5..40.  Any change to a class, its order, size, representative,
+    label or fusion row changes it."""
+    digest = hashlib.sha256()
+    for n in range(5, 41):
+        digest.update(repr(alternating_class_structure(n)).encode())
+    assert digest.hexdigest() == (
+        "9eaaa611b8b6f397957671df83d68026cf279f1cf7229c4736f10da109e86823")
 
 
 def test_alternating_class_data_peak_memory():
@@ -523,6 +545,13 @@ def wide_specs():
         for seed in (1, 2):
             out[f"{k}_r{seed}"] = relabeled(out[k], seed)
     return out
+
+
+@functools.cache
+def wide_structures():
+    """conjugacy_classes of each of wide_specs(), in its order, built once
+    for the tests that read them all (each is immutable)."""
+    return tuple(map(conjugacy_classes, wide_specs().values()))
 
 
 def test_batched_powers_match_ppow():
@@ -714,8 +743,8 @@ def test_class_path_bytes_are_pinned():
     change to a class, its order, size, representative, label or fusion
     row changes it."""
     digest = hashlib.sha256()
-    for spec in [*wide_specs().values(), M11_SPEC, M12_SPEC]:
-        digest.update(repr(conjugacy_classes(spec)).encode())
+    for cs in [*wide_structures(), *map(conjugacy_classes, (M11_SPEC, M12_SPEC))]:
+        digest.update(repr(cs).encode())
     assert digest.hexdigest() == (
         "cbcc3eecba4b35856994eda7cea6c0064049da0a736c73e98f698207c9f27ca0")
 
@@ -869,6 +898,26 @@ def test_validate_rejects_fusion_rows_that_are_not_orbits():
     assert tuple(fus[-1] for fus in split) == (0, 1, 2, 3, 4)
     with pytest.raises(InputError, match="fusion images of classes 1 and 2 are not one orbit"):
         replace(cs, fusion=split)
+
+
+def test_validate_rejects_constant_rows_inside_another_orbit():
+    # the mirror case: class 1 reaches only itself, class 2 reaches 1
+    cs = cyclic_class_structure(5)
+    split = ((0,), (1, 1, 1, 1), (2, 1, 1, 2), (3, 4, 4, 3), (4, 4, 4, 4))
+    assert tuple(fus[-1] for fus in split) == (0, 1, 2, 3, 4)
+    with pytest.raises(InputError, match="fusion images of classes 2 and 1 are not one orbit"):
+        replace(cs, fusion=split)
+
+
+def test_orbit_and_inverse_reads_match_the_generic_ones():
+    # q_classes and inverse_map read a row fixed by every power map, and
+    # the unit -1, directly; the generic reads agree on every builder
+    structures = itertools.chain(wide_structures(),
+                                 map(cyclic_class_structure, range(1, 61)),
+                                 map(alternating_class_structure, range(5, 41)))
+    for cs in structures:
+        assert q_classes(cs) == orbits(cs.fusion)
+        assert cs.inverse_map == cs.power_map(-1)
 
 
 def test_equal_structures_hash_equal():
