@@ -34,8 +34,9 @@ def q_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
 
 def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
     """Orbits of class inversion (singletons and mirror pairs): inverse_map
-    is an involution, checked when built, so {c, its inverse} is an orbit."""
-    return orbits(enumerate(cs.inverse_map))
+    is an involution, checked when built, so {c, its inverse} is an orbit,
+    read once, from its least class."""
+    return tuple((c,) if i == c else (c, i) for c, i in enumerate(cs.inverse_map) if i >= c)
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,21 @@ element order, ascending.  Each fact is stored once: the exponent and
 the power maps on classes, inversion among them, are derived from these.
 
 Orders come from a stabilizer chain built by incremental Schreier-Sims
-with one sift-and-promote loop: the input generators, as one uint8
-batch, and each level's Schreier generators, each formed once, are
-sifted through the levels with one gather per level, and of a batch's
-residues the one that joins the fewest levels is promoted first.
+with one sift-and-promote loop on bytes rows, each product one
+bytes.translate: the input generators and each level's Schreier
+generators, each formed once, are sifted through the levels, and of a
+batch's residues the one that joins the fewest levels is promoted first.
 Levels grow in place, and only when complete, as strong generators join
 them; each is completed from the pairs its growth made, but for tree
 edges, whose Schreier generators are the identity.  The chain refuses,
 exactly, once the order it has found passes its limit.
-Classes come from one path, under one guard: their chain's limit is
-10^8 element-points over the degree, so it stops as soon as order times
-degree passes 10^8, before any element is stored.  The chain's
-transversals enumerate every element as a row of bytes, each the
-product of one transversal element per level, so an element's index is
-read off its base images by sifting them alone.  The enumeration is
+Classes come from one path, under one guard: their chain's limit is 10^8
+element-points over the degree, so it stops as soon as order times
+degree passes 10^8, before any element is stored.  Only this whole-group
+work reads numpy: the complete chain's levels are joined into tables
+once, and its transversals enumerate every element as a uint8 row, each
+the product of one transversal element per level, so an element's index
+is read off its base images by sifting them alone.  The enumeration is
 checked to be closed under level 0's strong generators g (the promoted
 rows it grew from, at most log2 of the order, however many): each check
 ranks every row x g by its base images and compares it in full with the
@@ -30,16 +31,16 @@ row at the index found.  As x runs over the group so does x g, so these
 checks show the sift exact on every element of the group, and no other
 row is compared.  Conjugation by g ranks each g^-1 x g from its base
 images g^-1[x[g[b]]] alone, and the classes are the orbits of those
-permutations.  One builder makes the chain for orders and classes
-alike: given more than two generators, it grows first from two words in
-them, seeded from the spec's bytes, and then from the generators, so
-level 0 has two strong generators, and the class path makes two closure
-checks, when the words generate the group; each generator outside their
-group adds one more.  Each class's least row is found column by column,
-and the coprime powers of all representatives are formed together by
-binary powering over their rows, then ranked from their base images in
-one batch.  There is no random search; the seeded words change which
-chain enumerates, never the result.
+permutations.  One builder makes the chain for orders and classes alike:
+given more than two generators, it grows first from two words in them,
+seeded from the spec's bytes, and then from the generators, so level 0
+has two strong generators, and the class path makes two closure checks,
+when the words generate the group; each generator outside their group
+adds one more.  Each class's least row is found column by column, and
+the coprime powers of all representatives are formed together by binary
+powering over their rows, then ranked from their base images in one
+batch.  There is no random search; the seeded words change which chain
+enumerates, never the result.
 Alternating and cyclic groups also get direct combinatorial
 constructions that build no permutation: residues for cyclic groups,
 and for A_n one recursion node per cycle type, carrying its centralizer
@@ -60,7 +61,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -192,68 +193,76 @@ def _parse_cycle_line(line: str, ln: int, degree: int) -> tuple[int, ...]:
 
 # -- stabilizer chain ---------------------------------------------------
 
+_IDENTITY_TABLE = bytes(range(256))
+
+
+def _table(row: bytes) -> bytes:
+    """row, then the identity to 256 points: h.translate(_table(t)) is t h."""
+    return row + _IDENTITY_TABLE[len(row):]
+
+
+def _inverse_table(row: bytes) -> bytes:
+    """The table of the inverse of row: row[i] goes to i."""
+    return bytes.maketrans(row, _IDENTITY_TABLE[:len(row)])
+
 
 class _Level:
     """One level of a stabilizer chain.
 
-    gens holds the strong generators of this level as uint8 rows.  The
-    orbit of the base point under them grows in place, and pos[x] is the
-    position of x in it (-1 outside); u[x] is a transversal element
-    sending the base point to x and uinv[x] its inverse (rows of points
-    outside the orbit are unused).  A level grows only when complete, so
-    its untested Schreier pairs are those its latest add returned.
+    gens holds its strong generators as bytes rows and tabs their
+    tables.  The orbit of the base point under them grows in place; u[x]
+    is a transversal row sending the base point to x and uinv[x] its
+    inverse's table (None off the orbit).  A level grows only when
+    complete, so its untested Schreier pairs are those its latest add
+    returned.
     """
 
     def __init__(self, base: int, degree: int):
-        identity = np.arange(degree, dtype=np.uint8)
         self.base = base
-        self.gens = np.empty((0, degree), dtype=np.uint8)
-        self.orbit = np.array([base], dtype=np.intp)
-        self.pos = np.full(degree, -1, dtype=np.int32)
-        self.pos[base] = 0
-        self.u = np.zeros((degree, degree), dtype=np.uint8)
-        self.uinv = np.zeros((degree, degree), dtype=np.uint8)
-        self.u[base] = self.uinv[base] = identity
+        self.gens, self.tabs = [], []
+        self.orbit = [base]
+        self.u, self.uinv = [None] * degree, [None] * degree
+        self.u[base], self.uinv[base] = bytes(range(degree)), _IDENTITY_TABLE
 
-    def add(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Add a strong generator and extend the orbit and transversal:
-        the new generator acts on the old points, then every generator
-        acts on the new points.  Returns the orbit positions and generator
-        indices, in row-major order, of the pairs this made (each old
-        point with g, each new point with every generator) but for the
-        tree edges, whose Schreier generators are the identity."""
-        self.gens = np.vstack((self.gens, g))
-        gens = self.gens.tolist()
-        orbit = self.orbit.tolist()
-        seen = set(orbit)
-        edges = []  # (y, x, k) with y = gens[k][x] new to the orbit
-        last = gens[-1]
-        for x in orbit:
-            y = last[x]
-            if y not in seen:
-                seen.add(y)
-                edges.append((y, x, len(gens) - 1))
-        for y, _, _ in edges:  # also visits the points appended below
-            for k, s in enumerate(gens):
-                z = s[y]
-                if z not in seen:
-                    seen.add(z)
-                    edges.append((z, y, k))
-        for y, x, k in edges:
-            # u_y = s u_x for y = s(x)
-            self.u[y] = self.gens[k][self.u[x]]
-        fresh = np.zeros((len(seen), len(gens)), dtype=bool)
-        fresh[:, -1] = True
-        fresh[len(orbit):] = True
-        if edges:
-            pts, xs, ks = map(list, zip(*edges))
-            self.uinv[pts] = np.argsort(self.u[pts], axis=1)
-            self.pos[pts] = range(len(orbit), len(seen))
-            self.orbit = np.concatenate((self.orbit, pts))
-            # u_y = s u_x makes each edge's Schreier generator u_y^-1 s u_x
-            # the identity, so it is never formed
-            fresh[self.pos[xs], ks] = False
-        return np.nonzero(fresh)
+    def add(self, g: bytes, tab: bytes) -> list[tuple[int, int]]:
+        """Add a strong generator, with its table, and extend the orbit
+        and transversal: the new generator acts on the old points, then
+        every generator acts on the new points.  Returns the (orbit point,
+        generator index) pairs this made, in orbit then generator order
+        (each old point with g, each new point with every generator), but
+        for the tree edges, whose Schreier generators are the identity."""
+        self.gens.append(g)
+        self.tabs.append(tab)
+        u, uinv, pairs = self.u, self.uinv, []
+        work = [(x, len(self.gens) - 1) for x in self.orbit]
+        for x, k in work:  # also visits the pairs appended below
+            y = self.tabs[k][x]
+            if uinv[y] is None:
+                # u_y = s u_x for y = s(x)
+                u[y] = u[x].translate(self.tabs[k])
+                uinv[y] = _inverse_table(u[y])
+                self.orbit.append(y)
+                work += [(y, j) for j in range(len(self.gens))]
+            else:
+                pairs.append((x, k))
+        return pairs
+
+
+class _Tables:
+    """A complete level as numpy tables: u its transversal rows in orbit
+    order, uinv the d x d inverses (unused off the orbit), pos the orbit
+    positions (-1 off it), gens the strong generators."""
+
+    def __init__(self, lev: _Level, degree: int):
+        def rows(rs):
+            return np.frombuffer(b"".join(rs), dtype=np.uint8).reshape(-1, degree)
+
+        self.base = lev.base
+        self.u = rows(lev.u[x] for x in lev.orbit)
+        self.uinv = rows((t or _IDENTITY_TABLE)[:degree] for t in lev.uinv)
+        self.pos = np.full(degree, -1, dtype=np.int32)
+        self.pos[lev.orbit] = range(len(lev.orbit))
+        self.gens = rows(lev.gens)
 
 
 class _Chain:
@@ -276,29 +285,28 @@ class _Chain:
     generators are the promoted residues of the rows extended from level
     0: they generate the group, and each was outside the group of the
     complete chain before it, so there are at most log2 of the order of
-    them, however many rows were given.  index sifts base images alone,
-    and elements checks it exact on the group by comparing whole rows.
+    them, however many rows were given.  elements joins the levels into
+    numpy tables, which index reads to sift base images alone, and checks
+    index exact on the group by comparing whole rows.
     """
 
     def __init__(self, degree: int, max_order: int):
         self.degree = degree
         self.max_order = max_order
-        self.identity = np.arange(degree, dtype=np.uint8)
+        self.identity = bytes(range(degree))
         self.levels: list[_Level] = []
+        self.tables: list[_Tables] | None = None
         self.schreier_generators = 0
 
     def order(self) -> int:
-        o = 1
-        for lev in self.levels:
-            o *= len(lev.orbit)
-        return o
+        return math.prod(len(lev.orbit) for lev in self.levels)
 
     def elements(self) -> np.ndarray:
         """Every element, as uint8 rows in mixed-radix order.  The row of
         index i_0 r_0 + ... + i_{L-1} r_{L-1}, where r_l is the product of
         the orbit lengths below level l, is the product u_0 u_1 ... u_{L-1}
         of the transversal elements at orbit positions i_l.  One column
-        gather per level builds them.
+        gather per level of the tables joined here builds them.
 
         The rows E are then checked to be the group: E g lies in E for
         every strong generator g of level 0, which generate the group, and
@@ -307,13 +315,14 @@ class _Chain:
         check ranks all rows x g by index and compares them in full with
         the rows found; x g runs over the group with x, so it also shows
         index exact on every element of the group."""
-        rows = self.identity[None, :]
-        for lev in self.levels:
+        self.tables = [_Tables(lev, self.degree) for lev in self.levels]
+        rows = np.arange(self.degree, dtype=np.uint8)[None, :]
+        for t in self.tables:
             # row (j, i) is rows[j] u_i: a column permutation of rows[j]
-            rows = np.take(rows, lev.u[lev.orbit], axis=1).reshape(-1, self.degree)
-        bases = [lev.base for lev in self.levels]
-        for lev in self.levels[:1]:
-            for g in lev.gens:
+            rows = np.take(rows, t.u, axis=1).reshape(-1, self.degree)
+        bases = [t.base for t in self.tables]
+        for t in self.tables[:1]:
+            for g in t.gens:
                 # the base images (x g)[b] = x[g[b]] are the columns g[b]
                 idx = self.index(rows.T[g[bases]])
                 if not np.array_equal(np.take(rows, idx, axis=0), np.take(rows, g, axis=1)):
@@ -323,45 +332,41 @@ class _Chain:
     def index(self, images: np.ndarray) -> np.ndarray:
         """Index in elements() of each element whose base images are the
         columns of images (one row per level; overwritten), read by
-        sifting them alone: exact on the group, as elements() checks, it
-        refuses only a base image off its level's orbit."""
+        sifting them alone through its tables: exact on the group, as
+        elements() checks, it refuses only a base image off its orbit."""
         idx = np.zeros(images.shape[1], dtype=np.int32)
-        for l, lev in enumerate(self.levels):
-            at = lev.pos[images[l]]
+        for l, t in enumerate(self.tables):
+            at = t.pos[images[l]]
             if (at < 0).any():
                 raise AssertionError("row outside the group: base image off the orbit")
-            idx = idx * len(lev.orbit) + at
+            idx = idx * len(t.u) + at
             # sifting by u_x^-1 sends each deeper base image y to uinv[x][y],
             # entry x d + y of uinv; x d needs more than the 8 bits of x
             xd = images[l].astype(np.intp) * self.degree
-            for m in range(l + 1, len(self.levels)):
-                images[m] = np.take(lev.uinv, xd + images[m])
+            for m in range(l + 1, len(self.tables)):
+                images[m] = np.take(t.uinv, xd + images[m])
         return idx
 
-    def _sift(self, h: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sift(self, h: list[bytes], start: int) -> tuple[list[bytes], list[int]]:
         """Sift each row of h through levels start..; returns the residues
         and, per row, the level where its base image left the orbit
         (len(levels) if it passed them all).  A residue fixes the base
         points above its level, so sifting it again from start is exact."""
-        stop = np.full(len(h), len(self.levels))
-        rows = np.arange(len(h))
-        cur = h
-        for l in range(start, len(self.levels)):
-            lev = self.levels[l]
-            x = cur[:, lev.base]
-            at = lev.pos[x]
-            # one reduction when every row stays in the orbit, the usual case
-            if len(at) and at.min() < 0:
-                inside = at >= 0
-                out = ~inside
-                stop[rows[out]] = l
-                h[rows[out]] = cur[out]
-                rows, cur, x = rows[inside], cur[inside], x[inside]
-            cur = lev.uinv[x[:, None], cur]
-        h[rows] = cur
-        return h, stop
+        levels = self.levels[start:]
+        residues, stops = [], []
+        for row in h:
+            stop = start
+            for lev in levels:
+                t = lev.uinv[row[lev.base]]
+                if t is None:
+                    break
+                row = row.translate(t)
+                stop += 1
+            residues.append(row)
+            stops.append(stop)
+        return residues, stops
 
-    def extend(self, h: np.ndarray, top: int = 0):
+    def extend(self, h: list[bytes], top: int = 0):
         """Make the group of levels top.. contain the rows h, which fix the
         base points above top.  While some residue of h is not the
         identity, the one that stopped highest (joins the fewest levels;
@@ -370,37 +375,34 @@ class _Chain:
         point is the least point it moves), and the rest are sifted on
         through the grown chain.  Which residue goes first does not matter
         for exactness, since all are sifted again."""
-        while len(h):
+        while h:
             h, stop = self._sift(h, top)
-            moved = np.flatnonzero((h != self.identity).any(axis=1))
-            if not len(moved):
+            moved = [j for j, row in enumerate(h) if row != self.identity]
+            if not moved:
                 return
-            j = int(np.argmin(stop[moved]))
-            self._add_strong(h[moved[j]], top, int(stop[moved[j]]))
-            h = h[np.delete(moved, j)]
+            j = min(moved, key=stop.__getitem__)
+            self._add_strong(h[j], top, stop[j])
+            h = [h[i] for i in moved if i != j]
 
-    def _add_strong(self, g: np.ndarray, top: int, bottom: int):
+    def _add_strong(self, g: bytes, top: int, bottom: int):
         """Make g, which fixes the base points above level bottom, a strong
         generator of levels top..bottom, then complete them deepest first:
         each level's untested Schreier generators extend the levels below
         it."""
         if bottom == len(self.levels):
-            self.levels.append(_Level(int(np.flatnonzero(g != self.identity)[0]),
-                                      self.degree))
-        pairs = [self.levels[l].add(g) for l in range(top, bottom + 1)]
+            self.levels.append(_Level(next(i for i, x in enumerate(g) if x != i), self.degree))
+        tab = _table(g)
+        pairs = [self.levels[l].add(g, tab) for l in range(top, bottom + 1)]
         reached = self.order()
         if reached > self.max_order:
             raise ResourceLimitError(
                 f"group order is at least {reached}, above the limit {self.max_order}")
         for l in range(bottom, top - 1, -1):
-            lev = self.levels[l]
-            r, k = pairs[l - top]
-            if not len(r):
-                continue
-            self.schreier_generators += len(r)
-            x = lev.orbit[r]
-            y = lev.gens[k, x]
-            self.extend(lev.uinv[y[:, None], lev.gens[k[:, None], lev.u[x]]], l + 1)
+            lev, made = self.levels[l], pairs[l - top]
+            if made:
+                self.schreier_generators += len(made)
+                self.extend([lev.u[x].translate(lev.tabs[k]).translate(lev.uinv[lev.tabs[k][x]])
+                             for x, k in made], l + 1)
 
 
 def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
@@ -417,16 +419,14 @@ def _build_chain(spec: GroupSpec, max_order: int) -> _Chain:
     bytes, so the chain is deterministic; no result depends on it.
     """
     chain = _Chain(spec.degree, max_order)
-    gens = np.array(spec.generators, dtype=np.uint8)
-    if len(gens) > 2:
-        rng = random.Random(gens.tobytes())
-        picks = np.array(rng.choices(range(len(gens)), k=2 * PAIR_WORD_LENGTH))
-        words = np.tile(chain.identity, (2, 1))
-        for step in picks.reshape(2, PAIR_WORD_LENGTH).T:
-            # each word w becomes g w for its next letter g
-            words = np.take_along_axis(gens[step], words, axis=1)
-        chain.extend(words)
-    chain.extend(gens)
+    rows = [bytes(g) for g in spec.generators]
+    if len(rows) > 2:
+        rng = random.Random(b"".join(rows))
+        picks = rng.choices(range(len(rows)), k=2 * PAIR_WORD_LENGTH)
+        # each word w becomes g w for its next letter g
+        chain.extend([reduce(lambda w, k: w.translate(_table(rows[k])), letters, chain.identity)
+                      for letters in (picks[:PAIR_WORD_LENGTH], picks[PAIR_WORD_LENGTH:])])
+    chain.extend(rows)
     return chain
 
 
@@ -585,9 +585,9 @@ def _class_labels(chain: _Chain, elems: np.ndarray) -> np.ndarray:
     lowering every label to the least label among its images and then
     jumping pointers.
     """
-    bases = [lev.base for lev in chain.levels]
+    bases = [t.base for t in chain.tables]
     conj = [chain.index(np.argsort(g).astype(np.uint8)[elems.T[g[bases]]])
-            for lev in chain.levels[:1] for g in lev.gens]
+            for t in chain.tables[:1] for g in t.gens]
     lab = np.arange(len(elems), dtype=np.int32)
     while True:
         new = lab

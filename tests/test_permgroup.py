@@ -18,18 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galorb.permgroup
-from galorb.classtheory import orbits, q_classes
+from galorb.classtheory import orbits, q_classes, r_classes
 from galorb.errors import InputError, ResourceLimitError
 from galorb.matgroup import projective_line_action
 from galorb.numutil import prime_powers_upto, units_mod
 from galorb.permgroup import (
-    MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain, _class_labels,
-    _even_classes, _labels_for, _Level, _powers,
+    _IDENTITY_TABLE, MAX_GROUP_ORDER, ClassStructure, GroupSpec, _build_chain, _Chain,
+    _class_labels, _even_classes, _inverse_table, _labels_for, _Level, _powers, _table,
     alternating_class_structure, alternating_group_spec, conjugacy_classes,
     cyclic_class_structure, cyclic_group_spec, cycles, group_order, identity_perm,
     parse_generators, perm_order, symmetric_group_spec,
 )
-from helpers import format_generators, pinv, pmul
+from helpers import format_generators, pinv, pmul, reference_chain
 
 # -- reference: the tuple-at-a-time class path ----------------------------
 
@@ -617,9 +617,10 @@ def test_closure_check_refuses_rows_outside_the_group():
         p, q = sorted(set(range(n)) - set(bases))[:2]
         lev = chain.levels[-1]
         x = lev.orbit[1]
-        row = lev.u[x].copy()
-        lev.u[x, [p, q]] = lev.u[x, [q, p]]
-        assert np.array_equal(lev.u[x][bases], row[bases])
+        row = bytearray(lev.u[x])
+        row[p], row[q] = row[q], row[p]
+        assert [row[b] for b in bases] == [lev.u[x][b] for b in bases]
+        lev.u[x] = bytes(row)
         with pytest.raises(AssertionError,
                            match="row outside the group: not the element at its index"):
             chain.elements()
@@ -633,7 +634,7 @@ def test_closure_check_refuses_rows_outside_the_group():
 
 def test_enumeration_checks_closure_under_the_generators():
     chain = _Chain(5, MAX_GROUP_ORDER)
-    chain.extend(np.array(alternating_group_spec(5).generators, dtype=np.uint8))
+    chain.extend([bytes(g) for g in alternating_group_spec(5).generators])
     assert len(chain.elements()) == 60
     chain.levels.pop()
     with pytest.raises(AssertionError, match="row outside the group"):
@@ -708,7 +709,7 @@ def test_class_labels_match_the_conjugate_rows():
             continue
         checked += 1
         elems = chain.elements()
-        gens = [g for lev in chain.levels[:1] for g in lev.gens]
+        gens = [g for t in chain.tables[:1] for g in t.gens]
         want = [reference_conjugation(chain, elems, g) for g in gens]
         # the conjugation maps are what index returns inside _class_labels
         conj = []
@@ -762,7 +763,7 @@ def test_pair_choice_does_not_depend_on_the_hash_seed():
               "from galorb.permgroup import _build_chain, parse_generators; "
               f"specs = [parse_generators({format_generators(M12_SPEC)!r}), "
               "*map(projective_line_action, (29, 32, 37))]; "
-              "print([hashlib.sha256(_build_chain(s, 10**8).levels[0].gens.tobytes())"
+              "print([hashlib.sha256(b''.join(_build_chain(s, 10**8).levels[0].gens))"
               ".hexdigest()"
               " for s in specs])")
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -786,7 +787,9 @@ def test_corrupted_sift_is_refused():
     chain = _build_chain(M11_SPEC, MAX_GROUP_ORDER)
     lev, p, q = chain.levels[1], chain.levels[2].base, chain.levels[3].base
     x = lev.orbit[1]
-    lev.uinv[x, [p, q]] = lev.uinv[x, [q, p]]
+    table = bytearray(lev.uinv[x])
+    table[p], table[q] = table[q], table[p]
+    lev.uinv[x] = bytes(table)
     with pytest.raises(AssertionError,
                        match="row outside the group: not the element at its index"):
         chain.elements()
@@ -917,6 +920,7 @@ def test_orbit_and_inverse_reads_match_the_generic_ones():
                                  map(alternating_class_structure, range(5, 41)))
     for cs in structures:
         assert q_classes(cs) == orbits(cs.fusion)
+        assert r_classes(cs) == orbits(enumerate(cs.inverse_map))
         assert cs.inverse_map == cs.power_map(-1)
 
 
@@ -979,6 +983,32 @@ def test_order_matches_reference_and_sympy(spec):
     group = sc.PermutationGroup([sc.Permutation(list(g)) for g in spec.generators])
     order = group_order(spec, max_order=math.factorial(12))
     assert order == reference_order(spec) == group.order()
+    # each transversal row sends the base point to its point, and its
+    # inverse table undoes it, past the degree too
+    for lev in _build_chain(spec, math.factorial(12)).levels:
+        for x in lev.orbit:
+            assert lev.u[x][lev.base] == x
+            assert _table(lev.u[x]).translate(lev.uinv[x]) == _IDENTITY_TABLE
+
+
+@st.composite
+def permutation_pairs(draw):
+    degree = draw(st.integers(1, 256))
+    perm = st.permutations(range(degree)).map(bytes)
+    return draw(perm), draw(perm)
+
+
+@given(permutation_pairs())
+@settings(max_examples=60, deadline=None)
+def test_translate_composes_like_numpy(pair):
+    # a translated by the table of b is b o a, and b's inverse table
+    # undoes b's table on both sides and is the identity past the degree
+    a, b = pair
+    want = np.frombuffer(b, dtype=np.uint8)[np.frombuffer(a, dtype=np.uint8)]
+    assert a.translate(_table(b)) == want.tobytes()
+    inv = _inverse_table(b)
+    assert _table(b).translate(inv) == inv.translate(_table(b)) == _IDENTITY_TABLE
+    assert inv[len(b):] == _IDENTITY_TABLE[len(b):]
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -1013,7 +1043,7 @@ def test_each_schreier_generator_is_formed_once(spec):
 def _grown(cls, spec):
     """A fresh chain of class cls, grown from the generators of spec."""
     chain = cls(spec.degree, math.factorial(18))
-    chain.extend(np.array(spec.generators, dtype=np.uint8))
+    chain.extend([bytes(g) for g in spec.generators])
     return chain
 
 
@@ -1022,10 +1052,12 @@ ADD_GROUPS = pytest.mark.parametrize(
     ids=[*REFERENCE_GROUPS, "s18"])
 
 
-def _schreier_generators(level, r, k):
-    """u_y^-1 g_k u_x for x = orbit[r] and y = g_k(x), one row per pair."""
-    x = level.orbit[r]
-    return level.uinv[level.gens[k, x][:, None], level.gens[k[:, None], level.u[x]]]
+def _schreier_generators(level, pairs):
+    """u_y^-1 g_k u_x for y = g_k(x), one row per pair (x, k), each
+    product formed tuple at a time."""
+    u = {x: tuple(level.u[x]) for x in level.orbit}
+    return [pmul(pinv(u[level.gens[k][x]]), pmul(tuple(level.gens[k]), u[x]))
+            for x, k in pairs]
 
 
 @ADD_GROUPS
@@ -1035,19 +1067,20 @@ def test_pairs_marked_in_add_are_the_identity(spec, monkeypatch):
     add = _Level.add
     skipped = []
 
-    def checked_add(level, g):
+    def checked_add(level, *args):
         old = len(level.orbit)
-        returned = add(level, g)
-        made = np.zeros((len(level.orbit), len(level.gens)), dtype=bool)
-        made[:, -1] = True
-        made[old:] = True
-        r, k = returned
-        assert (np.diff(r * len(level.gens) + k) > 0).all()
-        assert made[r, k].all()
-        made[r, k] = False
-        r, k = np.nonzero(made)
-        assert (_schreier_generators(level, r, k) == np.arange(spec.degree)).all()
-        skipped.append(len(r))
+        returned = add(level, *args)
+        gens = len(level.gens)
+        made = {(r, k) for r in range(len(level.orbit)) for k in range(gens)
+                if r >= old or k == gens - 1}
+        at = [(level.orbit.index(x), k) for x, k in returned]
+        keys = [r * gens + k for r, k in at]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert made.issuperset(at)
+        made.difference_update(at)
+        pairs = [(level.orbit[r], k) for r, k in sorted(made)]
+        assert set(_schreier_generators(level, pairs)) <= {identity_perm(spec.degree)}
+        skipped.append(len(pairs))
         return returned
 
     monkeypatch.setattr(_Level, "add", checked_add)
@@ -1065,17 +1098,17 @@ def test_a_level_is_complete_whenever_it_grows(spec, monkeypatch):
 
     def assert_complete(l):
         level = chain.levels[l]
-        r, k = np.nonzero(np.ones((len(level.orbit), len(level.gens)), dtype=bool))
-        h, _ = chain._sift(_schreier_generators(level, r, k), l + 1)
-        assert (h == chain.identity).all()
+        pairs = [(x, k) for x in level.orbit for k in range(len(level.gens))]
+        h, _ = chain._sift(list(map(bytes, _schreier_generators(level, pairs))), l + 1)
+        assert set(h) <= {chain.identity}
 
-    def checked_add(level, g):
+    def checked_add(level, *args):
         if len(level.gens):
             assert_complete(next(l for l, lev in enumerate(chain.levels) if lev is level))
-        return add(level, g)
+        return add(level, *args)
 
     monkeypatch.setattr(_Level, "add", checked_add)
-    chain.extend(np.array(spec.generators, dtype=np.uint8))
+    chain.extend([bytes(g) for g in spec.generators])
     for l in range(len(chain.levels)):
         assert_complete(l)
 
@@ -1088,12 +1121,12 @@ class _FirstResidueChain(_Chain):
     def extend(self, h, top=0):
         while True:
             h, stop = self._sift(h, top)
-            moved = np.flatnonzero((h != self.identity).any(axis=1))
-            if not len(moved):
+            moved = [j for j, row in enumerate(h) if row != self.identity]
+            if not moved:
                 return
             first = moved[0]
-            self._add_strong(h[first], top, int(stop[first]))
-            h = h[moved[1:]]
+            self._add_strong(h[first], top, stop[first])
+            h = [h[j] for j in moved[1:]]
 
 
 @REFERENCE_SPECS
@@ -1130,7 +1163,7 @@ def _grown_one_at_a_time(spec, max_order=math.factorial(18)):
     """A fresh chain extended by one input row at a time, in input order."""
     chain = _Chain(spec.degree, max_order)
     for g in spec.generators:
-        chain.extend(np.array([g], dtype=np.uint8))
+        chain.extend([bytes(g)])
     return chain
 
 
@@ -1165,3 +1198,33 @@ def test_batched_inputs_form_fewer_schreier_generators():
     specs = [BATCH_GROUPS["a8_3cycles"], BATCH_GROUPS["a9_3cycles"]]
     assert sum(_grown(_Chain, spec).schreier_generators for spec in specs) == 170
     assert sum(_grown_one_at_a_time(spec).schreier_generators for spec in specs) == 267
+
+
+def test_chain_matches_the_reference_chain():
+    # the bytes chain against the uint8-array one it replaced, level by
+    # level: base, orbit order, strong generators, transversal rows and
+    # their inverses, and the Schreier generators formed; and the same
+    # max_order refusal
+    limit = math.factorial(18)
+    specs = [*REFERENCE_GROUPS.values(), *wide_specs().values(),
+             *(spec for spec, _ in LARGE_SA), M11_SPEC, M12_SPEC, C2_CUBED, POINTS_256,
+             *(_three_cycle_spec(n, inverses) for n in (8, 9) for inverses in (True, False)),
+             *map(projective_line_action, (29, 32, 37, 49, 64))]
+    for spec in specs:
+        chain, want = _build_chain(spec, limit), reference_chain(spec, limit)
+        assert chain.schreier_generators == want.schreier_generators
+        assert [lev.base for lev in chain.levels] == [lev.base for lev in want.levels]
+        for lev, ref in zip(chain.levels, want.levels, strict=True):
+            assert lev.orbit == ref.orbit.tolist()
+            assert len(lev.gens) == len(ref.gens)
+            assert b"".join(lev.gens) == ref.gens.tobytes()
+            assert b"".join(lev.u[x] for x in lev.orbit) == ref.u[ref.orbit].tobytes()
+            assert (b"".join(lev.uinv[x][:spec.degree] for x in lev.orbit)
+                    == ref.uinv[ref.orbit].tobytes())
+    for spec, order in LARGE_SA:
+        refusals = []
+        for build in (_build_chain, reference_chain):
+            with pytest.raises(ResourceLimitError, match=f"above the limit {order - 1}$") as err:
+                build(spec, order - 1)
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1]
