@@ -7,12 +7,14 @@ orthogonality is the validation oracle: a table is checked exactly when
 it is built, so none exists unchecked, and the check pins down the
 matrix up to row and column permutations.
 
-char_report mirrors the class-side report: the central-unit rank from
-row data (real rows, conjugate pairs, Galois orbits of rows), the b-set
-recount of it, and the Galois families of columns; it asserts the
-row-side rank identities.  When a ClassStructure for the same group is
-available, brauer_crosscheck ties the two reports together check by
-check, by the Brauer permutation lemma.
+char_report is classtheory's orbit_counts made on rows: the Galois
+orbits of rows under the row map of k = -1 give the central-unit rank,
+the real rows, and b1 and b2, the a-quantities of the rows.  A row's
+field has degree its orbit length L and is neither rational nor
+imaginary quadratic exactly when L > 1 and (the row is real or L > 2),
+that is, when its orbit holds more than one real class.  When a
+ClassStructure for the same group is available, brauer_crosscheck ties
+the two reports together check by check, by the Brauer permutation lemma.
 
 A table has one root-of-unity order n, the lcm of the conductors of
 its values: the Galois action on the values factors through Q(zeta_n),
@@ -37,10 +39,9 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 
-from .classtheory import analyze, orbits
+from .classtheory import analyze, orbit_counts, orbits
 from .cyclotomic import (
     CyclotomicNumber,
-    FieldClass,
     galois_apply,
     integer_lift,
     power_reductions,
@@ -153,29 +154,17 @@ class CharacterTable:
     @cached_property
     def _report(self) -> CharReport:
         """char_report's value, built on first use: the column families
-        first, then every row-side fact from the row maps."""
+        first, then orbit_counts on the row orbits under the row map of
+        k = -1."""
         families = column_families(self)
         maps = self._row_maps
-        conj = maps[-1 % self.galois_action.exponent]
         row_orbits = orbits(zip(*maps.values()))
-        h_r = sum(i == j for i, j in enumerate(conj))
-        rank = h_r + (len(conj) - h_r) // 2 - len(row_orbits)
-        # a row's field has degree its orbit length, and reality is
-        # constant on orbits, so the b-set is a union of row orbits
-        keep = [orb for orb in row_orbits
-                if FieldClass.of(len(orb), conj[orb[0]] == orb[0]) not in _FLAT]
-        b1 = len({min(i, conj[i]) for orb in keep for i in orb})
-        b2 = len(keep)
-        if rank != b1 - b2:
-            raise AssertionError(f"table {self.name!r}: rank {rank} != b1 - b2 = {b1 - b2}")
-        if 2 * b2 > b1:
-            raise AssertionError(f"table {self.name!r}: 2*b2 = {2 * b2} exceeds b1 = {b1}")
-        if (not keep) != (rank == 0):
-            raise AssertionError(
-                f"table {self.name!r}: field criterion disagrees with the rank")
-        return CharReport(h_R=h_r, rank_eq1=rank, f_table=max(map(len, families)),
-                          b1=b1, b2=b2, cut_by_fields=not keep,
-                          n_orbits=len(row_orbits), families=families)
+        n_r, rank, _, _, b1, b2 = orbit_counts(
+            row_orbits, maps[-1 % self.galois_action.exponent])
+        return CharReport(h_R=2 * n_r - self.num_classes, rank_eq1=rank,
+                          f_table=max(map(len, families)), b1=b1, b2=b2,
+                          cut_by_fields=not b2, n_orbits=len(row_orbits),
+                          families=families)
 
     def __post_init__(self):
         n = self.num_classes
@@ -346,19 +335,17 @@ def column_families(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
     return orbits(zip(*t._column_maps.values()))
 
 
-_FLAT = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
-
-
 @dataclass(frozen=True)
 class CharReport:
-    """Row-side summary of one table.
+    """Row-side summary of one table: classtheory.orbit_counts on rows.
 
-    rank_eq1 counts real rows once and conjugate pairs half, minus one
-    per Galois orbit of rows (n_orbits).  The b-set is the rows whose
-    field is neither rational nor imaginary quadratic; b1 and b2 count
-    its conjugation orbits and Galois orbits.  families are the Galois
-    families of columns; as column indices they depend on the column
-    order, so they take no part in equality.
+    rank_eq1 counts real rows (h_R) once and conjugate pairs half, minus
+    one per Galois orbit of rows (n_orbits).  The b-set is the rows whose
+    field is neither rational nor imaginary quadratic, those whose orbit
+    holds more than one real class: b1 and b2, its conjugation and
+    Galois orbits, are the a1 and a2 of the rows.  families are the
+    Galois families of columns; as column indices they depend on the
+    column order, so they take no part in equality.
     """
 
     h_R: int
@@ -373,7 +360,7 @@ class CharReport:
 
 def char_report(t: CharacterTable) -> CharReport:
     """The report of one table, from its row and column maps; built once
-    per table, when the row-side rank identities are asserted."""
+    per table, when orbit_counts asserts the rank identities on rows."""
     return t._report
 
 
@@ -402,7 +389,8 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     equal class families in number; the induced column permutation of
     every Galois map equals the class fusion permutation (and therefore
     the family partitions agree, both being the components of those
-    maps); and both rank computations agree.  Alignment
+    maps); and the ranks agree.  Both sides count with
+    classtheory.orbit_counts, on rows and on classes.  Alignment
     failures (sizes, orders, group order) are input errors; check
     failures are reported, not raised.
     """
@@ -425,41 +413,31 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
 
     rep_t = char_report(t)
     rep_c = analyze(cs)
-    checks = []
     units = units_mod(e)
 
-    bad = []
-    for k in units:
-        fixed_rows = sum(1 for i, j in enumerate(t._row_maps[k % act.exponent]) if i == j)
-        fixed_cols = sum(1 for c, d in enumerate(cs.power_map(k)) if d == c)
-        if fixed_rows != fixed_cols:
-            bad.append(f"k={k}: {fixed_rows} fixed rows vs {fixed_cols} fixed classes")
-    checks.append(CheckResult(
-        "fixed_counts", not bad,
-        "; ".join(bad) if bad else f"all {len(units)} Galois maps agree"))
-
-    checks.append(CheckResult(
-        "orbit_counts", rep_t.n_orbits == rep_c.n_Q,
-        f"{rep_t.n_orbits} row orbits vs {rep_c.n_Q} class families"))
-
-    bad = []
+    # one pass over the units, each power map read once
+    bad_fixed, bad_maps = [], []
     for k in units:
         fusion_map = cs.power_map(k)
+        fixed_rows = sum(1 for i, j in enumerate(t._row_maps[k % act.exponent]) if i == j)
+        fixed_cols = sum(1 for c, d in enumerate(fusion_map) if d == c)
+        if fixed_rows != fixed_cols:
+            bad_fixed.append(f"k={k}: {fixed_rows} fixed rows vs {fixed_cols} fixed classes")
         table_map = t._column_maps[k % act.exponent]
         if table_map != fusion_map:
             diffs = [c for c in range(cs.num_classes) if table_map[c] != fusion_map[c]]
-            bad.append(f"k={k}: columns {diffs} map to {[table_map[c] for c in diffs]} "
-                       f"in the table but classes fuse to {[fusion_map[c] for c in diffs]}")
-    checks.append(CheckResult(
-        "column_families", not bad,
-        "; ".join(bad) if bad else "column maps match fusion maps for every k"))
+            bad_maps.append(f"k={k}: columns {diffs} map to {[table_map[c] for c in diffs]} "
+                            f"in the table but classes fuse to {[fusion_map[c] for c in diffs]}")
 
-    checks.append(CheckResult(
-        "rank", rep_t.rank_eq1 == rep_c.rank,
-        f"table rank {rep_t.rank_eq1} vs class-side rank {rep_c.rank}"))
-
-    return CrosscheckReport(
-        table_name=t.name,
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
+    checks = (
+        CheckResult("fixed_counts", not bad_fixed, "; ".join(bad_fixed) if bad_fixed
+                    else f"all {len(units)} Galois maps agree"),
+        CheckResult("orbit_counts", rep_t.n_orbits == rep_c.n_Q,
+                    f"{rep_t.n_orbits} row orbits vs {rep_c.n_Q} class families"),
+        CheckResult("column_families", not bad_maps, "; ".join(bad_maps) if bad_maps
+                    else "column maps match fusion maps for every k"),
+        CheckResult("rank", rep_t.rank_eq1 == rep_c.rank,
+                    f"table rank {rep_t.rank_eq1} vs class-side rank {rep_c.rank}"),
     )
+    return CrosscheckReport(table_name=t.name, passed=all(c.passed for c in checks),
+                            checks=checks)

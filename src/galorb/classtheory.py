@@ -4,8 +4,10 @@ Two coarsenings of the set of conjugacy classes drive everything here:
 classes fused by all power maps g -> g^k with k coprime to the element
 order (called families below), and classes fused only with their
 inverses.  The difference of the two counts is the rank of the group of
-central units in the integral group ring; analyze recounts that number
-independently and asserts that the counts agree, in one place.
+central units in the integral group ring.  orbit_counts makes that
+count, and asserts its identities, for any Galois action with complex
+conjugation: on classes for analyze, and on table rows for chartab,
+which by Brauer's permutation lemma give the same numbers.
 """
 
 from __future__ import annotations
@@ -61,28 +63,31 @@ class GaloisReport:
     is_cut: bool
 
 
-def analyze(cs: ClassStructure) -> GaloisReport:
-    """The report of one class structure.  The rank n_R - n_Q is recounted
-    from the families and from the inversion pairs, and every identity
-    between the counts is asserted: AssertionError names the first that
-    fails."""
-    families = q_classes(cs)
-    n_q = len(families)
-    n_r = len(r_classes(cs))
+def orbit_counts(orbs, conj) -> tuple[int, int, int, tuple[int, ...], int, int]:
+    """The rank count of an action with Galois orbits orbs, conj the
+    permutation of its points by complex conjugation: n_R, the
+    conjugation orbits; the rank, n_R less the Galois orbits; f, the
+    longest orbit; each orbit's contribution, its conjugation orbits less
+    one; and a1 and a2, the conjugation and Galois orbits of the orbits
+    that contribute.  Every identity between them is asserted:
+    AssertionError names the first that fails."""
+    moved = sum(1 for p, q in enumerate(conj) if p != q)
+    if moved % 2:
+        raise AssertionError("inversion pairs do not match up")
+    n_r = len(conj) - moved // 2
     contributions = []
     a1 = a2 = 0
-    for fam in families:
-        fixed = sum(1 for c in fam if cs.inverse_map[c] == c)
-        r_count = (len(fam) + fixed) // 2
+    for orb in orbs:
+        r_count = (len(orb) + sum(1 for p in orb if conj[p] == p)) // 2
         contributions.append(r_count - 1)
         if r_count > 1:
             a2 += 1
             a1 += r_count
-    rank = n_r - n_q
-    f = max(len(fam) for fam in families)
+    rank = n_r - len(orbs)
+    f = max(map(len, orbs))
     if rank != sum(contributions):
         raise AssertionError("rank disagrees with the per-family contribution sum")
-    # with no negative term, the families of positive contribution (the
+    # with no negative term, the orbits of positive contribution (the
     # a-set) are empty exactly when the rank is 0
     if min(contributions) < 0:
         raise AssertionError("a family contributes a negative rank")
@@ -92,24 +97,20 @@ def analyze(cs: ClassStructure) -> GaloisReport:
         raise AssertionError(f"2*a2 = {2 * a2} exceeds a1 = {a1}")
     if 2 * rank < f - 2:
         raise AssertionError(f"rank {rank} below f/2 - 1 with f = {f}")
-    half_pairs = sum(1 for c, ci in enumerate(cs.inverse_map) if ci != c)
-    if half_pairs % 2:
-        raise AssertionError("inversion pairs do not match up")
-    if n_r != cs.num_classes - half_pairs // 2:
+    return n_r, rank, f, tuple(contributions), a1, a2
+
+
+def analyze(cs: ClassStructure) -> GaloisReport:
+    """The report of one class structure: orbit_counts on the families
+    under class inversion, with n_R read again from the inversion pairs."""
+    families = q_classes(cs)
+    n_r, rank, f, contributions, a1, a2 = orbit_counts(families, cs.inverse_map)
+    if n_r != len(r_classes(cs)):
         raise AssertionError("n_R disagrees with the direct pair count")
     return GaloisReport(
-        group_order=cs.group_order,
-        num_classes=cs.num_classes,
-        n_Q=n_q,
-        n_R=n_r,
-        rank=rank,
-        f=f,
-        families=families,
-        family_contributions=tuple(contributions),
-        a1=a1,
-        a2=a2,
-        is_cut=rank == 0,
-    )
+        group_order=cs.group_order, num_classes=cs.num_classes, n_Q=len(families),
+        n_R=n_r, rank=rank, f=f, families=families, family_contributions=contributions,
+        a1=a1, a2=a2, is_cut=rank == 0)
 
 
 def report_to_obj(rep: GaloisReport, labels: tuple[str, ...]) -> dict:

@@ -394,8 +394,9 @@ def reduce_integers(n: int, coeffs, reductions) -> list[int]:
 def value_from_obj(obj) -> CyclotomicNumber:
     """Parse one cell: an int, a rational string such as "-1/2", or
     {"n": N, "coeffs": {"e": "c", ...}} for the sum of c zeta_N^e, with
-    exponents and rational coefficients as strings.  ResourceLimitError
-    for a root-of-unity order above MAX_ROOT_ORDER."""
+    N an integer, exponents as strings and coefficients as integers or
+    rational strings, never floats.  ResourceLimitError for a
+    root-of-unity order above MAX_ROOT_ORDER."""
     if isinstance(obj, bool):
         raise InputError("boolean is not a cyclotomic value")
     if isinstance(obj, int):
@@ -407,8 +408,14 @@ def value_from_obj(obj) -> CyclotomicNumber:
             raise InputError(f"bad rational literal {obj!r}: {exc}") from None
     if isinstance(obj, dict):
         try:
-            n = int(obj["n"])
-            coeffs = {int(e): Fraction(c) for e, c in obj["coeffs"].items()}
+            n, coeffs = obj["n"], obj["coeffs"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"n must be an integer, not {type(n).__name__}")
+            if not isinstance(coeffs, dict):
+                raise TypeError(f"coeffs must be an object, not {type(coeffs).__name__}")
+            if any(isinstance(c, (bool, float)) for c in coeffs.values()):
+                raise TypeError("coefficients must be integers or rational strings")
+            coeffs = {int(e): Fraction(c) for e, c in coeffs.items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad cyclotomic object {obj!r}: {exc}") from None
         if n > MAX_ROOT_ORDER:

@@ -383,6 +383,31 @@ def test_parse_cache_reports_the_first_bad_cell(irr, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("cell, reason", [
+    ({"n": 2, "coeffs": [1]}, "coeffs must be an object, not list"),
+    ({"n": 2.7, "coeffs": {"1": "1"}}, "n must be an integer, not float"),
+    ({"n": 2.0, "coeffs": {"1": "1"}}, "n must be an integer, not float"),
+    ({"n": True, "coeffs": {"1": "1"}}, "n must be an integer, not bool"),
+    ({"n": "2", "coeffs": {"1": "1"}}, "n must be an integer, not str"),
+    ({"n": 2, "coeffs": {"1": 0.1}}, "coefficients must be integers or rational strings"),
+    ({"n": 2, "coeffs": {"1": 1.0}}, "coefficients must be integers or rational strings"),
+    ({"n": 2, "coeffs": {"1": True}}, "coefficients must be integers or rational strings"),
+], ids=["coeffs_list", "n_float", "n_integral_float", "n_bool", "n_string",
+        "coeff_float", "coeff_integral_float", "coeff_bool"])
+def test_parse_refuses_inexact_or_malformed_objects(cell, reason):
+    with pytest.raises(InputError) as exc:
+        parse_table(_c2_text([[1, 1], [1, cell]]))
+    assert str(exc.value) == f"row 1, column 1: bad cyclotomic object {cell!r}: {reason}"
+
+
+def test_parse_reads_integer_and_rational_string_coefficients():
+    # -1 = zeta_2, spelled with an integer and with rational strings
+    c2 = fixture_table("c2")
+    for cell in ({"n": 2, "coeffs": {"1": 1}}, {"n": 2, "coeffs": {"1": "2/2"}},
+                 {"n": 2, "coeffs": {"0": "-1.5", "1": "-1/2"}}):
+        assert parse_table(_c2_text([[1, 1], [1, cell]])).irr == c2.irr, cell
+
+
 # -- reference: the per-cell row and column functions ---------------------
 
 

@@ -4,8 +4,9 @@ small simple groups."""
 
 import pytest
 
+from galorb.chartab import fixture_table
 from galorb.classtheory import (
-    analyze, q_classes, r_classes, report_to_obj,
+    analyze, orbit_counts, orbits, q_classes, r_classes, report_to_obj,
 )
 from galorb.matgroup import projective_line_action
 from galorb.numutil import totient
@@ -98,3 +99,28 @@ def test_report_serialization():
     assert obj["rank"] == 1
     assert obj["group_order"] == 60
     assert ["5A", "5B"] in obj["family_labels"]
+
+
+def test_orbit_counts_agree_on_rows_and_classes():
+    # Brauer's permutation lemma: the Galois actions on the rows and on
+    # the classes of A5 give one count; the contributions come in the
+    # order of each side's orbits
+    cs = conjugacy_classes(alternating_group_spec(5))
+    t = fixture_table("a5")
+    maps = t._row_maps
+    counts = [orbit_counts(orbits(zip(*maps.values())), maps[-1 % t.galois_action.exponent]),
+              orbit_counts(q_classes(cs), cs.inverse_map)]
+    for n_r, rank, f, contributions, a1, a2 in counts:
+        assert (n_r, rank, f, sorted(contributions), a1, a2) == (5, 1, 2, [0, 0, 0, 1], 2, 1)
+
+
+@pytest.mark.parametrize("orbs, conj, message", [
+    # three points moved by conjugation cannot pair up
+    (((0, 1, 2),), (1, 2, 0), "inversion pairs do not match up"),
+    # conjugation swaps two one-point orbits: one pair, but each orbit
+    # counts no conjugation orbit of its own
+    (((0,), (1,)), (1, 0), "rank disagrees with the per-family contribution sum"),
+], ids=["odd_moved", "pair_across_orbits"])
+def test_orbit_counts_refuses_malformed_actions(orbs, conj, message):
+    with pytest.raises(AssertionError, match=message):
+        orbit_counts(orbs, conj)

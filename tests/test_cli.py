@@ -87,6 +87,17 @@ def test_analyze_table_refuses_a_huge_root_order_at_once(capsys, tmp_path):
     assert "n <= 1024" in err and f"n = {10 ** 10}" in err
 
 
+def test_analyze_table_refuses_a_float_coefficient(capsys, tmp_path):
+    obj = json.loads(serialize_table(fixture_table("c5")))
+    obj["irr"][1][1] = {"n": 5, "coeffs": {"1": 0.1}}
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze-table", str(bad))
+    assert code == 2 and out == ""
+    assert "row 1, column 1" in err
+    assert "coefficients must be integers or rational strings" in err
+
+
 def _roots_table_obj(p, q):
     z = {"n": p, "coeffs": {"1": "1"}}, {"n": q, "coeffs": {"1": "1"}}
     return {"name": f"z{p}_{q}", "order": 3, "class_sizes": [1, 1, 1],
@@ -425,7 +436,7 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
         assert "--" not in err
 
 
-@pytest.mark.parametrize("argv, golden", [
+JSON_EXAMPLES = [
     (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.json"),
     (("analyze-table", TABLES / "a5.json", "--gens", DATA / "a5.gens"),
      "analyze-table_a5.json"),
@@ -443,9 +454,12 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
     (("charpoly", "singer", "6", "4"), "charpoly_singer_6_4.json"),
     (("charpoly", "singer", "4", "9"), "charpoly_singer_4_9.json"),
     (("charpoly", "singer", "3", "16"), "charpoly_singer_3_16.json"),
-], ids=["analyze-perm", "analyze-table", "an-rank", "screen", "screen-80-128",
-        "charpoly-singer",
-        "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27",
+]
+
+
+@pytest.mark.parametrize("argv, golden", JSON_EXAMPLES, ids=[
+        "analyze-perm", "analyze-table", "an-rank", "screen", "screen-80-128",
+        "charpoly-singer", "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27",
         "charpoly-singer-6-4", "charpoly-singer-4-9", "charpoly-singer-3-16"])
 def test_readme_examples_json_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *map(str, argv), "--format", "json")
@@ -461,6 +475,19 @@ def test_screen_text_bytes(capsys, argv, golden, want):
     code, out, _ = run(capsys, *argv)
     assert code == want
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_readme_command_block_has_json_goldens():
+    # each `galorb ...` line of the README's command block is a case of
+    # test_readme_examples_json_bytes, so no example goes without a golden
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [line.split()[1:] for line in block.splitlines() if line.startswith("galorb ")]
+    cases = [[str(a.relative_to(ROOT)) if isinstance(a, pathlib.Path) else a for a in argv]
+             for argv, _ in JSON_EXAMPLES]
+    assert examples
+    for example in examples:
+        assert example in cases, " ".join(example)
 
 
 @pytest.mark.parametrize("argv, golden", [

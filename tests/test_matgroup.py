@@ -575,8 +575,8 @@ def test_count_memory_stays_below_a_table_of_powers():
     finally:
         tracemalloc.stop()
     assert count == totient(m) // 2
-    # the window holds 2 columns; the peak is the result set of 16384
-    # charpolys and one byte per residue mod m
+    # the peak is the result set of 16384 charpolys, next to the 16384
+    # coset leaders and one block of 1024 exponents with their power columns
     assert peak < table / 2, (peak, table)
 
 
