@@ -7,14 +7,16 @@ orthogonality is the validation oracle: a table is checked exactly when
 it is built, so none exists unchecked, and the check pins down the
 matrix up to row and column permutations.
 
-char_report is classtheory's orbit_counts made on rows: the Galois
-orbits of rows under the row map of k = -1 give the central-unit rank,
-the real rows, and b1 and b2, the a-quantities of the rows.  A row's
-field has degree its orbit length L and is neither rational nor
-imaginary quadratic exactly when L > 1 and (the row is real or L > 2),
-that is, when its orbit holds more than one real class.  When a
+char_report is the table's classtheory.GaloisReport, orbit_counts on
+the Galois orbits of rows under the row map of k = -1.  By Brauer's
+permutation lemma it agrees with the report on the group's classes in
+order, classes, n_Q, n_R, rank and cut flag.  Its a1 and a2 are b1 and
+b2: a row's field has degree its orbit length L and is neither rational
+nor imaginary quadratic exactly when L > 1 and (the row is real or
+L > 2), that is, when its orbit holds more than one real row.  The
+longest family of classes is column_families' to give.  When a
 ClassStructure for the same group is available, brauer_crosscheck ties
-the two reports together check by check, by the Brauer permutation lemma.
+the two reports together check by check.
 
 A table has one root-of-unity order n, the lcm of the conductors of
 its values: the Galois action on the values factors through Q(zeta_n),
@@ -34,12 +36,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 
-from .classtheory import analyze, orbit_counts, orbits
+from .classtheory import GaloisReport, analyze, orbit_counts, orbits
 from .cyclotomic import (
     CyclotomicNumber,
     galois_apply,
@@ -152,19 +154,15 @@ class CharacterTable:
         return self._line_maps(tuple(zip(*self.galois_action.cells)), "column")
 
     @cached_property
-    def _report(self) -> CharReport:
-        """char_report's value, built on first use: the column families
-        first, then orbit_counts on the row orbits under the row map of
-        k = -1."""
-        families = column_families(self)
+    def _report(self) -> GaloisReport:
+        """char_report's value, built on first use: the column maps are
+        read first, so a table whose columns the action does not permute
+        is refused for its columns; then orbit_counts on the row orbits
+        under the row map of k = -1."""
+        self._column_maps
         maps = self._row_maps
-        row_orbits = orbits(zip(*maps.values()))
-        n_r, rank, _, _, b1, b2 = orbit_counts(
-            row_orbits, maps[-1 % self.galois_action.exponent])
-        return CharReport(h_R=2 * n_r - self.num_classes, rank_eq1=rank,
-                          f_table=max(map(len, families)), b1=b1, b2=b2,
-                          cut_by_fields=not b2, n_orbits=len(row_orbits),
-                          families=families)
+        return orbit_counts(self.group_order, orbits(zip(*maps.values())),
+                            maps[-1 % self.galois_action.exponent])
 
     def __post_init__(self):
         n = self.num_classes
@@ -335,32 +333,12 @@ def column_families(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
     return orbits(zip(*t._column_maps.values()))
 
 
-@dataclass(frozen=True)
-class CharReport:
-    """Row-side summary of one table: classtheory.orbit_counts on rows.
-
-    rank_eq1 counts real rows (h_R) once and conjugate pairs half, minus
-    one per Galois orbit of rows (n_orbits).  The b-set is the rows whose
-    field is neither rational nor imaginary quadratic, those whose orbit
-    holds more than one real class: b1 and b2, its conjugation and
-    Galois orbits, are the a1 and a2 of the rows.  families are the
-    Galois families of columns; as column indices they depend on the
-    column order, so they take no part in equality.
-    """
-
-    h_R: int
-    rank_eq1: int
-    f_table: int
-    b1: int
-    b2: int
-    cut_by_fields: bool
-    n_orbits: int
-    families: tuple[tuple[int, ...], ...] = field(compare=False)
-
-
-def char_report(t: CharacterTable) -> CharReport:
-    """The report of one table, from its row and column maps; built once
-    per table, when orbit_counts asserts the rank identities on rows."""
+def char_report(t: CharacterTable) -> GaloisReport:
+    """The GaloisReport of the Galois action on the table's rows, with
+    conjugation the row map of k = -1: its families are row orbits, its
+    a1 and a2 the table's b1 and b2, and 2 n_R - num_classes rows are
+    real.  Built once per table, after the column maps are read, when
+    orbit_counts asserts the rank identities on rows."""
     return t._report
 
 
@@ -389,7 +367,7 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     equal class families in number; the induced column permutation of
     every Galois map equals the class fusion permutation (and therefore
     the family partitions agree, both being the components of those
-    maps); and the ranks agree.  Both sides count with
+    maps); and the ranks agree.  Both sides are GaloisReports of
     classtheory.orbit_counts, on rows and on classes.  Alignment
     failures (sizes, orders, group order) are input errors; check
     failures are reported, not raised.
@@ -432,12 +410,12 @@ def brauer_crosscheck(t: CharacterTable, cs: ClassStructure) -> CrosscheckReport
     checks = (
         CheckResult("fixed_counts", not bad_fixed, "; ".join(bad_fixed) if bad_fixed
                     else f"all {len(units)} Galois maps agree"),
-        CheckResult("orbit_counts", rep_t.n_orbits == rep_c.n_Q,
-                    f"{rep_t.n_orbits} row orbits vs {rep_c.n_Q} class families"),
+        CheckResult("orbit_counts", rep_t.n_Q == rep_c.n_Q,
+                    f"{rep_t.n_Q} row orbits vs {rep_c.n_Q} class families"),
         CheckResult("column_families", not bad_maps, "; ".join(bad_maps) if bad_maps
                     else "column maps match fusion maps for every k"),
-        CheckResult("rank", rep_t.rank_eq1 == rep_c.rank,
-                    f"table rank {rep_t.rank_eq1} vs class-side rank {rep_c.rank}"),
+        CheckResult("rank", rep_t.rank == rep_c.rank,
+                    f"table rank {rep_t.rank} vs class-side rank {rep_c.rank}"),
     )
     return CrosscheckReport(table_name=t.name, passed=all(c.passed for c in checks),
                             checks=checks)

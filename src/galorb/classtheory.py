@@ -5,9 +5,9 @@ classes fused by all power maps g -> g^k with k coprime to the element
 order (called families below), and classes fused only with their
 inverses.  The difference of the two counts is the rank of the group of
 central units in the integral group ring.  orbit_counts makes that
-count, and asserts its identities, for any Galois action with complex
-conjugation: on classes for analyze, and on table rows for chartab,
-which by Brauer's permutation lemma give the same numbers.
+count, asserts its identities and returns it as one GaloisReport, for
+any Galois action with complex conjugation: analyze counts on classes
+and chartab.char_report on table rows.
 """
 
 from __future__ import annotations
@@ -43,11 +43,18 @@ def r_classes(cs: ClassStructure) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class GaloisReport:
-    """Joint summary of the power-map and inversion orbit structure.
+    """The rank count of one Galois action with complex conjugation, on
+    the classes of a group or on the rows of its character table.
 
-    rank is the rank of the central unit group of the integral group
-    ring; f is the longest power-map orbit; a1 and a2 recount the rank
-    from the classes whose family is larger than their inverse pair.
+    n_Q counts the Galois orbits (families), n_R the orbits of the
+    Galois group with conjugation; rank = n_R - n_Q is the rank of the
+    central unit group of the integral group ring, and is_cut says it is
+    0.  f is the longest family, family_contributions are each family's
+    conjugation orbits less one, and a1 and a2 the conjugation and
+    Galois orbits of the families that contribute.  By Brauer's
+    permutation lemma both actions give equal group_order, num_classes,
+    n_Q, n_R, rank and is_cut; the other fields belong to the action
+    counted (on rows, a1 and a2 are b1 and b2).
     """
 
     group_order: int
@@ -63,14 +70,11 @@ class GaloisReport:
     is_cut: bool
 
 
-def orbit_counts(orbs, conj) -> tuple[int, int, int, tuple[int, ...], int, int]:
-    """The rank count of an action with Galois orbits orbs, conj the
-    permutation of its points by complex conjugation: n_R, the
-    conjugation orbits; the rank, n_R less the Galois orbits; f, the
-    longest orbit; each orbit's contribution, its conjugation orbits less
-    one; and a1 and a2, the conjugation and Galois orbits of the orbits
-    that contribute.  Every identity between them is asserted:
-    AssertionError names the first that fails."""
+def orbit_counts(group_order: int, orbs, conj) -> GaloisReport:
+    """The report of an action of a group of order group_order, with
+    Galois orbits orbs and conj the permutation of its points by
+    complex conjugation.  Every identity between its fields is
+    asserted: AssertionError names the first that fails."""
     moved = sum(1 for p, q in enumerate(conj) if p != q)
     if moved % 2:
         raise AssertionError("inversion pairs do not match up")
@@ -97,20 +101,19 @@ def orbit_counts(orbs, conj) -> tuple[int, int, int, tuple[int, ...], int, int]:
         raise AssertionError(f"2*a2 = {2 * a2} exceeds a1 = {a1}")
     if 2 * rank < f - 2:
         raise AssertionError(f"rank {rank} below f/2 - 1 with f = {f}")
-    return n_r, rank, f, tuple(contributions), a1, a2
+    return GaloisReport(
+        group_order=group_order, num_classes=len(conj), n_Q=len(orbs), n_R=n_r,
+        rank=rank, f=f, families=tuple(orbs), family_contributions=tuple(contributions),
+        a1=a1, a2=a2, is_cut=rank == 0)
 
 
 def analyze(cs: ClassStructure) -> GaloisReport:
     """The report of one class structure: orbit_counts on the families
     under class inversion, with n_R read again from the inversion pairs."""
-    families = q_classes(cs)
-    n_r, rank, f, contributions, a1, a2 = orbit_counts(families, cs.inverse_map)
-    if n_r != len(r_classes(cs)):
+    rep = orbit_counts(cs.group_order, q_classes(cs), cs.inverse_map)
+    if rep.n_R != len(r_classes(cs)):
         raise AssertionError("n_R disagrees with the direct pair count")
-    return GaloisReport(
-        group_order=cs.group_order, num_classes=cs.num_classes, n_Q=len(families),
-        n_R=n_r, rank=rank, f=f, families=families, family_contributions=contributions,
-        a1=a1, a2=a2, is_cut=rank == 0)
+    return rep
 
 
 def report_to_obj(rep: GaloisReport, labels: tuple[str, ...]) -> dict:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import __version__
 from .altcount import frobenius_ranks, prop8_lower_bound
-from .chartab import brauer_crosscheck, char_report, parse_table
+from .chartab import brauer_crosscheck, char_report, column_families, parse_table
 from .classtheory import analyze, report_to_obj
 from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError
 from .matgroup import (
@@ -80,6 +80,8 @@ def _cmd_analyze_perm(args) -> tuple[str, int]:
 def _cmd_analyze_table(args) -> tuple[str, int]:
     table = parse_table(_read(args.file))
     rep = char_report(table)
+    real_rows = 2 * rep.n_R - rep.num_classes
+    max_family = max(map(len, column_families(table)))
     code = 0
     cross = None
     if args.gens:
@@ -94,12 +96,12 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
             "name": table.name,
             "order": table.group_order,
             "classes": table.num_classes,
-            "real_rows": rep.h_R,
-            "rank": rep.rank_eq1,
-            "max_family": rep.f_table,
-            "b1": rep.b1,
-            "b2": rep.b2,
-            "cut_by_fields": rep.cut_by_fields,
+            "real_rows": real_rows,
+            "rank": rep.rank,
+            "max_family": max_family,
+            "b1": rep.a1,
+            "b2": rep.a2,
+            "cut_by_fields": rep.is_cut,
         }
         if cross is not None:
             obj["crosscheck"] = {
@@ -112,11 +114,11 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
         f"table            {table.name}",
         f"group order      {table.group_order}",
         f"classes          {table.num_classes}",
-        f"real rows        {rep.h_R}",
-        f"central rank     {rep.rank_eq1}",
-        f"longest family   {rep.f_table}",
-        f"b-quantities     b1 = {rep.b1}, b2 = {rep.b2}",
-        f"cut by fields    {'yes' if rep.cut_by_fields else 'no'}",
+        f"real rows        {real_rows}",
+        f"central rank     {rep.rank}",
+        f"longest family   {max_family}",
+        f"b-quantities     b1 = {rep.a1}, b2 = {rep.a2}",
+        f"cut by fields    {'yes' if rep.is_cut else 'no'}",
     ]
     if cross is not None:
         lines.append(f"cross-check      {'PASS' if cross.passed else 'FAIL'}")

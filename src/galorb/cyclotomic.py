@@ -391,11 +391,20 @@ def reduce_integers(n: int, coeffs, reductions) -> list[int]:
 
 # -- text encoding ------------------------------------------------------
 
+def _plain(x):
+    """x, unless it is a string holding what int and Fraction read past
+    the format: digit separators, padding or non-ASCII digits."""
+    if isinstance(x, str) and (not x.isascii() or "_" in x or x != x.strip()):
+        raise ValueError(f"{x!r} is not a plain ASCII numeral")
+    return x
+
+
 def value_from_obj(obj) -> CyclotomicNumber:
     """Parse one cell: an int, a rational string such as "-1/2", or
     {"n": N, "coeffs": {"e": "c", ...}} for the sum of c zeta_N^e, with
     N an integer, exponents as strings and coefficients as integers or
-    rational strings, never floats.  ResourceLimitError for a
+    rational strings, never floats; strings are plain ASCII numerals,
+    signed, decimal or "a/b".  ResourceLimitError for a
     root-of-unity order above MAX_ROOT_ORDER."""
     if isinstance(obj, bool):
         raise InputError("boolean is not a cyclotomic value")
@@ -403,7 +412,7 @@ def value_from_obj(obj) -> CyclotomicNumber:
         return CyclotomicNumber.rational(obj)
     if isinstance(obj, str):
         try:
-            return CyclotomicNumber.rational(Fraction(obj))
+            return CyclotomicNumber.rational(Fraction(_plain(obj)))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {obj!r}: {exc}") from None
     if isinstance(obj, dict):
@@ -415,7 +424,7 @@ def value_from_obj(obj) -> CyclotomicNumber:
                 raise TypeError(f"coeffs must be an object, not {type(coeffs).__name__}")
             if any(isinstance(c, (bool, float)) for c in coeffs.values()):
                 raise TypeError("coefficients must be integers or rational strings")
-            coeffs = {int(e): Fraction(c) for e, c in coeffs.items()}
+            coeffs = {int(_plain(e)): Fraction(_plain(c)) for e, c in coeffs.items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad cyclotomic object {obj!r}: {exc}") from None
         if n > MAX_ROOT_ORDER:

@@ -133,7 +133,7 @@ def parse_generators(text: str) -> GroupSpec:
     """Read a generator file: a "degree n" header, then one permutation
     per line as a product of disjoint cycles in 1-based points, e.g.
     (1,2,3)(4,5).  "()" is the identity; blank lines and # comments are
-    skipped."""
+    skipped.  Numbers are ASCII digits only."""
     degree = None
     gens = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -142,7 +142,8 @@ def parse_generators(text: str) -> GroupSpec:
             continue
         if degree is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+            if (len(parts) != 2 or parts[0] != "degree"
+                    or not (parts[1].isascii() and parts[1].isdigit())):
                 raise InputError(f"line {ln}: expected 'degree n' header, got {line!r}")
             degree = int(parts[1])
             if not 1 <= degree <= MAX_DEGREE:
@@ -175,7 +176,7 @@ def _parse_cycle_line(line: str, ln: int, degree: int) -> tuple[int, ...]:
             continue  # () is the identity factor
         pts = []
         for tok in inner.split(","):
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise InputError(f"line {ln}: bad point {tok!r}")
             x = int(tok)
             if not 1 <= x <= degree:

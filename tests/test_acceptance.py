@@ -85,7 +85,7 @@ def test_c3_table_rank_equals_class_rank():
     for name, cs in pairs:
         t = fixture_table(name)
         rep = _analyze(cs)
-        assert char_report(t).rank_eq1 == rep.rank, name
+        assert char_report(t).rank == rep.rank, name
         table_fams = {frozenset(f) for f in column_families(t)}
         class_fams = {frozenset(f) for f in q_classes(cs)}
         assert table_fams == class_fams, name
@@ -110,7 +110,7 @@ def test_c4_identity_suite():
     for name in ("c2", "c3", "c4", "c5", "s3", "a4", "q8", "a5", "psl2_7"):
         t = fixture_table(name)
         rep = char_report(t)
-        assert rep.cut_by_fields == (rep.rank_eq1 == 0)
+        assert (rep.a2 == 0) == rep.is_cut == (rep.rank == 0)
     _accept("C4", f"identity suite on {seen} analyzed groups plus 9 tables")
 
 

@@ -13,7 +13,7 @@ from galorb.chartab import (
     CharacterTable, brauer_crosscheck, char_report,
     column_families, fixture_names, fixture_table, parse_table,
 )
-from galorb.classtheory import orbits
+from galorb.classtheory import analyze, orbits
 from galorb.cyclotomic import (
     CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_integers,
     value_from_obj, zeta,
@@ -26,7 +26,7 @@ from galorb.permgroup import (
 )
 from helpers import serialize_table
 
-# rank, longest row family, number of real rows
+# rank, longest column family, number of real rows
 REPORT_ANCHORS = {
     "c2": (0, 1, 2), "c3": (0, 2, 1), "c4": (0, 2, 2), "c5": (1, 4, 1),
     "s3": (0, 1, 3), "a4": (0, 2, 2), "q8": (0, 1, 5), "a5": (1, 2, 5),
@@ -46,13 +46,23 @@ def row_field_classes(t):
     return [FieldClass.of(length[i], conj[i] == i) for i in range(len(conj))]
 
 
+def real_rows(rep):
+    """Rows fixed by conjugation, read off a row report: each conjugation
+    orbit of rows is a fixed row or a pair."""
+    return 2 * rep.n_R - rep.num_classes
+
+
+def longest_column_family(t):
+    return max(map(len, column_families(t)))
+
+
 def b_set(t):
     """Rows whose field is neither rational nor imaginary quadratic,
-    with the report's b1 and b2."""
+    with b1 and b2, the a1 and a2 of the row report."""
     flat = (FieldClass.RATIONAL, FieldClass.IMAGINARY_QUADRATIC)
     rep = char_report(t)
     keep = tuple(i for i, fc in enumerate(row_field_classes(t)) if fc not in flat)
-    return keep, rep.b1, rep.b2
+    return keep, rep.a1, rep.a2
 
 
 def test_fixture_inventory():
@@ -70,18 +80,23 @@ def test_fixture_validates_and_round_trips(name):
 
 @pytest.mark.parametrize("name", sorted(REPORT_ANCHORS))
 def test_report_anchors(name):
-    rep = char_report(fixture_table(name))
-    assert (rep.rank_eq1, rep.f_table, rep.h_R) == REPORT_ANCHORS[name]
+    t = fixture_table(name)
+    rep = char_report(t)
+    assert (rep.rank, longest_column_family(t), real_rows(rep)) == REPORT_ANCHORS[name]
 
 
 def test_rank_consistency_between_rows_and_quantities():
     for name in fixture_names():
         t = fixture_table(name)
         rep = char_report(t)
-        assert rep.rank_eq1 == rep.h_R + (len(t.irr) - rep.h_R) // 2 - rep.n_orbits
-        assert rep.b1 - rep.b2 == rep.rank_eq1
-        assert 2 * rep.b2 <= rep.b1
-        assert rep.f_table == max(len(fam) for fam in column_families(t))
+        conj = t._row_maps[-1 % t.galois_action.exponent]
+        h_r = sum(1 for i, j in enumerate(conj) if i == j)
+        assert real_rows(rep) == h_r
+        assert rep.n_Q == len(orbits(zip(*t._row_maps.values())))
+        assert rep.rank == h_r + (len(t.irr) - h_r) // 2 - rep.n_Q
+        assert rep.a1 - rep.a2 == rep.rank
+        assert 2 * rep.a2 <= rep.a1
+        assert rep.f == max(map(len, rep.families))
 
 
 def test_b_sets():
@@ -94,11 +109,11 @@ def test_b_sets():
 
 
 def test_cut_detection_by_fields():
-    assert char_report(fixture_table("q8")).cut_by_fields
-    assert char_report(fixture_table("s3")).cut_by_fields
-    assert char_report(fixture_table("a4")).cut_by_fields
-    assert not char_report(fixture_table("c5")).cut_by_fields
-    assert not char_report(fixture_table("a5")).cut_by_fields
+    # cut exactly when no row's field is past imaginary quadratic: b2 = 0
+    for name, cut in (("q8", True), ("s3", True), ("a4", True), ("c5", False),
+                      ("a5", False)):
+        rep = char_report(fixture_table(name))
+        assert rep.is_cut == (rep.a2 == 0) == cut, name
 
 
 CROSSCHECK_PAIRS = [
@@ -117,10 +132,15 @@ CROSSCHECK_PAIRS = [
 @pytest.mark.parametrize("name,make_cs", CROSSCHECK_PAIRS,
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(CROSSCHECK_PAIRS)])
 def test_brauer_crosscheck_passes(name, make_cs):
-    rep = brauer_crosscheck(fixture_table(name), make_cs())
+    t, cs = fixture_table(name), make_cs()
+    rep = brauer_crosscheck(t, cs)
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert {c.name for c in rep.checks} == {
         "fixed_counts", "orbit_counts", "column_families", "rank"}
+    # the fields Brauer's permutation lemma makes equal on rows and classes
+    shared = ("group_order", "num_classes", "n_Q", "n_R", "rank", "is_cut")
+    rows, classes = char_report(t), analyze(cs)
+    assert [getattr(rows, f) for f in shared] == [getattr(classes, f) for f in shared]
 
 
 def _permute_columns(t, perm):
@@ -148,16 +168,27 @@ def test_crosscheck_invariant_under_ambiguous_labeling():
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
+def _order_free(t):
+    """The row report's fields that no row order changes, with the
+    longest column family."""
+    rep = char_report(t)
+    return (rep.group_order, rep.num_classes, rep.n_Q, rep.n_R, rep.rank, rep.f,
+            sorted(rep.family_contributions), rep.a1, rep.a2, rep.is_cut,
+            longest_column_family(t))
+
+
 def test_report_invariant_under_row_and_column_shuffles():
     t = fixture_table("psl2_7")
-    base = char_report(t)
+    base = _order_free(t)
     shuffled_rows = CharacterTable(t.name, t.group_order, t.class_sizes,
                                    t.class_orders,
                                    tuple(reversed(t.irr)))
-    assert char_report(shuffled_rows) == base
+    assert _order_free(shuffled_rows) == base
     perm = (0, 3, 1, 5, 2, 4)
     shuffled_cols = _permute_columns(t, perm)
-    assert char_report(shuffled_cols) == base
+    assert _order_free(shuffled_cols) == base
+    # the columns move, the rows do not: the row report is the same
+    assert char_report(shuffled_cols) == char_report(t)
 
 
 def test_crosscheck_rejects_misaligned_inputs():
@@ -193,8 +224,8 @@ def test_exponent_fallback_uses_conductors():
     noorders = CharacterTable(t.name, t.group_order, t.class_sizes, None, t.irr)
     assert t.galois_action.exponent == noorders.galois_action.exponent == 5
     assert reference_exponent(t) == 30
-    assert char_report(noorders).rank_eq1 == 1
-    assert char_report(noorders).h_R == 5
+    assert char_report(noorders).rank == 1
+    assert real_rows(char_report(noorders)) == 5
 
 
 def test_class_orders_size_no_work():
@@ -207,7 +238,8 @@ def test_class_orders_size_no_work():
     t = CharacterTable("d", 1 + d * d, (1, d * d), (1, 1 + d * d), irr)
     bare = CharacterTable("d", 1 + d * d, (1, d * d), None, irr)
     assert char_report(t) == char_report(bare)
-    assert char_report(t).families == char_report(bare).families == ((0,), (1,))
+    assert char_report(t).families == ((0,), (1,))
+    assert column_families(t) == column_families(bare) == ((0,), (1,))
     assert t.galois_action.units == (0,)
     assert time.perf_counter() - start < 1.0
 
@@ -408,6 +440,23 @@ def test_parse_reads_integer_and_rational_string_coefficients():
         assert parse_table(_c2_text([[1, 1], [1, cell]])).irr == c2.irr, cell
 
 
+@pytest.mark.parametrize("cell", [
+    "1_0", " 1 ", "-1 ", "\u0661", "1/\u0662",
+    {"n": 2, "coeffs": {"1_0": "1"}}, {"n": 2, "coeffs": {" 1": "1"}},
+    {"n": 2, "coeffs": {"\u0661": "1"}}, {"n": 2, "coeffs": {"1": "1_0"}},
+    {"n": 2, "coeffs": {"1": "\t1"}},
+], ids=["separator", "padded", "padded_sign", "arabic_digit", "arabic_denominator",
+        "key_separator", "key_padded", "key_arabic_digit", "coeff_separator",
+        "coeff_padded"])
+def test_parse_refuses_numerals_past_plain_ascii(cell):
+    # int and Fraction read these, as 10, 1, -1 and so on; the format does not
+    with pytest.raises(InputError) as exc:
+        parse_table(_c2_text([[1, 1], [1, cell]]))
+    kind = "rational literal" if isinstance(cell, str) else "cyclotomic object"
+    assert str(exc.value).startswith(f"row 1, column 1: bad {kind} {cell!r}: ")
+    assert str(exc.value).endswith("is not a plain ASCII numeral")
+
+
 # -- reference: the per-cell row and column functions ---------------------
 
 
@@ -519,13 +568,24 @@ def test_galois_action_matches_per_cell_reference(name, make):
     assert b_set(t) == reference_b_sets(t)
 
 
+def _table_route_repr(t):
+    """The table route's values on t, rendered as the row-side record
+    that char_report returned before it returned the row GaloisReport:
+    real rows, rank, longest column family, b1, b2, cut flag, row
+    orbits, and the column families."""
+    rep, families = char_report(t), column_families(t)
+    return (f"CharReport(h_R={real_rows(rep)!r}, rank_eq1={rep.rank!r}, "
+            f"f_table={max(map(len, families))!r}, b1={rep.a1!r}, b2={rep.a2!r}, "
+            f"cut_by_fields={rep.is_cut!r}, n_orbits={rep.n_Q!r}, families={families!r})")
+
+
 def test_table_route_bytes_are_pinned():
-    """sha256, updated with repr(char_report(make())).encode() for each
-    (name, make) of ORACLE_TABLES in order, pins every report the table
-    route makes on those 42 tables."""
+    """sha256, updated with _table_route_repr(make()).encode() for each
+    (name, make) of ORACLE_TABLES in order, pins every value the table
+    route gives on those 42 tables."""
     digest = hashlib.sha256()
     for _, make in ORACLE_TABLES:
-        digest.update(repr(char_report(make())).encode())
+        digest.update(_table_route_repr(make()).encode())
     assert digest.hexdigest() == (
         "0c829d31a3942d0515f3f68da9ba6540d1ca9159cbc5be91e81c44f5c30f1078")
 

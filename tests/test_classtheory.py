@@ -108,10 +108,13 @@ def test_orbit_counts_agree_on_rows_and_classes():
     cs = conjugacy_classes(alternating_group_spec(5))
     t = fixture_table("a5")
     maps = t._row_maps
-    counts = [orbit_counts(orbits(zip(*maps.values())), maps[-1 % t.galois_action.exponent]),
-              orbit_counts(q_classes(cs), cs.inverse_map)]
-    for n_r, rank, f, contributions, a1, a2 in counts:
-        assert (n_r, rank, f, sorted(contributions), a1, a2) == (5, 1, 2, [0, 0, 0, 1], 2, 1)
+    reps = [orbit_counts(60, orbits(zip(*maps.values())), maps[-1 % t.galois_action.exponent]),
+            orbit_counts(60, q_classes(cs), cs.inverse_map)]
+    for rep in reps:
+        assert (rep.group_order, rep.num_classes, rep.n_Q, rep.n_R, rep.rank, rep.f,
+                sorted(rep.family_contributions), rep.a1, rep.a2, rep.is_cut) == (
+                    60, 5, 4, 5, 1, 2, [0, 0, 0, 1], 2, 1, False)
+    assert reps[1] == analyze(cs)
 
 
 @pytest.mark.parametrize("orbs, conj, message", [
@@ -123,4 +126,4 @@ def test_orbit_counts_agree_on_rows_and_classes():
 ], ids=["odd_moved", "pair_across_orbits"])
 def test_orbit_counts_refuses_malformed_actions(orbs, conj, message):
     with pytest.raises(AssertionError, match=message):
-        orbit_counts(orbs, conj)
+        orbit_counts(len(conj), orbs, conj)

@@ -415,6 +415,40 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def _c2_table_with(cell):
+    obj = json.loads(serialize_table(fixture_table("c2")))
+    obj["irr"][1][1] = cell
+    return json.dumps(obj)
+
+
+GL2_2 = {"p": 2, "k": 1, "dim": 2, "generators": [[[1, 1], [0, 1]]]}
+MALFORMED_INPUTS = [
+    ("analyze-perm", "degree \u00b2\n()\n"),
+    ("analyze-perm", "degree 3\n(1,\u00b2)\n"),
+    ("analyze-perm", "degree 3\n(1,2\n"),
+    ("analyze-table", "{"),
+    ("analyze-table", _c2_table_with(-1.0)),
+    ("analyze-table", _c2_table_with("-1_0")),
+    ("charpoly", json.dumps({k: v for k, v in GL2_2.items() if k != "dim"})),
+    ("charpoly", json.dumps({**GL2_2, "generators": [[[1, 1.0], [0, 1]]]})),
+]
+
+
+@pytest.mark.parametrize("command, text", MALFORMED_INPUTS, ids=[
+    "gens_header_superscript", "gens_point_superscript", "gens_unclosed_cycle",
+    "table_bad_json", "table_float_cell", "table_separator_cell",
+    "matrix_missing_field", "matrix_float_entry"])
+def test_malformed_input_file_exits_2_with_one_error_line(capsys, tmp_path, command, text):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "charpoly":
+        argv = [command, "file", str(path), "--target", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
 def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatch):
     def never(*args):
         raise AssertionError("elements enumerated past the guard")
@@ -567,8 +601,9 @@ def test_analyze_table_builds_each_quantity_once(capsys, monkeypatch):
         monkeypatch.setattr(prop, "func", counting(name, prop.func))
     monkeypatch.setattr(galorb.classtheory, "q_classes",
                         counting("q_classes", galorb.classtheory.q_classes))
-    monkeypatch.setattr(galorb.chartab, "column_families",
-                        counting("column_families", galorb.chartab.column_families))
+    families = counting("column_families", galorb.chartab.column_families)
+    for module in (galorb.chartab, cli):
+        monkeypatch.setattr(module, "column_families", families)
     code, out, _ = run(capsys, "analyze-table", str(TABLES / "a5.json"),
                        "--gens", str(DATA / "a5.gens"), "--format", "json")
     assert code == 0 and json.loads(out)["crosscheck"]["passed"]

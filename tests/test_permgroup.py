@@ -462,6 +462,32 @@ def test_parse_rejects_garbage():
         parse_generators("degree 4\n")
     with pytest.raises(InputError, match="at least one generator"):
         GroupSpec(4, ())
+    # str.isdigit holds for these, but only ASCII digits are numbers here
+    with pytest.raises(InputError, match="line 1: expected 'degree n' header"):
+        parse_generators("degree \u00b2\n()\n")
+    with pytest.raises(InputError, match="line 1: expected 'degree n' header"):
+        parse_generators("degree \u0661\n()\n")
+    with pytest.raises(InputError, match="line 2: bad point"):
+        parse_generators("degree 3\n(1,\u00b2)\n")
+    with pytest.raises(InputError, match="line 2: bad point"):
+        parse_generators("degree 3\n(1,\u0661)\n")
+
+
+GENERATOR_ALPHABET = "(),# \t\n0123456789\u00b2\u0661"
+
+
+@given(st.one_of(
+    st.text(GENERATOR_ALPHABET, max_size=30),
+    st.builds("degree {}\n{}".format,
+              st.text("0123456789\u00b2\u0661", min_size=1, max_size=2),
+              st.text(GENERATOR_ALPHABET, max_size=30))))
+@settings(max_examples=300, deadline=None)
+def test_parse_generators_returns_a_spec_or_refuses(text):
+    try:
+        spec = parse_generators(text)
+    except InputError:
+        return
+    assert isinstance(spec, GroupSpec)
 
 
 def test_resource_guards():
