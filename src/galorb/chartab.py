@@ -24,12 +24,13 @@ so n sizes all the work and class orders size none.  Every analysis
 reads one GaloisAction per table, built once: each distinct value gets
 an integer id and each unit k modulo n an id map, so rows, columns and
 fields are compared as id tuples and galois_apply runs once per
-distinct value and unit, not per cell and query.  The action permutes
-rows and columns alike (Brauer's permutation lemma); both are read by
-one code as a permutation per unit, built once per table, and a table
-whose rows or columns it does not permute is refused.  Orthogonality
-is checked on integer lifts of the values at n, and refused when the
-reductions at n would not fit.
+distinct value and unit of that value's conductor, not per cell, query
+or unit modulo n: a value's image under k depends on k modulo its
+conductor alone.  The action permutes rows and columns alike (Brauer's
+permutation lemma); both are read by one code as a permutation per
+unit, built once per table, and a table whose rows or columns it does
+not permute is refused.  Orthogonality is checked on integer lifts of
+the values at n, and refused when the reductions at n would not fit.
 """
 
 from __future__ import annotations
@@ -113,13 +114,23 @@ class CharacterTable:
 
     @cached_property
     def galois_action(self) -> GaloisAction:
-        """Built on first use: one galois_apply per distinct value and unit."""
+        """Built on first use: one galois_apply per distinct value and unit
+        of its conductor c, read for unit k of the table through k mod c.
+        Units run outer and values inner, so ids, images that are no cell
+        value among them, are numbered in the order of the full loop."""
         n, values, cells = self._values
-        # a dict copy reuses the stored hashes; no value is hashed again
         ids = values.copy()
         units = units_mod(n)
-        images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
-                       for k in units)
+        seen: dict[tuple[int, int], int] = {}
+
+        def image(z: CyclotomicNumber, v: int, k: int) -> int:
+            key = v, k % z.order
+            got = seen.get(key)
+            if got is None:
+                got = seen[key] = ids.setdefault(galois_apply(z, k), len(ids))
+            return got
+
+        images = tuple(tuple(image(z, v, k) for z, v in values.items()) for k in units)
         return GaloisAction(n, units, cells, images)
 
     def _line_maps(self, lines: tuple[Ids, ...], what: str) -> dict[int, Ids]:

@@ -1,11 +1,13 @@
 """Exact arithmetic with cyclotomic numbers.
 
 A value is a finite rational combination of N-th roots of unity.  The
-canonical form stores Fraction coefficients over the power basis
-z^0 .. z^(phi(N)-1) of Q(zeta_N), obtained by reducing modulo the N-th
-cyclotomic polynomial, and N itself is lowered to the conductor: the least
-N' such that the value lies in Q(zeta_N').  Canonical forms are unique, so
-equality is structural and values are hashable.
+canonical form stores integer numerators over one positive denominator,
+in lowest terms, on the power basis z^0 .. z^(phi(N)-1) of Q(zeta_N),
+obtained by reducing modulo the N-th cyclotomic polynomial, and N itself
+is lowered to the conductor: the least N' such that the value lies in
+Q(zeta_N').  Canonical forms are unique, so equality is structural, and
+the hash is taken once per value.  The arithmetic runs on integers only;
+no floating point is used anywhere in it.
 
 The conductor is found by prime descent, with no Galois action and no
 linear solve: a value is rational when its coordinates past the first
@@ -20,8 +22,6 @@ _power_reductions, the rows x^k mod Phi_N that canonical forms read.
 integer_lift and reduce_integers put a batch of values on integer vectors
 at a common multiple of their conductors, for sums that need no canonical
 form until the end, with reductions the caller builds and drops.
-
-No floating point is used anywhere in the arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from functools import lru_cache
 from .errors import InputError, ResourceLimitError
 from .numutil import factorize, power, totient, units_mod
 
-_ZERO = Fraction(0)
 # largest root-of-unity order a parsed value may name; canonicalising at
 # order n stores phi(n) coefficients and up to (n - phi(n)) phi(n) reductions
 MAX_ROOT_ORDER = 1024
@@ -85,16 +84,14 @@ def power_reductions(n: int) -> tuple[tuple[int, ...], ...]:
 _power_reductions = lru_cache(maxsize=None)(power_reductions)
 
 
-def _reduce(n: int, terms, zero=_ZERO, red=None) -> list:
-    """Fold an exponent -> coefficient map into the power basis of Q(zeta_n).
-
-    Coefficients are Fractions by default; with zero = 0 integer
-    coefficients stay integers.  red is power_reductions(n), taken from
-    the cache when it is needed and not given."""
+def _reduce(n: int, terms, red=None) -> list[int]:
+    """Fold an exponent -> integer coefficient map into the power basis
+    of Q(zeta_n).  red is power_reductions(n), taken from the cache when
+    it is needed and not given."""
     if n == 1:
-        return [sum(terms.values(), zero)]
+        return [sum(terms.values())]
     phi = totient(n)
-    vec = [zero] * phi
+    vec = [0] * phi
     for e, c in terms.items():
         if not c:
             continue
@@ -110,12 +107,7 @@ def _reduce(n: int, terms, zero=_ZERO, red=None) -> list:
     return vec
 
 
-def _apply_unit(n: int, vec: list[Fraction], k: int) -> list[Fraction]:
-    # image of the basis vector under zeta -> zeta^k, reduced; no conductor work
-    return _reduce(n, {(k * i) % n: c for i, c in enumerate(vec) if c})
-
-
-def _descend_coprime(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | None:
+def _descend_coprime(n: int, p: int, vec: list[int]) -> list[int] | None:
     """Coordinates in Q(zeta_{n/p}) of a value of Q(zeta_n), p || n, or
     None when the value does not lie there.
 
@@ -128,7 +120,7 @@ def _descend_coprime(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | No
     m = n // p
     u = pow(m, -1, p)
     w = pow(p, -1, m) if m > 1 else 0
-    parts: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    parts: list[dict[int, int]] = [{} for _ in range(p)]
     for i, c in enumerate(vec):
         if c:
             parts[u * i % p][w * i % m] = c
@@ -139,7 +131,7 @@ def _descend_coprime(n: int, p: int, vec: list[Fraction]) -> list[Fraction] | No
     return [a - b for a, b in zip(_reduce(m, parts[0]), last)]
 
 
-def _canonical(n: int, terms) -> tuple[int, tuple[Fraction, ...]]:
+def _canonical(n: int, terms) -> tuple[int, tuple[int, ...]]:
     """Conductor and power-basis coordinates there, by prime descent.
 
     The value is rational exactly when its coordinates 1.. vanish.
@@ -191,38 +183,47 @@ class FieldClass(enum.Enum):
 
 
 class CyclotomicNumber:
-    """Immutable element of some Q(zeta_N), always in canonical form."""
+    """Immutable element of some Q(zeta_N), always in canonical form:
+    order is the conductor N, and the value is sum_i num[i] zeta_N^i / den
+    with integer numerators on the power basis, den >= 1 and
+    gcd(den, *num) = 1.  The hash is taken once, when the value is built;
+    a rational value hashes as the int or Fraction it equals."""
 
-    __slots__ = ("order", "_vec")
+    __slots__ = ("order", "_num", "_den", "_hash")
 
-    def __init__(self, order: int, vec: tuple[Fraction, ...]):
-        """Wrap a vector already in canonical form; make canonicalises."""
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_vec", vec)
+    def __init__(self, order: int, num: tuple[int, ...] | list[int], den: int = 1):
+        """num / den in lowest terms, num canonical at the conductor order."""
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = [c // g for c in num], den // g
+        put = object.__setattr__
+        put(self, "order", order)
+        put(self, "_num", num := tuple(num))
+        put(self, "_den", den)
+        put(self, "_hash", hash((order, num, den) if order > 1 else Fraction(num[0], den)))
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
 
-    # -- constructors ---------------------------------------------------
-
     @staticmethod
     def make(n: int, terms: dict[int, Fraction | int]) -> "CyclotomicNumber":
-        """Value sum_k c_k zeta_n^k, canonicalized."""
+        """Value sum_k c_k zeta_n^k, canonicalized over one common denominator."""
         if n < 1:
             raise InputError("root-of-unity order must be positive")
-        clean = {int(e): Fraction(c) for e, c in terms.items()}
-        return CyclotomicNumber(*_canonical(n, clean))
+        clean = {int(e): c if type(c) is int else Fraction(c) for e, c in terms.items()}
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        return CyclotomicNumber(*_canonical(n, {e: c.numerator * (den // c.denominator)
+                                                for e, c in clean.items()}), den)
 
     @staticmethod
     def rational(x) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(x),))
-
-    # -- structure ------------------------------------------------------
+        x = x if type(x) is int else Fraction(x)
+        return CyclotomicNumber(1, (x.numerator,), x.denominator)
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
         """Nonzero power-basis coefficients at the conductor."""
-        return {i: c for i, c in enumerate(self._vec) if c}
+        return {i: Fraction(c, self._den) for i, c in enumerate(self._num) if c}
 
     @property
     def is_rational(self) -> bool:
@@ -232,36 +233,35 @@ class CyclotomicNumber:
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise InputError(f"{self!r} is not rational")
-        return self._vec[0]
+        return Fraction(self._num[0], self._den)
 
     @property
     def is_integer(self) -> bool:
-        return self.order == 1 and self._vec[0].denominator == 1
+        return self.order == 1 and self._den == 1
 
     def sort_key(self):
         """Total order on canonical forms.  The package itself orders no
         values by it: character tables compare rows and columns as tuples
         of value ids."""
-        return (self.order, tuple((i, c.numerator, c.denominator) for i, c in enumerate(self._vec)))
+        return (self.order, tuple((i, c.numerator, c.denominator) for i, c in
+                                  enumerate(Fraction(c, self._den) for c in self._num)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.rational(other)
+            return self.order == 1 and (*self._num, self._den) == other.as_integer_ratio()
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.order == other.order and self._vec == other._vec
+        return (self.order, self._den, self._num) == (other.order, other._den, other._num)
 
     def __hash__(self):
-        return hash((self.order, self._vec))
+        return self._hash
 
     def __bool__(self):
-        return any(self._vec)
+        return any(self._num)
 
-    # -- arithmetic -----------------------------------------------------
-
-    def _terms_at(self, n: int) -> dict[int, Fraction]:
+    def _terms_at(self, n: int, scale: int = 1) -> dict[int, int]:
         step = n // self.order
-        return {i * step: c for i, c in enumerate(self._vec) if c}
+        return {i * step: c * scale for i, c in enumerate(self._num) if c}
 
     @staticmethod
     def _coerce(x) -> "CyclotomicNumber":
@@ -274,15 +274,16 @@ class CyclotomicNumber:
     def __add__(self, other):
         other = self._coerce(other)
         n = math.lcm(self.order, other.order)
-        terms = self._terms_at(n)
-        for e, c in other._terms_at(n).items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return CyclotomicNumber(*_canonical(n, terms))
+        den = math.lcm(self._den, other._den)
+        terms = self._terms_at(n, den // self._den)
+        for e, c in other._terms_at(n, den // other._den).items():
+            terms[e] = terms.get(e, 0) + c
+        return CyclotomicNumber(*_canonical(n, terms), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self._vec))
+        return CyclotomicNumber(self.order, tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -292,22 +293,22 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        den = self._den * other._den
         if other.order == 1:
-            c = other._vec[0]
+            c = other._num[0]
             if not c:
                 return CyclotomicNumber.rational(0)
-            return CyclotomicNumber(self.order, tuple(v * c for v in self._vec))
+            return CyclotomicNumber(self.order, [v * c for v in self._num], den)
         if self.order == 1:
             return other * self
         n = math.lcm(self.order, other.order)
-        a = self._terms_at(n)
         b = other._terms_at(n)
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
+        terms: dict[int, int] = {}
+        for e1, c1 in self._terms_at(n).items():
             for e2, c2 in b.items():
                 e = (e1 + e2) % n
-                terms[e] = terms.get(e, _ZERO) + c1 * c2
-        return CyclotomicNumber(*_canonical(n, terms))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return CyclotomicNumber(*_canonical(n, terms), den)
 
     __rmul__ = __mul__
 
@@ -316,11 +317,9 @@ class CyclotomicNumber:
             raise InputError("negative powers are not supported")
         return power(self, k, operator.mul, CyclotomicNumber.rational(1))
 
-    # -- presentation ---------------------------------------------------
-
     def __repr__(self):
         if self.order == 1:
-            return f"Cyc({self._vec[0]})"
+            return f"Cyc({self.rational_value})"
         inner = ", ".join(f"{i}: {c}" for i, c in self.coeffs.items())
         return f"Cyc(n={self.order}, {{{inner}}})"
 
@@ -342,9 +341,8 @@ def galois_apply(z: CyclotomicNumber, k: int) -> CyclotomicNumber:
     k %= n
     if math.gcd(k, n) != 1:
         raise InputError(f"galois_apply needs gcd(k, {n}) = 1, got k = {k}")
-    vec = _apply_unit(n, list(z._vec), k)
-    # conductor is Galois-invariant, so the reduced vector is canonical
-    return CyclotomicNumber(n, tuple(vec))
+    vec = _reduce(n, {k * i % n: c for i, c in enumerate(z._num) if c})
+    return CyclotomicNumber(n, vec, z._den)  # canonical: conductors are Galois-invariant
 
 
 def conjugate(z: CyclotomicNumber) -> CyclotomicNumber:
@@ -357,9 +355,7 @@ def field_class(values) -> FieldClass:
     vals = [CyclotomicNumber._coerce(v) for v in values]
     if not vals:
         raise InputError("field_class needs at least one value")
-    n = 1
-    for v in vals:
-        n = math.lcm(n, v.order)
+    n = math.lcm(*(v.order for v in vals))
     if n == 1:
         return FieldClass.RATIONAL
     units = units_mod(n)
@@ -374,11 +370,9 @@ def integer_lift(values, n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...]
     conductors: returns the common denominator D of their coefficients,
     and for each value the terms (k, c) of D * value = sum c zeta_n^k,
     all c integers."""
-    scale = math.lcm(1, *(c.denominator for z in values for c in z._vec))
-    lifts = tuple(
-        tuple((i * (n // z.order), c.numerator * (scale // c.denominator))
-              for i, c in enumerate(z._vec) if c)
-        for z in values)
+    scale = math.lcm(*(z._den for z in values))
+    lifts = tuple(tuple((i * (n // z.order), c * (scale // z._den))
+                        for i, c in enumerate(z._num) if c) for z in values)
     return scale, lifts
 
 
@@ -386,7 +380,7 @@ def reduce_integers(n: int, coeffs, reductions) -> list[int]:
     """Power-basis coordinates in Q(zeta_n) of sum_k coeffs[k] zeta_n^k
     for integer coeffs, with reductions = power_reductions(n); two sums
     are equal exactly when these are."""
-    return _reduce(n, dict(enumerate(coeffs)), 0, reductions)
+    return _reduce(n, dict(enumerate(coeffs)), reductions)
 
 
 # -- text encoding ------------------------------------------------------
@@ -399,6 +393,14 @@ def _plain(x):
     return x
 
 
+def _number(x):
+    """x as an int when it is one or an integer numeral (an optional
+    sign, then ASCII digits), else Fraction(x)."""
+    if type(x) is int or (isinstance(_plain(x), str) and x[x[:1] in "+-":].isdigit()):
+        return int(x)
+    return Fraction(x)
+
+
 def value_from_obj(obj) -> CyclotomicNumber:
     """Parse one cell: an int, a rational string such as "-1/2", or
     {"n": N, "coeffs": {"e": "c", ...}} for the sum of c zeta_N^e, with
@@ -408,11 +410,9 @@ def value_from_obj(obj) -> CyclotomicNumber:
     root-of-unity order above MAX_ROOT_ORDER."""
     if isinstance(obj, bool):
         raise InputError("boolean is not a cyclotomic value")
-    if isinstance(obj, int):
-        return CyclotomicNumber.rational(obj)
-    if isinstance(obj, str):
+    if isinstance(obj, (int, str)):
         try:
-            return CyclotomicNumber.rational(Fraction(_plain(obj)))
+            return CyclotomicNumber.rational(_number(obj))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {obj!r}: {exc}") from None
     if isinstance(obj, dict):
@@ -424,7 +424,7 @@ def value_from_obj(obj) -> CyclotomicNumber:
                 raise TypeError(f"coeffs must be an object, not {type(coeffs).__name__}")
             if any(isinstance(c, (bool, float)) for c in coeffs.values()):
                 raise TypeError("coefficients must be integers or rational strings")
-            coeffs = {int(_plain(e)): Fraction(_plain(c)) for e, c in coeffs.items()}
+            coeffs = {int(_plain(e)): _number(c) for e, c in coeffs.items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad cyclotomic object {obj!r}: {exc}") from None
         if n > MAX_ROOT_ORDER:

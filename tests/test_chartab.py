@@ -6,11 +6,14 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galorb.chartab import (
-    CharacterTable, brauer_crosscheck, char_report,
+    CharacterTable, GaloisAction, brauer_crosscheck, char_report,
     column_families, fixture_names, fixture_table, parse_table,
 )
 from galorb.classtheory import analyze, orbits
@@ -206,14 +209,18 @@ def test_degenerate_table_detected():
         CharacterTable("deg", 2, (1, 1), (1, 1), ((one, one), (one, one)))
 
 
+def _c3z():
+    """The C3 table with column 1 times zeta_5."""
+    one, w, z = CyclotomicNumber.rational(1), zeta(3), zeta(5)
+    return CharacterTable("c3z", 3, (1, 1, 1), None,
+                          ((one, z, one), (one, w * z, w * w), (one, w * w * z, w)))
+
+
 def test_table_whose_columns_the_action_does_not_permute_is_refused():
     # the C3 table with column 1 multiplied by zeta_5 stays exactly
     # orthogonal, but k = 2 sends column 1 to no column
-    one, w, z = CyclotomicNumber.rational(1), zeta(3), zeta(5)
-    t = CharacterTable("c3z", 3, (1, 1, 1), None,
-                       ((one, z, one), (one, w * z, w * w), (one, w * w * z, w)))
     with pytest.raises(InputError) as info:
-        char_report(t)
+        char_report(_c3z())
     assert str(info.value) == (
         "table 'c3z': image of column 1 under the Galois map k = 2 matches no column")
 
@@ -566,6 +573,84 @@ def test_galois_action_matches_per_cell_reference(name, make):
     assert column_families(t) == reference_families(t)
     assert row_field_classes(t) == [field_class(row) for row in t.irr]
     assert b_set(t) == reference_b_sets(t)
+
+
+def full_galois_action(t):
+    """The action built unit by unit over every unit modulo the table's
+    order: galois_apply on each distinct value for each of them."""
+    n, values, cells = t._values
+    ids = values.copy()
+    units = units_mod(n)
+    images = tuple(tuple(ids.setdefault(galois_apply(z, k), len(ids)) for z in values)
+                   for k in units)
+    return GaloisAction(n, units, cells, images)
+
+
+def assert_action_per_conductor(make):
+    """Build the GaloisAction of make()'s table with galois_apply counted:
+    it equals the full loop's field for field, image ids included, after
+    one call per distinct value and unit of its conductor.  Returns the
+    number of calls."""
+    t = make()
+    calls = []
+
+    def spy(z, k):
+        calls.append(k)
+        return galois_apply(z, k)
+    with mock.patch("galorb.chartab.galois_apply", spy):
+        act = t.galois_action
+    assert act == full_galois_action(t)
+    assert len(calls) == sum(len(units_mod(z.order)) for z in t._values[1])
+    return len(calls)
+
+
+PER_CONDUCTOR_TABLES = [(name, lambda name=name: fixture_table(name))
+                        for name in sorted(REPORT_ANCHORS)]
+PER_CONDUCTOR_TABLES += [(f"c{m}", lambda m=m: cyclic_table(m, random.Random(m)))
+                         for m in range(1, 41)]
+
+
+@pytest.mark.parametrize("name,make", PER_CONDUCTOR_TABLES,
+                         ids=[n for n, _ in PER_CONDUCTOR_TABLES])
+def test_galois_action_per_conductor_equals_full_action(name, make):
+    assert_action_per_conductor(make)
+
+
+def test_galois_apply_calls_per_conductor():
+    # C_20's values have conductors 1, 2, 4, 5, 10 and 20: one call per
+    # value and unit of its conductor, not one per value and unit mod 20
+    def make():
+        return cyclic_table(20, random.Random(20))
+    assert assert_action_per_conductor(make) == 102
+    assert len(make()._values[1]) * len(units_mod(20)) == 160
+
+
+@st.composite
+def abelian_tables(draw):
+    """The table of C_a x C_b, rows shuffled, and sometimes one column
+    past the first times a root of unity: still orthogonal, but then the
+    Galois action need not permute the columns."""
+    a, b = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rows = [tuple(zeta(a, i * x) * zeta(b, j * y) for x in range(a) for y in range(b))
+            for i in range(a) for j in range(b)]
+    rows = [rows[i] for i in draw(st.permutations(range(a * b)))]
+    if a * b > 1 and draw(st.booleans()):
+        col, r = draw(st.integers(1, a * b - 1)), draw(st.integers(2, 12))
+        w = zeta(r, draw(st.integers(1, r - 1)))
+        rows = [row[:col] + (row[col] * w,) + row[col + 1:] for row in rows]
+    return CharacterTable(f"c{a}xc{b}", a * b, (1,) * (a * b), None, tuple(rows))
+
+
+@given(abelian_tables())
+@settings(max_examples=60, deadline=None)
+def test_galois_action_per_conductor_on_generated_tables(t):
+    assert_action_per_conductor(lambda: replace(t))
+
+
+def test_galois_action_per_conductor_on_a_refused_table():
+    assert_action_per_conductor(_c3z)
+    with pytest.raises(InputError, match="matches no column"):
+        char_report(_c3z())
 
 
 def _table_route_repr(t):

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -9,14 +10,106 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galorb.cyclotomic import (
-    MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _apply_unit, _canonical, _reduce,
-    conjugate, cyclotomic_polynomial, field_class, galois_apply, value_from_obj, zeta,
+    MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _canonical, _plain, conjugate,
+    cyclotomic_polynomial, field_class, galois_apply, integer_lift, power_reductions,
+    value_from_obj, zeta,
 )
 from galorb.errors import InputError, ResourceLimitError
-from galorb.numutil import totient, units_mod
+from galorb.numutil import factorize, totient, units_mod
 from helpers import divisors, value_to_obj
 
 _ZERO = Fraction(0)
+
+
+# -- the Fraction-vector kernel, kept as the reference for the integer one --
+#
+# Values as (conductor, tuple of Fraction coordinates at the conductor),
+# reduced, descended and lifted by the same steps as the integer kernel,
+# with Fraction coefficients throughout.
+
+_ref_reductions = lru_cache(maxsize=None)(power_reductions)
+
+
+def ref_reduce(n, terms):
+    """Fold an exponent -> Fraction map into the power basis of Q(zeta_n)."""
+    if n == 1:
+        return [sum(terms.values(), _ZERO)]
+    phi = totient(n)
+    vec = [_ZERO] * phi
+    for e, c in terms.items():
+        if not c:
+            continue
+        e %= n
+        if e < phi:
+            vec[e] += c
+        else:
+            for i, b in enumerate(_ref_reductions(n)[e - phi]):
+                if b:
+                    vec[i] += c * b
+    return vec
+
+
+def ref_apply_unit(n, vec, k):
+    return ref_reduce(n, {(k * i) % n: c for i, c in enumerate(vec) if c})
+
+
+def ref_descend_coprime(n, p, vec):
+    m = n // p
+    u = pow(m, -1, p)
+    w = pow(p, -1, m) if m > 1 else 0
+    parts = [{} for _ in range(p)]
+    for i, c in enumerate(vec):
+        if c:
+            parts[u * i % p][w * i % m] = c
+    last = ref_reduce(m, parts[-1])
+    for part in parts[1:-1]:
+        if ref_reduce(m, part) != last:
+            return None
+    return [a - b for a, b in zip(ref_reduce(m, parts[0]), last)]
+
+
+def ref_canonical(n, terms):
+    """(conductor, Fraction coordinates there) by prime descent."""
+    vec = ref_reduce(n, {int(e): Fraction(c) for e, c in terms.items()})
+    if not any(vec[1:]):
+        return 1, (vec[0],)
+    for p in sorted(factorize(n)):
+        while n % p == 0:
+            m = n // p
+            if m % p == 0:
+                if any(any(vec[r::p]) for r in range(1, p)):
+                    break
+                vec = vec[::p]
+            else:
+                sub = ref_descend_coprime(n, p, vec)
+                if sub is None:
+                    break
+                vec = sub
+            n = m
+    return n, tuple(vec)
+
+
+def ref_galois_apply(form, k):
+    order, vec = form
+    return form if order == 1 else (order, tuple(ref_apply_unit(order, vec, k % order)))
+
+
+def ref_integer_lift(forms, n):
+    scale = math.lcm(1, *(c.denominator for _, vec in forms for c in vec))
+    return scale, tuple(
+        tuple((i * (n // order), c.numerator * (scale // c.denominator))
+              for i, c in enumerate(vec) if c)
+        for order, vec in forms)
+
+
+def nonzero(vec):
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def cleared(terms):
+    """(D, D * terms): the terms over their least common denominator D."""
+    d = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return d, {e: int(c * d) for e, c in terms.items()}
 
 
 # -- the stabiliser scan, kept as the reference for _canonical -----------
@@ -57,7 +150,7 @@ def reference_canonical(n, terms):
     """Conductor from the stabiliser of the value in (Z/n)^*: the least
     divisor d whose kernel k = 1 (mod d) fixes it; coordinates there by
     exact elimination."""
-    vec = _reduce(n, terms)
+    vec = ref_reduce(n, terms)
     if n == 1:
         return 1, (vec[0],)
     if not any(vec):
@@ -65,14 +158,14 @@ def reference_canonical(n, terms):
     units = units_mod(n)
     stab = {1}
     for k in units:
-        if k != 1 and _apply_unit(n, vec, k) == vec:
+        if k != 1 and ref_apply_unit(n, vec, k) == vec:
             stab.add(k)
     if len(stab) == len(units):
         return 1, (vec[0],)
     for d in divisors(n)[1:-1]:
         if all(k in stab for k in units if k % d == 1):
             step = n // d
-            cols = [_reduce(n, {(j * step) % n: Fraction(1)}) for j in range(totient(d))]
+            cols = [ref_reduce(n, {(j * step) % n: Fraction(1)}) for j in range(totient(d))]
             return d, tuple(_solve_exact(cols, vec))
     return n, tuple(vec)
 
@@ -110,23 +203,95 @@ def canonical_inputs(draw):
 @given(canonical_inputs())
 @settings(max_examples=300, deadline=None)
 def test_canonical_matches_stabiliser_scan(case):
+    # _canonical runs on integers: the terms over their common denominator
+    # D give D times the reference coordinates
     n, terms = case
-    assert _canonical(n, terms) == reference_canonical(n, terms)
+    d, ints = cleared(terms)
+    order, vec = reference_canonical(n, terms)
+    assert _canonical(n, ints) == (order, tuple(c * d for c in vec))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 31])
 def test_canonical_at_prime_n(n):
     for k in range(n):
-        terms = {k: Fraction(1), 0: Fraction(2)}
+        terms = {k: 1, 0: 2}
         assert _canonical(n, terms) == reference_canonical(n, terms)
-    ring = {k: Fraction(1) for k in range(1, n)}  # -1 in disguise
-    assert _canonical(n, ring) == reference_canonical(n, ring) == (1, (Fraction(-1),))
+    ring = {k: 1 for k in range(1, n)}  # -1 in disguise
+    assert _canonical(n, ring) == reference_canonical(n, ring) == (1, (-1,))
 
 
 def test_canonical_of_every_root_of_unity_up_to_40():
     for n in range(1, 41):
         for k in range(n):
-            assert _canonical(n, {k: Fraction(1)}) == reference_canonical(n, {k: Fraction(1)})
+            assert _canonical(n, {k: 1}) == reference_canonical(n, {k: Fraction(1)})
+
+
+@st.composite
+def oracle_terms(draw):
+    """(n, terms) with n <= 60 and Fraction coefficients; exponents run
+    past n and repeat modulo n, and some inputs are summed over a
+    subgroup of (Z/n)^* so that they fall to a proper subfield."""
+    n = draw(st.integers(1, 60))
+    terms: dict[int, Fraction] = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = draw(st.integers(0, n - 1)) + n * draw(st.integers(0, 2))
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+        terms[e] = terms.get(e, _ZERO) + c
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.sampled_from(units_mod(n)))
+        orbit = [1]
+        while orbit[-1] * k % n != 1:
+            orbit.append(orbit[-1] * k % n)
+        terms = {e * g: c for g in orbit for e, c in terms.items()}
+    return n, terms
+
+
+@given(oracle_terms(), oracle_terms(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_integer_kernel_matches_fraction_kernel(case, other, mult):
+    n, terms = case
+    z = CyclotomicNumber.make(n, terms)
+    form = ref_canonical(n, terms)
+    order, vec = form
+    assert z.order == order and z.coeffs == nonzero(vec)
+    num, den = z._num, z._den
+    assert len(num) == len(vec) and den >= 1 and math.gcd(den, *num) == 1
+    assert all(type(c) is int for c in (*num, den))
+    for k in units_mod(order):
+        assert galois_apply(z, k).coeffs == nonzero(ref_galois_apply(form, k)[1]), k
+    y = CyclotomicNumber.make(*other)
+    lift_at = math.lcm(z.order, y.order) * mult
+    assert integer_lift([z, y], lift_at) == ref_integer_lift(
+        [form, ref_canonical(*other)], lift_at)
+    # the same value built other ways is equal and hashes equal
+    for same in (CyclotomicNumber.make(2 * n, {2 * e: c for e, c in terms.items()}),
+                 CyclotomicNumber.make(n, {e: 2 * c for e, c in terms.items()}) * Fraction(1, 2),
+                 z + 0, -(-z), z * 1):
+        assert same == z and hash(same) == hash(z)
+    if z.is_rational:
+        q = z.rational_value
+        assert z == q and hash(z) == hash(q) and {z} == {q}
+    half = CyclotomicNumber.make(n, {n * mult: Fraction(2, 4)})
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+
+
+def test_rational_values_hash_as_the_int_or_fraction_they_equal():
+    assert len({CyclotomicNumber.rational(1), 1}) == 1
+    assert 1 in {CyclotomicNumber.rational(1)}
+    assert Fraction(1, 2) in {zeta(2) * Fraction(-1, 2)}
+    for a in range(-24, 25):
+        for b in range(1, 13):
+            q = Fraction(a, b)
+            ways = (CyclotomicNumber.rational(q),
+                    CyclotomicNumber.make(12, {0: Fraction(2 * a, 2 * b)}),
+                    value_from_obj(f"{a}/{b}"),
+                    value_from_obj({"n": 6, "coeffs": {"6": f"{a}/{b}"}}),
+                    CyclotomicNumber.make(5, {k: -q for k in range(1, 5)}))
+            for z in ways:
+                assert z == q and hash(z) == hash(q)
+                assert z in {q} and q in {z} and len({z, q}) == 1
+                if b == 1 or a % b == 0:
+                    assert z == a // b and hash(z) == hash(a // b) and a // b in {z}
 
 
 def test_roots_of_unity_basics():
@@ -268,3 +433,31 @@ def test_bad_encodings_rejected():
         value_from_obj({"n": 5})
     with pytest.raises(InputError):
         value_from_obj([1, 2])
+
+
+NUMERALS = ["0", "-0", "+5", "007", "-12", "12345678901234567890", "", "+", "-", "+-5",
+            "--5", "+ 5", "1e3", "1E-2", "1.5", ".5", "5.", "-1/2", "2/4", "1/0", "1/2/3",
+            "0x10", "abc", " 5", "5 ", "1_0", "\u0663", "\u00b2"]
+
+
+def _outcome(read):
+    try:
+        return read()
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", NUMERALS)
+def test_numerals_read_as_fraction_reads_them(text):
+    # integer numerals are read by int, the rest by Fraction: a cell or a
+    # coefficient gives the value, or the refusal text, that Fraction gives
+    def by_fraction(build, what, obj):
+        try:
+            return build(Fraction(_plain(text)))
+        except (ValueError, ZeroDivisionError) as exc:
+            return f"bad {what} {obj!r}: {exc}"
+    obj = {"n": 4, "coeffs": {"1": text}}
+    assert _outcome(lambda: value_from_obj(text)) == by_fraction(
+        CyclotomicNumber.rational, "rational literal", text)
+    assert _outcome(lambda: value_from_obj(obj)) == by_fraction(
+        lambda c: CyclotomicNumber.make(4, {1: c}), "cyclotomic object", obj)
