@@ -48,7 +48,7 @@ from .cyclotomic import (
     galois_apply,
     integer_lift,
     power_reductions,
-    reduce_integers,
+    reduce_terms,
     value_from_obj,
 )
 from .errors import InputError, ResourceLimitError
@@ -225,14 +225,14 @@ class CharacterTable:
     def _check_orthogonality(self) -> None:
         """sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on integers.
 
-        Every value lifts once to integer terms of D * value at zeta_n,
-        D the common denominator and n the table's order; conjugation
-        negates exponents.  A row pair's sum is then a cyclic convolution
-        over exponents mod n, reduced once to the power basis and compared
-        with (|G| D^2, 0, ...).  The (n - phi(n)) phi(n) reductions at n
-        are built for this check alone and released with it; past
-        MAX_LIFT_REDUCTIONS the check is refused before any is made.  A
-        failing sum is canonicalised from its reduced vector.
+        Every value lifts once to integer terms (k, c) of D * value at
+        zeta_n, D the common denominator and n the table's order;
+        conjugation negates k.  A row pair's sum is a cyclic convolution
+        into acc, whose terms enumerate(acc) are reduced once to the power
+        basis and compared with (|G| D^2, 0, ...).  The (n - phi(n)) phi(n)
+        reductions at n are built for this check alone and released with
+        it; past MAX_LIFT_REDUCTIONS the check is refused before any is
+        made.  A failing sum is canonicalised from its reduced vector.
         """
         n, values, cells = self._values
         phi = totient(n)
@@ -254,7 +254,7 @@ class CharacterTable:
                         sca = s * ca
                         for y, cb in conj[b]:
                             acc[(x + y) % n] += sca * cb
-                got = reduce_integers(n, acc, red)
+                got = reduce_terms(n, enumerate(acc), red)
                 if got != (norm if i == j else zero):
                     total = CyclotomicNumber.make(n, {
                         k: Fraction(c, scale * scale) for k, c in enumerate(got) if c})
@@ -276,13 +276,15 @@ def parse_table(text: str) -> CharacterTable:
     if not isinstance(obj, dict):
         raise InputError("table file must hold a JSON object")
     try:
-        tname = str(obj["name"])
+        tname = obj["name"]
         order = obj["order"]
         sizes = obj["class_sizes"]
         irr = obj["irr"]
     except KeyError as exc:
         raise InputError(f"missing table field {exc.args[0]!r}") from None
     orders = obj.get("class_orders")
+    if not isinstance(tname, str):
+        raise InputError("'name' must be a string")
     if not isinstance(order, int) or isinstance(order, bool):
         raise InputError("'order' must be an integer")
     if not isinstance(sizes, list) or not all(

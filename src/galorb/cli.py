@@ -47,6 +47,15 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _integer(text: str) -> int:
+    """An integer argument: an optional sign, then ASCII digits, as in
+    table cells and generator files; int alone also reads digit
+    separators, padding and non-ASCII digits ("1_0", " 5")."""
+    if not (text.isascii() and text[text[:1] in "+-":].isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 # -- analyze-perm -------------------------------------------------------
 
 
@@ -136,8 +145,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     else:
         lo = hi = text
     try:
-        a, b = int(lo), int(hi)
-    except ValueError:
+        a, b = _integer(lo), _integer(hi)
+    except argparse.ArgumentTypeError:
         raise InputError(f"bad range {text!r}; use N or A..B") from None
     if a > b:
         raise InputError(f"empty range {text!r}")
@@ -314,13 +323,13 @@ def _box(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected N,Q")
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
+        return _integer(parts[0]), _integer(parts[1])
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError("expected integers N,Q") from None
 
 
 def _max_order_option(p, bounded: str):
-    p.add_argument("--max-order", type=int, default=MAX_ELEMENT_ORDER,
+    p.add_argument("--max-order", type=_integer, default=MAX_ELEMENT_ORDER,
                    help=f"bound on {bounded} (default %(default)s)")
 
 
@@ -363,23 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     ps = psub.add_parser("singer", parents=[common],
                          help="Singer element of GL(n, q)")
-    ps.add_argument("n", type=int)
-    ps.add_argument("q", type=int)
-    ps.add_argument("--center", type=int, default=1)
+    ps.add_argument("n", type=_integer)
+    ps.add_argument("q", type=_integer)
+    ps.add_argument("--center", type=_integer, default=1)
     _max_order_option(ps, "the element's order")
     ps.set_defaults(fn=_cmd_charpoly, action="singer")
     pf = psub.add_parser("file", parents=[common],
                          help="search a generated matrix group")
     pf.add_argument("file")
-    pf.add_argument("--target", type=int, required=True)
-    pf.add_argument("--center", type=int, default=1)
-    pf.add_argument("--seed", type=int, default=0, help="random search seed")
+    pf.add_argument("--target", type=_integer, required=True)
+    pf.add_argument("--center", type=_integer, default=1)
+    pf.add_argument("--seed", type=_integer, default=0, help="random search seed")
     _max_order_option(pf, "--target, every order searched and the element's order")
     pf.set_defaults(fn=_cmd_charpoly, action="file")
     pb = psub.add_parser("bound", parents=[common],
                          help="bare class bound from a count")
-    pb.add_argument("count", type=int)
-    pb.add_argument("center", type=int)
+    pb.add_argument("count", type=_integer)
+    pb.add_argument("center", type=_integer)
     pb.set_defaults(fn=_cmd_charpoly, action="bound")
 
     return parser

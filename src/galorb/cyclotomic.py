@@ -19,9 +19,9 @@ zeta_{N/p}^w and read off over Q(zeta_{N/p}) (see _descend_coprime).
 Phi_N is a quotient of products of binomials x^d - 1; the one cache is
 _power_reductions, the rows x^k mod Phi_N that canonical forms read.
 
-integer_lift and reduce_integers put a batch of values on integer vectors
-at a common multiple of their conductors, for sums that need no canonical
-form until the end, with reductions the caller builds and drops.
+reduce_terms folds every sum, a stream of (exponent, integer) terms.
+integer_lift gives a batch of values as terms at a common multiple of
+their conductors, for sums that need no canonical form until the end.
 """
 
 from __future__ import annotations
@@ -84,15 +84,15 @@ def power_reductions(n: int) -> tuple[tuple[int, ...], ...]:
 _power_reductions = lru_cache(maxsize=None)(power_reductions)
 
 
-def _reduce(n: int, terms, red=None) -> list[int]:
-    """Fold an exponent -> integer coefficient map into the power basis
-    of Q(zeta_n).  red is power_reductions(n), taken from the cache when
-    it is needed and not given."""
+def reduce_terms(n: int, terms, red=None) -> list[int]:
+    """Power-basis coordinates in Q(zeta_n) of the sum of c zeta_n^e over
+    the integer terms (e, c), e read mod n; two sums are equal exactly when
+    these are.  red is power_reductions(n), from the cache if not given."""
     if n == 1:
-        return [sum(terms.values())]
+        return [sum(c for _, c in terms)]
     phi = totient(n)
     vec = [0] * phi
-    for e, c in terms.items():
+    for e, c in terms:
         if not c:
             continue
         e %= n
@@ -120,15 +120,15 @@ def _descend_coprime(n: int, p: int, vec: list[int]) -> list[int] | None:
     m = n // p
     u = pow(m, -1, p)
     w = pow(p, -1, m) if m > 1 else 0
-    parts: list[dict[int, int]] = [{} for _ in range(p)]
+    parts: list[list[tuple[int, int]]] = [[] for _ in range(p)]
     for i, c in enumerate(vec):
         if c:
-            parts[u * i % p][w * i % m] = c
-    last = _reduce(m, parts[-1])
+            parts[u * i % p].append((w * i, c))
+    last = reduce_terms(m, parts[-1])
     for part in parts[1:-1]:
-        if _reduce(m, part) != last:
+        if reduce_terms(m, part) != last:
             return None
-    return [a - b for a, b in zip(_reduce(m, parts[0]), last)]
+    return [a - b for a, b in zip(reduce_terms(m, parts[0]), last)]
 
 
 def _canonical(n: int, terms) -> tuple[int, tuple[int, ...]]:
@@ -142,7 +142,7 @@ def _canonical(n: int, terms) -> tuple[int, tuple[int, ...]]:
     vec[::p] is its vector there; for p || n see _descend_coprime.  The
     fields Q(zeta_d) holding the value are those with conductor | d, so
     the descent ends at the conductor whatever the order of the primes."""
-    vec = _reduce(n, terms)
+    vec = reduce_terms(n, terms)
     if not any(vec[1:]):
         return 1, (vec[0],)
     for p in sorted(factorize(n)):
@@ -212,8 +212,8 @@ class CyclotomicNumber:
             raise InputError("root-of-unity order must be positive")
         clean = {int(e): c if type(c) is int else Fraction(c) for e, c in terms.items()}
         den = math.lcm(*(c.denominator for c in clean.values()))
-        return CyclotomicNumber(*_canonical(n, {e: c.numerator * (den // c.denominator)
-                                                for e, c in clean.items()}), den)
+        return CyclotomicNumber(*_canonical(n, [(e, c.numerator * (den // c.denominator))
+                                                for e, c in clean.items()]), den)
 
     @staticmethod
     def rational(x) -> "CyclotomicNumber":
@@ -259,9 +259,10 @@ class CyclotomicNumber:
     def __bool__(self):
         return any(self._num)
 
-    def _terms_at(self, n: int, scale: int = 1) -> dict[int, int]:
+    def _terms_at(self, n: int, scale: int = 1) -> list[tuple[int, int]]:
+        """Terms (k, c) of scale * self = sum c zeta_n^k."""
         step = n // self.order
-        return {i * step: c * scale for i, c in enumerate(self._num) if c}
+        return [(i * step, c * scale) for i, c in enumerate(self._num) if c]
 
     @staticmethod
     def _coerce(x) -> "CyclotomicNumber":
@@ -275,9 +276,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         n = math.lcm(self.order, other.order)
         den = math.lcm(self._den, other._den)
-        terms = self._terms_at(n, den // self._den)
-        for e, c in other._terms_at(n, den // other._den).items():
-            terms[e] = terms.get(e, 0) + c
+        terms = self._terms_at(n, den // self._den) + other._terms_at(n, den // other._den)
         return CyclotomicNumber(*_canonical(n, terms), den)
 
     __radd__ = __add__
@@ -303,11 +302,7 @@ class CyclotomicNumber:
             return other * self
         n = math.lcm(self.order, other.order)
         b = other._terms_at(n)
-        terms: dict[int, int] = {}
-        for e1, c1 in self._terms_at(n).items():
-            for e2, c2 in b.items():
-                e = (e1 + e2) % n
-                terms[e] = terms.get(e, 0) + c1 * c2
+        terms = [(e1 + e2, c1 * c2) for e1, c1 in self._terms_at(n) for e2, c2 in b]
         return CyclotomicNumber(*_canonical(n, terms), den)
 
     __rmul__ = __mul__
@@ -341,7 +336,7 @@ def galois_apply(z: CyclotomicNumber, k: int) -> CyclotomicNumber:
     k %= n
     if math.gcd(k, n) != 1:
         raise InputError(f"galois_apply needs gcd(k, {n}) = 1, got k = {k}")
-    vec = _reduce(n, {k * i % n: c for i, c in enumerate(z._num) if c})
+    vec = reduce_terms(n, [(k * i, c) for i, c in enumerate(z._num) if c])
     return CyclotomicNumber(n, vec, z._den)  # canonical: conductors are Galois-invariant
 
 
@@ -371,16 +366,7 @@ def integer_lift(values, n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...]
     and for each value the terms (k, c) of D * value = sum c zeta_n^k,
     all c integers."""
     scale = math.lcm(*(z._den for z in values))
-    lifts = tuple(tuple((i * (n // z.order), c * (scale // z._den))
-                        for i, c in enumerate(z._num) if c) for z in values)
-    return scale, lifts
-
-
-def reduce_integers(n: int, coeffs, reductions) -> list[int]:
-    """Power-basis coordinates in Q(zeta_n) of sum_k coeffs[k] zeta_n^k
-    for integer coeffs, with reductions = power_reductions(n); two sums
-    are equal exactly when these are."""
-    return _reduce(n, dict(enumerate(coeffs)), reductions)
+    return scale, tuple(tuple(z._terms_at(n, scale // z._den)) for z in values)
 
 
 # -- text encoding ------------------------------------------------------

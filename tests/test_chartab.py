@@ -18,7 +18,7 @@ from galorb.chartab import (
 )
 from galorb.classtheory import analyze, orbits
 from galorb.cyclotomic import (
-    CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_integers,
+    CyclotomicNumber, FieldClass, field_class, galois_apply, reduce_terms,
     value_from_obj, zeta,
 )
 from galorb.errors import InputError, ResourceLimitError
@@ -337,11 +337,11 @@ def test_orthogonality_works_at_the_conductors(monkeypatch):
     import galorb.chartab
     seen = []
 
-    def spy(n, acc, red):
+    def spy(n, terms, red):
         seen.append(n)
-        return reduce_integers(n, acc, red)
+        return reduce_terms(n, terms, red)
 
-    monkeypatch.setattr(galorb.chartab, "reduce_integers", spy)
+    monkeypatch.setattr(galorb.chartab, "reduce_terms", spy)
     t = parse_table(json.dumps(_fixture_obj("s3")))
     assert t.galois_action.exponent == 1
     assert seen and set(seen) == {1}
@@ -379,6 +379,10 @@ def test_parse_error_reporting():
             "irr": [[1, {"broken": 1}], [1, -1]]}))
     with pytest.raises(InputError, match="missing"):
         parse_table(json.dumps({"order": 2}))
+    # str() would print these as None, True, 3 and [1, 2]
+    for name in (None, True, 3, [1, 2]):
+        with pytest.raises(InputError, match="^'name' must be a string$"):
+            parse_table(json.dumps({**_fixture_obj("c2"), "name": name}))
 
 
 def _c2_text(irr):

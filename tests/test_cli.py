@@ -314,6 +314,34 @@ def test_charpoly_file_malformed_field_exits_2(capsys, tmp_path, fields, field):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("an-rank", "1_0"), ("an-rank", "\u0665"), ("an-rank", "5.. 6"),
+    ("screen", "PSL", "--box", "4_0,6_4"), ("screen", "PSL", "--box", "40,\u0666\u0664"),
+    ("charpoly", "singer", "\u0662", "1_1"), ("charpoly", "singer", "2", "11", "--center", "1_0"),
+    ("charpoly", "singer", "2", "11", "--max-order", "\uff18"),
+    ("charpoly", "file", str(DATA / "gl2_3.json"), "--target", "\u0668"),
+    ("charpoly", "file", str(DATA / "gl2_3.json"), "--target", "8", "--seed", "1_0"),
+    ("charpoly", "bound", "1_6", "3"), ("charpoly", "bound", "16", "\u0663"),
+], ids=["an_rank_separator", "an_rank_arabic_digit", "an_rank_padded",
+        "box_separators", "box_arabic_digits", "singer_n_arabic_q_separator",
+        "singer_center_separator", "singer_max_order_fullwidth", "file_target_arabic",
+        "file_seed_separator", "bound_count_separator", "bound_center_arabic"])
+def test_integer_arguments_take_ascii_numerals_only(capsys, argv):
+    # int reads all of these, as 10, 5, 40,64, GF(11)^2 and so on; the CLI does not
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (2, "")
+
+
+def test_integer_arguments_keep_their_sign(capsys):
+    for seed in ("-3", "+3"):
+        code, out, _ = run(capsys, "charpoly", "file", str(DATA / "gl2_3.json"),
+                           "--target", "8", "--seed", seed)
+        assert code == 0 and "element order    8" in out, seed
+
+
 def test_charpoly_file_requires_target(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["charpoly", "file", str(DATA / "gl2_3.json")])
@@ -421,6 +449,10 @@ def _c2_table_with(cell):
     return json.dumps(obj)
 
 
+def _c2_table_named(name):
+    return json.dumps({**json.loads(serialize_table(fixture_table("c2"))), "name": name})
+
+
 GL2_2 = {"p": 2, "k": 1, "dim": 2, "generators": [[[1, 1], [0, 1]]]}
 MALFORMED_INPUTS = [
     ("analyze-perm", "degree \u00b2\n()\n"),
@@ -429,6 +461,7 @@ MALFORMED_INPUTS = [
     ("analyze-table", "{"),
     ("analyze-table", _c2_table_with(-1.0)),
     ("analyze-table", _c2_table_with("-1_0")),
+    *(("analyze-table", _c2_table_named(name)) for name in (None, True, 3, [1, 2])),
     ("charpoly", json.dumps({k: v for k, v in GL2_2.items() if k != "dim"})),
     ("charpoly", json.dumps({**GL2_2, "generators": [[[1, 1.0], [0, 1]]]})),
 ]
@@ -437,6 +470,7 @@ MALFORMED_INPUTS = [
 @pytest.mark.parametrize("command, text", MALFORMED_INPUTS, ids=[
     "gens_header_superscript", "gens_point_superscript", "gens_unclosed_cycle",
     "table_bad_json", "table_float_cell", "table_separator_cell",
+    "table_null_name", "table_true_name", "table_number_name", "table_list_name",
     "matrix_missing_field", "matrix_float_entry"])
 def test_malformed_input_file_exits_2_with_one_error_line(capsys, tmp_path, command, text):
     path = tmp_path / "input"

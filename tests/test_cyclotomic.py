@@ -6,13 +6,13 @@ from functools import lru_cache
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galorb.cyclotomic import (
     MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _canonical, _plain, conjugate,
     cyclotomic_polynomial, field_class, galois_apply, integer_lift, power_reductions,
-    value_from_obj, zeta,
+    reduce_terms, value_from_obj, zeta,
 )
 from galorb.errors import InputError, ResourceLimitError
 from galorb.numutil import factorize, totient, units_mod
@@ -100,6 +100,13 @@ def ref_integer_lift(forms, n):
         tuple((i * (n // order), c.numerator * (scale // c.denominator))
               for i, c in enumerate(vec) if c)
         for order, vec in forms)
+
+
+def former_integer_lift(values, n):
+    """integer_lift as a formula of its own, from before it read _terms_at."""
+    scale = math.lcm(*(z._den for z in values))
+    return scale, tuple(tuple((i * (n // z.order), c * (scale // z._den))
+                              for i, c in enumerate(z._num) if c) for z in values)
 
 
 def nonzero(vec):
@@ -208,22 +215,22 @@ def test_canonical_matches_stabiliser_scan(case):
     n, terms = case
     d, ints = cleared(terms)
     order, vec = reference_canonical(n, terms)
-    assert _canonical(n, ints) == (order, tuple(c * d for c in vec))
+    assert _canonical(n, ints.items()) == (order, tuple(c * d for c in vec))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 31])
 def test_canonical_at_prime_n(n):
     for k in range(n):
         terms = {k: 1, 0: 2}
-        assert _canonical(n, terms) == reference_canonical(n, terms)
+        assert _canonical(n, terms.items()) == reference_canonical(n, terms)
     ring = {k: 1 for k in range(1, n)}  # -1 in disguise
-    assert _canonical(n, ring) == reference_canonical(n, ring) == (1, (-1,))
+    assert _canonical(n, ring.items()) == reference_canonical(n, ring) == (1, (-1,))
 
 
 def test_canonical_of_every_root_of_unity_up_to_40():
     for n in range(1, 41):
         for k in range(n):
-            assert _canonical(n, {k: 1}) == reference_canonical(n, {k: Fraction(1)})
+            assert _canonical(n, [(k, 1)]) == reference_canonical(n, {k: Fraction(1)})
 
 
 @st.composite
@@ -263,6 +270,7 @@ def test_integer_kernel_matches_fraction_kernel(case, other, mult):
     lift_at = math.lcm(z.order, y.order) * mult
     assert integer_lift([z, y], lift_at) == ref_integer_lift(
         [form, ref_canonical(*other)], lift_at)
+    assert integer_lift([z, y], lift_at) == former_integer_lift([z, y], lift_at)
     # the same value built other ways is equal and hashes equal
     for same in (CyclotomicNumber.make(2 * n, {2 * e: c for e, c in terms.items()}),
                  CyclotomicNumber.make(n, {e: 2 * c for e, c in terms.items()}) * Fraction(1, 2),
@@ -273,6 +281,26 @@ def test_integer_kernel_matches_fraction_kernel(case, other, mult):
         assert z == q and hash(z) == hash(q) and {z} == {q}
     half = CyclotomicNumber.make(n, {n * mult: Fraction(2, 4)})
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(-3 * n, 3 * n), st.integers(-9, 9)), max_size=12))))
+@example((1, []))
+@example((1, [(0, 2), (-4, 3), (7, -1)]))
+@example((12, []))
+@example((12, [(5, 1), (17, 1), (-7, -2), (5, 4)]))
+@settings(max_examples=300, deadline=None)
+def test_reduce_terms_matches_the_reference_on_the_merged_map(case):
+    # exponents repeat, run negative and past n, and streams may be empty:
+    # the terms add up as the exponent -> coefficient map merged from them
+    n, pairs = case
+    merged: dict[int, int] = {}
+    for e, c in pairs:
+        merged[e % n] = merged.get(e % n, 0) + c
+    want = ref_reduce(n, merged)
+    assert reduce_terms(n, pairs) == want
+    assert reduce_terms(n, iter(pairs), power_reductions(n)) == want
+    assert integer_lift([], n) == former_integer_lift([], n) == (1, ())
 
 
 def test_rational_values_hash_as_the_int_or_fraction_they_equal():
