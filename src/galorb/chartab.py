@@ -35,7 +35,6 @@ the values at n, and refused when the reductions at n would not fit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +50,7 @@ from .cyclotomic import (
     reduce_terms,
     value_from_obj,
 )
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, read_json_object
 from .numutil import totient, units_mod
 from .permgroup import ClassStructure
 
@@ -269,29 +268,20 @@ class CharacterTable:
 
 def parse_table(text: str) -> CharacterTable:
     """Parse the JSON table format into a checked table."""
+    obj = read_json_object(text, "table file")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise InputError("table file must hold a JSON object")
-    try:
-        tname = obj["name"]
-        order = obj["order"]
-        sizes = obj["class_sizes"]
-        irr = obj["irr"]
+        tname, order, sizes, irr = obj["name"], obj["order"], obj["class_sizes"], obj["irr"]
     except KeyError as exc:
         raise InputError(f"missing table field {exc.args[0]!r}") from None
     orders = obj.get("class_orders")
     if not isinstance(tname, str):
         raise InputError("'name' must be a string")
-    if not isinstance(order, int) or isinstance(order, bool):
+    if type(order) is not int:
         raise InputError("'order' must be an integer")
-    if not isinstance(sizes, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in sizes):
+    if not isinstance(sizes, list) or not all(type(s) is int for s in sizes):
         raise InputError("'class_sizes' must be a list of integers")
     if orders is not None and (not isinstance(orders, list) or not all(
-            isinstance(o, int) and not isinstance(o, bool) for o in orders)):
+            type(o) is int for o in orders)):
         raise InputError("'class_orders' must be a list of integers")
     if not isinstance(irr, list) or not all(isinstance(r, list) for r in irr):
         raise InputError("'irr' must be a list of rows")

@@ -22,7 +22,7 @@ from . import __version__
 from .altcount import frobenius_ranks, prop8_lower_bound
 from .chartab import brauer_crosscheck, char_report, column_families, parse_table
 from .classtheory import analyze, report_to_obj
-from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError
+from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError, read_integer
 from .matgroup import (
     MAX_ELEMENT_ORDER, check_order, class_lower_bound, coprime_power_charpoly_count,
     element_order, parse_matrix_group_file, random_element_search, singer_element,
@@ -48,12 +48,13 @@ def _json(obj) -> str:
 
 
 def _integer(text: str) -> int:
-    """An integer argument: an optional sign, then ASCII digits, as in
-    table cells and generator files; int alone also reads digit
-    separators, padding and non-ASCII digits ("1_0", " 5")."""
-    if not (text.isascii() and text[text[:1] in "+-":].isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    """read_integer as a type=: argparse exits 2 on ArgumentTypeError."""
+    try:
+        if (value := read_integer(text)) is not None:
+            return value
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 # -- analyze-perm -------------------------------------------------------
@@ -140,14 +141,10 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-    else:
-        lo = hi = text
-    try:
-        a, b = _integer(lo), _integer(hi)
-    except argparse.ArgumentTypeError:
-        raise InputError(f"bad range {text!r}; use N or A..B") from None
+    lo, dots, hi = text.partition("..")
+    a, b = read_integer(lo), read_integer(hi if dots else lo)
+    if a is None or b is None:
+        raise InputError(f"bad range {text!r}; use N or A..B")
     if a > b:
         raise InputError(f"empty range {text!r}")
     return a, b
@@ -322,10 +319,7 @@ def _box(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected N,Q")
-    try:
-        return _integer(parts[0]), _integer(parts[1])
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError("expected integers N,Q") from None
+    return _integer(parts[0]), _integer(parts[1])
 
 
 def _max_order_option(p, bounded: str):

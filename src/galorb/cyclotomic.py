@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, read_rational
 from .numutil import factorize, power, totient, units_mod
 
 # largest root-of-unity order a parsed value may name; canonicalising at
@@ -371,50 +371,36 @@ def integer_lift(values, n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...]
 
 # -- text encoding ------------------------------------------------------
 
-def _plain(x):
-    """x, unless it is a string holding what int and Fraction read past
-    the format: digit separators, padding or non-ASCII digits."""
-    if isinstance(x, str) and (not x.isascii() or "_" in x or x != x.strip()):
-        raise ValueError(f"{x!r} is not a plain ASCII numeral")
-    return x
-
-
-def _number(x):
-    """x as an int when it is one or an integer numeral (an optional
-    sign, then ASCII digits), else Fraction(x)."""
-    if type(x) is int or (isinstance(_plain(x), str) and x[x[:1] in "+-":].isdigit()):
-        return int(x)
-    return Fraction(x)
-
-
 def value_from_obj(obj) -> CyclotomicNumber:
     """Parse one cell: an int, a rational string such as "-1/2", or
-    {"n": N, "coeffs": {"e": "c", ...}} for the sum of c zeta_N^e, with
-    N an integer, exponents as strings and coefficients as integers or
-    rational strings, never floats; strings are plain ASCII numerals,
-    signed, decimal or "a/b".  ResourceLimitError for a
+    {"n": N, "coeffs": {"e": "c", ...}} for the sum of c zeta_N^e: N an
+    integer, exponents distinct integer strings (equal mod N, they add
+    up), coefficients integers or rational strings, never floats; strings
+    are read by errors.read_rational.  ResourceLimitError for a
     root-of-unity order above MAX_ROOT_ORDER."""
     if isinstance(obj, bool):
         raise InputError("boolean is not a cyclotomic value")
     if isinstance(obj, (int, str)):
         try:
-            return CyclotomicNumber.rational(_number(obj))
-        except (ValueError, ZeroDivisionError) as exc:
+            return CyclotomicNumber.rational(read_rational(obj))
+        except InputError as exc:
             raise InputError(f"bad rational literal {obj!r}: {exc}") from None
     if isinstance(obj, dict):
         try:
             n, coeffs = obj["n"], obj["coeffs"]
-            if not isinstance(n, int) or isinstance(n, bool):
+            if type(n) is not int:
                 raise TypeError(f"n must be an integer, not {type(n).__name__}")
             if not isinstance(coeffs, dict):
                 raise TypeError(f"coeffs must be an object, not {type(coeffs).__name__}")
-            if any(isinstance(c, (bool, float)) for c in coeffs.values()):
+            if not all(type(c) is int or isinstance(c, str) for c in coeffs.values()):
                 raise TypeError("coefficients must be integers or rational strings")
-            coeffs = {int(_plain(e)): _number(c) for e, c in coeffs.items()}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            terms = {read_rational(e): read_rational(c) for e, c in coeffs.items()}
+            if len(terms) < len(coeffs) or any(type(k) is not int for k in terms):
+                raise TypeError("exponents must be distinct integers")
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"bad cyclotomic object {obj!r}: {exc}") from None
         if n > MAX_ROOT_ORDER:
             raise ResourceLimitError(
                 f"root-of-unity order is limited to n <= {MAX_ROOT_ORDER}; n = {n} given")
-        return CyclotomicNumber.make(n, coeffs)
+        return CyclotomicNumber.make(n, terms)
     raise InputError(f"cannot parse cyclotomic value from {type(obj).__name__}")

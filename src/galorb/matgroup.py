@@ -15,7 +15,6 @@ class-count lower bounds.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import namedtuple
@@ -23,7 +22,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, read_json_object
 from .numutil import factorize, is_prime, is_prime_power, power
 from .permgroup import GroupSpec
 
@@ -542,18 +541,13 @@ def parse_matrix_group_file(text: str) -> tuple[FiniteField, tuple[Matrix, ...]]
     ascending coefficients with leading 1, "dim": n, "generators":
     [[row], ...]}.  The polynomial must match this build's canonical
     choice; entries are encoded field elements."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise InputError("matrix group file must hold a JSON object")
+    obj = read_json_object(text, "matrix group file")
     try:
         p, k, dim, gens = obj["p"], obj["k"], obj["dim"], obj["generators"]
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r}") from None
     for name, v in (("p", p), ("k", k), ("dim", dim)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        if type(v) is not int or v < 1:
             raise InputError(f"{name!r} must be a positive integer")
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
@@ -566,7 +560,8 @@ def parse_matrix_group_file(text: str) -> tuple[FiniteField, tuple[Matrix, ...]]
     F = finite_field(p ** k)
     want_poly = list(F.poly) + [1]
     got_poly = obj.get("defining_poly")
-    if got_poly is not None and not isinstance(got_poly, list):
+    if got_poly is not None and (not isinstance(got_poly, list)
+                                 or not all(type(c) is int for c in got_poly)):
         raise InputError(f"'defining_poly' of GF({F.q}) must be a list of coefficients")
     if got_poly is not None and got_poly != want_poly:
         raise InputError(
@@ -579,8 +574,7 @@ def parse_matrix_group_file(text: str) -> tuple[FiniteField, tuple[Matrix, ...]]
         if (not isinstance(rows, list) or len(rows) != dim
                 or any(not isinstance(r, list) or len(r) != dim for r in rows)):
             raise InputError(f"generator {i} is not a {dim} x {dim} matrix")
-        if any(not isinstance(v, int) or isinstance(v, bool) or
-               not 0 <= v < F.q for r in rows for v in r):
+        if any(type(v) is not int or not 0 <= v < F.q for r in rows for v in r):
             raise InputError(
                 f"generator {i} has entries outside 0..{F.q - 1}")
         out.append(Matrix(F, rows))

@@ -66,7 +66,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, read_integer
 from .numutil import factorize, is_prime, units_mod
 
 MAX_DEGREE = 256
@@ -120,7 +120,7 @@ class GroupSpec:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or not 1 <= self.degree <= MAX_DEGREE:
+        if type(self.degree) is not int or not 1 <= self.degree <= MAX_DEGREE:
             raise InputError(f"degree must be in 1..{MAX_DEGREE}, got {self.degree!r}")
         if not self.generators:
             raise InputError("at least one generator required; () denotes the identity")
@@ -141,11 +141,10 @@ def parse_generators(text: str) -> GroupSpec:
         if not line:
             continue
         if degree is None:
-            parts = line.split()
-            if (len(parts) != 2 or parts[0] != "degree"
-                    or not (parts[1].isascii() and parts[1].isdigit())):
+            word, *n = line.split()
+            degree = read_integer(n[0], signed=False) if word == "degree" and len(n) == 1 else None
+            if degree is None:
                 raise InputError(f"line {ln}: expected 'degree n' header, got {line!r}")
-            degree = int(parts[1])
             if not 1 <= degree <= MAX_DEGREE:
                 raise InputError(f"line {ln}: degree must be in 1..{MAX_DEGREE}")
             continue
@@ -176,9 +175,9 @@ def _parse_cycle_line(line: str, ln: int, degree: int) -> tuple[int, ...]:
             continue  # () is the identity factor
         pts = []
         for tok in inner.split(","):
-            if not (tok.isascii() and tok.isdigit()):
+            x = read_integer(tok, signed=False)
+            if x is None:
                 raise InputError(f"line {ln}: bad point {tok!r}")
-            x = int(tok)
             if not 1 <= x <= degree:
                 raise InputError(f"line {ln}: point {x} outside 1..{degree}")
             if x - 1 in used:

@@ -9,14 +9,17 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import galorb.permgroup
 from galorb import altcount, cli, screening
-from galorb.chartab import CharacterTable, fixture_names, fixture_table
+from galorb.chartab import CharacterTable, fixture_names, fixture_table, parse_table
 from galorb.cli import build_parser, main
+from galorb.errors import InputError
 from galorb.matgroup import (
     MAX_ELEMENT_ORDER, _exact_order, coprime_power_charpoly_count, element_order,
-    projective_line_action, random_element_search, singer_element,
+    parse_matrix_group_file, projective_line_action, random_element_search, singer_element,
 )
 from galorb.permgroup import (
     alternating_group_spec, cyclic_group_spec, symmetric_group_spec,
@@ -322,10 +325,14 @@ def test_charpoly_file_malformed_field_exits_2(capsys, tmp_path, fields, field):
     ("charpoly", "file", str(DATA / "gl2_3.json"), "--target", "\u0668"),
     ("charpoly", "file", str(DATA / "gl2_3.json"), "--target", "8", "--seed", "1_0"),
     ("charpoly", "bound", "1_6", "3"), ("charpoly", "bound", "16", "\u0663"),
+    ("an-rank", "1" * 5000), ("an-rank", "5.." + "1" * 5000),
+    ("charpoly", "bound", "1" * 5000, "3"), ("screen", "PSL", "--box", "40," + "1" * 5000),
 ], ids=["an_rank_separator", "an_rank_arabic_digit", "an_rank_padded",
         "box_separators", "box_arabic_digits", "singer_n_arabic_q_separator",
         "singer_center_separator", "singer_max_order_fullwidth", "file_target_arabic",
-        "file_seed_separator", "bound_count_separator", "bound_center_arabic"])
+        "file_seed_separator", "bound_count_separator", "bound_center_arabic",
+        "an_rank_over_long", "an_rank_range_over_long", "bound_count_over_long",
+        "box_over_long"])
 def test_integer_arguments_take_ascii_numerals_only(capsys, argv):
     # int reads all of these, as 10, 5, 40,64, GF(11)^2 and so on; the CLI does not
     try:
@@ -453,7 +460,20 @@ def _c2_table_named(name):
     return json.dumps({**json.loads(serialize_table(fixture_table("c2"))), "name": name})
 
 
+def _c2_table_raw(key, raw):
+    """The c2 table with the raw JSON text raw as the value of key."""
+    return json.dumps({**json.loads(serialize_table(fixture_table("c2"))), key: "@"}).replace(
+        '"@"', raw)
+
+
+def _c3_table_cell(coeffs):
+    """The c3 table with the raw JSON text coeffs as its first cell's exponents."""
+    return (TABLES / "c3.json").read_text().replace('{"1": "1"}', coeffs, 1)
+
+
+LONG = "1" * 5000  # past Python's 4300-digit bound on int(str)
 GL2_2 = {"p": 2, "k": 1, "dim": 2, "generators": [[[1, 1], [0, 1]]]}
+GF3 = {"p": 3, "k": 1, "dim": 1, "generators": [[[1]]]}
 MALFORMED_INPUTS = [
     ("analyze-perm", "degree \u00b2\n()\n"),
     ("analyze-perm", "degree 3\n(1,\u00b2)\n"),
@@ -464,6 +484,18 @@ MALFORMED_INPUTS = [
     *(("analyze-table", _c2_table_named(name)) for name in (None, True, 3, [1, 2])),
     ("charpoly", json.dumps({k: v for k, v in GL2_2.items() if k != "dim"})),
     ("charpoly", json.dumps({**GL2_2, "generators": [[[1, 1.0], [0, 1]]]})),
+    ("analyze-perm", f"degree {LONG}\n()\n"),
+    ("analyze-perm", f"degree 3\n(1,{LONG})\n"),
+    ("analyze-table", _c2_table_raw("order", LONG)),
+    ("charpoly", json.dumps({**GL2_2, "p": "@"}).replace('"@"', LONG)),
+    ("analyze-table", "[" * 100000),
+    ("charpoly", json.dumps({**GL2_2, "p": 3})[:-1] + ', "p": 5}'),
+    ("analyze-table", _c2_table_raw("name", '"c2", "name": "c2b"')),
+    ("analyze-table", _c3_table_cell('{"1": "5", "1": "1"}')),
+    ("analyze-table", _c3_table_cell('{"1": "1", "01": "1"}')),
+    ("analyze-table", _c3_table_cell('{"1": "1", "+1": "1"}')),
+    ("charpoly", json.dumps({**GF3, "defining_poly": [True, 1]})),
+    ("charpoly", json.dumps({**GF3, "defining_poly": [1.0, 1]})),
 ]
 
 
@@ -471,7 +503,11 @@ MALFORMED_INPUTS = [
     "gens_header_superscript", "gens_point_superscript", "gens_unclosed_cycle",
     "table_bad_json", "table_float_cell", "table_separator_cell",
     "table_null_name", "table_true_name", "table_number_name", "table_list_name",
-    "matrix_missing_field", "matrix_float_entry"])
+    "matrix_missing_field", "matrix_float_entry",
+    "gens_degree_over_long", "gens_point_over_long", "table_order_over_long",
+    "matrix_p_over_long", "table_nested_past_recursion", "matrix_repeated_p",
+    "table_repeated_name", "table_repeated_exponent", "table_exponent_zero_padded",
+    "table_exponent_signed", "matrix_poly_true", "matrix_poly_float"])
 def test_malformed_input_file_exits_2_with_one_error_line(capsys, tmp_path, command, text):
     path = tmp_path / "input"
     path.write_text(text, encoding="utf-8")
@@ -481,6 +517,49 @@ def test_malformed_input_file_exits_2_with_one_error_line(capsys, tmp_path, comm
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def _objects(node):
+    """Every JSON object in node, outermost first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    for child in node if isinstance(node, list) else ():
+        yield from _objects(child)
+
+
+def _dump_repeating(node, target, key, at):
+    """node as JSON text, with key of the object target written again at
+    position at."""
+    if isinstance(node, list):
+        return "[" + ", ".join(_dump_repeating(v, target, key, at) for v in node) + "]"
+    if not isinstance(node, dict):
+        return json.dumps(node)
+    items = list(node.items())
+    if node is target:
+        items.insert(at, (key, node[key]))
+    return "{" + ", ".join(
+        f"{json.dumps(k)}: {_dump_repeating(v, target, key, at)}" for k, v in items) + "}"
+
+
+INPUT_FILES = [(parse_table, (TABLES / f"{name}.json").read_text()) for name in fixture_names()]
+INPUT_FILES.append((parse_matrix_group_file, (DATA / "gl2_3.json").read_text()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INPUT_FILES), st.data())
+def test_a_key_repeated_in_any_object_is_refused(file, data):
+    # json.loads keeps the last of two equal keys; the readers refuse both,
+    # even when the two values agree
+    parse, text = file
+    parse(text)
+    tree = json.loads(text)
+    target = data.draw(st.sampled_from([obj for obj in _objects(tree) if obj]))
+    key = data.draw(st.sampled_from(sorted(target)))
+    at = data.draw(st.integers(0, len(target)))
+    with pytest.raises(InputError) as exc:
+        parse(_dump_repeating(tree, target, key, at))
+    assert str(exc.value) == f"repeated key {key!r}"
 
 
 def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -10,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galorb.cyclotomic import (
-    MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _canonical, _plain, conjugate,
+    MAX_ROOT_ORDER, CyclotomicNumber, FieldClass, _canonical, conjugate,
     cyclotomic_polynomial, field_class, galois_apply, integer_lift, power_reductions,
     reduce_terms, value_from_obj, zeta,
 )
-from galorb.errors import InputError, ResourceLimitError
+from galorb.errors import MAX_DIGITS, InputError, ResourceLimitError
 from galorb.numutil import factorize, totient, units_mod
 from helpers import divisors, value_to_obj
 
@@ -468,6 +469,14 @@ NUMERALS = ["0", "-0", "+5", "007", "-12", "12345678901234567890", "", "+", "-",
             "0x10", "abc", " 5", "5 ", "1_0", "\u0663", "\u00b2"]
 
 
+def _plain(text):
+    """text, unless it holds what Fraction reads past the format: digit
+    separators, padding or non-ASCII digits."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"{text!r} is not a plain ASCII numeral")
+    return text
+
+
 def _outcome(read):
     try:
         return read()
@@ -489,3 +498,38 @@ def test_numerals_read_as_fraction_reads_them(text):
         CyclotomicNumber.rational, "rational literal", text)
     assert _outcome(lambda: value_from_obj(obj)) == by_fraction(
         lambda c: CyclotomicNumber.make(4, {1: c}), "cyclotomic object", obj)
+
+
+def test_exponent_numerals_are_bounded_before_fraction_runs():
+    # Fraction("1e10000000") builds 10**10000000: 8.3 s on an Intel Xeon core, Python 3.11
+    start = time.perf_counter()
+    for text in ("1e10000000", "1E-10000000", f"1e{MAX_DIGITS + 1}", "2.5e-99999999",
+                 "1e" + "9" * (MAX_DIGITS + 1)):
+        for cell in (text, {"n": 4, "coeffs": {"1": text}}):
+            with pytest.raises(InputError, match=f"{MAX_DIGITS}"):
+                value_from_obj(cell)
+    assert time.perf_counter() - start < 0.5
+    assert value_from_obj(f"1e{MAX_DIGITS}") == CyclotomicNumber.rational(10 ** MAX_DIGITS)
+    assert value_from_obj(f"-1E-{MAX_DIGITS}") == CyclotomicNumber.rational(
+        Fraction(-1, 10 ** MAX_DIGITS))
+
+
+@pytest.mark.parametrize("keys", [("1", "01"), ("1", "+1"), ("0", "-0"), ("2", "002")])
+def test_exponent_keys_equal_as_integers_are_refused(keys):
+    obj = {"n": 3, "coeffs": dict.fromkeys(keys, "1")}
+    with pytest.raises(InputError) as exc:
+        value_from_obj(obj)
+    assert str(exc.value) == f"bad cyclotomic object {obj!r}: exponents must be distinct integers"
+
+
+def test_exponent_keys_equal_mod_n_add_up():
+    # as reduce_terms adds repeated exponents after e % n
+    for keys in (("1", "4"), ("1", "-2"), ("1", "7", "-5")):
+        value = value_from_obj({"n": 3, "coeffs": dict.fromkeys(keys, "1")})
+        assert value == len(keys) * zeta(3), keys
+
+
+@pytest.mark.parametrize("key", ["1.0", "1/1", "1e0", "abc"])
+def test_exponent_keys_are_integer_numerals(key):
+    with pytest.raises(InputError):
+        value_from_obj({"n": 3, "coeffs": {key: "1"}})

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deletion that leaves an __all__
-entry behind fails here; and the library surface the benchmark harness
-reads (bench/tracer.py, bench/run.py, bench/passrun.py) still exists."""
+entry behind fails here; the library surface the benchmark harness
+reads (bench/tracer.py, bench/run.py, bench/passrun.py) still exists;
+and input numerals and JSON are read in one module."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from galorb.cyclotomic import CyclotomicNumber
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 DATA = BENCH.parent / "data"
+SRC = BENCH.parent / "src" / "galorb"
 
 
 def test_exported_names_resolve_and_star_import_works():
@@ -101,3 +103,13 @@ def test_benchmark_entry_points(capsys):
     assert classtheory.analyze(cs).rank == altcount.frobenius_rank(5) == 1
     assert galorb.cli.main(["an-rank", "5"]) == 0
     capsys.readouterr()
+
+
+def test_input_is_read_in_errors_alone():
+    # what an input numeral or JSON object means is decided in one place:
+    # errors.read_integer, read_rational and read_json_object
+    calls = ("json.loads", ".isdigit(", ".isascii(")
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found = [call for call in calls if call in text]
+        assert found == (list(calls) if path.name == "errors.py" else []), path.name

@@ -473,6 +473,18 @@ def test_parse_rejects_garbage():
         parse_generators("degree 3\n(1,\u0661)\n")
 
 
+def test_degree_is_an_int_and_numerals_are_bounded():
+    # True == 1 passes a bare isinstance(degree, int) check
+    with pytest.raises(InputError, match="degree must be in"):
+        GroupSpec(True, ((0,),))
+    long = "1" * 5000  # past Python's 4300-digit bound on int(str)
+    for text in (f"degree {long}\n()\n", f"degree 3\n(1,{long})\n"):
+        with pytest.raises(InputError, match="5000 digits; at most 4300"):
+            parse_generators(text)
+    with pytest.raises(InputError, match="line 1: expected 'degree n' header"):
+        parse_generators("degree +3\n()\n")
+
+
 GENERATOR_ALPHABET = "(),# \t\n0123456789\u00b2\u0661"
 
 
