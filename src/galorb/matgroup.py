@@ -1,20 +1,21 @@
 """Matrix groups over small finite fields, exactly.
 
 Field elements are integers 0..q-1 encoding coefficient vectors over
-the prime field in base p (see FiniteField).  One set of polynomial
-helpers over GF(q) (`_fpoly_*`) and one primitive-polynomial search
-(`_primitive_poly`, least encoded value) serve both the extension
-fields GF(p^k) and the Singer elements.  Products (`_dot`) and
-characteristic polynomials (`char_polys`) run on numpy stacks of
-matrices, each field operation a gather from per-field tables.  On top
-of that: multiplicative orders from the factor degrees of the
-characteristic polynomial, Singer elements as companion matrices, and
-the count of characteristic polynomials among coprime powers behind
-class-count lower bounds.
+the prime field in base p (see FiniteField).  On one set of polynomial
+helpers over GF(q) (`_fpoly_*`), `_factor_degrees` is the one routine
+for x^(q^d) - x: its factor degrees give element orders, the irreducible
+polynomials (`_irreducibles`) and the one primitive-polynomial search
+(`_primitive_poly`, least encoded value) behind both the fields GF(p^k)
+and the Singer elements.  Products (`_dot`) and characteristic
+polynomials (`char_polys`) run on numpy stacks of matrices, each field
+operation a gather from per-field tables.  On top of that: Singer
+elements as companion matrices, and the count of characteristic
+polynomials among coprime powers behind class-count lower bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -292,6 +293,39 @@ def _fpoly_powmod(F: FiniteField, base, e, f):
     return power(base, e, lambda a, b: _fpoly_mulmod(F, a, b, f), (1,))
 
 
+def _factor_degrees(F: FiniteField, f):
+    """Yield the distinct degrees of the monic f's irreducible factors,
+    ascending.  The one place x^(q^d) - x is formed: its gcd with what is
+    left of f collects the factors of degree d, since ascending d has
+    stripped every smaller degree.  x^(q^d) is the q-th power of
+    x^(q^(d-1)), and a remainder of degree below 2d is irreducible."""
+    rem, xq, d = f, (0, 1), 1
+    while len(rem) > 1:
+        if len(rem) - 1 < 2 * d:
+            yield len(rem) - 1
+            return
+        xq = _fpoly_powmod(F, xq, F.q, rem)
+        diff = list(xq) + [0] * (2 - len(xq))
+        diff[1] = F.sub(diff[1], 1)    # x^(q^d) - x, trimmed by the gcd's first division
+        g = _fpoly_gcd(F, diff, rem)
+        if len(g) > 1:
+            yield d
+        while len(g) > 1:    # strips repeated factors too
+            rem = _fpoly_divmod(F, rem, g)[0]
+            g = _fpoly_gcd(F, rem, g)
+        d += 1
+
+
+def _irreducibles(F: FiniteField, n: int):
+    """Yield the monic irreducible polynomials of degree n over F, with
+    the leading 1, in ascending encoded value (sum of f_i q^i): those
+    whose first factor degree is n."""
+    for high in itertools.product(range(F.q), repeat=n):
+        f = high[::-1] + (1,)
+        if next(_factor_degrees(F, f)) == n:
+            yield f
+
+
 def element_order(M: Matrix, bound: int = MAX_ELEMENT_ORDER) -> int:
     """Exact multiplicative order via the factor degrees of the
     characteristic polynomial: the order divides
@@ -313,8 +347,7 @@ def check_order(order: int, bound: int, what: str = "order") -> None:
 
 @lru_cache(maxsize=256)
 def _exact_order(M: Matrix) -> int:
-    F = M.field
-    n = M.n
+    F, n = M.field, M.n
     if n > MAX_DIM:
         raise ResourceLimitError(
             f"order computation supports dimension up to {MAX_DIM}, got {n}")
@@ -322,33 +355,11 @@ def _exact_order(M: Matrix) -> int:
     if f[0] == 0:
         raise InputError("matrix is singular; no multiplicative order")
 
-    degrees = []
-    rem = f
-    d = 0
-    while len(rem) - 1 > 0:
-        d += 1
-        # gcd with x^(q^d) - x collects the factors of degree dividing d;
-        # ascending d means everything left in it has degree exactly d.
-        xq = _fpoly_powmod(F, (0, 1), F.q ** d, rem)
-        diff = list(xq) + [0] * (2 - len(xq))
-        diff[1] = F.sub(diff[1], 1)
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _fpoly_gcd(F, rem, tuple(diff))
-        if len(g) - 1 > 0:
-            degrees.append(d)
-            while True:
-                quo, r = _fpoly_divmod(F, rem, g)
-                if r:
-                    break
-                rem = quo
-
-    ppart = 1
-    while ppart < n:
-        ppart *= F.p
-    multiple = ppart
+    multiple = 1    # p^ceil(log_p n), then the lcm of the q^d - 1
+    while multiple < n:
+        multiple *= F.p
     primes = {F.p}
-    for d in degrees:
+    for d in _factor_degrees(F, f):
         sub = F.q ** d - 1
         multiple = math.lcm(multiple, sub)
         primes.update(factorize(sub))
@@ -366,31 +377,15 @@ def _exact_order(M: Matrix) -> int:
 
 def _primitive_poly(n: int, q: int) -> tuple[int, ...]:
     """Primitive degree-n polynomial over GF(q), least encoded value,
-    ascending coefficients without the leading 1.
-
-    The one search for both field extensions and Singer elements.  It
-    tests that x has order q^n - 1 modulo f; when it does, the quotient
-    ring is a field (the q^n - 1 distinct powers of x and zero exhaust
-    it, leaving no room for zero divisors), so no separate
-    irreducibility test is needed."""
+    ascending coefficients without the leading 1; the one search for both
+    field extensions and Singer elements.  It is the first of
+    `_irreducibles` with f(0) != 0 in which x has order q^n - 1: no
+    x^((q^n - 1)/r) is 1 mod f for a prime r dividing q^n - 1."""
     F = finite_field(q)
     target = q ** n - 1
-    prime_factors = tuple(factorize(target))
-    for enc in range(1, q ** n):
-        coeffs = []
-        v = enc
-        for _ in range(n):
-            coeffs.append(v % q)
-            v //= q
-        if coeffs[0] == 0:
-            continue
-        f = tuple(coeffs) + (1,)
-        x = (0, 1)
-        if _fpoly_powmod(F, x, target, f) != (1,):
-            continue
-        if all(_fpoly_powmod(F, x, target // r, f) != (1,) for r in prime_factors):
-            return tuple(coeffs)
-    raise AssertionError(f"no primitive polynomial of degree {n} over GF({q})")
+    primes = factorize(target)
+    return next(f[:-1] for f in _irreducibles(F, n)
+                if f[0] and all(_fpoly_powmod(F, (0, 1), target // r, f) != (1,) for r in primes))
 
 
 def singer_element(n: int, q: int, bound: int = MAX_ELEMENT_ORDER) -> Matrix:

@@ -140,15 +140,18 @@ def parse_generators(text: str) -> GroupSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if degree is None:
+        try:
+            if degree is not None:
+                gens.append(_parse_cycle_line(line, degree))
+                continue
             word, *n = line.split()
             degree = read_integer(n[0], signed=False) if word == "degree" and len(n) == 1 else None
             if degree is None:
-                raise InputError(f"line {ln}: expected 'degree n' header, got {line!r}")
+                raise InputError(f"expected 'degree n' header, got {line!r}")
             if not 1 <= degree <= MAX_DEGREE:
-                raise InputError(f"line {ln}: degree must be in 1..{MAX_DEGREE}")
-            continue
-        gens.append(_parse_cycle_line(line, ln, degree))
+                raise InputError(f"degree must be in 1..{MAX_DEGREE}")
+        except InputError as exc:
+            raise InputError(f"line {ln}: {exc}") from None
     if degree is None:
         raise InputError("missing 'degree n' header")
     if not gens:
@@ -156,19 +159,19 @@ def parse_generators(text: str) -> GroupSpec:
     return GroupSpec(degree=degree, generators=tuple(gens))
 
 
-def _parse_cycle_line(line: str, ln: int, degree: int) -> tuple[int, ...]:
+def _parse_cycle_line(line: str, degree: int) -> tuple[int, ...]:
     if line.count("(") != line.count(")") or not line.startswith("("):
-        raise InputError(f"line {ln}: malformed cycle notation {line!r}")
+        raise InputError(f"malformed cycle notation {line!r}")
     perm = list(range(degree))
     used = set()
     body = line.replace(" ", "")
     pos = 0
     while pos < len(body):
         if body[pos] != "(":
-            raise InputError(f"line {ln}: expected '(' at position {pos + 1}")
+            raise InputError(f"expected '(' at position {pos + 1}")
         end = body.find(")", pos)
         if end < 0:
-            raise InputError(f"line {ln}: unclosed cycle")
+            raise InputError("unclosed cycle")
         inner = body[pos + 1:end]
         pos = end + 1
         if not inner:
@@ -177,15 +180,15 @@ def _parse_cycle_line(line: str, ln: int, degree: int) -> tuple[int, ...]:
         for tok in inner.split(","):
             x = read_integer(tok, signed=False)
             if x is None:
-                raise InputError(f"line {ln}: bad point {tok!r}")
+                raise InputError(f"bad point {tok!r}")
             if not 1 <= x <= degree:
-                raise InputError(f"line {ln}: point {x} outside 1..{degree}")
+                raise InputError(f"point {x} outside 1..{degree}")
             if x - 1 in used:
-                raise InputError(f"line {ln}: point {x} repeated; cycles must be disjoint")
+                raise InputError(f"point {x} repeated; cycles must be disjoint")
             used.add(x - 1)
             pts.append(x - 1)
         if len(pts) < 2:
-            raise InputError(f"line {ln}: cycle needs at least two points")
+            raise InputError("cycle needs at least two points")
         for i, x in enumerate(pts):
             perm[x] = pts[(i + 1) % len(pts)]
     return tuple(perm)
@@ -336,7 +339,7 @@ class _Chain:
         elements() checks, it refuses only a base image off its orbit."""
         idx = np.zeros(images.shape[1], dtype=np.int32)
         for l, t in enumerate(self.tables):
-            at = t.pos[images[l]]
+            at = np.take(t.pos, images[l])
             if (at < 0).any():
                 raise AssertionError("row outside the group: base image off the orbit")
             idx = idx * len(t.u) + at

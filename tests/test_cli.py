@@ -517,6 +517,8 @@ def test_malformed_input_file_exits_2_with_one_error_line(capsys, tmp_path, comm
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    # a generator file's refusal names its line, over-long numerals too
+    assert command != "analyze-perm" or err.startswith("error: line "), err
 
 
 def _objects(node):

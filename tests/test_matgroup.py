@@ -6,7 +6,8 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galorb import matgroup
@@ -210,6 +211,93 @@ def test_field_guards():
         finite_field(1)
     with pytest.raises(InputError):
         finite_field(513)
+
+
+# The primitive-polynomial search before it read `_irreducibles`: its own
+# walk over base-q encodings and its own test that x has order q^n - 1.
+# Kept as the reference the search on the factor-degree layer must match.
+def _former_primitive_poly(n, q):
+    F = finite_field(q)
+    target = q ** n - 1
+    prime_factors = tuple(factorize(target))
+    for enc in range(1, q ** n):
+        coeffs = []
+        v = enc
+        for _ in range(n):
+            coeffs.append(v % q)
+            v //= q
+        if coeffs[0] == 0:
+            continue
+        f = tuple(coeffs) + (1,)
+        x = (0, 1)
+        if matgroup._fpoly_powmod(F, x, target, f) != (1,):
+            continue
+        if all(matgroup._fpoly_powmod(F, x, target // r, f) != (1,) for r in prime_factors):
+            return tuple(coeffs)
+    raise AssertionError(f"no primitive polynomial of degree {n} over GF({q})")
+
+
+def test_primitive_poly_matches_the_former_search():
+    pairs = [(n, q) for q in prime_powers_upto(MAX_FIELD)
+             for n in range(1, (2 * 10 ** 5).bit_length()) if q ** n <= 2 * 10 ** 5]
+    assert len(pairs) == 290
+    for n, q in pairs:
+        assert matgroup._primitive_poly(n, q) == _former_primitive_poly(n, q), (n, q)
+
+
+def _mobius(n):
+    exponents = factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def test_irreducible_counts_are_gauss_counts():
+    # (1/d) sum over e | d of mu(e) q^(d/e), for every q^d <= 1024
+    for q in prime_powers_upto(MAX_FIELD):
+        F = finite_field(q)
+        for d in range(1, 11):
+            if q ** d > 1024:
+                break
+            irreducibles = list(matgroup._irreducibles(F, d))
+            gauss = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+            assert len(irreducibles) == gauss, (q, d)
+            assert irreducibles == sorted(irreducibles, key=lambda f: f[::-1]), (q, d)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+@example(3, [1, 2, 2])    # (x - 1)^2 (x - 2): dividing by the gcd while it divides leaves x - 1
+def test_factor_degrees_match_sympy(p, low):
+    f = tuple(c % p for c in low) + (1,)
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p).factor_list()
+    want = sorted({g.degree() for g, _ in factors})
+    assert list(matgroup._factor_degrees(finite_field(p), f)) == want
+
+
+def _series_product(factors, n):
+    """Coefficients of x^0..x^n in the product of the given series."""
+    out = [1] + [0] * n
+    for s in factors:
+        out = [sum(out[i] * s[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return out
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 6), (3, 3), (3, 4), (4, 3), (5, 3), (7, 2)])
+def test_gl_class_counts_from_irreducibles_are_macdonalds(q, n):
+    # a class of GL(n, q) gives each monic irreducible f != x a partition,
+    # of total size n when each part counts deg f times
+    F = finite_field(q)
+    partitions = _series_product(([int(k % r == 0) for k in range(n + 1)]
+                                  for r in range(1, n + 1)), n)
+    factors = []
+    for d in range(1, n + 1):
+        for f in matgroup._irreducibles(F, d):
+            if f != (0, 1):
+                factors.append([partitions[k // d] if k % d == 0 else 0 for k in range(n + 1)])
+    # Macdonald (1981): the product over r >= 1 of (1 - x^r) / (1 - q x^r),
+    # whose r-th factor is 1 + the sum over j >= 1 of (q^j - q^(j-1)) x^(rj)
+    macdonald = _series_product(([1] + [q ** (k // r) - q ** (k // r - 1) if k % r == 0 else 0
+                                        for k in range(1, n + 1)] for r in range(1, n + 1)), n)
+    assert _series_product(factors, n)[n] == macdonald[n]
 
 
 # cofactor-expansion determinant of xI - M, an independent oracle

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion that leaves an __all__
 entry behind fails here; the library surface the benchmark harness
 reads (bench/tracer.py, bench/run.py, bench/passrun.py) still exists;
-and input numerals and JSON are read in one module."""
+input numerals and JSON are read in one module; and every private
+helper in src has a reader in src."""
 
 import ast
 import importlib
@@ -113,3 +114,33 @@ def test_input_is_read_in_errors_alone():
         text = path.read_text(encoding="utf-8")
         found = [call for call in calls if call in text]
         assert found == (list(calls) if path.name == "errors.py" else []), path.name
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The _names a module defines by def or class, anywhere, or by an
+    assignment at module level; dunders aside."""
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _names_read(tree: ast.Module) -> set:
+    """Every name a module reads: loaded names, attributes and imported names."""
+    nodes = list(ast.walk(tree))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+
+
+def test_every_private_helper_has_a_reader_in_src():
+    # a helper only the tests read belongs in the tests, like the former
+    # searches and reference fields they keep as oracles
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    unread = {name: sorted(_private_definitions(tree) - read) for name, tree in trees.items()}
+    assert not any(unread.values()), unread

@@ -485,6 +485,30 @@ def test_degree_is_an_int_and_numerals_are_bounded():
         parse_generators("degree +3\n()\n")
 
 
+# every refusal of a line names it; the texts after "line N: " are those
+# of the per-line checks, and an over-long numeral gains its line
+LINE_REFUSALS = [
+    ("(1,2)\n", "line 1: expected 'degree n' header, got '(1,2)'"),
+    ("degree 0\n()\n", "line 1: degree must be in 1..256"),
+    ("degree 3\n1,2)\n", "line 2: malformed cycle notation '1,2)'"),
+    ("degree 3\n(1,2)x()\n", "line 2: expected '(' at position 6"),
+    ("degree 3\n(1,x)\n", "line 2: bad point 'x'"),
+    ("degree 3\n(1,4)\n", "line 2: point 4 outside 1..3"),
+    ("degree 4\n(1,2)(2,3)\n", "line 2: point 2 repeated; cycles must be disjoint"),
+    ("degree 3\n\n# (1,2)\n(1)\n", "line 4: cycle needs at least two points"),
+    ("degree 3\n(1," + "1" * 5000 + ")\n",
+     "line 2: a numeral of 5000 digits; at most 4300 are read"),
+    ("degree " + "1" * 5000 + "\n()\n", "line 1: a numeral of 5000 digits; at most 4300 are read"),
+]
+
+
+@pytest.mark.parametrize("text, message", LINE_REFUSALS)
+def test_parse_generators_names_the_line_it_refuses(text, message):
+    with pytest.raises(InputError) as info:
+        parse_generators(text)
+    assert str(info.value) == message
+
+
 GENERATOR_ALPHABET = "(),# \t\n0123456789\u00b2\u0661"
 
 
