@@ -12,7 +12,7 @@ and chartab.char_report on table rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .permgroup import ClassStructure
 
@@ -115,9 +115,3 @@ def analyze(cs: ClassStructure) -> GaloisReport:
         raise AssertionError("n_R disagrees with the direct pair count")
     return rep
 
-
-def report_to_obj(rep: GaloisReport, labels: tuple[str, ...]) -> dict:
-    """JSON-ready dict: the report's fields, with the families rendered
-    as labels as well."""
-    return {**asdict(rep),
-            "family_labels": [[labels[c] for c in f] for f in rep.families]}

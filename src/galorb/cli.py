@@ -5,6 +5,10 @@ analyze-table for single groups (with an optional table-versus-classes
 cross-examination), an-rank for alternating-group rank tables, screen
 for the classical family scans, charpoly for matrix-side class bounds.
 
+Each subcommand's handler returns (obj, lines, code): its JSON object,
+its text lines and its exit code.  main alone reads --format, renders
+one of the two and writes it to stdout or --out; every JSON shape lives here.
+
 Exit codes: 0 success, 2 bad input or failed cross-check, 3 a result
 that could not be certified (incomplete screen, element not found),
 4 a resource guard tripped.  Output is byte-deterministic for fixed
@@ -21,7 +25,7 @@ from functools import lru_cache
 from . import __version__
 from .altcount import frobenius_ranks, prop8_lower_bound
 from .chartab import brauer_crosscheck, char_report, column_families, parse_table
-from .classtheory import analyze, report_to_obj
+from .classtheory import GaloisReport, analyze
 from .errors import GalorbError, InputError, ResourceLimitError, UncertifiedError, read_integer
 from .matgroup import (
     MAX_ELEMENT_ORDER, check_order, class_lower_bound, coprime_power_charpoly_count,
@@ -60,13 +64,19 @@ def _integer(text: str) -> int:
 # -- analyze-perm -------------------------------------------------------
 
 
-def _cmd_analyze_perm(args) -> tuple[str, int]:
+def report_to_obj(rep: GaloisReport, labels: tuple[str, ...]) -> dict:
+    """JSON-ready dict: the report's fields, with the families rendered
+    as labels as well."""
+    return {**vars(rep),
+            "family_labels": [[labels[c] for c in f] for f in rep.families]}
+
+
+def _cmd_analyze_perm(args):
     spec = parse_generators(_read(args.file))
     _note(f"degree {spec.degree}, {len(spec.generators)} generators")
     cs = conjugacy_classes(spec)
     rep = analyze(cs)
-    if args.format == "json":
-        return _json(report_to_obj(rep, labels=cs.labels)), 0
+    fams = ("{" + ", ".join(cs.labels[c] for c in fam) + "}" for fam in rep.families)
     lines = [
         f"group order      {rep.group_order}",
         f"classes          {rep.num_classes}",
@@ -76,50 +86,30 @@ def _cmd_analyze_perm(args) -> tuple[str, int]:
         f"longest family   {rep.f}",
         f"a-quantities     a1 = {rep.a1}, a2 = {rep.a2}",
         f"cut property     {'yes' if rep.is_cut else 'no'}",
+        "families         " + " ".join(fams),
     ]
-    fams = []
-    for fam in rep.families:
-        fams.append("{" + ", ".join(cs.labels[c] for c in fam) + "}")
-    lines.append("families         " + " ".join(fams))
-    return "\n".join(lines) + "\n", 0
+    return report_to_obj(rep, labels=cs.labels), lines, 0
 
 
 # -- analyze-table ------------------------------------------------------
 
 
-def _cmd_analyze_table(args) -> tuple[str, int]:
+def _cmd_analyze_table(args):
     table = parse_table(_read(args.file))
     rep = char_report(table)
     real_rows = 2 * rep.n_R - rep.num_classes
     max_family = max(map(len, column_families(table)))
-    code = 0
-    cross = None
-    if args.gens:
-        spec = parse_generators(_read(args.gens))
-        _note("computing conjugacy classes for the cross-check")
-        cs = conjugacy_classes(spec)
-        cross = brauer_crosscheck(table, cs)
-        if not cross.passed:
-            code = 2
-    if args.format == "json":
-        obj = {
-            "name": table.name,
-            "order": table.group_order,
-            "classes": table.num_classes,
-            "real_rows": real_rows,
-            "rank": rep.rank,
-            "max_family": max_family,
-            "b1": rep.a1,
-            "b2": rep.a2,
-            "cut_by_fields": rep.is_cut,
-        }
-        if cross is not None:
-            obj["crosscheck"] = {
-                "passed": cross.passed,
-                "checks": [{"name": c.name, "passed": c.passed,
-                            "detail": c.detail} for c in cross.checks],
-            }
-        return _json(obj), code
+    obj = {
+        "name": table.name,
+        "order": table.group_order,
+        "classes": table.num_classes,
+        "real_rows": real_rows,
+        "rank": rep.rank,
+        "max_family": max_family,
+        "b1": rep.a1,
+        "b2": rep.a2,
+        "cut_by_fields": rep.is_cut,
+    }
     lines = [
         f"table            {table.name}",
         f"group order      {table.group_order}",
@@ -130,11 +120,17 @@ def _cmd_analyze_table(args) -> tuple[str, int]:
         f"b-quantities     b1 = {rep.a1}, b2 = {rep.a2}",
         f"cut by fields    {'yes' if rep.is_cut else 'no'}",
     ]
-    if cross is not None:
-        lines.append(f"cross-check      {'PASS' if cross.passed else 'FAIL'}")
-        for c in cross.checks:
-            lines.append(f"  {c.name:16s} {'ok' if c.passed else 'MISMATCH'}: {c.detail}")
-    return "\n".join(lines) + "\n", code
+    if not args.gens:
+        return obj, lines, 0
+    spec = parse_generators(_read(args.gens))
+    _note("computing conjugacy classes for the cross-check")
+    cross = brauer_crosscheck(table, conjugacy_classes(spec))
+    obj["crosscheck"] = {"passed": cross.passed,
+                         "checks": [dict(vars(c)) for c in cross.checks]}
+    lines.append(f"cross-check      {'PASS' if cross.passed else 'FAIL'}")
+    for c in cross.checks:
+        lines.append(f"  {c.name:16s} {'ok' if c.passed else 'MISMATCH'}: {c.detail}")
+    return obj, lines, 0 if cross.passed else 2
 
 
 # -- an-rank ------------------------------------------------------------
@@ -150,31 +146,24 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _cmd_an_rank(args) -> tuple[str, int]:
+def _cmd_an_rank(args):
     lo, hi = _parse_range(args.range)
     rows = []
+    lines = ["    n  rank  injection"]
     for n, rank in enumerate(frobenius_ranks(lo, hi), start=lo):
         entry = {"n": n, "rank": rank}
+        inj = ""
         if n >= 26:
             b = prop8_lower_bound(n)
             entry["injection"] = {
                 "p": b.p, "k": b.k, "m": b.m, "count": b.count,
                 "feasible": b.feasible, "diagnostic": b.diagnostic,
             }
+            inj = (f"count {b.count} at (p,k,m) = ({b.p},{b.k},{b.m})" if b.feasible
+                   else f"infeasible: {b.diagnostic}")
         rows.append(entry)
-    if args.format == "json":
-        return _json({"rows": rows}), 0
-    lines = ["    n  rank  injection"]
-    for e in rows:
-        inj = ""
-        if "injection" in e:
-            b = e["injection"]
-            if b["feasible"]:
-                inj = f"count {b['count']} at (p,k,m) = ({b['p']},{b['k']},{b['m']})"
-            else:
-                inj = f"infeasible: {b['diagnostic']}"
-        lines.append(f"{e['n']:5d} {e['rank']:5d}  {inj}")
-    return "\n".join(lines) + "\n", 0
+        lines.append(f"{n:5d} {rank:5d}  {inj}")
+    return {"rows": rows}, lines, 0
 
 
 # -- screen -------------------------------------------------------------
@@ -189,24 +178,15 @@ def _screen_obj(res) -> dict:
         "family": res.tag,
         "n_max": res.n_max,
         "q_max": res.q_max,
-        "exceptions": [
-            {"n": r.n, "q": r.q, "order": r.order, "phi": r.phi,
-             "threshold": r.threshold}
-            for r in exc_rows],
+        "exceptions": [dict(vars(r)) for r in exc_rows],
         "excluded": [{"n": n, "q": q, "reason": why}
                      for n, q, why in res.excluded],
-        "certificate": {
-            "q_boundary_ok": res.certificate.q_boundary_ok,
-            "n_near_ok": res.certificate.n_near_ok,
-            "n_tail_ok": res.certificate.n_tail_ok,
-            "n_tail_range": list(res.certificate.n_tail_range),
-            "asymptotic_ok": res.certificate.asymptotic_ok,
-        },
+        "certificate": dict(vars(res.certificate)),
         "certified": res.certified,
     }
 
 
-def _cmd_screen(args) -> tuple[str, int]:
+def _cmd_screen(args):
     if args.family == "all":
         tags = list(FAMILIES)
     elif args.family in FAMILIES:
@@ -223,9 +203,6 @@ def _cmd_screen(args) -> tuple[str, int]:
         _note(f"screening {tag} over n <= {n_max}, q <= {q_max}")
         objs.append(_screen_obj(exception_set(tag, n_max=n_max, q_max=q_max)))
     all_certified = all(o["certified"] for o in objs)
-    code = 0 if all_certified else 3
-    if args.format == "json":
-        return _json({"results": objs, "certified": all_certified}), code
     lines = []
     for o in objs:
         lines.append(f"family {o['family']} (n <= {o['n_max']}, q <= {o['q_max']})")
@@ -244,13 +221,13 @@ def _cmd_screen(args) -> tuple[str, int]:
         lines.append(f"  certified: {'yes' if o['certified'] else 'NO'}")
     if not all_certified:
         lines.append("result is NOT certified complete; enlarge the box")
-    return "\n".join(lines) + "\n", code
+    return {"results": objs, "certified": all_certified}, lines, 0 if all_certified else 3
 
 
 # -- charpoly -----------------------------------------------------------
 
 
-def _charpoly_report(g, args) -> tuple[str, int]:
+def _charpoly_report(g, args):
     order = element_order(g, bound=args.max_order)
     count = coprime_power_charpoly_count(g, max_order=args.max_order)
     bound, verdict = class_lower_bound(count, args.center)
@@ -263,8 +240,6 @@ def _charpoly_report(g, args) -> tuple[str, int]:
         "class_bound": bound,
         "at_least_five": verdict,
     }
-    if args.format == "json":
-        return _json(obj), 0
     lines = [
         f"dimension        {g.n}",
         f"field            GF({g.field.q})",
@@ -273,43 +248,44 @@ def _charpoly_report(g, args) -> tuple[str, int]:
         f"class bound      {bound} (center {args.center})",
         f"five or more     {'yes' if verdict else 'no'}",
     ]
-    return "\n".join(lines) + "\n", 0
+    return obj, lines, 0
 
 
 def _at_least_one(args, *names: str) -> None:
     """InputError naming the first of names (options or arguments, as
     typed) whose value is below 1: no order, count or seed can make such
-    a target, count or center valid."""
+    a target, count, center or order bound valid."""
     for name in names:
-        value = getattr(args, name.lstrip("-"))
+        value = getattr(args, name.lstrip("-").replace("-", "_"))
         if value < 1:
             raise InputError(f"{name} must be at least 1, got {value}")
 
 
-def _cmd_charpoly(args) -> tuple[str, int]:
-    if args.action == "singer":
-        _at_least_one(args, "--center")
-        g = singer_element(args.n, args.q, bound=args.max_order)
-        return _charpoly_report(g, args)
-    if args.action == "file":
-        _at_least_one(args, "--target", "--center")
-        check_order(args.target, args.max_order, "target order")
-        _, gens = parse_matrix_group_file(_read(args.file))
-        g = random_element_search(gens, args.target, seed=args.seed, bound=args.max_order)
-        if g is None:
-            raise UncertifiedError(
-                f"no element of order {args.target} found "
-                f"(seed {args.seed}); try another seed")
-        return _charpoly_report(g, args)
-    # action == "bound"
+def _cmd_charpoly_singer(args):
+    _at_least_one(args, "--center", "--max-order")
+    return _charpoly_report(singer_element(args.n, args.q, bound=args.max_order), args)
+
+
+def _cmd_charpoly_file(args):
+    _at_least_one(args, "--target", "--center", "--max-order")
+    check_order(args.target, args.max_order, "target order")
+    _, gens = parse_matrix_group_file(_read(args.file))
+    g = random_element_search(gens, args.target, seed=args.seed, bound=args.max_order)
+    if g is None:
+        raise UncertifiedError(
+            f"no element of order {args.target} found "
+            f"(seed {args.seed}); try another seed")
+    return _charpoly_report(g, args)
+
+
+def _cmd_charpoly_bound(args):
     _at_least_one(args, "count", "center")
     bound, verdict = class_lower_bound(args.count, args.center)
     obj = {"count": args.count, "center": args.center,
            "class_bound": bound, "at_least_five": verdict}
-    if args.format == "json":
-        return _json(obj), 0
-    return (f"class bound      {bound} (count {args.count}, center {args.center})\n"
-            f"five or more     {'yes' if verdict else 'no'}\n"), 0
+    lines = [f"class bound      {bound} (count {args.count}, center {args.center})",
+             f"five or more     {'yes' if verdict else 'no'}"]
+    return obj, lines, 0
 
 
 # -- parser -------------------------------------------------------------
@@ -370,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("q", type=_integer)
     ps.add_argument("--center", type=_integer, default=1)
     _max_order_option(ps, "the element's order")
-    ps.set_defaults(fn=_cmd_charpoly, action="singer")
+    ps.set_defaults(fn=_cmd_charpoly_singer)
     pf = psub.add_parser("file", parents=[common],
                          help="search a generated matrix group")
     pf.add_argument("file")
@@ -378,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--center", type=_integer, default=1)
     pf.add_argument("--seed", type=_integer, default=0, help="random search seed")
     _max_order_option(pf, "--target, every order searched and the element's order")
-    pf.set_defaults(fn=_cmd_charpoly, action="file")
+    pf.set_defaults(fn=_cmd_charpoly_file)
     pb = psub.add_parser("bound", parents=[common],
                          help="bare class bound from a count")
     pb.add_argument("count", type=_integer)
     pb.add_argument("center", type=_integer)
-    pb.set_defaults(fn=_cmd_charpoly, action="bound")
+    pb.set_defaults(fn=_cmd_charpoly_bound)
 
     return parser
 
@@ -398,19 +374,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text, code = args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        obj, lines, code = args.fn(args)
     except UncertifiedError as exc:
         print(f"uncertified: {exc}", file=sys.stderr)
         return 3
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
-    except GalorbError as exc:
+    except GalorbError as exc:  # InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = _json(obj) if args.format == "json" else "\n".join(lines) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -21,7 +21,7 @@ comparison beyond that.  Every check uses integer arithmetic only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
@@ -219,7 +219,15 @@ class ScreenResult:
     exceptions: frozenset
     excluded: tuple[tuple[int, int, str], ...]
     certificate: Certificate
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate.ok
+
+    def __repr__(self) -> str:
+        # the dataclass repr with certified appended: pinned screen digests hash this text
+        shown = "".join(f"{f.name}={getattr(self, f.name)!r}, " for f in fields(self))
+        return f"ScreenResult({shown}certified={self.certified!r})"
 
 
 _N_TAIL_END = 4096
@@ -324,13 +332,11 @@ def exception_set(tag: str, n_max: int = 40, q_max: int = 64) -> ScreenResult:
     asymptotic_ok = (2 ** ((n0 - 2) // 2) > 512 * n0 ** 3) and (n0 * 7 > 61)
     # n * 7 > 61 is a safe integer stand-in for n > 6 / log 2 = 8.656...
 
-    cert = Certificate(q_boundary_ok, n_near_ok, (tail_lo, tail_hi),
-                       n_tail_ok, asymptotic_ok)
     return ScreenResult(
         tag=rec.tag, n_max=n_max, q_max=q_max,
         rows=tuple(rows),
         exceptions=frozenset(exceptions),
         excluded=tuple(excluded),
-        certificate=cert,
-        certified=cert.ok,
+        certificate=Certificate(q_boundary_ok, n_near_ok, (tail_lo, tail_hi),
+                                n_tail_ok, asymptotic_ok),
     )

@@ -5,9 +5,8 @@ small simple groups."""
 import pytest
 
 from galorb.chartab import fixture_table
-from galorb.classtheory import (
-    analyze, orbit_counts, orbits, q_classes, r_classes, report_to_obj,
-)
+from galorb.classtheory import analyze, orbit_counts, orbits, q_classes, r_classes
+from galorb.cli import report_to_obj
 from galorb.matgroup import projective_line_action
 from galorb.numutil import totient
 from galorb.permgroup import (

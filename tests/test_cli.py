@@ -62,16 +62,21 @@ def test_analyze_table_with_crosscheck(capsys):
     assert "cross-check      PASS" in out
 
 
-def test_analyze_table_crosscheck_failure_exits_2(capsys, tmp_path):
-    t = fixture_table("c5")
+def swapped_c5(directory: pathlib.Path) -> pathlib.Path:
+    """C5's table with columns 1 and 2 swapped, written into directory:
+    its cross-check against C5's classes fails."""
     perm = (0, 2, 1, 3, 4)
-    obj = json.loads(serialize_table(t))
+    obj = json.loads(serialize_table(fixture_table("c5")))
     obj["irr"] = [[row[p] for p in perm] for row in obj["irr"]]
     obj["class_sizes"] = [obj["class_sizes"][p] for p in perm]
     obj["class_orders"] = [obj["class_orders"][p] for p in perm]
-    bad = tmp_path / "bad_c5.json"
+    bad = directory / "bad_c5.json"
     bad.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "analyze-table", str(bad),
+    return bad
+
+
+def test_analyze_table_crosscheck_failure_exits_2(capsys, tmp_path):
+    code, out, _ = run(capsys, "analyze-table", str(swapped_c5(tmp_path)),
                        "--gens", str(DATA / "c5.gens"))
     assert code == 2
     assert "FAIL" in out and "MISMATCH" in out
@@ -365,8 +370,14 @@ def test_charpoly_file_requires_target(capsys):
     (("singer", "6", "4", "--center", "0"), "--center must be at least 1, got 0"),
     (("bound", "0", "3"), "count must be at least 1, got 0"),
     (("bound", "5", "0"), "center must be at least 1, got 0"),
+    # no element has an order below 1
+    (("singer", "2", "3", "--max-order", "0"), "--max-order must be at least 1, got 0"),
+    (("singer", "2", "3", "--max-order", "-5"), "--max-order must be at least 1, got -5"),
+    (("file", str(DATA / "gl2_3.json"), "--target", "8", "--max-order", "0"),
+     "--max-order must be at least 1, got 0"),
 ], ids=["target_0", "target_negative", "file_center_0", "singer_center_0",
-        "bound_count_0", "bound_center_0"])
+        "bound_count_0", "bound_center_0", "singer_max_order_0", "singer_max_order_negative",
+        "file_max_order_0"])
 def test_charpoly_refuses_target_and_center_below_one_first(capsys, monkeypatch, argv, message):
     # no search, order or count can make these valid, so none is started
     def unreached(*args, **kwargs):
@@ -585,72 +596,94 @@ def test_class_guard_refuses_s11_before_enumeration(capsys, tmp_path, monkeypatc
         assert "--" not in err
 
 
+def argv_in(directory: pathlib.Path, argv) -> list[str]:
+    """argv as strings, each input writer in it (such as swapped_c5)
+    replaced by the file it writes into directory."""
+    return [str(a(directory) if callable(a) else a) for a in argv]
+
+
 JSON_EXAMPLES = [
-    (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.json"),
+    (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.json", 0),
     (("analyze-table", TABLES / "a5.json", "--gens", DATA / "a5.gens"),
-     "analyze-table_a5.json"),
-    (("an-rank", "26..40"), "an-rank_26-40.json"),
-    (("screen", "all"), "screen_all.json"),
+     "analyze-table_a5.json", 0),
+    (("an-rank", "26..40"), "an-rank_26-40.json", 0),
+    (("screen", "all"), "screen_all.json", 0),
     # thresholds up to 1280, past the 1024 table boundary
-    (("screen", "all", "--box", "80,128"), "screen_all_80-128.json"),
-    (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.json"),
+    (("screen", "all", "--box", "80,128"), "screen_all_80-128.json", 0),
+    (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.json", 0),
     (("charpoly", "file", DATA / "gl2_3.json", "--target", "8"),
-     "charpoly_file_gl2_3.json"),
+     "charpoly_file_gl2_3.json", 0),
     # odd p with k >= 2, beyond the README
-    (("charpoly", "singer", "3", "9"), "charpoly_singer_3_9.json"),
-    (("charpoly", "singer", "2", "27"), "charpoly_singer_2_27.json"),
+    (("charpoly", "singer", "3", "9"), "charpoly_singer_3_9.json", 0),
+    (("charpoly", "singer", "2", "27"), "charpoly_singer_2_27.json", 0),
     # the benchmark's heavy Singer items
-    (("charpoly", "singer", "6", "4"), "charpoly_singer_6_4.json"),
-    (("charpoly", "singer", "4", "9"), "charpoly_singer_4_9.json"),
-    (("charpoly", "singer", "3", "16"), "charpoly_singer_3_16.json"),
+    (("charpoly", "singer", "6", "4"), "charpoly_singer_6_4.json", 0),
+    (("charpoly", "singer", "4", "9"), "charpoly_singer_4_9.json", 0),
+    (("charpoly", "singer", "3", "16"), "charpoly_singer_3_16.json", 0),
+    (("charpoly", "bound", "16", "3"), "charpoly_bound_16_3.json", 0),
+    (("analyze-table", swapped_c5, "--gens", DATA / "c5.gens"),
+     "analyze-table_crosscheck_fail.json", 2),
 ]
 
 
-@pytest.mark.parametrize("argv, golden", JSON_EXAMPLES, ids=[
+@pytest.mark.parametrize("argv, golden, want", JSON_EXAMPLES, ids=[
         "analyze-perm", "analyze-table", "an-rank", "screen", "screen-80-128",
         "charpoly-singer", "charpoly-file", "charpoly-singer-3-9", "charpoly-singer-2-27",
-        "charpoly-singer-6-4", "charpoly-singer-4-9", "charpoly-singer-3-16"])
-def test_readme_examples_json_bytes(capsys, argv, golden):
-    code, out, _ = run(capsys, *map(str, argv), "--format", "json")
-    assert code == 0
+        "charpoly-singer-6-4", "charpoly-singer-4-9", "charpoly-singer-3-16",
+        "charpoly-bound", "analyze-table-crosscheck-fail"])
+def test_readme_examples_json_bytes(capsys, tmp_path, argv, golden, want):
+    code, out, _ = run(capsys, *argv_in(tmp_path, argv), "--format", "json")
+    assert code == want
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, golden, want", [
     (("screen", "all"), "screen_all.txt", 0),
     (("screen", "PSL", "--box", "2,8"), "screen_psl_2-8.txt", 3),
-], ids=["screen", "screen-psl-2-8"])
+    (("screen", "PSL", "--box", "2,8", "--format", "json"), "screen_psl_2-8.json", 3),
+], ids=["screen", "screen-psl-2-8", "screen-psl-2-8-json"])
 def test_screen_text_bytes(capsys, argv, golden, want):
     code, out, _ = run(capsys, *argv)
     assert code == want
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+def readme_examples() -> list[list[str]]:
+    """The arguments of each `galorb ...` line of the README's command
+    block, with paths relative to the repository root."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("galorb ")]
+
+
 def test_readme_command_block_has_json_goldens():
     # each `galorb ...` line of the README's command block is a case of
     # test_readme_examples_json_bytes, so no example goes without a golden
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```")[1]
-    examples = [line.split()[1:] for line in block.splitlines() if line.startswith("galorb ")]
+    examples = readme_examples()
     cases = [[str(a.relative_to(ROOT)) if isinstance(a, pathlib.Path) else a for a in argv]
-             for argv, _ in JSON_EXAMPLES]
+             for argv, _, _ in JSON_EXAMPLES]
     assert examples
     for example in examples:
         assert example in cases, " ".join(example)
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.txt"),
+@pytest.mark.parametrize("argv, golden, want", [
+    (("analyze-perm", DATA / "a5.gens"), "analyze-perm_a5.txt", 0),
     (("analyze-table", TABLES / "a5.json", "--gens", DATA / "a5.gens"),
-     "analyze-table_a5.txt"),
-    (("an-rank", "26..40"), "an-rank_26-40.txt"),
-    (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.txt"),
+     "analyze-table_a5.txt", 0),
+    (("an-rank", "26..40"), "an-rank_26-40.txt", 0),
+    (("charpoly", "singer", "4", "2"), "charpoly_singer_4_2.txt", 0),
     (("charpoly", "file", DATA / "gl2_3.json", "--target", "8"),
-     "charpoly_file_gl2_3.txt"),
-], ids=["analyze-perm", "analyze-table", "an-rank", "charpoly-singer", "charpoly-file"])
-def test_readme_examples_text_bytes(capsys, argv, golden):
-    code, out, _ = run(capsys, *map(str, argv), "--format", "text")
-    assert code == 0
+     "charpoly_file_gl2_3.txt", 0),
+    (("charpoly", "bound", "16", "3"), "charpoly_bound_16_3.txt", 0),
+    (("analyze-table", TABLES / "q8.json"), "analyze-table_q8.txt", 0),
+    (("analyze-table", swapped_c5, "--gens", DATA / "c5.gens"),
+     "analyze-table_crosscheck_fail.txt", 2),
+], ids=["analyze-perm", "analyze-table", "an-rank", "charpoly-singer", "charpoly-file",
+        "charpoly-bound", "analyze-table-q8", "analyze-table-crosscheck-fail"])
+def test_readme_examples_text_bytes(capsys, tmp_path, argv, golden, want):
+    code, out, _ = run(capsys, *argv_in(tmp_path, argv), "--format", "text")
+    assert code == want
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
@@ -774,12 +807,23 @@ def test_readme_option_list_matches_the_help(capsys):
         assert _flags(text) == printed, command
 
 
-def test_out_flag_writes_file(capsys, tmp_path):
+def test_out_flag_writes_file(capsys, tmp_path, monkeypatch):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze-table", str(TABLES / "q8.json"),
                        "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["cut_by_fields"] is True
+    # every README example and an uncertified screen, in both formats:
+    # with --out F, stdout is empty, the exit code is the same and F holds
+    # the bytes stdout prints without it
+    monkeypatch.chdir(ROOT)
+    for argv in [*readme_examples(), ["screen", "PSL", "--box", "2,8"]]:
+        for fmt in ("text", "json"):
+            code, printed, _ = run(capsys, *argv, "--format", fmt)
+            target = tmp_path / f"report.{fmt}"
+            case = (*argv, fmt)
+            assert run(capsys, *argv, "--format", fmt, "--out", str(target))[:2] == (code, ""), case
+            assert target.read_bytes() == printed.encode("utf-8"), case
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,8 @@
 """Every exported name resolves, so a deletion that leaves an __all__
 entry behind fails here; the library surface the benchmark harness
 reads (bench/tracer.py, bench/run.py, bench/passrun.py) still exists;
-input numerals and JSON are read in one module; and every private
-helper in src has a reader in src."""
+input numerals and JSON are read in one module; output is rendered
+in cli.main alone; and every private helper in src has a reader in src."""
 
 import ast
 import importlib
@@ -114,6 +114,34 @@ def test_input_is_read_in_errors_alone():
         text = path.read_text(encoding="utf-8")
         found = [call for call in calls if call in text]
         assert found == (list(calls) if path.name == "errors.py" else []), path.name
+
+
+def _enclosing_defs(tree: ast.Module) -> dict:
+    """Each node of tree mapped to the name of the innermost def around
+    it, '' at module level."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return owner
+
+
+def test_output_is_rendered_in_main_alone():
+    # one output path: handlers return (obj, lines, code), cli.main alone
+    # picks the format and cli._json alone serialises
+    watched = {("args", "format"), ("json", "dumps")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node, name in _enclosing_defs(ast.parse(path.read_text(encoding="utf-8"))).items():
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in watched):
+                found.append((path.stem, name, f"{node.value.id}.{node.attr}"))
+    assert sorted(found) == [("cli", "_json", "json.dumps"), ("cli", "main", "args.format")]
 
 
 def _private_definitions(tree: ast.Module) -> set:
